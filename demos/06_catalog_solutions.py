@@ -13,9 +13,7 @@ import random
 
 from orenaka import (
     CASES,
-    dim2_delta_rl_closed_form,
-    dim2_nakayama_oracle,
-    dim2_relation_matrix,
+    dim2_instance_oracle,
     enumerate_solution,
     nakayama_of_B,
     random_case_params,
@@ -28,14 +26,7 @@ def main():
     for case in CASES:
         inst = enumerate_solution(case, random_case_params(case, rng))
         rep = nakayama_of_B(inst.sigma, inst.delta, with_superpotential=False)
-        kind = (
-            "jordan"
-            if case.startswith("jordan")
-            else ("commutative" if inst.family == "comm" else "quantum")
-        )
-        qmat = dim2_relation_matrix(kind, inst.q)
-        c_r, c_l = dim2_delta_rl_closed_form(inst.family, inst.m, inst.gamma, inst.q)
-        oracle = dim2_nakayama_oracle(qmat, inst.m, c_r, c_l)
+        oracle = dim2_instance_oracle(inst)
         flag = "yes" if inst.derived_by_symmetry else ""
         cy = "yes" if rep.calabi_yau else "no"
         print(f"{case:<10}{flag:<10}{cy:<6}{rep.mu_B == oracle}")

@@ -19,7 +19,6 @@ from .errors import (
     NoSolutionError,
     NotAdmissibleError,
     NotASRegularError,
-    NotCertifiedError,
     NotInHatWError,
     NotInvertibleError,
     NonUniqueTwistError,
@@ -31,14 +30,12 @@ from .linalg import (
     Scalar,
     Subspace,
     Tensor,
-    apply_at_slot,
     rref,
     scalar,
     scalar_str,
     solve_affine,
     subspace_intersect,
     subspace_sum,
-    tau_shift,
 )
 from .quadratic import KoszulCertificate, QuadraticAlgebra
 from .morphisms import (
@@ -54,12 +51,10 @@ from .morphisms import (
     twist_solve,
 )
 from .ore import (
-    Delta2Decomposition,
     DivergenceResult,
     OreReport,
     SequencePair,
     build_sequence_pair,
-    decompose_delta2,
     derivation_quotient_relations,
     divergence,
     nakayama_of_B,
@@ -74,6 +69,7 @@ from .catalog import (
     cy_classifier_dim2,
     dim2_delta_rl_closed_form,
     dim2_hdet,
+    dim2_instance_oracle,
     dim2_nakayama_oracle,
     dim2_relation_matrix,
     enumerate_solution,

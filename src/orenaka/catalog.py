@@ -600,6 +600,15 @@ def enumerate_solution(case: str, params: Mapping) -> SolutionInstance:
     )
 
 
+def dim2_instance_oracle(inst: SolutionInstance) -> Matrix:
+    """Closed-form mu_B of a catalog instance: the family's relation
+    matrix Q and its (c_r, c_l) closed form fed to dim2_nakayama_oracle."""
+    kind = {"comm": "commutative", "jordan": "jordan"}.get(inst.family, "quantum")
+    qm = dim2_relation_matrix(kind, inst.q)
+    c_r, c_l = dim2_delta_rl_closed_form(inst.family, inst.m, inst.gamma, inst.q)
+    return dim2_nakayama_oracle(qm, inst.m, c_r, c_l)
+
+
 def gamma_images(gamma) -> list[Tensor]:
     """Lift tensors for the two-generator gamma parametrization."""
     out = []

@@ -18,9 +18,7 @@ from .catalog import (
     CASES,
     CASE_ALIASES,
     cy_classifier_dim2,
-    dim2_delta_rl_closed_form,
-    dim2_nakayama_oracle,
-    dim2_relation_matrix,
+    dim2_instance_oracle,
     enumerate_solution,
     make_polynomial,
     polynomial_divergence_oracle,
@@ -138,9 +136,8 @@ def _matrix_out(m: Matrix) -> list:
     return [[scalar_str(e) for e in row] for row in m.rows]
 
 
-def _certificate_out(alg: QuadraticAlgebra) -> dict:
+def _certificate_out(alg: QuadraticAlgebra, n: int) -> dict:
     cert = alg.certificate
-    n = cert.bound
     return {
         "verified_to": n,
         "as_regular": cert.as_regular,
@@ -153,17 +150,17 @@ def _certificate_out(alg: QuadraticAlgebra) -> dict:
     }
 
 
-def _base_report(command, spec: ProblemSpec, alg, check_level) -> dict:
+def _base_report(command, spec: ProblemSpec, alg, check_level, bound) -> dict:
     names = spec.generators
     return {
         "command": command,
         "check_level": check_level,
-        "koszul_bound": alg.certificate.bound,
+        "koszul_bound": bound,
         "generators": list(names),
         "relations": [
             _terms_out(Tensor.from_vec(b, alg.nv, 2), names) for b in alg.R.basis()
         ],
-        "certificate": _certificate_out(alg),
+        "certificate": _certificate_out(alg, bound),
         "omega": _terms_out(alg.certificate.omega, names),
     }
 
@@ -203,13 +200,20 @@ def render_report(report: dict) -> str:
 # commands
 
 
-def _certify_algebra(spec: ProblemSpec, bound) -> QuadraticAlgebra:
-    alg = QuadraticAlgebra(spec.generators, spec.relations)
-    n = bound or spec.options.get("koszul_bound")
+def _certify_to(alg: QuadraticAlgebra, bound) -> int:
+    """Certify alg to the requested bound and return the bound to report,
+    max(bound, d + 3).  It comes from the command, not from the stored
+    certificate, because catalog algebras are shared between commands
+    and may already carry a higher bound from an earlier call."""
     alg.certify_as_regular()
-    if n:
-        alg.certify_koszul(int(n))
-    return alg
+    if bound:
+        alg.certify_koszul(int(bound))
+    return max(int(bound or 0), alg.certificate.d + 3)
+
+
+def _certify_algebra(spec: ProblemSpec, bound) -> tuple[QuadraticAlgebra, int]:
+    alg = QuadraticAlgebra(spec.generators, spec.relations)
+    return alg, _certify_to(alg, bound or spec.options.get("koszul_bound"))
 
 
 def _sigma_delta(spec: ProblemSpec, alg):
@@ -228,13 +232,13 @@ def _sigma_delta(spec: ProblemSpec, alg):
 
 
 def cmd_certify(spec: ProblemSpec, bound, check_level) -> dict:
-    alg = _certify_algebra(spec, bound)
-    return _base_report("certify", spec, alg, check_level)
+    alg, n = _certify_algebra(spec, bound)
+    return _base_report("certify", spec, alg, check_level, n)
 
 
 def cmd_nakayama(spec: ProblemSpec, bound, check_level) -> dict:
-    alg = _certify_algebra(spec, bound)
-    report = _base_report("nakayama", spec, alg, check_level)
+    alg, n = _certify_algebra(spec, bound)
+    report = _base_report("nakayama", spec, alg, check_level, n)
     report["mu_A"] = _matrix_out(nakayama_of_A(alg).matrix)
     return report
 
@@ -260,18 +264,18 @@ def _ore_body(spec, alg, sigma, delta, check_level) -> dict:
 
 
 def cmd_ore(spec: ProblemSpec, bound, check_level) -> dict:
-    alg = _certify_algebra(spec, bound)
+    alg, n = _certify_algebra(spec, bound)
     sigma, delta = _sigma_delta(spec, alg)
-    report = _base_report("ore", spec, alg, check_level)
+    report = _base_report("ore", spec, alg, check_level, n)
     report.update(_ore_body(spec, alg, sigma, delta, check_level))
     return report
 
 
 def cmd_superpotential(spec: ProblemSpec, bound, check_level) -> dict:
-    alg = _certify_algebra(spec, bound)
+    alg, n = _certify_algebra(spec, bound)
     sigma, delta = _sigma_delta(spec, alg)
     rep = nakayama_of_B(sigma, delta)
-    report = _base_report("superpotential", spec, alg, check_level)
+    report = _base_report("superpotential", spec, alg, check_level, n)
     names = spec.generators + ["z"]
     d = alg.certificate.d
     report["omega_hat"] = _terms_out(rep.omega_hat, names)
@@ -306,23 +310,15 @@ def cmd_catalog(family, case, params, bound, check_level, input_path=None) -> di
         raise InputError(f"case {case!r} does not belong to family {family!r}")
     inst = enumerate_solution(case, params)
     spec = ProblemSpec(list(inst.algebra.names), [], None, None, {})
-    if bound:
-        inst.algebra.certify_koszul(int(bound))
-    report = _base_report("catalog", spec, inst.algebra, check_level)
+    n = _certify_to(inst.algebra, bound)
+    report = _base_report("catalog", spec, inst.algebra, check_level, n)
     report["family"] = family
     report["case"] = case
     report["derived_by_symmetry"] = inst.derived_by_symmetry
     report["m"] = _matrix_out(inst.m)
     report["gamma"] = [[scalar_str(x) for x in row] for row in inst.gamma]
     report.update(_ore_body(spec, inst.algebra, inst.sigma, inst.delta, check_level))
-    kind = (
-        "jordan"
-        if fam_prefix == "jordan"
-        else ("commutative" if fam_prefix == "comm" else "quantum")
-    )
-    qm = dim2_relation_matrix(kind, inst.q)
-    c_r, c_l = dim2_delta_rl_closed_form(inst.family, inst.m, inst.gamma, inst.q)
-    oracle = dim2_nakayama_oracle(qm, inst.m, c_r, c_l)
+    oracle = dim2_instance_oracle(inst)
     rep_mu = [[scalar(e) for e in row] for row in report["mu_B"]]
     verdict = cy_classifier_dim2(inst.algebra, inst.sigma, inst.delta)
     report["oracle"] = {
@@ -356,9 +352,8 @@ def _catalog_poly(case, params, bound, check_level, input_path) -> dict:
     sigma = identity_automorphism(alg)
     images = spec.derivation or [Tensor(alg.nv, 2) for _ in range(alg.nv)]
     delta = extend_derivation(images, sigma, alg)
-    if bound:
-        alg.certify_koszul(int(bound))
-    report = _base_report("catalog", spec, alg, check_level)
+    n = _certify_to(alg, bound)
+    report = _base_report("catalog", spec, alg, check_level, n)
     report["family"] = "poly"
     report["case"] = case
     report.update(_ore_body(spec, alg, sigma, delta, check_level))

@@ -38,11 +38,6 @@ class NotASRegularError(OrenakaError):
     """The finite AS-regularity checks failed."""
 
 
-class NotCertifiedError(OrenakaError):
-    """An operation needing an AS certificate ran on an uncertified
-    algebra."""
-
-
 class NonUniqueTwistError(OrenakaError):
     """The twist-condition solve for the Nakayama automorphism had free
     variables; the input superpotential is degenerate."""

@@ -16,6 +16,17 @@ Conventions used everywhere in the package:
 
 All values are immutable after construction and every operation is a
 pure function, so values may be shared freely between threads.
+
+Sandwiches.  Every Koszul-side object is a sandwich V^a (x) S (x) V^b
+of a subspace S of V^(x)k.  ``shift`` builds it and ``expand_through``
+reads coordinates off it, both resting on one invariant: shifting an
+RREF basis of S by the unit words of V^a and V^b gives an RREF basis of
+the sandwich.  Each shifted row keeps its own pivot (flat order is
+monotone in the middle word for fixed outer words), and two rows with
+different outer words share no coordinate, so no pivot column of one
+row appears in another.  The coefficient of a sandwich element on the
+row (J_left, l, J_right) is therefore its entry at the word
+J_left + pivot_word(l) + J_right.
 """
 
 from __future__ import annotations
@@ -289,6 +300,15 @@ class Subspace:
         self._rows[lead] = row
 
     @staticmethod
+    def _from_rref(ambient: int, rows: dict[int, dict]) -> "Subspace":
+        """Trusted constructor: ``rows`` maps each pivot to its row and
+        is already a fully reduced RREF basis; nothing is eliminated."""
+        s = Subspace.__new__(Subspace)
+        s.ambient = ambient
+        s._rows = rows
+        return s
+
+    @staticmethod
     def full(n: int) -> "Subspace":
         return Subspace(n, ({i: ONE} for i in range(n)))
 
@@ -304,9 +324,6 @@ class Subspace:
         """RREF basis rows in pivot order (copies)."""
         return [dict(self._rows[p]) for p in sorted(self._rows)]
 
-    def row_for_pivot(self, p: int) -> dict:
-        return dict(self._rows[p])
-
     def reduce(self, vec: Mapping) -> dict:
         """Canonical remainder of vec modulo this subspace."""
         out = dict(vec)
@@ -321,22 +338,6 @@ class Subspace:
 
     def contains(self, vec: Mapping) -> bool:
         return not self.reduce(vec)
-
-    def coords(self, vec: Mapping) -> list[Fraction] | None:
-        """Coefficients of vec in the RREF basis, or None if outside.
-
-        For an RREF basis the coefficient on the row with pivot p is
-        just vec[p], which is what makes pivot reads cheap everywhere.
-        """
-        piv = sorted(self._rows)
-        cs = [scalar(vec.get(p, ZERO)) for p in piv]
-        recon: dict = {}
-        for c, p in zip(cs, piv):
-            if c:
-                recon = vec_sub_scaled(recon, self._rows[p], -c)
-        if recon != {k: scalar(v) for k, v in vec.items() if v}:
-            return None
-        return cs
 
     def __eq__(self, other):
         return (
@@ -356,6 +357,25 @@ def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.ambient != s2.ambient:
         raise ValueError("ambient dimension mismatch")
     return Subspace(s1.ambient, s1.basis() + s2.basis())
+
+
+def shift(s: Subspace, nv: int, left: int, right: int) -> Subspace:
+    """V^(x)left (x) S (x) V^(x)right inside V^(x)(left + deg S + right).
+
+    The shifted RREF rows of S are installed as they are (see the module
+    docstring for why they already form an RREF basis).
+    """
+    outer = nv**right
+    block = s.ambient * outer
+    rows = {}
+    for p, row in s._rows.items():
+        for lf in range(nv**left):
+            base = lf * block
+            for rf in range(outer):
+                rows[base + p * outer + rf] = {
+                    base + k * outer + rf: c for k, c in row.items()
+                }
+    return Subspace._from_rref(block * nv**left, rows)
 
 
 def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -532,11 +552,14 @@ class Tensor:
         parts = [f"{scalar_str(c)}*{w}" for w, c in sorted(self.entries.items())]
         return "Tensor(" + " + ".join(parts) + ")"
 
-    def _like(self, entries) -> "Tensor":
+    @staticmethod
+    def _trusted(nv: int, degree: int, entries: dict) -> "Tensor":
+        """Trusted constructor: ``entries`` already maps valid words to
+        nonzero scalars and is owned by the new tensor."""
         t = Tensor.__new__(Tensor)
-        t.nv = self.nv
-        t.degree = self.degree
-        t.entries = {w: c for w, c in entries.items() if c}
+        t.nv = nv
+        t.degree = degree
+        t.entries = entries
         return t
 
     def __add__(self, other: "Tensor") -> "Tensor":
@@ -548,17 +571,18 @@ class Tensor:
                 es[w] = s
             else:
                 es.pop(w, None)
-        return self._like(es)
+        return Tensor._trusted(self.nv, self.degree, es)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         return self + (-other)
 
     def __neg__(self) -> "Tensor":
-        return self._like({w: -c for w, c in self.entries.items()})
+        return Tensor._trusted(self.nv, self.degree, {w: -c for w, c in self.entries.items()})
 
     def scale(self, c) -> "Tensor":
         c = scalar(c)
-        return self._like({w: c * v for w, v in self.entries.items()} if c else {})
+        es = {w: c * v for w, v in self.entries.items()} if c else {}
+        return Tensor._trusted(self.nv, self.degree, es)
 
     def _compat(self, other: "Tensor"):
         if self.nv != other.nv or self.degree != other.degree:
@@ -571,21 +595,13 @@ class Tensor:
         for w1, c1 in self.entries.items():
             for w2, c2 in other.entries.items():
                 es[w1 + w2] = c1 * c2
-        t = Tensor.__new__(Tensor)
-        t.nv = self.nv
-        t.degree = self.degree + other.degree
-        t.entries = es
-        return t
+        return Tensor._trusted(self.nv, self.degree + other.degree, es)
 
     def embed(self, nv_new: int) -> "Tensor":
         """Reinterpret over a larger alphabet (V inside V-hat)."""
         if nv_new < self.nv:
             raise ValueError("alphabet can only grow")
-        t = Tensor.__new__(Tensor)
-        t.nv = nv_new
-        t.degree = self.degree
-        t.entries = dict(self.entries)
-        return t
+        return Tensor._trusted(nv_new, self.degree, dict(self.entries))
 
     def apply_matrix_at(self, slot: int, m: Matrix) -> "Tensor":
         """Apply an nv x nv matrix (rows are images) to one factor.
@@ -608,11 +624,7 @@ class Tensor:
                         es[w2] = s
                     else:
                         es.pop(w2, None)
-        t = Tensor.__new__(Tensor)
-        t.nv = self.nv
-        t.degree = self.degree
-        t.entries = es
-        return t
+        return Tensor._trusted(self.nv, self.degree, es)
 
     def apply_images_at(self, slot: int, images: Sequence["Tensor"]) -> "Tensor":
         """Substitute a linear map V -> V^(x)k at one factor (1-based)."""
@@ -632,11 +644,7 @@ class Tensor:
                     es[w2] = s
                 else:
                     es.pop(w2, None)
-        t = Tensor.__new__(Tensor)
-        t.nv = self.nv
-        t.degree = self.degree + kdeg - 1
-        t.entries = es
-        return t
+        return Tensor._trusted(self.nv, self.degree + kdeg - 1, es)
 
     def tau(self, i: int) -> "Tensor":
         """The staircase rotation tau_d^i: the first factor moves to
@@ -648,11 +656,7 @@ class Tensor:
         es = {}
         for w, c in self.entries.items():
             es[w[1 : i + 1] + (w[0],) + w[i + 1 :]] = c
-        t = Tensor.__new__(Tensor)
-        t.nv = self.nv
-        t.degree = self.degree
-        t.entries = es
-        return t
+        return Tensor._trusted(self.nv, self.degree, es)
 
     def to_vec(self) -> dict[int, Fraction]:
         nv = self.nv
@@ -660,65 +664,45 @@ class Tensor:
 
     @staticmethod
     def from_vec(vec: Mapping[int, Fraction], nv: int, degree: int) -> "Tensor":
-        t = Tensor.__new__(Tensor)
-        t.nv = nv
-        t.degree = degree
-        t.entries = {flat_word(f, degree, nv): scalar(c) for f, c in vec.items() if c}
-        return t
+        es = {flat_word(f, degree, nv): scalar(c) for f, c in vec.items() if c}
+        return Tensor._trusted(nv, degree, es)
 
     def terms(self) -> list[tuple[tuple, Fraction]]:
         return sorted(self.entries.items())
 
 
-def apply_at_slot(t: Tensor, f: Matrix, slot: int) -> Tensor:
-    """Apply a linear endomorphism of V to tensor factor ``slot`` (1-based)."""
-    return t.apply_matrix_at(slot, f)
-
-
-def tau_shift(t: Tensor, i: int) -> Tensor:
-    """The rotation tau_d^i; tau_shift(t, d-1) is the full left rotation."""
-    return t.tau(i)
-
-
-def tensor_sum(ts: Iterable[Tensor], nv: int, degree: int) -> Tensor:
-    acc = Tensor(nv, degree)
-    for t in ts:
-        acc = acc + t
-    return acc
-
-
 def expand_through(
     t: Tensor, left: int, space: Subspace, space_degree: int, right: int
-) -> dict[tuple[tuple, int, tuple], Fraction]:
-    """Coefficients of t in V^(x)left (x) S (x) V^(x)right.
+) -> dict[tuple[tuple, int, tuple], Fraction] | None:
+    """Coefficients of t in V^(x)left (x) S (x) V^(x)right, or None.
 
-    ``space`` is a subspace of V^(x)space_degree in canonical RREF, so
-    the coefficient on (J_left, basis l, J_right) can be read off at
-    the pivot word of basis row l.  The expansion is verified by
-    reconstruction; ValueError if t is not in the sandwich subspace.
+    ``space`` is S inside V^(x)space_degree.  The coefficient on
+    (J_left, basis row l in pivot order, J_right) is t's entry at the
+    shifted pivot word of row l; subtracting the expansion back out of
+    t must leave zero, otherwise t lies outside the sandwich and the
+    result is None.  ``expand_through(...) is not None`` is therefore a
+    membership test.
     """
     nv = t.nv
-    piv = space.pivots
-    pivot_words = [flat_word(p, space_degree, nv) for p in piv]
-    basis_tensors = [
-        Tensor.from_vec(space.row_for_pivot(p), nv, space_degree) for p in piv
+    piv = sorted(space._rows)
+    index = {flat_word(p, space_degree, nv): l for l, p in enumerate(piv)}
+    rows = [
+        [(flat_word(k, space_degree, nv), c) for k, c in space._rows[p].items()]
+        for p in piv
     ]
+    mid = slice(left, left + space_degree)
     coeffs: dict[tuple[tuple, int, tuple], Fraction] = {}
-    seen_pairs = set()
-    for w in t.entries:
-        jl, jr = w[:left], w[left + space_degree :]
-        if (jl, jr) in seen_pairs:
-            continue
-        seen_pairs.add((jl, jr))
-        for l, pw in enumerate(pivot_words):
-            c = t.entries.get(jl + pw + jr)
-            if c:
-                coeffs[(jl, l, jr)] = c
-    recon = Tensor(nv, t.degree)
+    for w, c in t.entries.items():
+        l = index.get(w[mid])
+        if l is not None:
+            coeffs[(w[:left], l, w[left + space_degree :])] = c
+    rest = dict(t.entries)
     for (jl, l, jr), c in coeffs.items():
-        recon = recon + Tensor.word(nv, jl).tensor(basis_tensors[l]).tensor(
-            Tensor.word(nv, jr)
-        ).scale(c)
-    if recon != t:
-        raise ValueError("tensor does not lie in the sandwich subspace")
-    return coeffs
+        for bw, bc in rows[l]:
+            key = jl + bw + jr
+            s = rest.get(key, ZERO) - c * bc
+            if s:
+                rest[key] = s
+            else:
+                rest.pop(key, None)
+    return None if rest else coeffs

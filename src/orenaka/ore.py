@@ -43,7 +43,6 @@ from .linalg import (
     Subspace,
     Tensor,
     expand_through,
-    flat_word,
     solve_columns,
 )
 from .morphisms import (
@@ -83,26 +82,37 @@ class SequencePair:
 
     def apply_right(self, i: int, t: Tensor, right_pad: int) -> Tensor:
         """(delta_{i,r} (x) id^(x)right_pad)(t) for t in W_i (x) V^(x)right_pad."""
-        return self._apply(i, t, 0, right_pad, left_tower=False, twist_left=False)
+        return self._apply(self.right, i, t, 0, right_pad)
 
-    def apply_left(self, i: int, t: Tensor, left_pad: int, right_pad: int = 0,
-                   twist_left: bool = True) -> Tensor:
+    def apply_left(self, i: int, t: Tensor, left_pad: int, right_pad: int = 0) -> Tensor:
         """(sigma^(x)left_pad (x) delta_{i,l} (x) id^(x)right_pad)(t)."""
-        return self._apply(i, t, left_pad, right_pad, left_tower=True,
-                           twist_left=twist_left)
+        return self._apply(self.left, i, t, left_pad, right_pad)
 
-    def _apply(self, i, t, left_pad, right_pad, left_tower, twist_left):
-        alg = self.algebra
-        nv = alg.nv
-        images = (self.left if left_tower else self.right)[i]
-        coeffs = expand_through(t, left_pad, alg.koszul_space(i), i, right_pad)
-        out = Tensor(nv, t.degree + 1)
+    def _apply(self, tower, i, t, left_pad, right_pad) -> Tensor:
+        """(sigma^(x)left_pad (x) tower[i] (x) id^(x)right_pad)(t) for t in
+        V^(x)left_pad (x) W_i (x) V^(x)right_pad."""
+        nv = self.algebra.nv
+        coeffs = expand_through(t, left_pad, self.algebra.koszul_space(i), i, right_pad)
+        if coeffs is None:
+            raise EngineInvariantError(
+                f"tensor escapes V^{left_pad} (x) W_{i} (x) V^{right_pad}"
+            )
+        images = tower[i]
+        heads: dict[tuple, dict] = {}  # sigma^(x)left_pad of each left word
+        es: dict[tuple, Fraction] = {}
         for (jl, l, jr), c in coeffs.items():
-            head = Tensor.word(nv, jl, c)
-            if twist_left and left_pad:
-                head = self.sigma.apply_all(head)
-            out = out + head.tensor(images[l]).tensor(Tensor.word(nv, jr))
-        return out
+            head = heads.get(jl)
+            if head is None:
+                head = heads[jl] = self.sigma.apply_all(Tensor.word(nv, jl)).entries
+            for hw, hc in head.items():
+                for iw, ic in images[l].entries.items():
+                    key = hw + iw + jr
+                    s = es.get(key, ZERO) + c * hc * ic
+                    if s:
+                        es[key] = s
+                    else:
+                        es.pop(key, None)
+        return Tensor._trusted(nv, t.degree + 1, es)
 
     def verify(self) -> None:
         """Re-check both tower conditions and image containments.
@@ -112,13 +122,10 @@ class SequencePair:
         """
         alg = self.algebra
         nv = alg.nv
-        d = self.d
-        for i in range(2, d + 1):
+        for i in range(2, self.d + 1):
             wi = alg.koszul_space(i)
-            wvecs = [Tensor.from_vec(b, nv, i) for b in wi.basis()]
-            wiv = _tensor_with_v(wi, nv, on_right=True)
-            vwi = _tensor_with_v(wi, nv, on_right=False)
-            for k, w in enumerate(wvecs):
+            for k, b in enumerate(wi.basis()):
+                w = Tensor.from_vec(b, nv, i)
                 lhs = _mult_last_two(alg, self.right[i][k])
                 rhs = _mult_last_two(
                     alg,
@@ -127,29 +134,18 @@ class SequencePair:
                 )
                 if lhs != rhs:
                     raise EngineInvariantError(f"right tower fails at stage {i}")
-                if not wiv.contains(self.right[i][k].to_vec()):
+                if expand_through(self.right[i][k], 0, wi, i, 1) is None:
                     raise EngineInvariantError(f"right image escapes W_{i}(x)V")
-                if not vwi.contains(self.left[i][k].to_vec()):
+                if expand_through(self.left[i][k], 1, wi, i, 0) is None:
                     raise LeftImageEscapeError(f"left image escapes V(x)W_{i}")
                 recursion = (
-                    _sigma_tensor_right(self.sigma, self, i - 1, w)
+                    self._apply(self.right, i - 1, w, 1, 0)
                     + self.apply_left(i - 1, w, 0, 1).scale(_sign(i))
                     - self.right[i][k]
                     - self.left[i][k].scale(_sign(i))
                 )
                 if recursion:
                     raise EngineInvariantError(f"left recursion fails at stage {i}")
-
-
-def _tensor_with_v(space: Subspace, nv: int, on_right: bool) -> Subspace:
-    rows = []
-    for b in space.basis():
-        for j in range(nv):
-            if on_right:
-                rows.append({p * nv + j: c for p, c in b.items()})
-            else:
-                rows.append({j * space.ambient + p: c for p, c in b.items()})
-    return Subspace(space.ambient * nv, rows)
 
 
 def _mult_last_two(alg: QuadraticAlgebra, t: Tensor):
@@ -176,70 +172,6 @@ def _sigma_power_delta(sigma, delta, w: Tensor, i: int) -> Tensor:
     return t.apply_images_at(i, delta.images)
 
 
-def _sigma_tensor_right(sigma, sp: SequencePair, i: int, w: Tensor) -> Tensor:
-    """(sigma (x) delta_{i,r})(w) for w in W_{i+1} <= V (x) W_i."""
-    alg = sigma.algebra
-    nv = alg.nv
-    coeffs = expand_through(w, 1, alg.koszul_space(i), i, 0)
-    out = Tensor(nv, w.degree + 1)
-    for (jl, l, _), c in coeffs.items():
-        head = sigma.apply_vector(Tensor.word(nv, jl, c))
-        out = out + head.tensor(sp.right[i][l])
-    return out
-
-
-@dataclass
-class Delta2Decomposition:
-    """delta restricted to R split as an R(x)V part and a V(x)R part."""
-
-    right_images: list[Tensor]
-    left_images: list[Tensor]
-
-
-def decompose_delta2(delta: DerivationLift) -> Delta2Decomposition:
-    """Split delta|_R into delta_{2,r} + delta_{2,l} by a linear solve.
-
-    Solves the membership system for each RREF basis relation and takes
-    the canonical particular solution, so the split is deterministic
-    even when R(x)V n V(x)R is nonzero.
-    """
-    alg = delta.algebra
-    nv = alg.nv
-    rel = [Tensor.from_vec(b, nv, 2) for b in alg.R.basis()]
-    cols = []
-    tags = []
-    for rt in rel:
-        for j in range(nv):
-            cols.append(rt.tensor(Tensor.word(nv, (j,))).to_vec())
-            tags.append(("r", rt, j))
-    for j in range(nv):
-        for rt in rel:
-            cols.append(Tensor.word(nv, (j,)).tensor(rt).to_vec())
-            tags.append(("l", rt, j))
-    rhs = [delta.extend(rt).to_vec() for rt in rel]
-    particulars, _ = solve_columns(cols, rhs)
-    rights, lefts = [], []
-    for t, x in enumerate(particulars):
-        if x is None:
-            raise NoSolutionError(
-                "delta(R) not in R(x)V + V(x)R despite admissibility check"
-            )
-        right = Tensor(nv, 3)
-        left = Tensor(nv, 3)
-        for c, (side, rt, j) in zip(x, tags):
-            if not c:
-                continue
-            if side == "r":
-                right = right + rt.tensor(Tensor.word(nv, (j,))).scale(c)
-            else:
-                left = left + Tensor.word(nv, (j,)).tensor(rt).scale(c)
-        if right + left != delta.extend(rel[t]):
-            raise EngineInvariantError("degree-2 decomposition fails to re-add")
-        rights.append(right)
-        lefts.append(left)
-    return Delta2Decomposition(rights, lefts)
-
-
 def build_sequence_pair(
     sigma: GradedAutomorphism,
     delta: DerivationLift,
@@ -259,21 +191,22 @@ def build_sequence_pair(
     zero1 = [Tensor(nv, 1) for _ in range(1)]
     right: list[list[Tensor]] = [zero1, list(delta.images)]
     left: list[list[Tensor]] = [zero1, list(delta.images)]
+    sp = SequencePair(sigma, delta, right, left)
     for i in range(2, d + 1):
         wi = alg.koszul_space(i)
         wvecs = [Tensor.from_vec(b, nv, i) for b in wi.basis()]
         cols = []
         tags = []
-        for l, bt in enumerate([Tensor.from_vec(b, nv, i) for b in wi.basis()]):
+        for l, bt in enumerate(wvecs):
             for j in range(nv):
                 cols.append(_mult_last_two(alg, bt.tensor(Tensor.word(nv, (j,)))))
                 tags.append((l, j))
-        rhs = []
-        for w in wvecs:
-            src = _sigma_power_delta(sigma, delta, w, i) + _apply_right_images(
-                alg, right[i - 1], i - 1, w
+        rhs = [
+            _mult_last_two(
+                alg, _sigma_power_delta(sigma, delta, w, i) + sp.apply_right(i - 1, w, 1)
             )
-            rhs.append(_mult_last_two(alg, src))
+            for w in wvecs
+        ]
         particulars, kernel = solve_columns(cols, rhs)
         stage = []
         for k, x in enumerate(particulars):
@@ -288,41 +221,32 @@ def build_sequence_pair(
                     c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                     for unk, v in kv.items():
                         x[unk] += c * v
-            img = Tensor(nv, i + 1)
+            es: dict[tuple, Fraction] = {}
             for c, (l, j) in zip(x, tags):
                 if c:
-                    img = img + Tensor.from_vec(wi.basis()[l], nv, i).tensor(
-                        Tensor.word(nv, (j,))
-                    ).scale(c)
-            stage.append(img)
+                    for bw, bc in wvecs[l].entries.items():
+                        key = bw + (j,)
+                        s = es.get(key, ZERO) + c * bc
+                        if s:
+                            es[key] = s
+                        else:
+                            es.pop(key, None)
+            stage.append(Tensor._trusted(nv, i + 1, es))
         right.append(stage)
         # left tower by the alternating recursion; no choice remains
-        sp_tmp = SequencePair(sigma, delta, right, left)
         sgn = _sign(i)
-        vwi = _tensor_with_v(wi, nv, on_right=False)
         lstage = []
         for k, w in enumerate(wvecs):
-            term = (
-                _sigma_tensor_right(sigma, sp_tmp, i - 1, w)
-                - right[i][k]
-            ).scale(sgn) + sp_tmp.apply_left(i - 1, w, 0, 1)
-            if not vwi.contains(term.to_vec()):
+            term = (sp._apply(right, i - 1, w, 1, 0) - right[i][k]).scale(sgn) + sp.apply_left(
+                i - 1, w, 0, 1
+            )
+            if expand_through(term, 1, wi, i, 0) is None:
                 raise LeftImageEscapeError(
                     f"left tower image escapes V(x)W_{i} at stage {i}"
                 )
             lstage.append(term)
         left.append(lstage)
-    return SequencePair(sigma, delta, right, left)
-
-
-def _apply_right_images(alg, images_prev, i_prev, w: Tensor) -> Tensor:
-    """(delta_{i-1,r} (x) id)(w) for w in W_i <= W_{i-1} (x) V."""
-    nv = alg.nv
-    coeffs = expand_through(w, 0, alg.koszul_space(i_prev), i_prev, 1)
-    out = Tensor(nv, w.degree + 1)
-    for (_, l, jr), c in coeffs.items():
-        out = out + images_prev[l].tensor(Tensor.word(nv, jr)).scale(c)
-    return out
+    return sp
 
 
 @dataclass
@@ -516,7 +440,7 @@ def twisted_superpotential_hat(
     if r_hat is None:
         r_hat = ore_relations(sigma, delta)
     for s in range(d):
-        if not _in_shifted(form1, r_hat, nh, s, d - 1 - s):
+        if expand_through(form1, s, r_hat, 2, d - 1 - s) is None:
             raise NotInHatWError(
                 f"omega-hat escapes V-hat^{s} (x) R-hat (x) V-hat^{d - 1 - s}"
             )
@@ -530,36 +454,6 @@ def twisted_superpotential_hat(
             f"twist condition fails; residual {twisted - form1!r}"
         )
     return form1
-
-
-def _in_shifted(t: Tensor, rel: Subspace, nh: int, left: int, right: int) -> bool:
-    """Membership of t in V^(x)left (x) rel (x) V^(x)right.
-
-    The shifted RREF rows of rel form an RREF basis of the sandwich, so
-    plain reduction against pivot pairs decides membership.
-    """
-    entries = dict(t.entries)
-    piv_rows = {flat_word(p, 2, nh): rel.row_for_pivot(p) for p in rel.pivots}
-    progress = True
-    while progress and entries:
-        progress = False
-        for w in list(entries):
-            mid = w[left : left + 2]
-            row = piv_rows.get(mid)
-            if row is None or w not in entries:
-                continue
-            c = entries.get(w)
-            if not c:
-                continue
-            for p2, v in row.items():
-                w2 = w[:left] + flat_word(p2, 2, nh) + w[left + 2 :]
-                s = entries.get(w2, ZERO) - c * v
-                if s:
-                    entries[w2] = s
-                else:
-                    entries.pop(w2, None)
-            progress = True
-    return not entries
 
 
 def derivation_quotient_relations(omega: Tensor, order: int) -> Subspace:

@@ -25,15 +25,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import CertificationError, NotASRegularError, NotCertifiedError
+from .errors import CertificationError, EngineInvariantError, NotASRegularError
 from .linalg import (
     ONE,
     ZERO,
     Matrix,
     Subspace,
     Tensor,
-    flat_word,
+    expand_through,
+    shift,
     subspace_intersect,
+    subspace_sum,
 )
 
 
@@ -217,66 +219,18 @@ class QuadraticAlgebra:
                 if prev.dim == 0:
                     self._W.append(Subspace(self.nv**k))
                     continue
-                right = _shift_subspace(prev, self.nv, 0, 1)
-                left = _shift_subspace(prev, self.nv, 1, 0)
-                self._W.append(subspace_intersect(right, left))
+                self._W.append(
+                    subspace_intersect(shift(prev, self.nv, 0, 1), shift(prev, self.nv, 1, 0))
+                )
         return self._W[i]
-
-    def ideal_component(self, m: int) -> Subspace:
-        """Degree-m piece of the two-sided ideal (R).
-
-        Materializes the sum of all shifted copies of R inside V^(x)m;
-        intended for small m (the spanning set has (m-1)*dim R*n^(m-2)
-        rows).  dim A_m = n^m - dim of the result.
-        """
-        if m < 2:
-            raise ValueError("ideal components start at degree 2")
-        nv = self.nv
-        rows = []
-        for s in range(m - 1):
-            right = m - s - 2
-            for rel in self.R.basis():
-                for left_flat in range(nv**s):
-                    base = left_flat * nv ** (m - s)
-                    for right_flat in range(nv**right):
-                        rows.append(
-                            {
-                                base + pf * nv**right + right_flat: c
-                                for pf, c in rel.items()
-                            }
-                        )
-        return Subspace(nv**m, rows)
-
-    def koszul_space_direct(self, i: int) -> Subspace:
-        """W_i straight from the defining intersection (test oracle)."""
-        nv = self.nv
-        if i == 0:
-            return Subspace(1, [{0: ONE}])
-        if i == 1:
-            return Subspace.full(nv)
-        acc = None
-        for s in range(i - 1):
-            shifted = _embed_relation_block(self.R, nv, s, i - s - 2)
-            acc = shifted if acc is None else subspace_intersect(acc, shifted)
-        return acc
 
     def sandwich_space(self) -> Subspace:
         """R (x) V + V (x) R inside V^(x)3."""
         if self._sandwich is None:
-            nv = self.nv
-            rows = []
-            for rel in self.R.basis():
-                for j in range(nv):
-                    rows.append({pf * nv + j: c for pf, c in rel.items()})
-                    rows.append({j * nv * nv + pf: c for pf, c in rel.items()})
-            self._sandwich = Subspace(nv**3, rows)
+            self._sandwich = subspace_sum(shift(self.R, self.nv, 0, 1), shift(self.R, self.nv, 1, 0))
         return self._sandwich
 
     # -- Koszul complex -----------------------------------------------------
-
-    def left_mult(self, letter: int, m: int, a_idx: int) -> dict[int, Fraction]:
-        """Coordinates of x_letter * (basis monomial of A_m) in A_{m+1}."""
-        return self.nf_word((letter,) + self._piece(m).words[a_idx])
 
     def koszul_differential(self, i: int, j: int) -> Matrix:
         """Matrix of W_i (x) A_j -> W_{i-1} (x) A_{j+1}.
@@ -291,23 +245,20 @@ class QuadraticAlgebra:
         nv = self.nv
         wi = self.koszul_space(i)
         wprev = self.koszul_space(i - 1)
-        dim_aj = self.dim_A(j)
         dim_anext = self.dim_A(j + 1)
         ncols = wprev.dim * dim_anext
+        aj_words = self._piece(j).words if j >= 0 else ()
         rows = []
         for b in wi.basis():
-            t = Tensor.from_vec(b, nv, i)
-            # expansion of the W_i vector in W_{i-1} (x) V; for i = 1 the
-            # W_0 factor is the scalar line with single basis index 0
-            if i == 1:
-                pairs = [(0, w[0], c) for w, c in t.entries.items()]
-            else:
-                exp = _expand_right(t, wprev, i - 1)
-                pairs = [(l, v, c) for (l, v), c in exp.items()]
-            for a_idx in range(dim_aj):
+            # expansion of the W_i vector in W_{i-1} (x) V; W_0 is the
+            # scalar line, whose one basis word is the empty word
+            exp = expand_through(Tensor.from_vec(b, nv, i), 0, wprev, i - 1, 1)
+            if exp is None:
+                raise EngineInvariantError(f"W_{i} escapes W_{i - 1} (x) V")
+            for aw in aj_words:
                 row = [ZERO] * ncols
-                for l, v, c in pairs:
-                    for k, cv in self.left_mult(v, j, a_idx).items():
+                for (_, l, (v,)), c in exp.items():
+                    for k, cv in self.nf_word((v,) + aw).items():
                         row[l * dim_anext + k] += c * cv
                 rows.append(row)
         if not rows:
@@ -437,59 +388,6 @@ class QuadraticAlgebra:
             self.certify_as_regular()
         return self
 
-    def require_certified(self):
-        if not self.certified:
-            raise NotCertifiedError("algebra has no AS certificate")
-        return self
-
     def __repr__(self):
         rel = self.R.dim
         return f"QuadraticAlgebra(<{', '.join(self.names)}> with {rel} relations)"
-
-
-# -- helpers ----------------------------------------------------------------
-
-
-def _shift_subspace(s: Subspace, nv: int, left: int, right: int) -> Subspace:
-    """V^(x)left (x) S (x) V^(x)right as a subspace of the bigger power.
-
-    Shifting an RREF basis by unit tensors keeps it an RREF basis, so
-    no re-elimination happens here.
-    """
-    rows = []
-    for b in s.basis():
-        for lf in range(nv**left):
-            for rf in range(nv**right):
-                base = lf * s.ambient * nv**right
-                rows.append({base + p * nv**right + rf: c for p, c in b.items()})
-    return Subspace(s.ambient * nv ** (left + right), rows)
-
-
-def _embed_relation_block(r: Subspace, nv: int, left: int, right: int) -> Subspace:
-    return _shift_subspace(r, nv, left, right)
-
-
-def _expand_right(t: Tensor, space: Subspace, sdeg: int) -> dict[tuple[int, int], Fraction]:
-    """Coefficients of t in S (x) V, reading at pivot words of S."""
-    nv = t.nv
-    out: dict[tuple[int, int], Fraction] = {}
-    pivot_words = {flat_word(p, sdeg, nv): l for l, p in enumerate(space.pivots)}
-    for w, c in t.entries.items():
-        l = pivot_words.get(w[:-1])
-        if l is not None:
-            out[(l, w[-1])] = c
-    # verification by reconstruction
-    basis = space.basis()
-    recon: dict[tuple, Fraction] = {}
-    for (l, v), c in out.items():
-        bt = Tensor.from_vec(basis[l], nv, sdeg)
-        for bw, bc in bt.entries.items():
-            key = bw + (v,)
-            s = recon.get(key, ZERO) + c * bc
-            if s:
-                recon[key] = s
-            else:
-                recon.pop(key, None)
-    if recon != t.entries:
-        raise ValueError("tensor does not lie in S (x) V")
-    return out

@@ -90,14 +90,24 @@ def commutative_monomial_count(n: int, m: int) -> int:
 
 
 def shifted_relation_space(r: Subspace, nv: int, left: int, right: int) -> Subspace:
-    """V^(x)left (x) R (x) V^(x)right, built longhand for oracles."""
+    """V^(x)left (x) R (x) V^(x)right, built longhand and eliminated in
+    full for oracles; R may be any subspace of a tensor power of V."""
     rows = []
     for b in r.basis():
         for lf in range(nv**left):
             for rf in range(nv**right):
-                base = lf * nv ** (2 + right)
+                base = lf * r.ambient * nv**right
                 rows.append({base + p * nv**right + rf: c for p, c in b.items()})
-    return Subspace(nv ** (left + 2 + right), rows)
+    return Subspace(r.ambient * nv ** (left + right), rows)
+
+
+def ideal_component(alg: QuadraticAlgebra, m: int) -> Subspace:
+    """Degree-m piece of the two-sided ideal (R): the sum of all shifted
+    copies of R inside V^(x)m, so dim A_m = n^m - its dimension."""
+    rows = []
+    for s in range(m - 1):
+        rows += shifted_relation_space(alg.R, alg.nv, s, m - s - 2).basis()
+    return Subspace(alg.nv**m, rows)
 
 
 def direct_koszul(alg: QuadraticAlgebra, i: int) -> Subspace:

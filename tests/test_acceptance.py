@@ -23,8 +23,7 @@ from orenaka import (
     build_sequence_pair,
     check_automorphism,
     derivation_quotient_relations,
-    dim2_delta_rl_closed_form,
-    dim2_nakayama_oracle,
+    dim2_instance_oracle,
     dim2_relation_matrix,
     divergence,
     enumerate_solution,
@@ -150,14 +149,7 @@ def test_criterion_2_dim2_cy_classification(pool_cy):
 def test_criterion_3_closed_form_equivalence(pool_solutions):
     t0 = time.time()
     for inst, rep in pool_solutions:
-        kind = (
-            "jordan"
-            if inst.case.startswith("jordan")
-            else ("commutative" if inst.family == "comm" else "quantum")
-        )
-        qm = dim2_relation_matrix(kind, inst.q)
-        c_r, c_l = dim2_delta_rl_closed_form(inst.family, inst.m, inst.gamma, inst.q)
-        assert rep.mu_B == dim2_nakayama_oracle(qm, inst.m, c_r, c_l), inst.case
+        assert rep.mu_B == dim2_instance_oracle(inst), inst.case
     cases = {inst.case for inst, _ in pool_solutions}
     assert cases == set(CASES)
     _pass(3, f"{len(pool_solutions)} instances over {len(cases)} cases match "

@@ -14,7 +14,7 @@ from orenaka import (
     antisymmetrizer_tensor,
     check_automorphism,
     cy_classifier_dim2,
-    dim2_delta_rl_closed_form,
+    dim2_instance_oracle,
     dim2_hdet,
     dim2_nakayama_oracle,
     dim2_relation_matrix,
@@ -247,17 +247,6 @@ def _naka_equation_qm1ii_b(m, gamma):
     )
 
 
-def _oracle_for(inst):
-    kind = (
-        "jordan"
-        if inst.case.startswith("jordan")
-        else ("commutative" if inst.family == "comm" else "quantum")
-    )
-    qm = dim2_relation_matrix(kind, inst.q)
-    c_r, c_l = dim2_delta_rl_closed_form(inst.family, inst.m, inst.gamma, inst.q)
-    return dim2_nakayama_oracle(qm, inst.m, c_r, c_l)
-
-
 def test_naka_equations_match_block_oracle():
     rng = random.Random(63)
     for case, builder in (
@@ -270,7 +259,7 @@ def test_naka_equations_match_block_oracle():
     ):
         for _ in range(4):
             inst = enumerate_solution(case, random_case_params(case, rng))
-            assert builder(inst) == _oracle_for(inst), case
+            assert builder(inst) == dim2_instance_oracle(inst), case
 
 
 def test_all_solution_cases_admissible_and_match_oracle():
@@ -279,7 +268,7 @@ def test_all_solution_cases_admissible_and_match_oracle():
         for _ in range(3):
             inst = enumerate_solution(case, random_case_params(case, rng))
             rep = nakayama_of_B(inst.sigma, inst.delta, with_superpotential=False)
-            assert rep.mu_B == _oracle_for(inst), case
+            assert rep.mu_B == dim2_instance_oracle(inst), case
 
 
 def test_enumerate_solution_spec_examples():

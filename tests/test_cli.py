@@ -188,6 +188,31 @@ def test_exit_code_inadmissible(tmp_path, capsys):
     assert code == 3
 
 
+def test_exit_code_reader_escape_is_internal(tmp_path, capsys, monkeypatch):
+    # a tensor the sandwich reader rejects inside the engine is an
+    # invariant violation (exit 4), not malformed input (exit 1)
+    import orenaka.ore
+
+    monkeypatch.setattr(orenaka.ore, "expand_through", lambda *args: None)
+    code, _, err = run(capsys, "ore", "--input", write(tmp_path, COMM))
+    assert code == 4 and "internal invariant violation" in err
+
+
+def test_catalog_report_independent_of_call_history(capsys):
+    # the catalog shares one certified algebra per family; a bound asked
+    # for by an earlier command must not leak into a later report
+    argv = ["catalog", "--family", "quantum-plane", "--case", "qneq1-d",
+            "--param", "q=2", "--param", "m22=3", "--param", "g12=1",
+            "--param", "g22=1"]
+    code, first, _ = run(capsys, *argv, "--koszul-bound", "7")
+    assert code == 0
+    assert "koszul_bound: 7\n" in first and "  verified_to: 7\n" in first
+    code, second, _ = run(capsys, *argv)
+    assert code == 0
+    assert "koszul_bound: 5\n" in second and "  verified_to: 5\n" in second
+    assert "  dims_A: [1, 2, 3, 4, 5, 6]\n" in second
+
+
 def test_exit_code_bad_case(capsys):
     code, _, _ = run(capsys, "catalog", "--family", "quantum-plane",
                      "--case", "qm1ii-b", "--param", "m12=2", "--param", "m21=1/2")

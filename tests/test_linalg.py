@@ -9,16 +9,22 @@ from orenaka import (
     NoSolutionError,
     Subspace,
     Tensor,
-    apply_at_slot,
     rref,
     scalar,
     solve_affine,
     subspace_intersect,
     subspace_sum,
-    tau_shift,
 )
 
-from conftest import minor_rank, rand_frac, rand_matrix
+from orenaka.linalg import expand_through, shift
+
+from conftest import (
+    catalog_algebras,
+    minor_rank,
+    rand_frac,
+    rand_matrix,
+    shifted_relation_space,
+)
 
 fractions_st = st.fractions(
     min_value=-6, max_value=6, max_denominator=4
@@ -164,19 +170,19 @@ def test_solve_affine_substitute_back():
 
 def test_apply_at_slot_identity():
     t = Tensor(2, 3, {(0, 1, 0): 2, (1, 1, 1): -1})
-    assert apply_at_slot(t, Matrix.identity(2), 2) == t
+    assert t.apply_matrix_at(2, Matrix.identity(2)) == t
 
 
 def test_apply_at_slot_swap_hand_case():
     swap = Matrix([[0, 1], [1, 0]])
     t = Tensor.word(2, (0, 1))  # x1 (x) x2
-    assert apply_at_slot(t, swap, 1) == Tensor.word(2, (1, 1))
-    assert apply_at_slot(t, swap, 2) == Tensor.word(2, (0, 0))
+    assert t.apply_matrix_at(1, swap) == Tensor.word(2, (1, 1))
+    assert t.apply_matrix_at(2, swap) == Tensor.word(2, (0, 0))
 
 
 def test_apply_at_slot_out_of_range():
     with pytest.raises(ValueError):
-        apply_at_slot(Tensor.word(2, (0,)), Matrix.identity(2), 2)
+        Tensor.word(2, (0,)).apply_matrix_at(2, Matrix.identity(2))
 
 
 def test_apply_at_slot_linearity():
@@ -195,18 +201,20 @@ def test_apply_at_slot_linearity():
         t1, t2 = rnd_tensor(), rnd_tensor()
         f = rand_matrix(rng, 3)
         slot = rng.randint(1, 3)
-        assert apply_at_slot(t1 + t2, f, slot) == apply_at_slot(t1, f, slot) + apply_at_slot(t2, f, slot)
+        assert (t1 + t2).apply_matrix_at(slot, f) == (
+            t1.apply_matrix_at(slot, f) + t2.apply_matrix_at(slot, f)
+        )
 
 
 def test_tau_zero_is_identity():
     t = Tensor(2, 4, {(0, 1, 1, 0): 5})
-    assert tau_shift(t, 0) == t
+    assert t.tau(0) == t
 
 
 def test_tau_hand_case():
     t = Tensor.word(3, (0, 1, 2))
-    assert tau_shift(t, 2) == Tensor.word(3, (1, 2, 0))
-    assert tau_shift(t, 1) == Tensor.word(3, (1, 0, 2))
+    assert t.tau(2) == Tensor.word(3, (1, 2, 0))
+    assert t.tau(1) == Tensor.word(3, (1, 0, 2))
 
 
 def _adjacent_swap(t: Tensor, j: int) -> Tensor:
@@ -232,7 +240,7 @@ def test_tau_matches_adjacent_transposition_recursion():
         staircase = t
         for i in range(1, d):
             staircase = _adjacent_swap(staircase, i)
-            assert staircase == tau_shift(t, i), (d, i)
+            assert staircase == t.tau(i), (d, i)
 
 
 def test_scalar_rejects_zero_denominator_and_bools():
@@ -253,7 +261,7 @@ def test_tau_full_rotation_cycles():
         )
         out = t
         for _ in range(d):
-            out = tau_shift(out, d - 1)
+            out = out.tau(d - 1)
         assert out == t
 
 
@@ -267,3 +275,53 @@ def test_matrix_inverse_roundtrip():
                 break
         assert m * m.inverse() == Matrix.identity(n)
         assert m.inverse() * m == Matrix.identity(n)
+
+
+def _sandwich_cases():
+    """(algebra name, S, deg S, nv, left, right) over the catalog's W_i."""
+    for name, a in catalog_algebras():
+        for i in range(1, a.certificate.d + 1):
+            for left, right in ((0, 1), (1, 0), (1, 1), (2, 0)):
+                if a.nv ** (left + i + right) <= 256:
+                    yield name, a.koszul_space(i), i, a.nv, left, right
+
+
+def test_shift_equals_full_elimination():
+    # installing the shifted RREF rows directly must give exactly the
+    # canonical RREF that elimination of the same rows produces
+    for name, s, deg, nv, left, right in _sandwich_cases():
+        expected = shifted_relation_space(s, nv, left, right)
+        assert shift(s, nv, left, right) == expected, (name, deg, left, right)
+
+
+def test_expand_through_membership_matches_shifted_space():
+    # the pivot reader accepts exactly the sandwich members, and the
+    # coefficients it returns rebuild the tensor
+    rng = random.Random(19)
+    for name, a in catalog_algebras():
+        nv = a.nv
+        for left, right in ((0, 1), (1, 0), (1, 2)):
+            deg = left + 2 + right
+            space = shifted_relation_space(a.R, nv, left, right)
+            basis = space.basis()
+            for _ in range(6):
+                inside = {}
+                for b in rng.sample(basis, min(3, len(basis))):
+                    c = rand_frac(rng, nonzero=True)
+                    for k, v in b.items():
+                        inside[k] = inside.get(k, 0) + c * v
+                outside = dict(inside)
+                k = rng.randrange(nv**deg)
+                outside[k] = outside.get(k, 0) + rand_frac(rng, nonzero=True)
+                for vec in (inside, outside):
+                    t = Tensor.from_vec(vec, nv, deg)
+                    coeffs = expand_through(t, left, a.R, 2, right)
+                    assert (coeffs is not None) == space.contains(t.to_vec()), name
+                    if coeffs is not None:
+                        rebuilt = Tensor(nv, deg)
+                        for (jl, l, jr), c in coeffs.items():
+                            row = Tensor.from_vec(a.R.basis()[l], nv, 2)
+                            rebuilt = rebuilt + Tensor.word(nv, jl, c).tensor(row).tensor(
+                                Tensor.word(nv, jr)
+                            )
+                        assert rebuilt == t, name

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from orenaka import (
+    EngineInvariantError,
     Matrix,
     QuadraticAlgebra,
     SequencePair,
     Tensor,
     build_sequence_pair,
     check_automorphism,
-    decompose_delta2,
     derivation_quotient_relations,
     divergence,
     extend_derivation,
@@ -30,6 +30,8 @@ from orenaka import (
     twist_solve,
 )
 
+from orenaka.linalg import expand_through
+
 from conftest import rand_frac
 
 
@@ -38,38 +40,18 @@ def _simple_delta(a, images):
     return sid, extend_derivation(images, sid, a)
 
 
-def test_decompose_zero():
-    a = make_polynomial(2)
-    sid, d0 = _simple_delta(a, [Tensor(2, 2)] * 2)
-    dec = decompose_delta2(d0)
-    assert all(t.is_zero() for t in dec.right_images + dec.left_images)
-
-
-def test_decompose_commutative_example():
-    # delta(x1) = x1 (x) x1: the split of delta(r) is unique here since
-    # W_3 = 0, and equals r (x) x1 + x1 (x) r
-    a = make_polynomial(2)
-    sid, delta = _simple_delta(a, [Tensor.word(2, (0, 0)), Tensor(2, 2)])
-    dec = decompose_delta2(delta)
-    r = Tensor(2, 2, {(0, 1): 1, (1, 0): -1})
-    assert dec.right_images[0] == r.tensor(Tensor.word(2, (0,)))
-    assert dec.left_images[0] == Tensor.word(2, (0,)).tensor(r)
-    assert dec.right_images[0] + dec.left_images[0] == delta.extend(r)
-
-
-def test_decompose_readds_exactly():
-    rng = random.Random(41)
-    for a in (make_polynomial(3), make_quantum_plane(2), make_jordan_plane()):
-        sid = identity_automorphism(a)
-        for _ in range(3):
-            delta = random_admissible_derivation(a, sid, rng)
-            dec = decompose_delta2(delta)
-            for rt, right, left in zip(
-                (Tensor.from_vec(b, a.nv, 2) for b in a.R.basis()),
-                dec.right_images,
-                dec.left_images,
-            ):
-                assert right + left == delta.extend(rt)
+def test_apply_outside_sandwich_is_engine_invariant():
+    # the towers are only defined on W_i; a tensor outside the sandwich
+    # is an engine fault (exit 4 in the CLI), not malformed input
+    a = make_polynomial(3)
+    sid, delta = _simple_delta(a, [Tensor.word(3, (0, 0))] + [Tensor(3, 2)] * 2)
+    sp = build_sequence_pair(sid, delta)
+    stray = Tensor.word(3, (0, 0, 1))  # x1 (x) x1 (x) x2 is not in V (x) W_2
+    assert expand_through(stray, 1, a.koszul_space(2), 2, 0) is None
+    with pytest.raises(EngineInvariantError):
+        sp.apply_left(2, stray, 1)
+    with pytest.raises(EngineInvariantError):
+        sp.apply_right(2, stray, 1)
 
 
 def _lemma_sequence_pair(a, delta):
@@ -386,8 +368,6 @@ def test_mixed_display_uses_sigma_on_first_slot():
 
 def _sigma_on_first(sig, sp, i, omega, pad):
     """(sigma (x) delta_{i,r} (x) id^(x)(pad-1))(omega)."""
-    from orenaka.linalg import expand_through
-
     a = sig.algebra
     nv = a.nv
     coeffs = expand_through(omega, 1, a.koszul_space(i), i, pad - 1)
