@@ -26,12 +26,17 @@ class NotAdmissibleError(OrenakaError):
 
 class CertificationError(OrenakaError):
     """Koszul complex exactness failed at some position within the
-    requested degree bound."""
+    requested degree bound.
 
-    def __init__(self, message, degree=None, position=None):
+    ``dims[i]`` is dim W_i (x) A_{m-i} in the failing degree m and
+    ``ranks[i]`` the rank over Q of the differential out of it."""
+
+    def __init__(self, message, degree=None, position=None, dims=None, ranks=None):
         super().__init__(message)
         self.degree = degree
         self.position = position
+        self.dims = dims
+        self.ranks = ranks
 
 
 class NotASRegularError(OrenakaError):

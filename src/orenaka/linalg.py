@@ -235,6 +235,67 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
 
 
 # ---------------------------------------------------------------------------
+# Rank-only elimination
+
+P61 = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
+
+
+def rank(rows: Iterable[Mapping], p: int | None = None) -> int | None:
+    """Rank of the span of sparse rows, by forward elimination only.
+
+    With a prime ``p`` the rows are reduced mod p first, each entry
+    num/den becoming num * den^-1 mod p, and the rank is that of the
+    reduced matrix over F_p; the result is None when p divides a
+    denominator, because the reduction is then undefined.  Whenever it
+    is defined, rank mod p <= rank over Q: a nonzero minor mod p is the
+    image of a nonzero rational minor.  Without ``p`` the elimination
+    runs over Q and the result is the exact rank.
+
+    Each incoming row is cleared at its leading column against the
+    pivot row stored there until it finds a free leading column or
+    vanishes; nothing is back-eliminated, and the pivot rows are
+    dropped on return.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        if p is None:
+            r = {k: v for k, v in row.items() if v}
+        else:
+            r = {}
+            for k, v in row.items():
+                den = v.denominator
+                if den == 1:
+                    x = v.numerator % p
+                elif den % p:
+                    x = v.numerator * pow(den, -1, p) % p
+                else:
+                    return None
+                if x:
+                    r[k] = x
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                if p is None:
+                    inv = ONE / r[lead]
+                    pivots[lead] = {k: v * inv for k, v in r.items()}
+                else:
+                    inv = pow(r[lead], -1, p)
+                    pivots[lead] = {k: v * inv % p for k, v in r.items()}
+                break
+            f = r[lead]
+            for k, v in piv.items():
+                s = r.get(k, 0) - f * v
+                if p is not None:
+                    s %= p
+                if s:
+                    r[k] = s
+                else:
+                    del r[k]
+    return len(pivots)
+
+
+# ---------------------------------------------------------------------------
 # Sparse vectors (dict coord -> nonzero Fraction)
 
 

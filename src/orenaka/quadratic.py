@@ -28,11 +28,13 @@ from typing import Iterable, Sequence
 from .errors import CertificationError, EngineInvariantError, NotASRegularError
 from .linalg import (
     ONE,
+    P61,
     ZERO,
     Matrix,
     Subspace,
     Tensor,
     expand_through,
+    rank,
     shift,
     subspace_intersect,
     subspace_sum,
@@ -43,8 +45,8 @@ from .linalg import (
 class KoszulCertificate:
     """Outcome of the finite Koszul/AS checks.
 
-    ``ranks[(m, i)]`` is the rank of the i-th Koszul differential in
-    internal degree m.  ``as_regular``, ``d`` and ``omega`` stay unset
+    ``ranks[(m, i)]`` is the rank over Q of the i-th Koszul differential
+    in internal degree m.  ``as_regular``, ``d`` and ``omega`` stay unset
     until ``certify_as_regular`` runs.
     """
 
@@ -59,14 +61,17 @@ class KoszulCertificate:
 class _Piece:
     """Degree-m homogeneous data: chosen basis words and the reducer."""
 
-    __slots__ = ("words", "index", "reducer", "pair_cols", "pair_map")
+    __slots__ = ("words", "reducer", "col_index", "pair_map")
 
-    def __init__(self, words, reducer, pair_cols):
+    def __init__(self, words, reducer=None, pair_cols=()):
         self.words = words
-        self.index = {w: k for k, w in enumerate(words)}
         self.reducer = reducer          # Subspace of the (A_{m-1} x V) pair space
-        self.pair_cols = pair_cols     # non-pivot pair columns, sorted
+        # non-pivot pair column -> its position in the chosen basis
+        self.col_index = {p: k for k, p in enumerate(pair_cols)}
         self.pair_map: dict[int, dict] = {}
+
+
+_NO_PIECE = _Piece([])  # A_m = 0 for m < 0
 
 
 class QuadraticAlgebra:
@@ -104,12 +109,14 @@ class QuadraticAlgebra:
     # -- homogeneous pieces -------------------------------------------------
 
     def _piece(self, m: int) -> _Piece:
+        if m < 0:
+            return _NO_PIECE
         while len(self._pieces) <= m:
             k = len(self._pieces)
             if k == 0:
-                self._pieces.append(_Piece([()], None, None))
+                self._pieces.append(_Piece([()]))
             elif k == 1:
-                self._pieces.append(_Piece([(j,) for j in range(self.nv)], None, None))
+                self._pieces.append(_Piece([(j,) for j in range(self.nv)]))
             else:
                 self._pieces.append(self._build_piece(k))
         return self._pieces[m]
@@ -140,12 +147,11 @@ class QuadraticAlgebra:
         return _Piece(words, reducer, pair_cols)
 
     def dim_A(self, m: int) -> int:
-        if m < 0:
-            return 0
         return len(self._piece(m).words)
 
     def basis_words(self, m: int) -> list[tuple]:
-        """Chosen monomial basis of A_m as words, in lexicographic order."""
+        """Chosen monomial basis of A_m as words, in lexicographic order
+        (empty for m < 0)."""
         return list(self._piece(m).words)
 
     def nf_word(self, word: tuple) -> dict[int, Fraction]:
@@ -177,8 +183,7 @@ class QuadraticAlgebra:
         if hit is not None:
             return hit
         rem = piece.reducer.reduce({pair: ONE})
-        col_index = {p: k for k, p in enumerate(piece.pair_cols)}
-        out = {col_index[p]: c for p, c in rem.items()}
+        out = {piece.col_index[p]: c for p, c in rem.items()}
         piece.pair_map[pair] = out
         return out
 
@@ -232,45 +237,77 @@ class QuadraticAlgebra:
 
     # -- Koszul complex -----------------------------------------------------
 
-    def koszul_differential(self, i: int, j: int) -> Matrix:
-        """Matrix of W_i (x) A_j -> W_{i-1} (x) A_{j+1}.
+    def differential_rows(self, i: int, j: int) -> list[dict[int, Fraction]]:
+        """Sparse rows of the Koszul differential W_i (x) A_j -> W_{i-1} (x) A_{j+1}.
 
         Rows are indexed by the domain basis (W_i basis vector, A_j
-        monomial), columns by the codomain basis, consistent with the
-        rows-are-images convention.  The map multiplies the last tensor
-        factor of W_i into A on the left of the A_j part.
+        monomial), columns by the codomain basis: column l * dim A_{j+1}
+        + k is (W_{i-1} basis vector l, A_{j+1} monomial k), consistent
+        with the rows-are-images convention.  The map multiplies the
+        last tensor factor of W_i into A on the left of the A_j part.
         """
         if i < 1:
             raise ValueError("differential index starts at 1")
         nv = self.nv
-        wi = self.koszul_space(i)
         wprev = self.koszul_space(i - 1)
         dim_anext = self.dim_A(j + 1)
-        ncols = wprev.dim * dim_anext
-        aj_words = self._piece(j).words if j >= 0 else ()
+        aj_words = self._piece(j).words
         rows = []
-        for b in wi.basis():
+        for b in self.koszul_space(i).basis():
             # expansion of the W_i vector in W_{i-1} (x) V; W_0 is the
             # scalar line, whose one basis word is the empty word
             exp = expand_through(Tensor.from_vec(b, nv, i), 0, wprev, i - 1, 1)
             if exp is None:
                 raise EngineInvariantError(f"W_{i} escapes W_{i - 1} (x) V")
+            terms = [(l * dim_anext, v, c) for (_, l, (v,)), c in exp.items()]
             for aw in aj_words:
-                row = [ZERO] * ncols
-                for (_, l, (v,)), c in exp.items():
+                row: dict[int, Fraction] = {}
+                for base, v, c in terms:
                     for k, cv in self.nf_word((v,) + aw).items():
-                        row[l * dim_anext + k] += c * cv
+                        key = base + k
+                        s = row.get(key, ZERO) + c * cv
+                        if s:
+                            row[key] = s
+                        else:
+                            row.pop(key, None)
                 rows.append(row)
+        return rows
+
+    def koszul_differential(self, i: int, j: int) -> Matrix:
+        """Dense view of ``differential_rows(i, j)``."""
+        rows = self.differential_rows(i, j)
+        ncols = self.koszul_space(i - 1).dim * self.dim_A(j + 1)
         if not rows:
             return Matrix.zero(0, ncols)
-        return Matrix(rows)
+        return Matrix([[row.get(k, ZERO) for k in range(ncols)] for row in rows])
 
     def certify_koszul(self, bound: int | None = None) -> KoszulCertificate:
         """Verify exactness of the Koszul complex of k_A through internal
         degree ``bound`` by rank computations, plus the Euler identity.
 
-        Raises CertificationError at the first failing position.  A
-        passing certificate says nothing beyond the bound; that is the
+        In degree m the complex is W_t (x) A_{m-t} -> ... -> W_1 (x)
+        A_{m-1} -> A_m -> 0 with t = min(m, top nonzero W).  Write
+        D_i = dim W_i (x) A_{m-i} (so D_0 = dim A_m) and r_i for the
+        rank over Q of d_i: W_i (x) A_{m-i} -> W_{i-1} (x) A_{m-i+1},
+        with r_{t+1} = 0.  Exactness is r_1 = D_0 and r_i + r_{i+1} = D_i
+        for i = 1..t.
+
+        The ranks are first taken mod p = 2^61 - 1 (``linalg.rank``),
+        giving s_i, and those stand for the r_i when they meet every
+        equality.  That is sound over Q because
+          * s_i <= r_i (reduction mod p cannot raise a rank);
+          * d_i d_{i+1} = 0 over Q (the last two factors of W_{i+1}
+            lie in R), so im d_{i+1} <= ker d_i and r_i + r_{i+1} <= D_i;
+          * r_1 <= D_0, the dimension of its codomain.
+        Then D_0 = s_1 <= r_1 <= D_0 pins r_1, and each D_i = s_i +
+        s_{i+1} <= r_i + r_{i+1} <= D_i with s <= r termwise pins r_i and
+        r_{i+1}: every Q rank equals its mod-p rank.  When p divides a
+        denominator or an equality falls short, that degree's ranks are
+        recomputed over Q, and only those exact ranks can raise.
+
+        Raises CertificationError at the first failing position, carrying
+        the degree's ``dims`` (D_0..D_t) and its Q ``ranks`` ({i: r_i}).
+        A passing certificate says nothing beyond the bound; that is the
         strongest finite statement available.
         """
         n = bound if bound is not None else (self.certificate.d + 3 if self.certificate and self.certificate.d else 8)
@@ -284,44 +321,32 @@ class QuadraticAlgebra:
         while self.koszul_space(wmax + 1).dim > 0 and wmax + 1 <= n:
             wmax += 1
         for m in range(1, n + 1):
-            dims = [
-                self.koszul_space(i).dim * self.dim_A(m - i)
-                for i in range(0, min(m, wmax) + 1)
-            ]
-            ranks = []
-            for i in range(1, min(m, wmax) + 1):
-                mat = self.koszul_differential(i, m - i)
-                rank = Subspace(
-                    mat.ncols,
-                    [
-                        {k: v for k, v in enumerate(row) if v}
-                        for row in mat.rows
-                    ],
-                ).dim
-                ranks.append(rank)
-                cert.ranks[(m, i)] = rank
-            # exactness at A_m: the complex resolves k, so im d1 = A_m
-            if m >= 1 and (not ranks or ranks[0] != self.dim_A(m)):
-                got = ranks[0] if ranks else 0
-                raise CertificationError(
-                    f"complex not exact at A_{m}: rank {got} != dim {self.dim_A(m)}",
-                    degree=m,
-                    position=0,
-                )
-            for i in range(1, min(m, wmax) + 1):
-                nxt = ranks[i] if i < len(ranks) else 0
-                if ranks[i - 1] + nxt != dims[i]:
+            top = min(m, wmax)
+            dims = tuple(self.koszul_space(i).dim * self.dim_A(m - i) for i in range(top + 1))
+            diffs = [self.differential_rows(i, m - i) for i in range(1, top + 1)]
+            ranks = [rank(rows, P61) for rows in diffs]
+            if None in ranks or _inexact_at(dims, ranks) is not None:
+                ranks = [rank(rows) for rows in diffs]
+                pos = _inexact_at(dims, ranks)
+                if pos is not None:
+                    if pos == 0:
+                        got = ranks[0] if ranks else 0
+                        msg = f"complex not exact at A_{m}: rank {got} != dim {dims[0]}"
+                    else:
+                        msg = f"complex not exact at W_{pos} (x) A_{m - pos}"
                     raise CertificationError(
-                        f"complex not exact at W_{i} (x) A_{m - i}",
-                        degree=m,
-                        position=i,
+                        msg, degree=m, position=pos, dims=dims,
+                        ranks=dict(enumerate(ranks, 1)),
                     )
+            for i, r in enumerate(ranks, 1):
+                cert.ranks[(m, i)] = r
             # implied by exactness; kept as an independent safety net
             euler = sum((-1) ** i * d for i, d in enumerate(dims))
             if euler != 0:
                 cert.euler_ok = False
                 raise CertificationError(
-                    f"Euler identity fails in degree {m}", degree=m
+                    f"Euler identity fails in degree {m}", degree=m,
+                    dims=dims, ranks=dict(enumerate(ranks, 1)),
                 )
         if self.certificate is not None:
             cert.as_regular = self.certificate.as_regular
@@ -391,3 +416,16 @@ class QuadraticAlgebra:
     def __repr__(self):
         rel = self.R.dim
         return f"QuadraticAlgebra(<{', '.join(self.names)}> with {rel} relations)"
+
+
+def _inexact_at(dims: Sequence[int], ranks: Sequence[int]) -> int | None:
+    """First position where the degree's complex fails to be exact, with
+    ``dims[i]`` = dim W_i (x) A_{m-i} and ``ranks[i - 1]`` = rank d_i:
+    0 for A_m (im d_1 != A_m), i for W_i (x) A_{m-i}; None if exact."""
+    if not ranks or ranks[0] != dims[0]:
+        return 0
+    for i in range(1, len(dims)):
+        nxt = ranks[i] if i < len(ranks) else 0
+        if ranks[i - 1] + nxt != dims[i]:
+            return i
+    return None

@@ -119,6 +119,20 @@ def direct_koszul(alg: QuadraticAlgebra, i: int) -> Subspace:
     return acc
 
 
+def compose_rows(first, second) -> list[dict]:
+    """Product of two sparse row-major matrices (rows are images): row r
+    is sum_k first[r][k] * second[k].  Every entry the product touches
+    is kept, zero or not, so callers can assert on each one."""
+    out = []
+    for row in first:
+        acc: dict = {}
+        for k, c in row.items():
+            for col, v in second[k].items():
+                acc[col] = acc.get(col, 0) + c * v
+        out.append(acc)
+    return out
+
+
 def tensor_of_gamma(gamma) -> list:
     from orenaka import gamma_images
 

@@ -47,7 +47,7 @@ from orenaka import (
 )
 from orenaka.quadratic import QuadraticAlgebra
 
-from conftest import CATALOG_QS, rand_frac, rand_invertible
+from conftest import CATALOG_QS, compose_rows, rand_frac, rand_invertible
 
 
 def _pass(n, msg, t0):
@@ -254,10 +254,10 @@ def test_criterion_7_structural_suite():
             assert alg.koszul_space(i).dim == alg.koszul_space(d - i).dim
         for i in range(2, d + 1):
             for j in range(0, 2):
-                prod = alg.koszul_differential(i, j) * alg.koszul_differential(
-                    i - 1, j + 1
+                prod = compose_rows(
+                    alg.differential_rows(i, j), alg.differential_rows(i - 1, j + 1)
                 )
-                assert all(e == 0 for row in prod.rows for e in row)
+                assert all(e == 0 for row in prod for e in row.values())
     for _ in range(200):
         def rnd():
             rows = [

@@ -16,7 +16,7 @@ from orenaka import (
     subspace_sum,
 )
 
-from orenaka.linalg import expand_through, shift
+from orenaka.linalg import P61, expand_through, rank, shift
 
 from conftest import (
     catalog_algebras,
@@ -73,6 +73,28 @@ def test_rref_random_rectangular_vs_minor_oracle():
         m = Matrix(rows)
         _, _, rank = rref(m)
         assert rank == minor_rank(m)
+
+
+def test_rank_matches_minor_oracle():
+    rng = random.Random(13)
+    for _ in range(8):
+        m = Matrix([[rand_frac(rng, 3) for _ in range(5)] for _ in range(4)])
+        rows = [{k: e for k, e in enumerate(r) if e} for r in m.rows]
+        want = minor_rank(m)
+        assert rank(rows) == want
+        # every minor here is a small rational, so none vanishes mod 2^61 - 1
+        assert rank(rows, P61) == want
+
+
+def test_rank_mod_p_lower_bound_and_denominators():
+    rows = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(3), 1: Fraction(1)}]
+    assert rank(rows) == 2
+    assert rank(rows, 5) == 1  # 5 divides the determinant -5
+    assert rank(rows, 7) == 2
+    assert rank([{0: Fraction(1, 7)}], 7) is None
+    assert rank([{0: Fraction(7, 3)}], 7) == 0
+    assert rank([{0: Fraction(2, 3), 3: Fraction(1)}, {}], 7) == 1
+    assert rank([]) == 0
 
 
 def _space(rows, n):

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from orenaka import (
+    CertificationError,
     Matrix,
     NotASRegularError,
     QuadraticAlgebra,
@@ -14,9 +16,13 @@ from orenaka import (
     subspace_intersect,
 )
 
+from orenaka import quadratic
+from orenaka.linalg import P61
+
 from conftest import (
     catalog_algebras,
     commutative_monomial_count,
+    compose_rows,
     direct_koszul,
     ideal_component,
     shifted_relation_space,
@@ -131,10 +137,27 @@ def test_differentials_compose_to_zero():
         d = a.certificate.d
         for i in range(2, d + 1):
             for j in range(0, 3):
-                first = a.koszul_differential(i, j)
-                second = a.koszul_differential(i - 1, j + 1)
-                prod = first * second
-                assert all(e == 0 for row in prod.rows for e in row), (name, i, j)
+                prod = compose_rows(a.differential_rows(i, j), a.differential_rows(i - 1, j + 1))
+                assert all(e == 0 for row in prod for e in row.values()), (name, i, j)
+
+
+def test_dense_differential_is_view_of_rows():
+    a = make_jordan_plane()
+    for i, j in ((1, 2), (2, 1), (2, 3)):
+        dense = a.koszul_differential(i, j)
+        rows = a.differential_rows(i, j)
+        assert dense.nrows == len(rows)
+        assert dense.ncols == a.koszul_space(i - 1).dim * a.dim_A(j + 1)
+        assert [{k: e for k, e in enumerate(r) if e} for r in dense.rows] == rows
+
+
+def test_negative_degree_has_no_basis():
+    a = QuadraticAlgebra(["x1", "x2"], [Tensor(2, 2, {(0, 1): 1, (1, 0): -1})])
+    assert a.dim_A(4) == 5
+    for m in (-1, -2, -5):
+        assert a.basis_words(m) == []
+        assert a.dim_A(m) == 0
+    assert a.differential_rows(1, -1) == []
 
 
 def test_certify_koszul_poly3_to_8():
@@ -148,11 +171,9 @@ def test_certify_koszul_jordan_to_8():
     assert cert.bound >= 8
 
 
-def test_certify_detects_non_koszul_input():
-    from orenaka import CertificationError
-
+def _non_koszul_algebra():
     # x1^2, x2^2 and x1 x2 + x2 x3: exactness breaks by degree 4
-    a = QuadraticAlgebra(
+    return QuadraticAlgebra(
         ["x1", "x2", "x3"],
         [
             Tensor(3, 2, {(0, 0): 1}),
@@ -160,10 +181,98 @@ def test_certify_detects_non_koszul_input():
             Tensor(3, 2, {(0, 1): 1, (1, 2): 1}),
         ],
     )
+
+
+def test_certify_detects_non_koszul_input():
     with pytest.raises(CertificationError) as exc:
-        a.certify_koszul(5)
+        _non_koszul_algebra().certify_koszul(5)
     assert exc.value.degree == 4
     assert exc.value.position is not None
+
+
+def _spy_rank(monkeypatch, lossy=False):
+    """Route quadratic.rank through a recorder of the moduli it is
+    called with; ``lossy`` makes every nonzero rank mod p one short."""
+    real = quadratic.rank
+    calls = []
+
+    def spy(rows, p=None):
+        calls.append(p)
+        r = real(rows, p)
+        return r - 1 if lossy and p is not None and r else r
+
+    monkeypatch.setattr(quadratic, "rank", spy)
+    return calls
+
+
+def _q_ranks(a, bound):
+    """Every differential's rank through ``bound``, by full RREF over Q
+    (``Subspace``), in the (m, i) keys of a certificate."""
+    wmax = 0
+    while a.koszul_space(wmax + 1).dim and wmax + 1 <= bound:
+        wmax += 1
+    return {
+        (m, i): Subspace(
+            a.koszul_space(i - 1).dim * a.dim_A(m - i + 1), a.differential_rows(i, m - i)
+        ).dim
+        for m in range(1, bound + 1)
+        for i in range(1, min(m, wmax) + 1)
+    }
+
+
+def test_certification_error_carries_sizes(monkeypatch):
+    a = _non_koszul_algebra()
+    calls = _spy_rank(monkeypatch)
+    with pytest.raises(CertificationError) as exc:
+        a.certify_koszul(5)
+    e = exc.value
+    assert str(e) == "complex not exact at W_2 (x) A_2"
+    assert (e.degree, e.position) == (4, 2)
+    assert e.dims == tuple(a.koszul_space(i).dim * a.dim_A(4 - i) for i in range(5))
+    q = _q_ranks(a, 4)
+    assert e.ranks == {i: q[(4, i)] for i in range(1, 5)}
+    assert e.ranks[2] + e.ranks[3] != e.dims[2]
+    # the failing degree was recomputed over Q before raising
+    assert calls[-4:] == [None] * 4
+
+
+def test_certified_ranks_equal_exact_elimination():
+    sklyanin = QuadraticAlgebra(
+        ["x", "y", "z"],
+        [
+            Tensor(3, 2, {(1, 2): 1, (2, 1): 2, (0, 0): 3}),
+            Tensor(3, 2, {(2, 0): 1, (0, 2): 2, (1, 1): 3}),
+            Tensor(3, 2, {(0, 1): 1, (1, 0): 2, (2, 2): 3}),
+        ],
+    )
+    sklyanin.certify_as_regular()
+    algs = catalog_algebras() + [("sklyanin123", sklyanin), ("poly5", make_polynomial(5))]
+    for name, a in algs:
+        cert = a.certificate
+        assert cert.ranks == _q_ranks(a, cert.bound), name
+
+
+def test_prime_in_denominator_certifies_over_q(monkeypatch):
+    want = _q_ranks(make_quantum_plane(2), 6)
+    q = Fraction(1, P61)
+    a = QuadraticAlgebra(["x1", "x2"], [Tensor(2, 2, {(0, 1): 1, (1, 0): -q})])
+    assert quadratic.rank(a.differential_rows(1, 1), P61) is None
+    calls = _spy_rank(monkeypatch)
+    cert = a.certify_koszul(6)
+    assert None in calls
+    assert cert.ranks == _q_ranks(a, 6) == want
+
+
+def test_modular_undercount_falls_back_to_q(monkeypatch):
+    want = _q_ranks(make_polynomial(3), 6)
+    calls = _spy_rank(monkeypatch, lossy=True)
+    a = QuadraticAlgebra(
+        ["x1", "x2", "x3"],
+        [Tensor(3, 2, {(i, j): 1, (j, i): -1}) for i in range(3) for j in range(i + 1, 3)],
+    )
+    cert = a.certify_koszul(6)
+    assert calls.count(None) == calls.count(P61) == len(want)
+    assert cert.ranks == want
 
 
 def test_certify_runs_on_monomial_algebra():
