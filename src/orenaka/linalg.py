@@ -27,6 +27,18 @@ different outer words share no coordinate, so no pivot column of one
 row appears in another.  The coefficient of a sandwich element on the
 row (J_left, l, J_right) is therefore its entry at the word
 J_left + pivot_word(l) + J_right.
+
+Elimination.  One kernel, ``echelon``, row-reduces for the whole
+package, in two modes.  Forward only, it clears each row at its leading
+column and returns an echelon basis, over Q or over F_p; ``rank``
+counts its rows.  With ``reduced=True`` one back pass makes it the
+canonical RREF, over Q only; ``Subspace``, ``solve_columns``, ``rref``
+and ``Matrix.inverse`` read their results off that.  The kernel picks
+its own row order (sparsest first).  The order is free because nothing
+read off the kernel depends on it: the rank does not, the RREF of a
+span is unique, and so is the particular solution with every free
+unknown zero.  ``Matrix.det`` keeps its own elimination, as the
+independent oracle that ``hdet`` is tested against.
 """
 
 from __future__ import annotations
@@ -188,22 +200,19 @@ class Matrix:
         return d
 
     def inverse(self) -> "Matrix":
+        """Inverse by reduced elimination of [M | I]: M is invertible
+        exactly when the pivots are the columns 0..n-1 of M."""
         if not self.is_square():
             raise NotInvertibleError("non-square matrix")
         n = self.nrows
-        a = [list(r) + [ONE if i == j else ZERO for j in range(n)] for i, r in enumerate(self.rows)]
-        for c in range(n):
-            p = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if p is None:
-                raise NotInvertibleError("singular matrix")
-            a[c], a[p] = a[p], a[c]
-            inv = ONE / a[c][c]
-            a[c] = [x * inv for x in a[c]]
-            for r in range(n):
-                if r != c and a[r][c]:
-                    f = a[r][c]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return Matrix([row[n:] for row in a])
+        aug = [
+            {**{j: e for j, e in enumerate(r) if e}, n + i: ONE}
+            for i, r in enumerate(self.rows)
+        ]
+        piv = echelon(aug, reduced=True)
+        if any(p >= n for p in piv):
+            raise NotInvertibleError("singular matrix")
+        return Matrix([[piv[i].get(n + j, ZERO) for j in range(n)] for i in range(n)])
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
@@ -212,52 +221,37 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
     Returns ``(rref_matrix, pivot_columns, rank)``; the result matrix
     keeps the shape of the input with zero rows at the bottom.
     """
-    a = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots: list[int] = []
-    pr = 0
-    for c in range(ncols):
-        p = next((r for r in range(pr, nrows) if a[r][c] != 0), None)
-        if p is None:
-            continue
-        a[pr], a[p] = a[p], a[pr]
-        inv = ONE / a[pr][c]
-        a[pr] = [x * inv for x in a[pr]]
-        for r in range(nrows):
-            if r != pr and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[pr])]
-        pivots.append(c)
-        pr += 1
-        if pr == nrows:
-            break
-    return Matrix(a), pivots, len(pivots)
+    s = Subspace(m.ncols, ({j: e for j, e in enumerate(r) if e} for r in m.rows))
+    rows = [[row.get(j, ZERO) for j in range(m.ncols)] for row in s.basis()]
+    rows += [[ZERO] * m.ncols for _ in range(m.nrows - s.dim)]
+    return Matrix(rows), list(s.pivots), s.dim
 
 
 # ---------------------------------------------------------------------------
-# Rank-only elimination
+# Elimination
 
 P61 = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
 
 
-def rank(rows: Iterable[Mapping], p: int | None = None) -> int | None:
-    """Rank of the span of sparse rows, by forward elimination only.
+def echelon(
+    rows: Iterable[Mapping], p: int | None = None, reduced: bool = False
+) -> dict[int, dict] | None:
+    """Echelon basis of the span of sparse rows, as {pivot: row}.
 
     With a prime ``p`` the rows are reduced mod p first, each entry
-    num/den becoming num * den^-1 mod p, and the rank is that of the
-    reduced matrix over F_p; the result is None when p divides a
-    denominator, because the reduction is then undefined.  Whenever it
-    is defined, rank mod p <= rank over Q: a nonzero minor mod p is the
-    image of a nonzero rational minor.  Without ``p`` the elimination
-    runs over Q and the result is the exact rank.
+    num/den becoming num * den^-1 mod p, and the elimination runs over
+    F_p; the result is None when p divides a denominator, because the
+    reduction is then undefined.  Without ``p`` it runs over Q.
 
-    Each incoming row is cleared at its leading column against the
-    pivot row stored there until it finds a free leading column or
-    vanishes; nothing is back-eliminated, and the pivot rows are
-    dropped on return.
+    Rows are taken sparsest first.  Each is cleared at its leading
+    column against the pivot row stored there until it finds a free
+    leading column, where it is stored normalised to 1, or vanishes.
+    With ``reduced`` (over Q only) one back pass in descending pivot
+    order clears every pivot column from the other rows, which gives
+    the canonical RREF basis.
     """
     pivots: dict[int, dict] = {}
-    for row in rows:
+    for row in sorted(rows, key=len):
         if p is None:
             r = {k: v for k, v in row.items() if v}
         else:
@@ -292,27 +286,36 @@ def rank(rows: Iterable[Mapping], p: int | None = None) -> int | None:
                     r[k] = s
                 else:
                     del r[k]
-    return len(pivots)
+    if reduced:
+        # each later row is reduced already, so subtracting it brings in
+        # no pivot column: one list of hits per row suffices
+        for lead in sorted(pivots, reverse=True):
+            r = pivots[lead]
+            for k in [k for k in r if k != lead and k in pivots]:
+                _sub_scaled(r, pivots[k], r[k])
+    return pivots
 
 
-# ---------------------------------------------------------------------------
-# Sparse vectors (dict coord -> nonzero Fraction)
+def rank(rows: Iterable[Mapping], p: int | None = None) -> int | None:
+    """Rank of the span of sparse rows: forward elimination only.
+
+    With a prime ``p`` the rank is taken over F_p, and it is None when p
+    divides a denominator.  Whenever it is defined, rank mod p <= rank
+    over Q: a nonzero minor mod p is the image of a nonzero rational
+    minor.  Without ``p`` the result is the exact rank over Q.
+    """
+    piv = echelon(rows, p)
+    return None if piv is None else len(piv)
 
 
-def vec_sub_scaled(dst: dict, src: Mapping, c: Fraction) -> dict:
-    """Return dst - c*src as a new sparse dict."""
-    out = dict(dst)
+def _sub_scaled(dst: dict, src: Mapping, c: Fraction) -> None:
+    """dst -= c * src, in place, dropping the zeros."""
     for k, v in src.items():
-        nv = out.get(k, ZERO) - c * v
-        if nv:
-            out[k] = nv
+        s = dst.get(k, ZERO) - c * v
+        if s:
+            dst[k] = s
         else:
-            out.pop(k, None)
-    return out
-
-
-def vec_scale(v: Mapping, c: Fraction) -> dict:
-    return {k: c * x for k, x in v.items()} if c else {}
+            dst.pop(k, None)
 
 
 # ---------------------------------------------------------------------------
@@ -332,33 +335,13 @@ class Subspace:
 
     def __init__(self, ambient: int, rows: Iterable[Mapping] = ()):
         self.ambient = ambient
-        self._rows: dict[int, dict] = {}
-        for row in rows:
-            self._insert(dict(row))
-
-    def _insert(self, row: dict) -> None:
-        # Reduce the incoming row against every pivot in its support,
-        # then back-eliminate the new pivot column from every stored
-        # row; keeps full RREF at all times so reads never need a
-        # finalize step.  Stored rows carry no foreign pivot columns,
-        # so each subtraction strictly shrinks the pivot support.
-        row = {k: scalar(v) for k, v in row.items() if v}
-        while row:
-            hit = next((k for k in row if k in self._rows), None)
-            if hit is None:
-                break
-            row = vec_sub_scaled(row, self._rows[hit], row[hit])
-        if not row:
-            return
-        if max(row) >= self.ambient or min(row) < 0:
+        self._rows = echelon(
+            ({k: scalar(v) for k, v in row.items()} for row in rows), reduced=True
+        )
+        if self._rows and (
+            min(self._rows) < 0 or max(max(r) for r in self._rows.values()) >= ambient
+        ):
             raise ValueError("coordinate outside ambient space")
-        lead = min(row)
-        inv = ONE / row[lead]
-        row = {k: v * inv for k, v in row.items()}
-        for p, r in list(self._rows.items()):
-            if lead in r:
-                self._rows[p] = vec_sub_scaled(r, row, r[lead])
-        self._rows[lead] = row
 
     @staticmethod
     def _from_rref(ambient: int, rows: dict[int, dict]) -> "Subspace":
@@ -386,16 +369,14 @@ class Subspace:
         return [dict(self._rows[p]) for p in sorted(self._rows)]
 
     def reduce(self, vec: Mapping) -> dict:
-        """Canonical remainder of vec modulo this subspace."""
+        """Canonical remainder of vec modulo this subspace.
+
+        A basis row carries no pivot column but its own, so the pivots
+        hit by vec are all the subtractions there are."""
         out = dict(vec)
-        while True:
-            hits = [k for k in out if k in self._rows]
-            if not hits:
-                return out
-            for k in hits:
-                c = out.get(k)
-                if c:
-                    out = vec_sub_scaled(out, self._rows[k], c)
+        for k in [k for k in out if k in self._rows]:
+            _sub_scaled(out, self._rows[k], out[k])
+        return out
 
     def contains(self, vec: Mapping) -> bool:
         return not self.reduce(vec)
@@ -446,14 +427,14 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     b1, b2 = s1.basis(), s2.basis()
     if not b1 or not b2:
         return Subspace(s1.ambient)
-    cols = b1 + [vec_scale(r, -ONE) for r in b2]
+    cols = b1 + [{k: -v for k, v in r.items()} for r in b2]
     _, kernel = solve_columns(cols, [])
     rows = []
     for kv in kernel:
         acc: dict = {}
         for j, c in kv.items():
             if j < len(b1):
-                acc = vec_sub_scaled(acc, b1[j], -c)
+                _sub_scaled(acc, b1[j], -c)
         rows.append(acc)
     return Subspace(s1.ambient, rows)
 
@@ -465,9 +446,10 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
 def solve_columns(
     cols: Sequence[Mapping], rhs_list: Sequence[Mapping]
 ) -> tuple[list[list[Fraction] | None], list[dict]]:
-    """Gauss-Jordan solve of sum_j x_j * cols[j] = rhs, all rhs at once.
+    """Solve sum_j x_j * cols[j] = rhs for all rhs at once, by one
+    reduced ``echelon`` of the augmented rows.
 
-    ``cols`` are sparse dicts over arbitrary sortable row keys; sharing
+    ``cols`` are sparse dicts over arbitrary hashable row keys; sharing
     one elimination across many right-hand sides is what keeps the
     sequence-pair stage solves cheap.
 
@@ -478,65 +460,37 @@ def solve_columns(
     unknown indices.
     """
     u = len(cols)
-    nrhs = len(rhs_list)
-    # Row-major view: rowkey -> (coeffs over unknowns, rhs values).
+    # augmented rows: unknown j at column j, right-hand side t at u + t
     rows: dict = {}
     for j, col in enumerate(cols):
         for rk, v in col.items():
             if v:
-                rows.setdefault(rk, ({}, [ZERO] * nrhs))[0][j] = v
+                rows.setdefault(rk, {})[j] = v
     for t, rhs in enumerate(rhs_list):
         for rk, v in rhs.items():
             if v:
-                rows.setdefault(rk, ({}, [ZERO] * nrhs))[1][t] = v
-    pivots: dict[int, tuple[dict, list]] = {}
-    inconsistent = [False] * nrhs
-    for rk in sorted(rows, key=repr):
-        coeffs, vals = rows[rk]
-        coeffs = dict(coeffs)
-        vals = list(vals)
-        while coeffs:
-            hit = next((k for k in coeffs if k in pivots), None)
-            if hit is None:
-                break
-            piv = pivots[hit]
-            f = coeffs[hit]
-            coeffs = vec_sub_scaled(coeffs, piv[0], f)
-            vals = [a - f * b for a, b in zip(vals, piv[1])]
-        if not coeffs:
-            for t, v in enumerate(vals):
-                if v:
-                    inconsistent[t] = True
-            continue
-        lead = min(coeffs)
-        inv = ONE / coeffs[lead]
-        coeffs = {k: v * inv for k, v in coeffs.items()}
-        vals = [v * inv for v in vals]
-        for p, (pc, pv) in list(pivots.items()):
-            if lead in pc:
-                f = pc[lead]
-                pivots[p] = (
-                    vec_sub_scaled(pc, coeffs, f),
-                    [a - f * b for a, b in zip(pv, vals)],
-                )
-        pivots[lead] = (coeffs, vals)
-    free = [j for j in range(u) if j not in pivots]
+                rows.setdefault(rk, {})[u + t] = v
+    pivots = echelon(rows.values(), reduced=True)
+    # a pivot row past the unknowns reads 0 = rhs_t for each t it carries
+    inconsistent = {k - u for p, r in pivots.items() if p >= u for k in r}
+    bound = [(p, r) for p, r in pivots.items() if p < u]
     kernel = []
-    for f in free:
-        kv = {f: ONE}
-        for p, (pc, _) in pivots.items():
-            c = pc.get(f)
-            if c:
-                kv[p] = -c
-        kernel.append(kv)
+    for f in range(u):
+        if f not in pivots:
+            kv = {f: ONE}
+            for p, r in bound:
+                c = r.get(f)
+                if c:
+                    kv[p] = -c
+            kernel.append(kv)
     particulars: list[list[Fraction] | None] = []
-    for t in range(nrhs):
-        if inconsistent[t]:
+    for t in range(len(rhs_list)):
+        if t in inconsistent:
             particulars.append(None)
             continue
         x = [ZERO] * u
-        for p, (_, pv) in pivots.items():
-            x[p] = pv[t]
+        for p, r in bound:
+            x[p] = r.get(u + t, ZERO)
         particulars.append(x)
     return particulars, kernel
 

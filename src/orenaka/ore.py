@@ -98,21 +98,20 @@ class SequencePair:
                 f"tensor escapes V^{left_pad} (x) W_{i} (x) V^{right_pad}"
             )
         images = tower[i]
-        heads: dict[tuple, dict] = {}  # sigma^(x)left_pad of each left word
         es: dict[tuple, Fraction] = {}
         for (jl, l, jr), c in coeffs.items():
-            head = heads.get(jl)
-            if head is None:
-                head = heads[jl] = self.sigma.apply_all(Tensor.word(nv, jl)).entries
-            for hw, hc in head.items():
-                for iw, ic in images[l].entries.items():
-                    key = hw + iw + jr
-                    s = es.get(key, ZERO) + c * hc * ic
-                    if s:
-                        es[key] = s
-                    else:
-                        es.pop(key, None)
-        return Tensor._trusted(nv, t.degree + 1, es)
+            for iw, ic in images[l].entries.items():
+                key = jl + iw + jr
+                s = es.get(key, ZERO) + c * ic
+                if s:
+                    es[key] = s
+                else:
+                    es.pop(key, None)
+        out = Tensor._trusted(nv, t.degree + 1, es)
+        # sigma acts on the left slots, which the tower image leaves alone
+        for slot in range(1, left_pad + 1):
+            out = out.apply_matrix_at(slot, self.sigma.matrix)
+        return out
 
     def verify(self) -> None:
         """Re-check both tower conditions and image containments.

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from orenaka import (
     Matrix,
     NoSolutionError,
+    NotInvertibleError,
     Subspace,
     Tensor,
     rref,
@@ -16,7 +17,7 @@ from orenaka import (
     subspace_sum,
 )
 
-from orenaka.linalg import P61, expand_through, rank, shift
+from orenaka.linalg import P61, expand_through, rank, shift, solve_columns
 
 from conftest import (
     catalog_algebras,
@@ -77,13 +78,20 @@ def test_rref_random_rectangular_vs_minor_oracle():
 
 def test_rank_matches_minor_oracle():
     rng = random.Random(13)
-    for _ in range(8):
+    for trial in range(8):
         m = Matrix([[rand_frac(rng, 3) for _ in range(5)] for _ in range(4)])
+        if trial % 2:  # a dependent row, so some row must vanish
+            m = Matrix(list(m.rows) + [[a - 2 * b for a, b in zip(*m.rows[:2])]])
         rows = [{k: e for k, e in enumerate(r) if e} for r in m.rows]
         want = minor_rank(m)
-        assert rank(rows) == want
-        # every minor here is a small rational, so none vanishes mod 2^61 - 1
-        assert rank(rows, P61) == want
+        space = Subspace(5, rows)
+        assert space.dim == want
+        # the row order is the kernel's own choice: no result may see it
+        for order in (rows, rows[::-1], rng.sample(rows, len(rows))):
+            assert rank(order) == want
+            # every minor here is a small rational, so none vanishes mod 2^61 - 1
+            assert rank(order, P61) == want
+            assert Subspace(5, order) == space
 
 
 def test_rank_mod_p_lower_bound_and_denominators():
@@ -161,6 +169,8 @@ def test_rref_canonicity(data):
         {k: c * v for k, v in b.items()} for b, c in zip(s.basis(), scales)
     ] + s.basis()[::-1]
     assert Subspace(n, doubled) == s
+    assert Subspace(n, data.draw(st.permutations(rows))) == s
+    assert Subspace(n, data.draw(st.permutations(doubled))) == s
 
 
 def test_solve_affine_identity():
@@ -188,6 +198,32 @@ def test_solve_affine_substitute_back():
             kv = [kb.get(i, Fraction(0)) for i in range(7)]
             assert all(v == 0 for v in m.mul_vec(kv))
         assert 5 >= 7 - ker.dim  # rank bound
+
+
+def test_solve_columns_mixed_rhs():
+    # one elimination for three right-hand sides: consistent, inconsistent
+    # (row "c" is row "a" + row "b" on the left but not on the right), zero
+    rng = random.Random(21)
+    u = 5
+    a = {j: rand_frac(rng, 3, nonzero=True) for j in range(u)}
+    b = {j: rand_frac(rng, 3) for j in range(u)}
+    eqs = {"a": a, "b": b, "c": {j: a[j] + b[j] for j in range(u)}}
+    cols = [{rk: eq[j] for rk, eq in eqs.items() if eq[j]} for j in range(u)]
+
+    def image(x):
+        out = {rk: sum((eq[j] * x[j] for j in range(u)), Fraction(0)) for rk, eq in eqs.items()}
+        return {rk: v for rk, v in out.items() if v}
+
+    good = image([rand_frac(rng, 3) for _ in range(u)])
+    bad = {**good, "c": good.get("c", 0) + 1}
+    particulars, kernel = solve_columns(cols, [good, bad, {}])
+    x, none, zero = particulars
+    assert none is None
+    assert zero == [0] * u
+    assert image(x) == good
+    assert len(kernel) == u - 2
+    for kv in kernel:
+        assert image([kv.get(j, 0) for j in range(u)]) == {}
 
 
 def test_apply_at_slot_identity():
@@ -297,6 +333,9 @@ def test_matrix_inverse_roundtrip():
                 break
         assert m * m.inverse() == Matrix.identity(n)
         assert m.inverse() * m == Matrix.identity(n)
+    for singular in (Matrix([[1, 2], [2, 4]]), Matrix.zero(3, 3), Matrix([[1, 2]])):
+        with pytest.raises(NotInvertibleError):
+            singular.inverse()
 
 
 def _sandwich_cases():
