@@ -113,14 +113,13 @@ def antisymmetrizer_tensor(n: int, indices: Sequence[int]) -> Tensor:
     if m == 2:
         a, b = idx[0] - 1, idx[1] - 1
         return Tensor(n, 2, {(a, b): ONE}) - Tensor(n, 2, {(b, a): ONE})
-    out = Tensor(n, m)
+    terms = []
     for j in range(m):
         rest = idx[:j] + idx[j + 1 :]
         sign = ONE if (m - 1 - j) % 2 == 0 else -ONE
-        out = out + antisymmetrizer_tensor(n, rest).tensor(
-            Tensor.word(n, (idx[j] - 1,))
-        ).scale(sign)
-    return out
+        head = antisymmetrizer_tensor(n, rest)
+        terms.append((sign, head.tensor(Tensor.word(n, (idx[j] - 1,)))))
+    return Tensor.combine(n, m, terms)
 
 
 def r_basis_tensor(n: int, indices: Sequence[int]) -> Tensor:
@@ -135,14 +134,13 @@ def polynomial_divergence_oracle(delta: DerivationLift) -> Tensor:
     """Formal divergence sum_s d(delta(x_s))/dx_s for sigma = id on a
     polynomial algebra, straight from the lift coefficients."""
     nv = delta.algebra.nv
-    out = Tensor(nv, 1)
+    terms = []
     for s in range(nv):
         img = delta.images[s]
         for t in range(nv):
             c = img.entries.get((s, t), ZERO) + img.entries.get((t, s), ZERO)
-            if c:
-                out = out + Tensor(nv, 1, {(t,): c})
-    return out
+            terms.append((c, Tensor.word(nv, (t,))))
+    return Tensor.combine(nv, 1, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -824,9 +822,9 @@ def random_admissible_derivation(
     kernel of the linear admissibility system."""
     basis = admissible_lift_space(alg, sigma)
     nv = alg.nv
-    images = [Tensor(nv, 2) for _ in range(nv)]
-    for elem in basis:
-        c = random_rational(rng, span=3)
-        if c:
-            images = [a + b.scale(c) for a, b in zip(images, elem)]
+    coeffs = [random_rational(rng, span=3) for _ in basis]
+    images = [
+        Tensor.combine(nv, 2, ((c, elem[i]) for c, elem in zip(coeffs, basis)))
+        for i in range(nv)
+    ]
     return extend_derivation(images, sigma, alg)

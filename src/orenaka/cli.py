@@ -60,7 +60,7 @@ class ProblemSpec:
 
 def _parse_terms(terms, names, degree, what) -> Tensor:
     idx = {n: i for i, n in enumerate(names)}
-    t = Tensor(len(names), degree)
+    parsed = []
     if not isinstance(terms, list):
         raise InputError(f"{what}: expected a list of terms")
     for term in terms:
@@ -77,8 +77,8 @@ def _parse_terms(terms, names, degree, what) -> Tensor:
             c = scalar(term.get("coeff", "1"))
         except (TypeError, ValueError) as e:
             raise InputError(f"{what}: bad coefficient: {e}") from None
-        t = t + Tensor(len(names), degree, {letters: c})
-    return t
+        parsed.append((c, Tensor.word(len(names), letters)))
+    return Tensor.combine(len(names), degree, parsed)
 
 
 def parse_problem(data) -> ProblemSpec:

@@ -19,14 +19,14 @@ pure function, so values may be shared freely between threads.
 
 Sandwiches.  Every Koszul-side object is a sandwich V^a (x) S (x) V^b
 of a subspace S of V^(x)k.  ``shift`` builds it and ``expand_through``
-reads coordinates off it, both resting on one invariant: shifting an
-RREF basis of S by the unit words of V^a and V^b gives an RREF basis of
-the sandwich.  Each shifted row keeps its own pivot (flat order is
-monotone in the middle word for fixed outer words), and two rows with
-different outer words share no coordinate, so no pivot column of one
-row appears in another.  The coefficient of a sandwich element on the
-row (J_left, l, J_right) is therefore its entry at the word
-J_left + pivot_word(l) + J_right.
+reads coordinates off it (``sandwich_map`` maps S through them), both
+resting on one invariant: shifting an RREF basis of S by the unit words
+of V^a and V^b gives an RREF basis of the sandwich.  Each shifted row
+keeps its own pivot (flat order is monotone in the middle word for
+fixed outer words), and two rows with different outer words share no
+coordinate, so no pivot column of one row appears in another.  The
+coefficient of a sandwich element on the row (J_left, l, J_right) is
+therefore its entry at the word J_left + pivot_word(l) + J_right.
 
 Elimination.  One kernel, ``echelon``, row-reduces for the whole
 package, in two modes.  Forward only, it clears each row at its leading
@@ -39,11 +39,29 @@ read off the kernel depends on it: the rank does not, the RREF of a
 span is unique, and so is the particular solution with every free
 unknown zero.  ``Matrix.det`` keeps its own elimination, as the
 independent oracle that ``hdet`` is tested against.
+
+Scaled integers.  The tensor kernels (``Tensor.apply_matrix_slots``,
+``Tensor.apply_images_at``, ``Tensor.combine``, ``sandwich_map`` and
+the residual of ``expand_through``) run on integers.  The invariant:
+inside a kernel every entry is an int numerator over one denominator
+shared by the whole operand, the least common multiple of its entries'
+denominators.  Each operand (the tensor, the matrix, the image list) is
+scaled once on entry, the kernel multiplies and adds plain ints, and
+each output entry becomes ``Fraction(n, den)`` once, zeros dropped.
+The results are bit-identical to Fraction arithmetic: a rational has
+one normalised form, and the kernel computes the same rational exactly.
+The cost is bounded by the shared denominators: one grows with the
+number of distinct denominators in its operand (at worst their
+product, when they are pairwise coprime), and a slot pass multiplies
+by the matrix denominator once per slot.  The operands that reach
+these kernels carry small denominators; the 150-bit coefficients of
+the normal-form reducer (``quadratic``) never do.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NoSolutionError, NotInvertibleError
@@ -516,6 +534,52 @@ def solve_affine(a: Matrix, b: Sequence) -> tuple[list[Fraction], Subspace]:
 
 
 # ---------------------------------------------------------------------------
+# Scaled integers (see the module docstring)
+
+
+def _scaled(entries: Mapping) -> tuple[dict, int]:
+    """Fraction entries as int numerators over their least common
+    denominator: ``(numerators, den)``."""
+    den = lcm(*[c.denominator for c in entries.values()])
+    return {k: c.numerator * (den // c.denominator) for k, c in entries.items()}, den
+
+
+def _unscaled(nums: Mapping, den: int) -> dict:
+    """Int numerators over ``den`` back to Fractions, zeros dropped."""
+    return {k: Fraction(n, den) for k, n in nums.items() if n}
+
+
+def _scaled_images(images: Iterable[Iterable[tuple]]) -> tuple[list[list[tuple]], int]:
+    """Each image, given as (word, coefficient) pairs, as (word,
+    numerator) pairs, all over one denominator."""
+    images = [list(img) for img in images]
+    den = lcm(*[c.denominator for img in images for _, c in img])
+    return [[(w, c.numerator * (den // c.denominator)) for w, c in img] for img in images], den
+
+
+def _matrix_images(m: Matrix) -> tuple[list[list[tuple]], int]:
+    """The rows of m as scaled images of the letters: row i sends the
+    one-letter word (i,) to sum_j m[i][j] (j,)."""
+    return _scaled_images([((j,), a) for j, a in enumerate(r) if a] for r in m.rows)
+
+
+def _substitute(terms: Iterable[tuple], images) -> dict:
+    """Sum of c * head (x) images[l] (x) tail over (head, l, tail, c)."""
+    out: dict = {}
+    get = out.get
+    for head, l, tail, c in terms:
+        for iw, ic in images[l]:
+            key = head + iw + tail
+            out[key] = get(key, 0) + c * ic
+    return out
+
+
+def _substitute_at(nums: Mapping, k: int, images) -> dict:
+    """Substitute images[letter] for the letter at 0-based slot k."""
+    return _substitute(((w[:k], w[k], w[k + 1 :], c) for w, c in nums.items()), images)
+
+
+# ---------------------------------------------------------------------------
 # Sparse tensors
 
 
@@ -618,28 +682,48 @@ class Tensor:
             raise ValueError("alphabet can only grow")
         return Tensor._trusted(nv_new, self.degree, dict(self.entries))
 
-    def apply_matrix_at(self, slot: int, m: Matrix) -> "Tensor":
-        """Apply an nv x nv matrix (rows are images) to one factor.
+    @staticmethod
+    def combine(nv: int, degree: int, terms: Iterable[tuple]) -> "Tensor":
+        """The linear combination of (coefficient, tensor) pairs, summed
+        in place on int numerators over one common denominator."""
+        parts = []
+        for c, t in terms:
+            if t.nv != nv or t.degree != degree:
+                raise ValueError("tensor shape mismatch")
+            c = scalar(c)
+            if c and t.entries:
+                nums, den = _scaled(t.entries)
+                parts.append((c.numerator, c.denominator * den, nums))
+        den = lcm(*[d for _, d, _ in parts])
+        out: dict = {}
+        get = out.get
+        for cn, d, nums in parts:
+            f = cn * (den // d)
+            for w, n in nums.items():
+                out[w] = get(w, 0) + f * n
+        return Tensor._trusted(nv, degree, _unscaled(out, den))
 
-        ``slot`` is 1-based, matching the usual tensor-leg notation.
+    def apply_matrix_slots(self, slots: Iterable[int], m: Matrix) -> "Tensor":
+        """Apply an nv x nv matrix (rows are images) at each listed factor.
+
+        ``slots`` are 1-based, matching the usual tensor-leg notation.
+        All slots share one integer pass.
         """
-        if not (1 <= slot <= self.degree):
+        slots = list(slots)
+        if any(not (1 <= s <= self.degree) for s in slots):
             raise ValueError("slot out of range")
         if m.nrows != self.nv or m.ncols != self.nv:
             raise ValueError("matrix size must match the alphabet")
-        k = slot - 1
-        es: dict[tuple, Fraction] = {}
-        for w, c in self.entries.items():
-            row = m.rows[w[k]]
-            for j, a in enumerate(row):
-                if a:
-                    w2 = w[:k] + (j,) + w[k + 1 :]
-                    s = es.get(w2, ZERO) + c * a
-                    if s:
-                        es[w2] = s
-                    else:
-                        es.pop(w2, None)
-        return Tensor._trusted(self.nv, self.degree, es)
+        nums, den = _scaled(self.entries)
+        rows, mden = _matrix_images(m)
+        for s in slots:
+            nums = _substitute_at(nums, s - 1, rows)
+        den *= mden ** len(slots)
+        return Tensor._trusted(self.nv, self.degree, _unscaled(nums, den))
+
+    def apply_matrix_at(self, slot: int, m: Matrix) -> "Tensor":
+        """Apply an nv x nv matrix at one factor (1-based)."""
+        return self.apply_matrix_slots((slot,), m)
 
     def apply_images_at(self, slot: int, images: Sequence["Tensor"]) -> "Tensor":
         """Substitute a linear map V -> V^(x)k at one factor (1-based)."""
@@ -647,19 +731,11 @@ class Tensor:
             raise ValueError("slot out of range")
         if len(images) != self.nv:
             raise ValueError("one image tensor per letter required")
-        kdeg = images[0].degree
-        es: dict[tuple, Fraction] = {}
-        k = slot - 1
-        for w, c in self.entries.items():
-            img = images[w[k]]
-            for wi, ci in img.entries.items():
-                w2 = w[:k] + wi + w[k + 1 :]
-                s = es.get(w2, ZERO) + c * ci
-                if s:
-                    es[w2] = s
-                else:
-                    es.pop(w2, None)
-        return Tensor._trusted(self.nv, self.degree + kdeg - 1, es)
+        nums, den = _scaled(self.entries)
+        imgs, iden = _scaled_images(img.entries.items() for img in images)
+        out = _substitute_at(nums, slot - 1, imgs)
+        degree = self.degree + images[0].degree - 1
+        return Tensor._trusted(self.nv, degree, _unscaled(out, den * iden))
 
     def tau(self, i: int) -> "Tensor":
         """The staircase rotation tau_d^i: the first factor moves to
@@ -696,28 +772,69 @@ def expand_through(
     shifted pivot word of row l; subtracting the expansion back out of
     t must leave zero, otherwise t lies outside the sandwich and the
     result is None.  ``expand_through(...) is not None`` is therefore a
-    membership test.
+    membership test.  A tensor of another degree, or a space over
+    another alphabet, raises ValueError.
+
+    The residual is taken in integers as D*L*(t - sum c*row), with L
+    the common denominator of t, D that of the rows' own denominators,
+    and each row scaled by its own denominator.
     """
     nv = t.nv
+    if t.degree != left + space_degree + right or space.ambient != nv**space_degree:
+        raise ValueError("tensor does not match the sandwich shape")
     piv = sorted(space._rows)
     index = {flat_word(p, space_degree, nv): l for l, p in enumerate(piv)}
-    rows = [
-        [(flat_word(k, space_degree, nv), c) for k, c in space._rows[p].items()]
-        for p in piv
-    ]
-    mid = slice(left, left + space_degree)
+    rows = []
+    for p in piv:
+        nums, d = _scaled(space._rows[p])
+        rows.append((d, [(flat_word(k, space_degree, nv), n) for k, n in nums.items()]))
+    big = lcm(*[d for d, _ in rows])
+    nums, _ = _scaled(t.entries)
+    rest = {w: big * n for w, n in nums.items()}
+    get = rest.get
+    end = left + space_degree
     coeffs: dict[tuple[tuple, int, tuple], Fraction] = {}
     for w, c in t.entries.items():
-        l = index.get(w[mid])
+        l = index.get(w[left:end])
         if l is not None:
-            coeffs[(w[:left], l, w[left + space_degree :])] = c
-    rest = dict(t.entries)
-    for (jl, l, jr), c in coeffs.items():
-        for bw, bc in rows[l]:
-            key = jl + bw + jr
-            s = rest.get(key, ZERO) - c * bc
-            if s:
-                rest[key] = s
-            else:
-                rest.pop(key, None)
-    return None if rest else coeffs
+            jl, jr = w[:left], w[end:]
+            coeffs[(jl, l, jr)] = c
+            d, row = rows[l]
+            f = nums[w] * (big // d)
+            for bw, bn in row:
+                key = jl + bw + jr
+                rest[key] = get(key, 0) - f * bn
+    return None if any(rest.values()) else coeffs
+
+
+def sandwich_map(
+    t: Tensor,
+    left: int,
+    space: Subspace,
+    space_degree: int,
+    right: int,
+    images: Sequence[Tensor],
+    m: Matrix,
+) -> Tensor | None:
+    """(m^(x)left (x) f (x) id^(x)right)(t) for t in the sandwich
+    V^(x)left (x) S (x) V^(x)right, or None when t lies outside it.
+
+    f sends basis row l of S (pivot order) to ``images[l]``; the
+    coefficients are read by ``expand_through``.  The substitution and
+    the m slots on the left share one integer pass.
+    """
+    if not images or len(images) != space.dim:
+        raise ValueError("one image per basis row of the space required")
+    if m.nrows != t.nv or m.ncols != t.nv:
+        raise ValueError("matrix size must match the alphabet")
+    coeffs = expand_through(t, left, space, space_degree, right)
+    if coeffs is None:
+        return None
+    nums, den = _scaled(coeffs)
+    imgs, iden = _scaled_images(img.entries.items() for img in images)
+    out = _substitute(((jl, l, jr, c) for (jl, l, jr), c in nums.items()), imgs)
+    rows, mden = _matrix_images(m)
+    for k in range(left):
+        out = _substitute_at(out, k, rows)
+    degree = left + images[0].degree + right
+    return Tensor._trusted(t.nv, degree, _unscaled(out, den * iden * mden**left))

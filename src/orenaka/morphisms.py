@@ -28,6 +28,7 @@ from .linalg import (
     Matrix,
     Tensor,
     solve_columns,
+    word_flat,
 )
 from .quadratic import QuadraticAlgebra
 
@@ -63,13 +64,11 @@ class GradedAutomorphism:
         """Apply to a degree-1 tensor."""
         if t.degree != 1:
             raise ValueError("expected a degree-1 tensor")
-        return t.apply_matrix_at(1, self.matrix)
+        return t.apply_matrix_slots((1,), self.matrix)
 
     def apply_all(self, t: Tensor) -> Tensor:
         """sigma^(x)degree applied to a tensor."""
-        for slot in range(1, t.degree + 1):
-            t = t.apply_matrix_at(slot, self.matrix)
-        return t
+        return t.apply_matrix_slots(range(1, t.degree + 1), self.matrix)
 
     def __eq__(self, other):
         return (
@@ -93,7 +92,7 @@ def check_automorphism(m: Matrix, alg: QuadraticAlgebra) -> GradedAutomorphism:
     m.inverse()  # raises NotInvertibleError on singular input
     for b in alg.R.basis():
         t = Tensor.from_vec(b, alg.nv, 2)
-        image = t.apply_matrix_at(1, m).apply_matrix_at(2, m)
+        image = t.apply_matrix_slots((1, 2), m)
         if not alg.R.contains(image.to_vec()):
             raise NotAdmissibleError(
                 f"automorphism does not preserve R: image of {t!r} escapes"
@@ -128,15 +127,15 @@ class DerivationLift:
         return DerivationLift([Tensor(nv, 2) for _ in range(nv)], sigma)
 
     def extend(self, t: Tensor) -> Tensor:
-        """Apply the extended derivation to a degree-m tensor."""
-        nv = self.algebra.nv
-        out = Tensor(nv, t.degree + 1)
+        """Apply the extended derivation to a degree-m tensor: the sum
+        over k of (sigma^(x)(k-1) (x) delta (x) id)(t)."""
+        terms = []
+        twisted = t  # sigma applied at slots 1..k-1
         for k in range(1, t.degree + 1):
-            term = t
-            for slot in range(1, k):
-                term = term.apply_matrix_at(slot, self.sigma.matrix)
-            out = out + term.apply_images_at(k, self.images)
-        return out
+            if k > 1:
+                twisted = twisted.apply_matrix_slots((k - 1,), self.sigma.matrix)
+            terms.append((ONE, twisted.apply_images_at(k, self.images)))
+        return Tensor.combine(self.algebra.nv, t.degree + 1, terms)
 
     def is_zero(self) -> bool:
         return all(im.is_zero() for im in self.images)
@@ -257,31 +256,46 @@ def admissible_lift_space(
 
     Admissibility is linear in the lift coefficients, so the space is
     the kernel of the map sending a lift to the reductions of delta(R)
-    modulo R(x)V + V(x)R.
+    modulo R(x)V + V(x)R.  On a relation r, delta(r) = (delta (x) id)(r)
+    + (sigma (x) delta)(r), so the unit lift x_i -> x_s (x) x_t only
+    relabels the words of r (slot 1) and of (sigma (x) id)(r) (slot 2)
+    whose letter at that slot is i; those words are grouped by letter
+    once per call.
     """
     nv = alg.nv
     sandwich = alg.sandwich_space()
-    rel_tensors = [Tensor.from_vec(b, nv, 2) for b in alg.R.basis()]
+    # hits[r][i]: (slot, other letter, coefficient) for each word of the
+    # relation's slot term carrying letter i at that slot
+    hits = []
+    for b in alg.R.basis():
+        rt = Tensor.from_vec(b, nv, 2)
+        by_letter: list[list] = [[] for _ in range(nv)]
+        for w, c in rt.entries.items():
+            by_letter[w[0]].append((1, w[1], c))
+        for w, c in rt.apply_matrix_slots((1,), sigma.matrix).entries.items():
+            by_letter[w[1]].append((2, w[0], c))
+        hits.append(by_letter)
     cols = []
     for i in range(nv):
         for s in range(nv):
             for t in range(nv):
-                unit = [Tensor(nv, 2) for _ in range(nv)]
-                unit[i] = Tensor.word(nv, (s, t))
-                lift = DerivationLift(unit, sigma)
                 col: dict = {}
-                for ridx, rt in enumerate(rel_tensors):
-                    rem = sandwich.reduce(lift.extend(rt).to_vec())
+                for ridx, by_letter in enumerate(hits):
+                    vec: dict = {}
+                    for slot, other, c in by_letter[i]:
+                        w = (s, t, other) if slot == 1 else (other, s, t)
+                        key = word_flat(w, nv)
+                        vec[key] = vec.get(key, ZERO) + c
+                    rem = sandwich.reduce({k: v for k, v in vec.items() if v})
                     for k, v in rem.items():
                         col[(ridx, k)] = v
                 cols.append(col)
     _, kernel = solve_columns(cols, [])
     basis = []
     for kv in kernel:
-        images = [Tensor(nv, 2) for _ in range(nv)]
+        images: list[dict] = [{} for _ in range(nv)]
         for unk, c in kv.items():
             i, rest = divmod(unk, nv * nv)
-            s, t = divmod(rest, nv)
-            images[i] = images[i] + Tensor.word(nv, (s, t), c)
-        basis.append(images)
+            images[i][divmod(rest, nv)] = c
+        basis.append([Tensor(nv, 2, es) for es in images])
     return basis

@@ -43,6 +43,7 @@ from .linalg import (
     Subspace,
     Tensor,
     expand_through,
+    sandwich_map,
     solve_columns,
 )
 from .morphisms import (
@@ -91,26 +92,13 @@ class SequencePair:
     def _apply(self, tower, i, t, left_pad, right_pad) -> Tensor:
         """(sigma^(x)left_pad (x) tower[i] (x) id^(x)right_pad)(t) for t in
         V^(x)left_pad (x) W_i (x) V^(x)right_pad."""
-        nv = self.algebra.nv
-        coeffs = expand_through(t, left_pad, self.algebra.koszul_space(i), i, right_pad)
-        if coeffs is None:
+        out = sandwich_map(
+            t, left_pad, self.algebra.koszul_space(i), i, right_pad, tower[i], self.sigma.matrix
+        )
+        if out is None:
             raise EngineInvariantError(
                 f"tensor escapes V^{left_pad} (x) W_{i} (x) V^{right_pad}"
             )
-        images = tower[i]
-        es: dict[tuple, Fraction] = {}
-        for (jl, l, jr), c in coeffs.items():
-            for iw, ic in images[l].entries.items():
-                key = jl + iw + jr
-                s = es.get(key, ZERO) + c * ic
-                if s:
-                    es[key] = s
-                else:
-                    es.pop(key, None)
-        out = Tensor._trusted(nv, t.degree + 1, es)
-        # sigma acts on the left slots, which the tower image leaves alone
-        for slot in range(1, left_pad + 1):
-            out = out.apply_matrix_at(slot, self.sigma.matrix)
         return out
 
     def verify(self) -> None:
@@ -165,10 +153,7 @@ def _mult_last_two(alg: QuadraticAlgebra, t: Tensor):
 
 def _sigma_power_delta(sigma, delta, w: Tensor, i: int) -> Tensor:
     """(sigma^(x)(i-1) (x) delta)(w) on W_i."""
-    t = w
-    for slot in range(1, i):
-        t = t.apply_matrix_at(slot, sigma.matrix)
-    return t.apply_images_at(i, delta.images)
+    return w.apply_matrix_slots(range(1, i), sigma.matrix).apply_images_at(i, delta.images)
 
 
 def build_sequence_pair(
@@ -370,7 +355,7 @@ def nakayama_of_B(
     r_hat = ore_relations(sigma, delta)
     for b in r_hat.basis():
         t = Tensor.from_vec(b, nv + 1, 2)
-        image = t.apply_matrix_at(1, mu_b).apply_matrix_at(2, mu_b)
+        image = t.apply_matrix_slots((1, 2), mu_b)
         if not r_hat.contains(image.to_vec()):
             raise AutomorphismCheckFailedError("mu_B does not preserve R-hat")
     cy = sigma.matrix == p and div.divergence.is_zero()
@@ -417,19 +402,24 @@ def twisted_superpotential_hat(
     m_hat_rows = [list(r) + [ZERO] for r in sigma.matrix.rows]
     m_hat_rows.append([ZERO] * nv + [ONE])
     m_hat = Matrix(m_hat_rows)
-    cyclic = Tensor(nh, d + 1)
-    for i in range(d + 1):
-        t = z.tensor(omega_h)
-        for slot in range(2, 2 + i):
-            t = t.apply_matrix_at(slot, m_hat)
-        cyclic = cyclic + t.tau(i).scale(_sign(i))
-    right_part = Tensor(nh, d + 1)
+    # term i of the cyclic part carries m-hat at slots 2..i+1, one slot
+    # more than term i-1
+    t = z.tensor(omega_h)
+    cyclic_terms = [(ONE, t)]
     for i in range(1, d + 1):
-        right_part = right_part + sp.apply_right(i, omega, d - i).embed(nh).scale(_sign(i))
-    left_part = Tensor(nh, d + 1)
-    for i in range(1, d + 1):
-        left_part = left_part + sp.apply_left(i, omega, d - i).embed(nh).scale(_sign(i))
-    left_part = left_part.scale(_sign(d + 1))
+        t = t.apply_matrix_slots((i + 1,), m_hat)
+        cyclic_terms.append((_sign(i), t.tau(i)))
+    cyclic = Tensor.combine(nh, d + 1, cyclic_terms)
+    right_part = Tensor.combine(
+        nh,
+        d + 1,
+        ((_sign(i), sp.apply_right(i, omega, d - i).embed(nh)) for i in range(1, d + 1)),
+    )
+    left_part = Tensor.combine(
+        nh,
+        d + 1,
+        ((_sign(i + d + 1), sp.apply_left(i, omega, d - i).embed(nh)) for i in range(1, d + 1)),
+    )
     form1 = cyclic + right_part
     form2 = cyclic + left_part
     if form1 != form2:
@@ -447,7 +437,7 @@ def twisted_superpotential_hat(
         mu_b = nakayama_of_B(
             sigma, delta, sp, with_superpotential=False
         ).mu_B
-    twisted = form1.apply_matrix_at(1, mu_b).tau(d).scale(_sign(d))
+    twisted = form1.apply_matrix_slots((1,), mu_b).tau(d).scale(_sign(d))
     if twisted != form1:
         raise TwistFailureError(
             f"twist condition fails; residual {twisted - form1!r}"

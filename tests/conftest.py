@@ -133,6 +133,78 @@ def compose_rows(first, second) -> list[dict]:
     return out
 
 
+def _acc(es: dict, key, c) -> None:
+    """es[key] += c, dropping the entry when it cancels."""
+    s = es.get(key, 0) + c
+    if s:
+        es[key] = s
+    else:
+        es.pop(key, None)
+
+
+def fraction_apply_matrix_at(entries: dict, slot: int, m) -> dict:
+    """The Fraction route of one slot of a matrix (rows are images), an
+    oracle for the scaled-integer ``Tensor`` kernels."""
+    k = slot - 1
+    es: dict = {}
+    for w, c in entries.items():
+        for j, a in enumerate(m.rows[w[k]]):
+            if a:
+                _acc(es, w[:k] + (j,) + w[k + 1 :], c * a)
+    return es
+
+
+def fraction_apply_images_at(entries: dict, slot: int, images) -> dict:
+    """The Fraction route of substituting images (Tensors) at one slot."""
+    k = slot - 1
+    es: dict = {}
+    for w, c in entries.items():
+        for wi, ci in images[w[k]].entries.items():
+            _acc(es, w[:k] + wi + w[k + 1 :], c * ci)
+    return es
+
+
+def fraction_expand_through(entries: dict, nv, left, space, space_degree, right):
+    """The Fraction route of the sandwich reader: coefficients at the
+    shifted pivot words, then a Fraction residual; None outside."""
+    basis = space.basis()
+    index = {_word(p, space_degree, nv): l for l, p in enumerate(space.pivots)}
+    end = left + space_degree
+    coeffs = {}
+    for w, c in entries.items():
+        l = index.get(w[left:end])
+        if l is not None:
+            coeffs[(w[:left], l, w[end:])] = c
+    rest = dict(entries)
+    for (jl, l, jr), c in coeffs.items():
+        for k, v in basis[l].items():
+            _acc(rest, jl + _word(k, space_degree, nv) + jr, -c * v)
+    return None if rest else coeffs
+
+
+def fraction_sandwich_map(entries, nv, left, space, space_degree, right, images, m):
+    """The Fraction route of ``linalg.sandwich_map``: read, substitute,
+    then m slot by slot on the left factors."""
+    coeffs = fraction_expand_through(entries, nv, left, space, space_degree, right)
+    if coeffs is None:
+        return None
+    es: dict = {}
+    for (jl, l, jr), c in coeffs.items():
+        for iw, ic in images[l].entries.items():
+            _acc(es, jl + iw + jr, c * ic)
+    for slot in range(1, left + 1):
+        es = fraction_apply_matrix_at(es, slot, m)
+    return es
+
+
+def _word(flat: int, degree: int, nv: int) -> tuple:
+    w = []
+    for _ in range(degree):
+        flat, r = divmod(flat, nv)
+        w.append(r)
+    return tuple(reversed(w))
+
+
 def tensor_of_gamma(gamma) -> list:
     from orenaka import gamma_images
 

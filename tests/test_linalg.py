@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orenaka import (
     Matrix,
@@ -10,6 +11,7 @@ from orenaka import (
     NotInvertibleError,
     Subspace,
     Tensor,
+    make_polynomial,
     rref,
     scalar,
     solve_affine,
@@ -17,10 +19,22 @@ from orenaka import (
     subspace_sum,
 )
 
-from orenaka.linalg import P61, expand_through, rank, shift, solve_columns
+from orenaka.linalg import (
+    P61,
+    _scaled,
+    expand_through,
+    rank,
+    sandwich_map,
+    shift,
+    solve_columns,
+)
 
 from conftest import (
     catalog_algebras,
+    fraction_apply_images_at,
+    fraction_apply_matrix_at,
+    fraction_expand_through,
+    fraction_sandwich_map,
     minor_rank,
     rand_frac,
     rand_matrix,
@@ -386,3 +400,183 @@ def test_expand_through_membership_matches_shifted_space():
                                 Tensor.word(nv, jr)
                             )
                         assert rebuilt == t, name
+
+
+# ---------------------------------------------------------------------------
+# Scaled-integer tensor kernels against the Fraction route (conftest)
+
+_BIG = 2**100
+# denominators that share factors, the Mersenne prime P61 and ones above 2^100
+_denominators = st.one_of(
+    st.sampled_from([1, 2, 3, 4, 6, 9, 12, 18, 36]),
+    st.just(P61),
+    st.integers(_BIG + 1, _BIG << 8),
+)
+_rationals = st.builds(Fraction, st.integers(-30, 30), _denominators)
+
+
+@st.composite
+def _tensors(draw, nv, degree, max_size=10):
+    word = st.tuples(*[st.integers(0, nv - 1)] * degree)
+    return Tensor(nv, degree, draw(st.dictionaries(word, _rationals, max_size=max_size)))
+
+
+@st.composite
+def _matrix_and_tensor(draw):
+    """A matrix, singular when a row is drawn as a multiple of another,
+    and a tensor; on singular matrices the tensor gains a pair of words
+    whose images cancel at a drawn slot."""
+    nv = draw(st.integers(2, 3))
+    degree = draw(st.integers(1, 3))
+    rows = [draw(st.lists(_rationals, min_size=nv, max_size=nv)) for _ in range(nv)]
+    t = draw(_tensors(nv, degree))
+    if draw(st.booleans()):
+        i, j = draw(st.permutations(range(nv)))[:2]
+        c = draw(_rationals.filter(bool))
+        rows[j] = [c * x for x in rows[i]]
+        k = draw(st.integers(0, degree - 1))
+        w = list(draw(st.tuples(*[st.integers(0, nv - 1)] * degree)))
+        x = draw(_rationals.filter(bool))
+        es = dict(t.entries)
+        w[k] = i
+        es[tuple(w)] = c * x
+        w[k] = j
+        es[tuple(w)] = -x
+        t = Tensor(nv, degree, es)
+    return Matrix(rows), t
+
+
+def _assert_same_entries(out: Tensor, expected: dict):
+    assert all(c for c in out.entries.values()), "a zero entry is stored"
+    assert out.entries == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrix_and_tensor(), st.data())
+def test_apply_matrix_slots_matches_fraction_route(mt, data):
+    m, t = mt
+    slots = data.draw(st.lists(st.integers(1, t.degree), max_size=3))
+    expected = dict(t.entries)
+    for slot in slots:
+        expected = fraction_apply_matrix_at(expected, slot, m)
+    _assert_same_entries(t.apply_matrix_slots(slots, m), expected)
+    if slots:
+        assert t.apply_matrix_at(slots[0], m).entries == fraction_apply_matrix_at(
+            t.entries, slots[0], m
+        )
+
+
+def test_apply_matrix_slots_rejects_bad_slots_and_sizes():
+    t = Tensor(2, 2, {(0, 1): 1})
+    for slots in ((0,), (1, 3)):
+        with pytest.raises(ValueError):
+            t.apply_matrix_slots(slots, Matrix.identity(2))
+    with pytest.raises(ValueError):
+        t.apply_matrix_slots((1,), Matrix.identity(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_images_at_matches_fraction_route(data):
+    nv = data.draw(st.integers(2, 3))
+    t = data.draw(_tensors(nv, data.draw(st.integers(1, 3))))
+    kdeg = data.draw(st.integers(1, 2))
+    images = [data.draw(_tensors(nv, kdeg, max_size=4)) for _ in range(nv)]
+    slot = data.draw(st.integers(1, t.degree))
+    out = t.apply_images_at(slot, images)
+    assert out.degree == t.degree + kdeg - 1
+    _assert_same_entries(out, fraction_apply_images_at(t.entries, slot, images))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_combine_matches_fraction_sum_and_scaling_is_lcm(data):
+    nv, degree = 2, data.draw(st.integers(1, 3))
+    terms = [(data.draw(_rationals), data.draw(_tensors(nv, degree))) for _ in range(3)]
+    terms.append((-terms[0][0], terms[0][1]))  # cancels the first term
+    expected: dict = {}
+    for c, t in terms:
+        for w, v in t.entries.items():
+            expected[w] = expected.get(w, 0) + c * v
+    _assert_same_entries(
+        Tensor.combine(nv, degree, terms), {w: v for w, v in expected.items() if v}
+    )
+    for _, t in terms:
+        nums, den = _scaled(t.entries)
+        assert den == lcm(*(c.denominator for c in t.entries.values()))
+        assert {w: Fraction(n, den) for w, n in nums.items()} == t.entries
+
+
+@st.composite
+def _sandwich(draw):
+    """A subspace S of V^(x)2 from random rational rows (its RREF rows
+    carry assorted denominators), outer degrees, a member of the
+    sandwich and a perturbation of it by one word."""
+    nv = draw(st.integers(2, 3))
+    rows = draw(
+        st.lists(st.dictionaries(st.integers(0, nv * nv - 1), _rationals, max_size=4),
+                 min_size=1, max_size=3)
+    )
+    space = Subspace(nv * nv, rows)
+    assume(space.dim)
+    left, right = draw(st.integers(0, 2)), draw(st.integers(0, 1))
+    basis = space.basis()
+    member: dict = {}
+    for _ in range(draw(st.integers(0, 4))):
+        jl = draw(st.tuples(*[st.integers(0, nv - 1)] * left))
+        jr = draw(st.tuples(*[st.integers(0, nv - 1)] * right))
+        if basis:
+            row = basis[draw(st.integers(0, len(basis) - 1))]
+            c = draw(_rationals)
+            for k, v in row.items():
+                key = jl + divmod(k, nv) + jr
+                member[key] = member.get(key, 0) + c * v
+    degree = left + 2 + right
+    perturbed = dict(member)
+    w = draw(st.tuples(*[st.integers(0, nv - 1)] * degree))
+    perturbed[w] = perturbed.get(w, 0) + draw(_rationals.filter(bool))
+    return nv, space, left, right, Tensor(nv, degree, member), Tensor(nv, degree, perturbed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sandwich(), st.data())
+def test_expand_through_and_sandwich_map_match_fraction_route(case, data):
+    nv, space, left, right, member, perturbed = case
+    sandwich = shift(space, nv, left, right)
+    m = Matrix([data.draw(st.lists(_rationals, min_size=nv, max_size=nv)) for _ in range(nv)])
+    kdeg = data.draw(st.integers(1, 3))
+    images = [data.draw(_tensors(nv, kdeg, max_size=4)) for _ in range(space.dim)]
+    for t in (member, perturbed):
+        coeffs = expand_through(t, left, space, 2, right)
+        expected = fraction_expand_through(t.entries, nv, left, space, 2, right)
+        assert coeffs == expected
+        assert (coeffs is not None) == sandwich.contains(t.to_vec())
+        out = sandwich_map(t, left, space, 2, right, images, m)
+        mapped = fraction_sandwich_map(t.entries, nv, left, space, 2, right, images, m)
+        if mapped is None:
+            assert out is None
+        else:
+            assert out.degree == left + kdeg + right
+            _assert_same_entries(out, mapped)
+    assert expand_through(member, left, space, 2, right) is not None
+
+
+def test_expand_through_rows_with_distinct_denominators():
+    # RREF rows over 2 and 3: the residual must scale each row by its own
+    # denominator to see that a member cancels
+    space = Subspace(4, [{0: 1, 1: Fraction(1, 2)}, {2: 1, 3: Fraction(1, 3)}])
+    t = Tensor(
+        2, 3, {(0, 0, 0): 5, (0, 0, 1): Fraction(5, 2), (1, 1, 0): 7, (1, 1, 1): Fraction(7, 3)}
+    )
+    assert expand_through(t, 1, space, 2, 0) == {((0,), 0, ()): 5, ((1,), 1, ()): 7}
+    assert expand_through(t + Tensor.word(2, (1, 1, 1)), 1, space, 2, 0) is None
+
+
+def test_expand_through_rejects_mismatched_shapes():
+    # a degree-3 tensor is not in V^0 (x) R (x) V^0, whatever its entries
+    r = make_polynomial(2).R
+    t = Tensor(2, 3, {(0, 1, 0): 1, (1, 0, 0): -1})
+    with pytest.raises(ValueError):
+        expand_through(t, 0, r, 2, 0)
+    with pytest.raises(ValueError):
+        expand_through(t, 1, make_polynomial(3).R, 2, 0)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from orenaka import (
+    DerivationLift,
     Matrix,
     NotAdmissibleError,
     NotInvertibleError,
@@ -22,6 +23,7 @@ from orenaka import (
     nakayama_of_A_dim2_closed_form,
     random_admissible_automorphism,
 )
+from orenaka.linalg import solve_columns
 
 from conftest import catalog_algebras, rand_frac, rand_invertible
 
@@ -244,3 +246,49 @@ def test_admissible_lift_space_dimensions():
     j = make_jordan_plane()
     sj = check_automorphism(Matrix([[1, 2], [0, 1]]), j)
     assert len(admissible_lift_space(j, sj)) == 4 + 2 * j.R.dim
+
+
+def _lift_space_by_unit_extension(alg, sigma):
+    """Admissible lifts from the extension of each unit lift separately:
+    the per-(lift, relation) route the relabelling replaces."""
+    nv = alg.nv
+    sandwich = alg.sandwich_space()
+    rels = [Tensor.from_vec(b, nv, 2) for b in alg.R.basis()]
+    cols = []
+    for i in range(nv):
+        for s in range(nv):
+            for t in range(nv):
+                unit = [Tensor(nv, 2) for _ in range(nv)]
+                unit[i] = Tensor.word(nv, (s, t))
+                lift = DerivationLift(unit, sigma)
+                col = {}
+                for ridx, rt in enumerate(rels):
+                    for k, v in sandwich.reduce(lift.extend(rt).to_vec()).items():
+                        col[(ridx, k)] = v
+                cols.append(col)
+    _, kernel = solve_columns(cols, [])
+    basis = []
+    for kv in kernel:
+        images = [{} for _ in range(nv)]
+        for unk, c in kv.items():
+            i, rest = divmod(unk, nv * nv)
+            images[i][divmod(rest, nv)] = c
+        basis.append([Tensor(nv, 2, es) for es in images])
+    return basis
+
+
+def test_admissible_lift_space_matches_unit_extension():
+    rng = random.Random(23)
+    p3 = make_polynomial(3)
+    cases = [
+        (p3, check_automorphism(rand_invertible(rng, 3), p3)),
+        (make_quantum_plane(2), None),
+        (make_jordan_plane(), None),
+    ]
+    for alg, sig in cases:
+        if sig is None:
+            sig = random_admissible_automorphism(alg, rng)
+        basis = admissible_lift_space(alg, sig)
+        assert basis == _lift_space_by_unit_extension(alg, sig)
+        for images in basis:
+            extend_derivation(images, sig, alg)  # admissible, or raises
