@@ -43,7 +43,7 @@ def main():
     comm = make_polynomial(2)
     m = Matrix([[1, 2], [3, 4]])
     print(f"hdet on the commutative plane for {m!r}: "
-          f"{hdet(check_automorphism(m, comm))} (= det M = {m.det()})")
+          f"{hdet(check_automorphism(m, comm))} (= det M = {m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]})")
 
     qm1 = make_quantum_plane(-1)
     anti = check_automorphism(Matrix([[0, Fraction(1, 2)], [6, 0]]), qm1)

@@ -23,8 +23,8 @@ from fractions import Fraction
 import random
 from typing import Mapping, Sequence
 
-from .errors import CasePreconditionError, NotAdmissibleError, NotInvertibleError
-from .linalg import ONE, ZERO, Matrix, Tensor, scalar, scalar_str
+from .errors import CasePreconditionError, NotAdmissibleError
+from .linalg import ONE, ZERO, Matrix, Tensor, rank, scalar, scalar_str
 from .morphisms import (
     DerivationLift,
     GradedAutomorphism,
@@ -175,10 +175,9 @@ def dim2_nakayama_oracle(
         [ c_r - c_l M^{-1}(Q^T)^{-1}Q   hdet(M) ]
 
     acting on (x1, x2, z), with delta(r) = r (x) delta_r + delta_l (x) r
-    and delta_r = c_r x, delta_l = c_l x.
+    and delta_r = c_r x, delta_l = c_l x.  A singular Q or M raises
+    NotInvertibleError.
     """
-    if q_mat.det() == 0 or m.det() == 0:
-        raise NotInvertibleError("Q and M must be invertible")
     core = -(m.inverse()) * (q_mat.transpose().inverse()) * q_mat
     h = dim2_hdet(q_mat, m)
     cr = [scalar(x) for x in c_r]
@@ -811,7 +810,7 @@ def random_admissible_automorphism(
     # polynomial-type: any invertible matrix preserves the relations
     while True:
         m = Matrix([[random_rational(rng) for _ in range(nv)] for _ in range(nv)])
-        if m.det():
+        if rank(dict(enumerate(r)) for r in m.rows) == nv:
             return check_automorphism(m, alg)
 
 

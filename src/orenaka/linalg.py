@@ -29,16 +29,37 @@ coefficient of a sandwich element on the row (J_left, l, J_right) is
 therefore its entry at the word J_left + pivot_word(l) + J_right.
 
 Elimination.  One kernel, ``echelon``, row-reduces for the whole
-package, in two modes.  Forward only, it clears each row at its leading
-column and returns an echelon basis, over Q or over F_p; ``rank``
+package, over Q or over F_p, in two modes.  Forward only, it clears
+each row at its leading column and returns an echelon basis; ``rank``
 counts its rows.  With ``reduced=True`` one back pass makes it the
-canonical RREF, over Q only; ``Subspace``, ``solve_columns``, ``rref``
-and ``Matrix.inverse`` read their results off that.  The kernel picks
-its own row order (sparsest first).  The order is free because nothing
-read off the kernel depends on it: the rank does not, the RREF of a
-span is unique, and so is the particular solution with every free
-unknown zero.  ``Matrix.det`` keeps its own elimination, as the
-independent oracle that ``hdet`` is tested against.
+canonical RREF; ``Subspace``, ``solve_columns``, ``rref`` and
+``Matrix.inverse`` read their results off that through
+``fraction_rows``, and the normal-form reducer of ``quadratic`` reads
+the integer rows themselves.  The kernel picks its own row order
+(sparsest first).  The order is free because nothing read off the
+kernel depends on it: the rank does not, the RREF of a span is unique,
+and so is the particular solution with every free unknown zero.
+
+Over Q the kernel is fraction-free.  Each input row is scaled once by
+the lcm of its denominators and divided by its content, the gcd of its
+entries.  A row r meets the pivot row piv at column c by
+cross-multiplication, r <- (b/g) r - (a/g) piv with a = r[c], b =
+piv[c] and g = gcd(a, b), and its content is removed again; the back
+pass clears columns the same way.  Stored rows are primitive with a
+positive pivot entry.  Only the output becomes Fractions, one
+``Fraction(v, lead)`` per entry, and a rank builds none.  The result is
+bit-identical to elimination in Fractions: a primitive row spans the
+same line as the rational row normalised to 1, dividing by its pivot
+entry gives that rational row exactly, and the RREF of a span is
+unique.  Cost: an RREF row made primitive is the rational row times its
+least common denominator, which divides the pivot minor det M_{S,P} of
+the scaled input M (Cramer's rule on a row basis S and the pivot
+columns P), so its entries are k x k minors of M up to a common factor,
+at most Hadamard's bound of k*log2(k)/2 + k*log2(max |entry|) bits for
+rank k.  No such bound is proved for the rows in flight of the forward
+pass; they carry no denominators, and one clearing step holds the
+product of two stored rows until the gcd pass, linear in the row
+length, divides the content out.
 
 Scaled integers.  The tensor kernels (``Tensor.apply_matrix_slots``,
 ``Tensor.apply_images_at``, ``Tensor.combine``, ``sandwich_map`` and
@@ -54,14 +75,16 @@ The cost is bounded by the shared denominators: one grows with the
 number of distinct denominators in its operand (at worst their
 product, when they are pairwise coprime), and a slot pass multiplies
 by the matrix denominator once per slot.  The operands that reach
-these kernels carry small denominators; the 150-bit coefficients of
-the normal-form reducer (``quadratic``) never do.
+these kernels carry small denominators.  The large coefficients of the
+normal forms (150 bits in degree 5 on the Sklyanin extension of the
+benchmark) are integers too, but they meet only ``echelon`` and the
+integer sums of ``quadratic``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NoSolutionError, NotInvertibleError
@@ -195,28 +218,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
-    def det(self) -> Fraction:
-        """Determinant by fraction-free-enough Gaussian elimination."""
-        if not self.is_square():
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        a = [list(r) for r in self.rows]
-        d = ONE
-        for c in range(n):
-            p = next((r for r in range(c, n) if a[r][c] != 0), None)
-            if p is None:
-                return ZERO
-            if p != c:
-                a[c], a[p] = a[p], a[c]
-                d = -d
-            d *= a[c][c]
-            inv = ONE / a[c][c]
-            for r in range(c + 1, n):
-                f = a[r][c] * inv
-                if f:
-                    a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-        return d
-
     def inverse(self) -> "Matrix":
         """Inverse by reduced elimination of [M | I]: M is invertible
         exactly when the pivots are the columns 0..n-1 of M."""
@@ -227,7 +228,7 @@ class Matrix:
             {**{j: e for j, e in enumerate(r) if e}, n + i: ONE}
             for i, r in enumerate(self.rows)
         ]
-        piv = echelon(aug, reduced=True)
+        piv = fraction_rows(echelon(aug, reduced=True))
         if any(p >= n for p in piv):
             raise NotInvertibleError("singular matrix")
         return Matrix([[piv[i].get(n + j, ZERO) for j in range(n)] for i in range(n)])
@@ -253,65 +254,117 @@ P61 = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
 
 def echelon(
     rows: Iterable[Mapping], p: int | None = None, reduced: bool = False
-) -> dict[int, dict] | None:
-    """Echelon basis of the span of sparse rows, as {pivot: row}.
+) -> dict[int, dict[int, int]] | None:
+    """Echelon basis of the span of sparse rows, as {pivot: int row}.
 
-    With a prime ``p`` the rows are reduced mod p first, each entry
-    num/den becoming num * den^-1 mod p, and the elimination runs over
-    F_p; the result is None when p divides a denominator, because the
-    reduction is then undefined.  Without ``p`` it runs over Q.
+    Entries may be ints or Fractions.  Over Q (no ``p``) each row is
+    scaled once to integers and divided by its content; every stored row
+    is primitive with a positive entry at its pivot, and stands for the
+    rational row ``{k: v / row[pivot]}`` (``fraction_rows``).  With a
+    prime ``p`` each entry num/den becomes num * den^-1 mod p and the
+    stored rows are normalised to 1; the result is None when p divides a
+    denominator, because the reduction is then undefined.
 
     Rows are taken sparsest first.  Each is cleared at its leading
-    column against the pivot row stored there until it finds a free
-    leading column, where it is stored normalised to 1, or vanishes.
-    With ``reduced`` (over Q only) one back pass in descending pivot
-    order clears every pivot column from the other rows, which gives
-    the canonical RREF basis.
+    column against the pivot row stored there (``_clear``) until it
+    finds a free leading column, where it is stored, or vanishes.  With
+    ``reduced`` one back pass in descending pivot order clears every
+    pivot column from the other rows, which gives the canonical RREF
+    basis.
     """
-    pivots: dict[int, dict] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
-        if p is None:
-            r = {k: v for k, v in row.items() if v}
-        else:
-            r = {}
-            for k, v in row.items():
-                den = v.denominator
-                if den == 1:
-                    x = v.numerator % p
-                elif den % p:
-                    x = v.numerator * pow(den, -1, p) % p
-                else:
-                    return None
-                if x:
-                    r[k] = x
+        r = _integer_row(row, p)
+        if r is None:
+            return None
         while r:
             lead = min(r)
             piv = pivots.get(lead)
             if piv is None:
-                if p is None:
-                    inv = ONE / r[lead]
-                    pivots[lead] = {k: v * inv for k, v in r.items()}
-                else:
-                    inv = pow(r[lead], -1, p)
-                    pivots[lead] = {k: v * inv % p for k, v in r.items()}
-                break
-            f = r[lead]
-            for k, v in piv.items():
-                s = r.get(k, 0) - f * v
                 if p is not None:
-                    s %= p
-                if s:
-                    r[k] = s
-                else:
-                    del r[k]
+                    inv = pow(r[lead], -1, p)
+                    r = {k: v * inv % p for k, v in r.items()}
+                elif r[lead] < 0:
+                    r = {k: -v for k, v in r.items()}
+                pivots[lead] = r
+                break
+            r = _clear(r, piv, lead, p)
     if reduced:
-        # each later row is reduced already, so subtracting it brings in
-        # no pivot column: one list of hits per row suffices
+        # each later row is reduced already, so clearing against it brings
+        # in no pivot column: one list of hits per row suffices
         for lead in sorted(pivots, reverse=True):
             r = pivots[lead]
             for k in [k for k in r if k != lead and k in pivots]:
-                _sub_scaled(r, pivots[k], r[k])
+                r = _clear(r, pivots[k], k, p)
+            pivots[lead] = r
     return pivots
+
+
+def _integer_row(row: Mapping, p: int | None) -> dict[int, int] | None:
+    """A row's nonzero entries as ints: over Q scaled by the lcm of the
+    denominators and made primitive, over F_p reduced mod p (None when p
+    divides a denominator)."""
+    if p is None:
+        den = lcm(*[v.denominator for v in row.values()])
+        return _primitive(
+            {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
+        )
+    r = {}
+    for k, v in row.items():
+        den = v.denominator
+        if den == 1:
+            x = v.numerator % p
+        elif den % p:
+            x = v.numerator * pow(den, -1, p) % p
+        else:
+            return None
+        if x:
+            r[k] = x
+    return r
+
+
+def _clear(r: dict, piv: Mapping, col: int, p: int | None) -> dict:
+    """r with column ``col`` cleared against the pivot row ``piv``, in
+    place.  Over F_p, where piv[col] is 1, r - r[col] * piv; over Q, the
+    primitive part of (b/g) * r - (a/g) * piv with a = r[col], b =
+    piv[col] and g = gcd(a, b)."""
+    a = r[col]
+    if p is not None:
+        for k, v in piv.items():
+            s = (r.get(k, 0) - a * v) % p
+            if s:
+                r[k] = s
+            else:
+                del r[k]
+        return r
+    b = piv[col]
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if b != 1:
+        for k in r:
+            r[k] *= b
+    for k, v in piv.items():
+        s = r.get(k, 0) - a * v
+        if s:
+            r[k] = s
+        else:
+            del r[k]
+    return _primitive(r)
+
+
+def _primitive(r: dict[int, int]) -> dict[int, int]:
+    """r divided by its content, the gcd of its entries."""
+    g = gcd(*r.values())
+    return {k: v // g for k, v in r.items()} if g > 1 else r
+
+
+def fraction_rows(pivots: Mapping[int, Mapping[int, int]]) -> dict[int, dict[int, Fraction]]:
+    """The rational rows of an ``echelon`` result over Q, each
+    normalised to 1 at its pivot: one Fraction per entry."""
+    return {
+        lead: {k: Fraction(v, r[lead]) for k, v in r.items()} for lead, r in pivots.items()
+    }
 
 
 def rank(rows: Iterable[Mapping], p: int | None = None) -> int | None:
@@ -353,8 +406,8 @@ class Subspace:
 
     def __init__(self, ambient: int, rows: Iterable[Mapping] = ()):
         self.ambient = ambient
-        self._rows = echelon(
-            ({k: scalar(v) for k, v in row.items()} for row in rows), reduced=True
+        self._rows = fraction_rows(
+            echelon(({k: scalar(v) for k, v in row.items()} for row in rows), reduced=True)
         )
         if self._rows and (
             min(self._rows) < 0 or max(max(r) for r in self._rows.values()) >= ambient
@@ -488,7 +541,7 @@ def solve_columns(
         for rk, v in rhs.items():
             if v:
                 rows.setdefault(rk, {})[u + t] = v
-    pivots = echelon(rows.values(), reduced=True)
+    pivots = fraction_rows(echelon(rows.values(), reduced=True))
     # a pivot row past the unknowns reads 0 = rhs_t for each t it carries
     inconsistent = {k - u for p, r in pivots.items() if p >= u for k in r}
     bound = [(p, r) for p, r in pivots.items() if p < u]

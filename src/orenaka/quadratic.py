@@ -17,12 +17,28 @@ Homogeneous bases: A_m is presented as (A_{m-1} (x) V) / im(A_{m-2}
 pairs, in lexicographic word order, are the chosen monomial basis.
 This keeps every elimination matrix small while staying deterministic
 under the package-wide flattening order.
+
+Normal forms are held in integers.  A normal form is a pair (nums,
+den): int numerators by basis position over one positive denominator,
+content-reduced (gcd(den, *nums) = 1), so den is the lcm of the reduced
+denominators of its coefficients.  Each piece stores one such pair for
+every (A_{m-1} monomial, letter) column, read off the primitive integer
+RREF rows of ``linalg.echelon``: the pivot entry of a row is the
+denominator, and a primitive row gives a content-reduced form.  ``_nf``
+caches the form of each word, and the products and sums of
+``_build_piece``, ``differential_rows`` and ``nf_tensor`` run on
+numerators over a common denominator (``_int_sum``).  Fractions are
+built only at the public edge, one per entry of ``nf_word``,
+``nf_tensor`` and each differential row.  Each is the exact rational
+that elimination in Fractions gives: the RREF of the reducer is unique,
+and integer arithmetic is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import CertificationError, EngineInvariantError, NotASRegularError
@@ -33,6 +49,7 @@ from .linalg import (
     Matrix,
     Subspace,
     Tensor,
+    echelon,
     expand_through,
     rank,
     shift,
@@ -59,16 +76,15 @@ class KoszulCertificate:
 
 
 class _Piece:
-    """Degree-m homogeneous data: chosen basis words and the reducer."""
+    """Degree-m homogeneous data: the chosen basis words and, for every
+    pair column b * nv + v of A_{m-1} (x) V, its normal form in A_m as
+    (int numerators by basis position, denominator)."""
 
-    __slots__ = ("words", "reducer", "col_index", "pair_map")
+    __slots__ = ("words", "pairs")
 
-    def __init__(self, words, reducer=None, pair_cols=()):
+    def __init__(self, words, pairs=()):
         self.words = words
-        self.reducer = reducer          # Subspace of the (A_{m-1} x V) pair space
-        # non-pivot pair column -> its position in the chosen basis
-        self.col_index = {p: k for k, p in enumerate(pair_cols)}
-        self.pair_map: dict[int, dict] = {}
+        self.pairs = pairs
 
 
 _NO_PIECE = _Piece([])  # A_m = 0 for m < 0
@@ -125,26 +141,26 @@ class QuadraticAlgebra:
         nv = self.nv
         lower = self._piece(m - 1)
         lower2 = self._piece(m - 2)
-        rel_rows = self.R.basis()
+        rels = [[(divmod(pair, nv), c) for pair, c in rel.items()] for rel in self.R.basis()]
         rows = []
         for aw in lower2.words:
-            for rel in rel_rows:
-                row: dict[int, Fraction] = {}
-                for pair_flat, c in rel.items():
-                    u, v = divmod(pair_flat, nv)
-                    for b_idx, cb in self.nf_word(aw + (u,)).items():
-                        key = b_idx * nv + v
-                        s = row.get(key, ZERO) + c * cb
-                        if s:
-                            row[key] = s
-                        else:
-                            row.pop(key, None)
-                rows.append(row)
-        reducer = Subspace(len(lower.words) * nv, rows)
-        pivots = set(reducer.pivots)
-        pair_cols = [p for p in range(len(lower.words) * nv) if p not in pivots]
+            for rel in rels:
+                # the numerators alone: scaling a row keeps its span
+                rows.append(_int_sum((c, self._nf(aw + (u,)), nv, v) for (u, v), c in rel)[0])
+        # a primitive RREF row p reads e_p = -sum_k (row[k] / row[p]) e_k in A_m
+        reducer = echelon(rows, reduced=True)
+        npairs = len(lower.words) * nv
+        pair_cols = [p for p in range(npairs) if p not in reducer]
+        col = {p: k for k, p in enumerate(pair_cols)}
+        pairs = []
+        for p in range(npairs):
+            row = reducer.get(p)
+            if row is None:
+                pairs.append(({col[p]: 1}, 1))
+            else:
+                pairs.append(({col[k]: -v for k, v in row.items() if k != p}, row[p]))
         words = [lower.words[p // nv] + (p % nv,) for p in pair_cols]
-        return _Piece(words, reducer, pair_cols)
+        return _Piece(words, pairs)
 
     def dim_A(self, m: int) -> int:
         return len(self._piece(m).words)
@@ -156,48 +172,33 @@ class QuadraticAlgebra:
 
     def nf_word(self, word: tuple) -> dict[int, Fraction]:
         """Normal form of a tensor word: sparse coords in the A_m basis."""
-        word = tuple(word)
+        nums, den = self._nf(tuple(word))
+        return {k: Fraction(n, den) for k, n in nums.items()}
+
+    def _nf(self, word: tuple) -> tuple[dict[int, int], int]:
+        """``nf_word`` as reduced int numerators over one denominator."""
         m = len(word)
         if m == 0:
-            return {0: ONE}
+            return {0: 1}, 1
         if m == 1:
-            return {word[0]: ONE}
+            return {word[0]: 1}, 1
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
-        prefix = self.nf_word(word[:-1])
-        out: dict[int, Fraction] = {}
-        for b_idx, cb in prefix.items():
-            for k, c in self._pair_to_basis(m, b_idx * self.nv + word[-1]).items():
-                s = out.get(k, ZERO) + cb * c
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+        prefix, pden = self._nf(word[:-1])
+        pairs = self._piece(m).pairs
+        last = word[-1]
+        nums, den = _int_sum((c, pairs[b * self.nv + last], 1, 0) for b, c in prefix.items())
+        den *= pden
+        g = gcd(den, *nums.values())
+        out = ({k: n // g for k, n in nums.items() if n}, den // g)
         self._nf_cache[word] = out
-        return out
-
-    def _pair_to_basis(self, m: int, pair: int) -> dict[int, Fraction]:
-        piece = self._piece(m)
-        hit = piece.pair_map.get(pair)
-        if hit is not None:
-            return hit
-        rem = piece.reducer.reduce({pair: ONE})
-        out = {piece.col_index[p]: c for p, c in rem.items()}
-        piece.pair_map[pair] = out
         return out
 
     def nf_tensor(self, t: Tensor) -> dict[int, Fraction]:
         """Normal form of an arbitrary tensor of homogeneous degree."""
-        out: dict[int, Fraction] = {}
-        for w, c in t.entries.items():
-            for k, v in self.nf_word(w).items():
-                s = out.get(k, ZERO) + c * v
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
+        nums, den = _int_sum((c, self._nf(w), 1, 0) for w, c in t.entries.items())
+        return {k: Fraction(n, den) for k, n in nums.items() if n}
 
     # -- Koszul spaces ------------------------------------------------------
 
@@ -259,18 +260,12 @@ class QuadraticAlgebra:
             exp = expand_through(Tensor.from_vec(b, nv, i), 0, wprev, i - 1, 1)
             if exp is None:
                 raise EngineInvariantError(f"W_{i} escapes W_{i - 1} (x) V")
-            terms = [(l * dim_anext, v, c) for (_, l, (v,)), c in exp.items()]
+            terms = [(c, v, l * dim_anext) for (_, l, (v,)), c in exp.items()]
             for aw in aj_words:
-                row: dict[int, Fraction] = {}
-                for base, v, c in terms:
-                    for k, cv in self.nf_word((v,) + aw).items():
-                        key = base + k
-                        s = row.get(key, ZERO) + c * cv
-                        if s:
-                            row[key] = s
-                        else:
-                            row.pop(key, None)
-                rows.append(row)
+                nums, den = _int_sum(
+                    (c, self._nf((v,) + aw), 1, base) for c, v, base in terms
+                )
+                rows.append({k: Fraction(n, den) for k, n in nums.items() if n})
         return rows
 
     def koszul_differential(self, i: int, j: int) -> Matrix:
@@ -416,6 +411,23 @@ class QuadraticAlgebra:
     def __repr__(self):
         rel = self.R.dim
         return f"QuadraticAlgebra(<{', '.join(self.names)}> with {rel} relations)"
+
+
+def _int_sum(terms: Iterable[tuple]) -> tuple[dict[int, int], int]:
+    """The sum of c * nums / den over terms (c, (nums, den), stride,
+    offset), entry k of nums placed at column k * stride + offset, as
+    int numerators over the lcm of the c.denominator * den; c may be an
+    int or a Fraction.  Cancelled entries stay as zeros."""
+    terms = [(c.numerator, c.denominator * d, nums, st, off) for c, (nums, d), st, off in terms]
+    big = lcm(*[d for _, d, _, _, _ in terms])
+    out: dict[int, int] = {}
+    get = out.get
+    for cn, d, nums, st, off in terms:
+        f = cn * (big // d)
+        for k, n in nums.items():
+            key = k * st + off
+            out[key] = get(key, 0) + f * n
+    return out, big
 
 
 def _inexact_at(dims: Sequence[int], ranks: Sequence[int]) -> int | None:

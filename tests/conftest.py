@@ -142,6 +142,33 @@ def _acc(es: dict, key, c) -> None:
         es.pop(key, None)
 
 
+def fraction_echelon(rows, reduced: bool = False) -> dict:
+    """The Fraction route of ``linalg.echelon`` over Q, an oracle for the
+    integer kernel: rows in the order given, each cleared at its leading
+    column against the pivot row stored there, pivot rows normalised to
+    1; ``reduced`` adds the back pass that makes the basis the RREF."""
+    pivots: dict = {}
+    for row in rows:
+        r = {k: Fraction(v) for k, v in row.items() if v}
+        while r:
+            lead = min(r)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = {k: v / r[lead] for k, v in r.items()}
+                break
+            f = r[lead]
+            for k, v in piv.items():
+                _acc(r, k, -f * v)
+    if reduced:
+        for lead in sorted(pivots, reverse=True):
+            r = pivots[lead]
+            for k in [k for k in r if k != lead and k in pivots]:
+                f = r[k]
+                for j, v in pivots[k].items():
+                    _acc(r, j, -f * v)
+    return pivots
+
+
 def fraction_apply_matrix_at(entries: dict, slot: int, m) -> dict:
     """The Fraction route of one slot of a matrix (rows are images), an
     oracle for the scaled-integer ``Tensor`` kernels."""

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -21,7 +21,10 @@ from orenaka import (
 
 from orenaka.linalg import (
     P61,
+    _clear,
+    _integer_row,
     _scaled,
+    echelon,
     expand_through,
     rank,
     sandwich_map,
@@ -31,10 +34,13 @@ from orenaka.linalg import (
 
 from conftest import (
     catalog_algebras,
+    compose_rows,
     fraction_apply_images_at,
     fraction_apply_matrix_at,
+    fraction_echelon,
     fraction_expand_through,
     fraction_sandwich_map,
+    minor_det,
     minor_rank,
     rand_frac,
     rand_matrix,
@@ -343,7 +349,7 @@ def test_matrix_inverse_roundtrip():
         n = rng.randint(1, 4)
         while True:
             m = rand_matrix(rng, n)
-            if m.det():
+            if minor_det(m.rows):
                 break
         assert m * m.inverse() == Matrix.identity(n)
         assert m.inverse() * m == Matrix.identity(n)
@@ -580,3 +586,96 @@ def test_expand_through_rejects_mismatched_shapes():
         expand_through(t, 0, r, 2, 0)
     with pytest.raises(ValueError):
         expand_through(t, 1, make_polynomial(3).R, 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# The integer elimination kernel against the Fraction route (conftest)
+
+_entries = st.one_of(
+    _rationals,
+    st.builds(Fraction, st.integers(-(_BIG << 10), _BIG << 10), _denominators),
+)
+
+
+@st.composite
+def _row_system(draw):
+    """Sparse rows over n columns with entries above 2^100 and
+    denominators that share factors; zero, duplicate and dependent rows
+    are mixed in, and a shuffled copy of the list comes with them."""
+    n = draw(st.integers(1, 6))
+    col = st.integers(0, n - 1)
+    rows = draw(st.lists(st.dictionaries(col, _entries, max_size=n), max_size=5))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "dependent"]))
+        if kind == "zero" or not rows:
+            rows.append(draw(st.sampled_from([{}, {0: Fraction(0)}])))
+        elif kind == "duplicate":
+            rows.append(dict(draw(st.sampled_from(rows))))
+        else:
+            acc = {}
+            for r in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                c = draw(_entries.filter(bool))
+                for k, v in r.items():
+                    acc[k] = acc.get(k, 0) + c * v
+            rows.append(acc)
+    return n, rows, draw(st.permutations(rows))
+
+
+def _combination(cols, x) -> dict:
+    """sum_j x[j] * cols[j], zeros dropped."""
+    out = compose_rows([dict(enumerate(x))], cols)[0]
+    return {k: v for k, v in out.items() if v}
+
+
+@settings(max_examples=80, deadline=None)
+@given(_row_system(), st.data())
+def test_echelon_matches_fraction_route(case, data):
+    n, rows, shuffled = case
+    # one clearing step gives the primitive part of the Fraction
+    # difference; checked first, as a broken step can keep a lead forever
+    ints = [r for r in (_integer_row(row, None) for row in rows) if r] + [{0: 1}, {}]
+    piv, r = dict(ints[0]), dict(ints[1])
+    col = min(piv)
+    # b = piv[col] does not divide a = r[col], so both terms count
+    piv[col] = data.draw(st.integers(2, _BIG << 4))
+    r[col] = piv[col] * data.draw(st.integers(-_BIG, _BIG)) + 1
+    f = Fraction(r[col], piv[col])
+    diff = {k: r.get(k, 0) - f * piv.get(k, 0) for k in r.keys() | piv.keys()}
+    diff = {k: v for k, v in diff.items() if v}
+    got = _clear(dict(r), piv, col, None)
+    assert got.keys() == diff.keys() and col not in got
+    assert all(type(v) is int for v in got.values()) and gcd(*got.values()) in (0, 1)
+    if got:
+        k0 = min(got)
+        assert all(got[k] * diff[k0] == diff[k] * got[k0] for k in got)
+    want = fraction_echelon(rows, reduced=True)
+    for order in (rows, shuffled):
+        # forward only: the rank
+        assert rank(order) == len(fraction_echelon(order)) == len(want)
+        p = rank(order, P61)
+        assert p is None or p <= len(want)
+        for lead, row in echelon(order).items():
+            assert all(type(v) is int for v in row.values())
+            assert row[lead] > 0 and gcd(*row.values()) == 1 and min(row) == lead
+        # the canonical RREF
+        assert Subspace(n, order).basis() == [want[k] for k in sorted(want)]
+    # solve_columns: the rows as columns; one right-hand side in their
+    # span and one drawn freely
+    u = len(rows)
+    x0 = data.draw(st.lists(_entries, min_size=u, max_size=u))
+    rhs_list = [_combination(rows, x0), data.draw(st.dictionaries(st.integers(0, n - 1), _entries))]
+    particulars, kernel = solve_columns(shuffled, rhs_list)
+    eqs = [{j: c[k] for j, c in enumerate(shuffled) if c.get(k)} for k in range(n)]
+    bound = set(fraction_echelon(eqs, reduced=True))
+    free = [j for j in range(u) if j not in bound]
+    assert particulars[0] is not None
+    for rhs, x in zip(rhs_list, particulars):
+        if x is None:
+            assert len(fraction_echelon(rows + [rhs])) > len(want)
+            continue
+        assert _combination(shuffled, x) == {k: v for k, v in rhs.items() if v}
+        assert all(x[f] == 0 for f in free)
+    assert len(kernel) == len(free)
+    for f, kv in zip(free, kernel):
+        assert {j: kv.get(j, 0) for j in free} == {j: int(j == f) for j in free}
+        assert _combination(shuffled, [kv.get(j, 0) for j in range(u)]) == {}

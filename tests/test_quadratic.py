@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,14 +11,17 @@ from orenaka import (
     QuadraticAlgebra,
     Subspace,
     Tensor,
+    extend_derivation,
+    identity_automorphism,
     make_jordan_plane,
     make_polynomial,
     make_quantum_plane,
+    ore_relations,
     subspace_intersect,
 )
 
 from orenaka import quadratic
-from orenaka.linalg import P61
+from orenaka.linalg import P61, word_flat
 
 from conftest import (
     catalog_algebras,
@@ -329,3 +333,64 @@ def test_poly1_degenerate_case():
     assert a.omega == Tensor(1, 1, {(0,): 1})
     for m in range(5):
         assert a.dim_A(m) == 1
+
+
+# B = S[w; id, delta] for the Sklyanin algebra S = Sklyanin(1, 2, 3): its
+# normal forms reach 150-bit coefficients in degree 5.  Three admissible
+# lifts over x, y, z = 0, 1, 2 span the derivations of S modulo the lifts
+# V -> R; delta is 1, 2 and 3 times them.
+_SKLYANIN_LIFTS = (
+    ({(1, 0): 1, (2, 2): 1}, {}, {(1, 2): Fraction(1, 3), (2, 1): Fraction(-1, 3)}),
+    ({(1, 1): 1, (2, 0): 1}, {(1, 2): Fraction(-2, 3), (2, 1): Fraction(2, 3)}, {}),
+    ({}, {(1, 0): 1, (2, 2): 1}, {(1, 1): Fraction(1, 2), (2, 0): Fraction(1, 2)}),
+)
+
+
+def _sklyanin_extension() -> QuadraticAlgebra:
+    x, y, z = 0, 1, 2
+    rels = [
+        {(y, z): 1, (z, y): 2, (x, x): 3},
+        {(z, x): 1, (x, z): 2, (y, y): 3},
+        {(x, y): 1, (y, x): 2, (z, z): 3},
+    ]
+    s = QuadraticAlgebra(("x", "y", "z"), [Tensor(3, 2, r) for r in rels])
+    s.certify_as_regular()
+    sigma = identity_automorphism(s)
+    images = [
+        Tensor.combine(3, 2, ((c, Tensor(3, 2, lift[i])) for c, lift in zip((1, 2, 3), _SKLYANIN_LIFTS)))
+        for i in range(3)
+    ]
+    delta = extend_derivation(images, sigma, s)
+    return QuadraticAlgebra(("x", "y", "z", "w"), ore_relations(sigma, delta))
+
+
+def test_sklyanin_extension_normal_forms_and_ranks():
+    b = _sklyanin_extension()
+    cert = b.certify_koszul(5)
+    # every word minus its normal form lies in the ideal, built without
+    # the reducer
+    for m in range(5):
+        ideal = ideal_component(b, m)
+        basis = [word_flat(w, 4) for w in b.basis_words(m)]
+        for w in itertools.product(range(4), repeat=m):
+            vec = {word_flat(w, 4): Fraction(1)}
+            for k, c in b.nf_word(w).items():
+                vec[basis[k]] = vec.get(basis[k], 0) - c
+            assert ideal.contains({k: v for k, v in vec.items() if v}), w
+    # the ranks that exactness forces from dim W_i and dim B_m
+    w_dims = [1, 4, 6, 4, 1]
+    assert [b.koszul_space(i).dim for i in range(6)] == w_dims + [0]
+    want = {}
+    for m in range(1, 6):
+        top = min(m, 4)
+        r = 0
+        for i in range(top, 0, -1):
+            r = w_dims[i] * math.comb(m - i + 3, 3) - r
+            want[(m, i)] = r
+        assert r == math.comb(m + 3, 3) == b.dim_A(m)
+    assert cert.ranks == want
+    bits = max(
+        max(abs(c.numerator), c.denominator).bit_length()
+        for w in b.basis_words(4) for v in range(4) for c in b.nf_word(w + (v,)).values()
+    )
+    assert bits == 150
