@@ -292,36 +292,6 @@ CASE_FREE_PARAMS = {
     "jordan-b": ("g22", "g23"),
 }
 
-CASE_MATRIX_PARAMS = {
-    "comm-a": (),
-    "comm-b": ("m11", "m12"),
-    "comm-c": ("m12", "m22"),
-    "comm-d": ("m11", "m12", "m22"),
-    # mirrored cases take the base case's parameters; the instance
-    # carries the transposed matrix and swapped gammas
-    "comm-e-b": ("m11", "m12"),
-    "comm-e-c": ("m12", "m22"),
-    "comm-e-d": ("m11", "m12", "m22"),
-    "comm-f": ("m11", "m12", "m21", "m22"),
-    "comm-g": ("m11", "m12", "m21", "m22"),
-    "qm1-a": (),
-    "qm1-b": (),
-    "qm1-c": ("m11",),
-    "qm1-d": (),
-    "qm1-e": ("m22",),
-    "qm1-f": ("m11", "m22"),
-    "qm1ii-a": ("m12",),
-    "qm1ii-b": ("m12", "m21"),
-    "qneq1-a": (),
-    "qneq1-b": ("m11",),
-    "qneq1-c": ("m22",),
-    "qneq1-d": ("m22",),
-    "qneq1-e": ("m22",),
-    "qneq1-f": ("m11", "m22"),
-    "jordan-a": ("m12",),
-    "jordan-b": ("m11", "m12"),
-}
-
 
 def _need(params: Mapping, name: str) -> Fraction:
     if name not in params:

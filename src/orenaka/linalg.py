@@ -62,11 +62,14 @@ product of two stored rows until the gcd pass, linear in the row
 length, divides the content out.
 
 Scaled integers.  The tensor kernels (``Tensor.apply_matrix_slots``,
-``Tensor.apply_images_at``, ``Tensor.combine``, ``sandwich_map`` and
-the residual of ``expand_through``) run on integers.  The invariant:
-inside a kernel every entry is an int numerator over one denominator
-shared by the whole operand, the least common multiple of its entries'
-denominators.  Each operand (the tensor, the matrix, the image list) is
+``Tensor.apply_images_at``, ``sandwich_map`` and the residual of
+``expand_through``) run on integers, and so does ``combination``, the
+one summation path for sparse vectors: ``Subspace.reduce``,
+``subspace_intersect`` and ``Tensor.combine`` are calls to it, and only
+the sums over A_m columns in ``quadratic`` keep their own integer loop.
+The invariant: inside a kernel every entry is an int numerator over
+one denominator shared by the whole operand, the least common multiple
+of its entries' denominators.  Each operand (the tensor, the matrix, the image list) is
 scaled once on entry, the kernel multiplies and adds plain ints, and
 each output entry becomes ``Fraction(n, den)`` once, zeros dropped.
 The results are bit-identical to Fraction arithmetic: a rational has
@@ -254,16 +257,16 @@ P61 = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
 
 def echelon(
     rows: Iterable[Mapping], p: int | None = None, reduced: bool = False
-) -> dict[int, dict[int, int]] | None:
+) -> dict[int, dict[int, int]]:
     """Echelon basis of the span of sparse rows, as {pivot: int row}.
 
     Entries may be ints or Fractions.  Over Q (no ``p``) each row is
     scaled once to integers and divided by its content; every stored row
     is primitive with a positive entry at its pivot, and stands for the
     rational row ``{k: v / row[pivot]}`` (``fraction_rows``).  With a
-    prime ``p`` each entry num/den becomes num * den^-1 mod p and the
-    stored rows are normalised to 1; the result is None when p divides a
-    denominator, because the reduction is then undefined.
+    prime ``p`` each row is scaled to integers by the lcm of its
+    denominators and reduced mod p, and the stored rows are normalised
+    to 1.
 
     Rows are taken sparsest first.  Each is cleared at its leading
     column against the pivot row stored there (``_clear``) until it
@@ -275,8 +278,6 @@ def echelon(
     pivots: dict[int, dict[int, int]] = {}
     for row in sorted(rows, key=len):
         r = _integer_row(row, p)
-        if r is None:
-            return None
         while r:
             lead = min(r)
             piv = pivots.get(lead)
@@ -300,27 +301,15 @@ def echelon(
     return pivots
 
 
-def _integer_row(row: Mapping, p: int | None) -> dict[int, int] | None:
-    """A row's nonzero entries as ints: over Q scaled by the lcm of the
-    denominators and made primitive, over F_p reduced mod p (None when p
-    divides a denominator)."""
+def _integer_row(row: Mapping, p: int | None) -> dict[int, int]:
+    """A row's nonzero entries as ints, scaled by the lcm of the
+    denominators: over Q made primitive, over F_p reduced mod p."""
+    den = lcm(*[v.denominator for v in row.values()])
     if p is None:
-        den = lcm(*[v.denominator for v in row.values()])
         return _primitive(
             {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
         )
-    r = {}
-    for k, v in row.items():
-        den = v.denominator
-        if den == 1:
-            x = v.numerator % p
-        elif den % p:
-            x = v.numerator * pow(den, -1, p) % p
-        else:
-            return None
-        if x:
-            r[k] = x
-    return r
+    return {k: x for k, v in row.items() if (x := v.numerator * (den // v.denominator) % p)}
 
 
 def _clear(r: dict, piv: Mapping, col: int, p: int | None) -> dict:
@@ -367,26 +356,16 @@ def fraction_rows(pivots: Mapping[int, Mapping[int, int]]) -> dict[int, dict[int
     }
 
 
-def rank(rows: Iterable[Mapping], p: int | None = None) -> int | None:
+def rank(rows: Iterable[Mapping], p: int | None = None) -> int:
     """Rank of the span of sparse rows: forward elimination only.
 
-    With a prime ``p`` the rank is taken over F_p, and it is None when p
-    divides a denominator.  Whenever it is defined, rank mod p <= rank
-    over Q: a nonzero minor mod p is the image of a nonzero rational
-    minor.  Without ``p`` the result is the exact rank over Q.
+    With a prime ``p`` the rank is taken over F_p of the rows scaled to
+    integers, and rank mod p <= rank over Q: a nonzero minor mod p is
+    the image of a nonzero integer minor, and scaling a row by a nonzero
+    integer keeps the rank over Q.  Without ``p`` the result is the
+    exact rank over Q.
     """
-    piv = echelon(rows, p)
-    return None if piv is None else len(piv)
-
-
-def _sub_scaled(dst: dict, src: Mapping, c: Fraction) -> None:
-    """dst -= c * src, in place, dropping the zeros."""
-    for k, v in src.items():
-        s = dst.get(k, ZERO) - c * v
-        if s:
-            dst[k] = s
-        else:
-            dst.pop(k, None)
+    return len(echelon(rows, p))
 
 
 # ---------------------------------------------------------------------------
@@ -440,14 +419,12 @@ class Subspace:
         return [dict(self._rows[p]) for p in sorted(self._rows)]
 
     def reduce(self, vec: Mapping) -> dict:
-        """Canonical remainder of vec modulo this subspace.
+        """Canonical remainder of vec modulo this subspace, zeros dropped.
 
         A basis row carries no pivot column but its own, so the pivots
         hit by vec are all the subtractions there are."""
-        out = dict(vec)
-        for k in [k for k in out if k in self._rows]:
-            _sub_scaled(out, self._rows[k], out[k])
-        return out
+        rows = self._rows
+        return combination([(1, vec)] + [(-vec[k], rows[k]) for k in vec if k in rows])
 
     def contains(self, vec: Mapping) -> bool:
         return not self.reduce(vec)
@@ -500,13 +477,7 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
         return Subspace(s1.ambient)
     cols = b1 + [{k: -v for k, v in r.items()} for r in b2]
     _, kernel = solve_columns(cols, [])
-    rows = []
-    for kv in kernel:
-        acc: dict = {}
-        for j, c in kv.items():
-            if j < len(b1):
-                _sub_scaled(acc, b1[j], -c)
-        rows.append(acc)
+    rows = [combination((c, b1[j]) for j, c in kv.items() if j < len(b1)) for kv in kernel]
     return Subspace(s1.ambient, rows)
 
 
@@ -600,6 +571,30 @@ def _scaled(entries: Mapping) -> tuple[dict, int]:
 def _unscaled(nums: Mapping, den: int) -> dict:
     """Int numerators over ``den`` back to Fractions, zeros dropped."""
     return {k: Fraction(n, den) for k, n in nums.items() if n}
+
+
+def combination(terms: Iterable[tuple]) -> dict:
+    """The linear combination of (coefficient, sparse map) pairs, as a
+    sparse map of Fractions with the zeros dropped.
+
+    Keys may be any hashables, and coefficients and entries ints or
+    Fractions.  The sum runs on int numerators over one denominator,
+    the lcm of the scaled terms' denominators.
+    """
+    parts = []
+    for c, vec in terms:
+        c = scalar(c)
+        if c and vec:
+            nums, den = _scaled(vec)
+            parts.append((c.numerator, c.denominator * den, nums))
+    den = lcm(*[d for _, d, _ in parts])
+    out: dict = {}
+    get = out.get
+    for cn, d, nums in parts:
+        f = cn * (den // d)
+        for k, n in nums.items():
+            out[k] = get(k, 0) + f * n
+    return _unscaled(out, den)
 
 
 def _scaled_images(images: Iterable[Iterable[tuple]]) -> tuple[list[list[tuple]], int]:
@@ -737,24 +732,12 @@ class Tensor:
 
     @staticmethod
     def combine(nv: int, degree: int, terms: Iterable[tuple]) -> "Tensor":
-        """The linear combination of (coefficient, tensor) pairs, summed
-        in place on int numerators over one common denominator."""
-        parts = []
-        for c, t in terms:
-            if t.nv != nv or t.degree != degree:
-                raise ValueError("tensor shape mismatch")
-            c = scalar(c)
-            if c and t.entries:
-                nums, den = _scaled(t.entries)
-                parts.append((c.numerator, c.denominator * den, nums))
-        den = lcm(*[d for _, d, _ in parts])
-        out: dict = {}
-        get = out.get
-        for cn, d, nums in parts:
-            f = cn * (den // d)
-            for w, n in nums.items():
-                out[w] = get(w, 0) + f * n
-        return Tensor._trusted(nv, degree, _unscaled(out, den))
+        """The linear combination of (coefficient, tensor) pairs
+        (``combination``)."""
+        terms = list(terms)
+        if any(t.nv != nv or t.degree != degree for _, t in terms):
+            raise ValueError("tensor shape mismatch")
+        return Tensor._trusted(nv, degree, combination((c, t.entries) for c, t in terms))
 
     def apply_matrix_slots(self, slots: Iterable[int], m: Matrix) -> "Tensor":
         """Apply an nv x nv matrix (rows are images) at each listed factor.

@@ -209,19 +209,13 @@ def twist_solve(omega: Tensor) -> Matrix:
     nv = omega.nv
     d = omega.degree
     sign = ONE if (d - 1) % 2 == 0 else -ONE
-    cols = []
-    for a in range(nv):
-        for b in range(nv):
-            col: dict[tuple, Fraction] = {}
-            for w, c in omega.entries.items():
-                if w[0] == a:
-                    u = w[1:] + (b,)
-                    s = col.get(u, ZERO) + sign * c
-                    if s:
-                        col[u] = s
-                    else:
-                        col.pop(u, None)
-            cols.append(col)
+    # the words of omega with first letter a differ in w[1:], so no
+    # entry of a column lands twice
+    cols = [
+        {w[1:] + (b,): sign * c for w, c in omega.entries.items() if w[0] == a}
+        for a in range(nv)
+        for b in range(nv)
+    ]
     particulars, kernel = solve_columns(cols, [dict(omega.entries)])
     if particulars[0] is None:
         raise NonUniqueTwistError("twist condition has no solution")
@@ -286,8 +280,7 @@ def admissible_lift_space(
                         w = (s, t, other) if slot == 1 else (other, s, t)
                         key = word_flat(w, nv)
                         vec[key] = vec.get(key, ZERO) + c
-                    rem = sandwich.reduce({k: v for k, v in vec.items() if v})
-                    for k, v in rem.items():
+                    for k, v in sandwich.reduce(vec).items():
                         col[(ridx, k)] = v
                 cols.append(col)
     _, kernel = solve_columns(cols, [])

@@ -45,6 +45,7 @@ from .linalg import (
     expand_through,
     sandwich_map,
     solve_columns,
+    word_flat,
 )
 from .morphisms import (
     DerivationLift,
@@ -113,11 +114,11 @@ class SequencePair:
             wi = alg.koszul_space(i)
             for k, b in enumerate(wi.basis()):
                 w = Tensor.from_vec(b, nv, i)
-                lhs = _mult_last_two(alg, self.right[i][k])
-                rhs = _mult_last_two(
-                    alg,
+                lhs = alg.nf_tensor(self.right[i][k], i - 1)
+                rhs = alg.nf_tensor(
                     _sigma_power_delta(self.sigma, self.delta, w, i)
                     + self.apply_right(i - 1, w, 1),
+                    i - 1,
                 )
                 if lhs != rhs:
                     raise EngineInvariantError(f"right tower fails at stage {i}")
@@ -125,31 +126,16 @@ class SequencePair:
                     raise EngineInvariantError(f"right image escapes W_{i}(x)V")
                 if expand_through(self.left[i][k], 1, wi, i, 0) is None:
                     raise LeftImageEscapeError(f"left image escapes V(x)W_{i}")
-                recursion = (
-                    self._apply(self.right, i - 1, w, 1, 0)
-                    + self.apply_left(i - 1, w, 0, 1).scale(_sign(i))
-                    - self.right[i][k]
-                    - self.left[i][k].scale(_sign(i))
-                )
+                sgn = _sign(i)
+                recursion = Tensor.combine(nv, i + 1, [
+                    (ONE, self._apply(self.right, i - 1, w, 1, 0)),
+                    (sgn, self.apply_left(i - 1, w, 0, 1)),
+                    (-ONE, self.right[i][k]),
+                    (-sgn, self.left[i][k]),
+                ])
                 if recursion:
                     raise EngineInvariantError(f"left recursion fails at stage {i}")
 
-
-def _mult_last_two(alg: QuadraticAlgebra, t: Tensor):
-    """(id^(x)(deg-2) (x) m)(t): multiply the last two factors into A_2.
-
-    Returns a sparse dict keyed by (leading word, A_2 basis index).
-    """
-    out: dict = {}
-    for w, c in t.entries.items():
-        for k, v in alg.nf_word(w[-2:]).items():
-            key = (w[:-2], k)
-            s = out.get(key, ZERO) + c * v
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
 
 def _sigma_power_delta(sigma, delta, w: Tensor, i: int) -> Tensor:
     """(sigma^(x)(i-1) (x) delta)(w) on W_i."""
@@ -179,15 +165,12 @@ def build_sequence_pair(
     for i in range(2, d + 1):
         wi = alg.koszul_space(i)
         wvecs = [Tensor.from_vec(b, nv, i) for b in wi.basis()]
-        cols = []
-        tags = []
-        for l, bt in enumerate(wvecs):
-            for j in range(nv):
-                cols.append(_mult_last_two(alg, bt.tensor(Tensor.word(nv, (j,)))))
-                tags.append((l, j))
+        # the unknowns are the coefficients on the products w_l (x) x_j
+        products = [w.tensor(Tensor.word(nv, (j,))) for w in wvecs for j in range(nv)]
+        cols = [alg.nf_tensor(t, i - 1) for t in products]
         rhs = [
-            _mult_last_two(
-                alg, _sigma_power_delta(sigma, delta, w, i) + sp.apply_right(i - 1, w, 1)
+            alg.nf_tensor(
+                _sigma_power_delta(sigma, delta, w, i) + sp.apply_right(i - 1, w, 1), i - 1
             )
             for w in wvecs
         ]
@@ -199,31 +182,22 @@ def build_sequence_pair(
                     f"no delta_{i},r image for W_{i} basis vector {k}; "
                     "Koszulity hypotheses are violated"
                 )
-            if rng is not None and kernel:
-                x = list(x)
+            terms = list(zip(x, products))
+            if rng is not None:
                 for kv in kernel:
                     c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                    for unk, v in kv.items():
-                        x[unk] += c * v
-            es: dict[tuple, Fraction] = {}
-            for c, (l, j) in zip(x, tags):
-                if c:
-                    for bw, bc in wvecs[l].entries.items():
-                        key = bw + (j,)
-                        s = es.get(key, ZERO) + c * bc
-                        if s:
-                            es[key] = s
-                        else:
-                            es.pop(key, None)
-            stage.append(Tensor._trusted(nv, i + 1, es))
+                    terms += [(c * v, products[unk]) for unk, v in kv.items()]
+            stage.append(Tensor.combine(nv, i + 1, terms))
         right.append(stage)
         # left tower by the alternating recursion; no choice remains
         sgn = _sign(i)
         lstage = []
         for k, w in enumerate(wvecs):
-            term = (sp._apply(right, i - 1, w, 1, 0) - right[i][k]).scale(sgn) + sp.apply_left(
-                i - 1, w, 0, 1
-            )
+            term = Tensor.combine(nv, i + 1, [
+                (sgn, sp._apply(right, i - 1, w, 1, 0)),
+                (-sgn, right[i][k]),
+                (ONE, sp.apply_left(i - 1, w, 0, 1)),
+            ])
             if expand_through(term, 1, wi, i, 0) is None:
                 raise LeftImageEscapeError(
                     f"left tower image escapes V(x)W_{i} at stage {i}"
@@ -291,16 +265,13 @@ def ore_relations(sigma: GradedAutomorphism, delta: DerivationLift) -> Subspace:
         rows.append(
             {(p // nv) * nh + (p % nv): c for p, c in b.items()}
         )
+    # the words of delta avoid z, so no two entries of a row share a key
     for i in range(nv):
-        row: dict[int, Fraction] = {nv * nh + i: ONE}
-        for j in range(nv):
-            c = sigma.matrix[i, j]
-            if c:
-                row[j * nh + nv] = -c
-        for (a, b), c in delta.images[i].entries.items():
-            key = a * nh + b
-            row[key] = row.get(key, ZERO) - c
-        rows.append(row)
+        rows.append({
+            nv * nh + i: ONE,
+            **{j * nh + nv: -c for j, c in enumerate(sigma.matrix.rows[i]) if c},
+            **{a * nh + b: -c for (a, b), c in delta.images[i].entries.items()},
+        })
     out = Subspace(nh * nh, rows)
     if out.dim != alg.R.dim + nv:
         raise EngineInvariantError("dim R-hat != dim R + n")
@@ -458,12 +429,8 @@ def derivation_quotient_relations(omega: Tensor, order: int) -> Subspace:
         raise ValueError("derivation order out of range")
     nv = omega.nv
     keep = omega.degree - order
+    # a word is its (head, tail) pair, so no entry lands twice
     slices: dict[tuple, dict] = {}
     for w, c in omega.entries.items():
-        head, tail = w[:keep], w[keep:]
-        flat = 0
-        for k in head:
-            flat = flat * nv + k
-        bucket = slices.setdefault(tail, {})
-        bucket[flat] = bucket.get(flat, ZERO) + c
+        slices.setdefault(w[keep:], {})[word_flat(w[:keep], nv)] = c
     return Subspace(nv**keep if keep else 1, list(slices.values()))

@@ -55,6 +55,7 @@ from .linalg import (
     shift,
     subspace_intersect,
     subspace_sum,
+    word_flat,
 )
 
 
@@ -195,9 +196,17 @@ class QuadraticAlgebra:
         self._nf_cache[word] = out
         return out
 
-    def nf_tensor(self, t: Tensor) -> dict[int, Fraction]:
-        """Normal form of an arbitrary tensor of homogeneous degree."""
-        nums, den = _int_sum((c, self._nf(w), 1, 0) for w, c in t.entries.items())
+    def nf_tensor(self, t: Tensor, keep: int = 0) -> dict[int, Fraction]:
+        """(id^(x)keep (x) nf)(t) for a homogeneous tensor t: the factors
+        after the first ``keep`` are multiplied into A.  Column
+        word_flat(head) * dim A_(deg - keep) + k holds the coordinate of
+        head (x) (A-basis monomial k); with keep = 0 it is the normal form
+        of t."""
+        stride = self.dim_A(t.degree - keep)
+        nums, den = _int_sum(
+            (c, self._nf(w[keep:]), 1, word_flat(w[:keep], self.nv) * stride)
+            for w, c in t.entries.items()
+        )
         return {k: Fraction(n, den) for k, n in nums.items() if n}
 
     # -- Koszul spaces ------------------------------------------------------
@@ -287,18 +296,19 @@ class QuadraticAlgebra:
         with r_{t+1} = 0.  Exactness is r_1 = D_0 and r_i + r_{i+1} = D_i
         for i = 1..t.
 
-        The ranks are first taken mod p = 2^61 - 1 (``linalg.rank``),
-        giving s_i, and those stand for the r_i when they meet every
-        equality.  That is sound over Q because
-          * s_i <= r_i (reduction mod p cannot raise a rank);
+        The ranks are first taken mod p = 2^61 - 1 (``linalg.rank``, on
+        the rows scaled to integers), giving s_i, and those stand for the
+        r_i when they meet every equality.  That is sound over Q because
+          * s_i <= r_i (scaling the rows keeps the rank over Q, and
+            reduction mod p of integer rows cannot raise it);
           * d_i d_{i+1} = 0 over Q (the last two factors of W_{i+1}
             lie in R), so im d_{i+1} <= ker d_i and r_i + r_{i+1} <= D_i;
           * r_1 <= D_0, the dimension of its codomain.
         Then D_0 = s_1 <= r_1 <= D_0 pins r_1, and each D_i = s_i +
         s_{i+1} <= r_i + r_{i+1} <= D_i with s <= r termwise pins r_i and
-        r_{i+1}: every Q rank equals its mod-p rank.  When p divides a
-        denominator or an equality falls short, that degree's ranks are
-        recomputed over Q, and only those exact ranks can raise.
+        r_{i+1}: every Q rank equals its mod-p rank.  When an equality
+        falls short, that degree's ranks are recomputed over Q, and only
+        those exact ranks can raise.
 
         Raises CertificationError at the first failing position, carrying
         the degree's ``dims`` (D_0..D_t) and its Q ``ranks`` ({i: r_i}).
@@ -320,7 +330,7 @@ class QuadraticAlgebra:
             dims = tuple(self.koszul_space(i).dim * self.dim_A(m - i) for i in range(top + 1))
             diffs = [self.differential_rows(i, m - i) for i in range(1, top + 1)]
             ranks = [rank(rows, P61) for rows in diffs]
-            if None in ranks or _inexact_at(dims, ranks) is not None:
+            if _inexact_at(dims, ranks) is not None:
                 ranks = [rank(rows) for rows in diffs]
                 pos = _inexact_at(dims, ranks)
                 if pos is not None:

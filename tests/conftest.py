@@ -224,6 +224,18 @@ def fraction_sandwich_map(entries, nv, left, space, space_degree, right, images,
     return es
 
 
+def fraction_nf_tensor(alg, entries: dict, keep: int) -> dict:
+    """The Fraction route of ``QuadraticAlgebra.nf_tensor(t, keep)``, an
+    oracle keyed by (head word, A-basis index): each word's factors after
+    the first ``keep`` go through ``nf_word`` and are summed in
+    Fractions."""
+    out: dict = {}
+    for w, c in entries.items():
+        for k, v in alg.nf_word(w[keep:]).items():
+            _acc(out, (w[:keep], k), c * v)
+    return out
+
+
 def _word(flat: int, degree: int, nv: int) -> tuple:
     w = []
     for _ in range(degree):

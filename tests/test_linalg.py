@@ -24,12 +24,14 @@ from orenaka.linalg import (
     _clear,
     _integer_row,
     _scaled,
+    combination,
     echelon,
     expand_through,
     rank,
     sandwich_map,
     shift,
     solve_columns,
+    word_flat,
 )
 
 from conftest import (
@@ -119,7 +121,12 @@ def test_rank_mod_p_lower_bound_and_denominators():
     assert rank(rows) == 2
     assert rank(rows, 5) == 1  # 5 divides the determinant -5
     assert rank(rows, 7) == 2
-    assert rank([{0: Fraction(1, 7)}], 7) is None
+    assert rank([{0: Fraction(1, 7)}], 7) == 1
+    # scaled to integers the first row is {0: 1, 1: 7}, which meets the
+    # second row mod 7
+    pair = [{0: Fraction(1, 7), 1: Fraction(1)}, {0: Fraction(1)}]
+    assert rank(pair) == 2
+    assert rank(pair, 7) == 1
     assert rank([{0: Fraction(7, 3)}], 7) == 0
     assert rank([{0: Fraction(2, 3), 3: Fraction(1)}, {}], 7) == 1
     assert rank([]) == 0
@@ -133,6 +140,13 @@ def test_subspace_self_intersection():
     s = _space([{0: 1, 2: 2}, {1: 3}], 4)
     assert subspace_intersect(s, s) == s
     assert subspace_sum(s, s) == s
+
+
+def test_subspace_reduce_drops_explicit_zeros():
+    s = _space([{0: 1}], 2)
+    assert s.contains({0: Fraction(1), 1: Fraction(0)})
+    assert s.reduce({0: Fraction(2), 1: Fraction(0)}) == {}
+    assert s.reduce({1: Fraction(3), 0: Fraction(0)}) == {1: 3}
 
 
 def test_subspace_disjoint_lines():
@@ -504,9 +518,18 @@ def test_combine_matches_fraction_sum_and_scaling_is_lcm(data):
     for c, t in terms:
         for w, v in t.entries.items():
             expected[w] = expected.get(w, 0) + c * v
-    _assert_same_entries(
-        Tensor.combine(nv, degree, terms), {w: v for w, v in expected.items() if v}
-    )
+    expected = {w: v for w, v in expected.items() if v}
+    _assert_same_entries(Tensor.combine(nv, degree, terms), expected)
+    # the same sum on int keys and on tuple keys, with int coefficients
+    # and entries mixed in
+    flat = [(c, {word_flat(w, nv): v for w, v in t.entries.items()}) for c, t in terms]
+    flat.append((2, {0: 3, 1: -3}))
+    flat.append((-3, {0: 2, 1: -2}))
+    assert combination(flat) == {word_flat(w, nv): v for w, v in expected.items()}
+    keyed = [(c, {(w, "x"): v for w, v in t.entries.items()}) for c, t in terms]
+    got = combination(keyed)
+    assert got == {(w, "x"): v for w, v in expected.items()}
+    assert all(type(v) is Fraction and v for v in got.values())
     for _, t in terms:
         nums, den = _scaled(t.entries)
         assert den == lcm(*(c.denominator for c in t.entries.values()))
@@ -652,8 +675,7 @@ def test_echelon_matches_fraction_route(case, data):
     for order in (rows, shuffled):
         # forward only: the rank
         assert rank(order) == len(fraction_echelon(order)) == len(want)
-        p = rank(order, P61)
-        assert p is None or p <= len(want)
+        assert rank(order, P61) <= len(want)
         for lead, row in echelon(order).items():
             assert all(type(v) is int for v in row.values())
             assert row[lead] > 0 and gcd(*row.values()) == 1 and min(row) == lead
