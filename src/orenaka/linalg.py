@@ -1,9 +1,11 @@
 """Exact rational linear algebra kernels.
 
-Scalars are arbitrary-precision rationals (``fractions.Fraction``),
-dense matrices are immutable row tuples, subspaces are stored in fully
-reduced row echelon form so that equality of spans is structural
-equality, and tensors are sparse maps from index words to scalars.
+Scalars are arbitrary-precision rationals (``fractions.Fraction``) at
+the public API, dense matrices are immutable row tuples, subspaces are
+stored in fully reduced row echelon form so that equality of spans is
+structural equality, and tensors are sparse maps from index words to
+scalars; subspaces and tensors hold integers inside (see "Scaled
+integers" below).
 
 Conventions used everywhere in the package:
 
@@ -32,13 +34,13 @@ Elimination.  One kernel, ``echelon``, row-reduces for the whole
 package, over Q or over F_p, in two modes.  Forward only, it clears
 each row at its leading column and returns an echelon basis; ``rank``
 counts its rows.  With ``reduced=True`` one back pass makes it the
-canonical RREF; ``Subspace``, ``solve_columns``, ``rref`` and
-``Matrix.inverse`` read their results off that through
-``fraction_rows``, and the normal-form reducer of ``quadratic`` reads
-the integer rows themselves.  The kernel picks its own row order
-(sparsest first).  The order is free because nothing read off the
-kernel depends on it: the rank does not, the RREF of a span is unique,
-and so is the particular solution with every free unknown zero.
+canonical RREF; ``solve_columns`` and ``Matrix.inverse`` read their
+results off that through ``fraction_rows``, while ``Subspace`` and the
+normal-form reducer of ``quadratic`` keep the integer rows.  The
+kernel picks its own row order (sparsest first).  The order is free
+because nothing read off the kernel depends on it: the rank does not,
+the RREF of a span is unique, and so is the particular solution with
+every free unknown zero.
 
 Over Q the kernel is fraction-free.  Each input row is scaled once by
 the lcm of its denominators and divided by its content, the gcd of its
@@ -61,31 +63,40 @@ pass; they carry no denominators, and one clearing step holds the
 product of two stored rows until the gcd pass, linear in the row
 length, divides the content out.
 
-Scaled integers.  The tensor kernels (``Tensor.apply_matrix_slots``,
-``Tensor.apply_images_at``, ``sandwich_map`` and the residual of
-``expand_through``) run on integers, and so does ``combination``, the
-one summation path for sparse vectors: ``Subspace.reduce``,
-``subspace_intersect`` and ``Tensor.combine`` are calls to it, and only
-the sums over A_m columns in ``quadratic`` keep their own integer loop.
-The invariant: inside a kernel every entry is an int numerator over
-one denominator shared by the whole operand, the least common multiple
-of its entries' denominators.  Each operand (the tensor, the matrix, the image list) is
-scaled once on entry, the kernel multiplies and adds plain ints, and
-each output entry becomes ``Fraction(n, den)`` once, zeros dropped.
-The results are bit-identical to Fraction arithmetic: a rational has
-one normalised form, and the kernel computes the same rational exactly.
-The cost is bounded by the shared denominators: one grows with the
-number of distinct denominators in its operand (at worst their
-product, when they are pairwise coprime), and a slot pass multiplies
-by the matrix denominator once per slot.  The operands that reach
-these kernels carry small denominators.  The large coefficients of the
-normal forms (150 bits in degree 5 on the Sklyanin extension of the
-benchmark) are integers too, but they meet only ``echelon`` and the
-integer sums of ``quadratic``.
+Scaled integers.  ``Tensor`` and ``Subspace`` store integers, and
+Fractions exist only at the public edge.  A tensor holds its int
+numerators by word (``nums``) over one positive denominator (``den``),
+in canonical form: no zero numerator and gcd(den, *nums) = 1, so den is
+the lcm of the reduced denominators of its entries and equal tensors
+compare equal structurally.  A subspace holds the primitive integer
+RREF rows of ``echelon``.  The Fractions are views: ``Tensor.entries``
+and the coefficients of ``expand_through`` are ``FractionView``s, whose
+values are built on the first read, and ``Subspace.basis()`` builds its
+rows on each call.  The kernels (``Tensor.apply_matrix_slots``,
+``apply_images_at``, ``combine``, ``tensor``, ``scale``, ``tau``,
+``embed``, ``shift``, ``Subspace.reduce``, ``expand_scaled`` and
+``sandwich_map``) read the stored numerators, multiply and add plain
+ints over the product or lcm of the operands' denominators, and restore
+the canonical form once, dropping zeros and dividing out gcd(den,
+*nums).  ``_combine`` is the
+one summation path: ``Tensor.combine``, the binary ``+`` and ``-``,
+``Subspace.reduce`` and ``combination`` (the same sum on Fraction maps
+with any hashable keys) are calls to it; only the sums over A_m columns
+in ``quadratic`` keep their own integer loop.  The results are the
+Fraction results exactly: a rational vector has one canonical scaled
+form, and the kernels compute the same rationals in integers.  The cost
+is bounded by the shared denominators: a kernel's denominator is at
+most the product of its operands' (the lcm, for sums), and the
+canonical form divides the common factors out after each kernel.  The
+operands that reach these kernels carry small denominators.  The large
+coefficients of the normal forms (150 bits in degree 5 on the Sklyanin
+extension of the benchmark) are integers too, but they meet only
+``echelon`` and the integer sums of ``quadratic``.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
@@ -303,13 +314,15 @@ def echelon(
 
 def _integer_row(row: Mapping, p: int | None) -> dict[int, int]:
     """A row's nonzero entries as ints, scaled by the lcm of the
-    denominators: over Q made primitive, over F_p reduced mod p."""
-    den = lcm(*[v.denominator for v in row.values()])
+    denominators (none when every entry is an int): over Q made
+    primitive, over F_p reduced mod p."""
+    r = row
+    if not all(type(v) is int for v in row.values()):
+        den = lcm(*[v.denominator for v in row.values()])
+        r = {k: v.numerator * (den // v.denominator) for k, v in row.items()}
     if p is None:
-        return _primitive(
-            {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}
-        )
-    return {k: x for k, v in row.items() if (x := v.numerator * (den // v.denominator) % p)}
+        return _primitive({k: v for k, v in r.items() if v})
+    return {k: x for k, v in r.items() if (x := v % p)}
 
 
 def _clear(r: dict, piv: Mapping, col: int, p: int | None) -> dict:
@@ -376,35 +389,41 @@ class Subspace:
     """A subspace of k^N stored as a fully reduced RREF basis.
 
     The stored basis is canonical: two subspaces are equal as spans if
-    and only if they compare equal structurally.  Rows are sparse dicts
-    keyed by coordinate index, each normalized to 1 at its pivot, with
-    pivot columns cleared from all other rows.
+    and only if they compare equal structurally.  Rows are the primitive
+    integer rows of ``echelon``, sparse dicts keyed by coordinate index
+    with a positive entry at the pivot and every other pivot column
+    cleared; ``basis()`` gives them as Fractions, normalised to 1 at the
+    pivot.
     """
 
-    __slots__ = ("ambient", "_rows")
+    __slots__ = ("ambient", "_rows", "_words")
 
     def __init__(self, ambient: int, rows: Iterable[Mapping] = ()):
         self.ambient = ambient
-        self._rows = fraction_rows(
-            echelon(({k: scalar(v) for k, v in row.items()} for row in rows), reduced=True)
+        self._rows = echelon(
+            ({k: v if type(v) is int else scalar(v) for k, v in row.items()} for row in rows),
+            reduced=True,
         )
+        self._words = {}
         if self._rows and (
             min(self._rows) < 0 or max(max(r) for r in self._rows.values()) >= ambient
         ):
             raise ValueError("coordinate outside ambient space")
 
     @staticmethod
-    def _from_rref(ambient: int, rows: dict[int, dict]) -> "Subspace":
-        """Trusted constructor: ``rows`` maps each pivot to its row and
-        is already a fully reduced RREF basis; nothing is eliminated."""
+    def _from_rref(ambient: int, rows: dict[int, dict[int, int]]) -> "Subspace":
+        """Trusted constructor: ``rows`` maps each pivot to its primitive
+        integer row and is already a fully reduced RREF basis; nothing is
+        eliminated."""
         s = Subspace.__new__(Subspace)
         s.ambient = ambient
         s._rows = rows
+        s._words = {}
         return s
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, ({i: ONE} for i in range(n)))
+        return Subspace._from_rref(n, {i: {i: 1} for i in range(n)})
 
     @property
     def dim(self) -> int:
@@ -415,19 +434,41 @@ class Subspace:
         return tuple(sorted(self._rows))
 
     def basis(self) -> list[dict]:
-        """RREF basis rows in pivot order (copies)."""
-        return [dict(self._rows[p]) for p in sorted(self._rows)]
+        """RREF basis rows in pivot order, as Fractions (new dicts)."""
+        rows = self._rows
+        return [_unscaled(rows[p], rows[p][p]) for p in sorted(rows)]
 
     def reduce(self, vec: Mapping) -> dict:
         """Canonical remainder of vec modulo this subspace, zeros dropped.
 
         A basis row carries no pivot column but its own, so the pivots
         hit by vec are all the subtractions there are."""
+        nums, den = _scaled(vec)
         rows = self._rows
-        return combination([(1, vec)] + [(-vec[k], rows[k]) for k in vec if k in rows])
+        nums, den = _combine(
+            [(1, nums, den)] + [(-nums[k], rows[k], den * rows[k][k]) for k in nums if k in rows]
+        )
+        return _unscaled(nums, den)
 
     def contains(self, vec: Mapping) -> bool:
         return not self.reduce(vec)
+
+    def _word_rows(self, degree: int, nv: int) -> tuple[dict, list, int]:
+        """The rows with coordinates as words of V^(x)degree, for the
+        sandwich kernels: ({pivot word: position}, [(pivot entry, [(word,
+        entry)])] in pivot order, lcm of the pivot entries).  Computed
+        once per (degree, nv)."""
+        got = self._words.get((degree, nv))
+        if got is None:
+            rows = self._rows
+            piv = sorted(rows)
+            index = {flat_word(p, degree, nv): l for l, p in enumerate(piv)}
+            wrows = [
+                (rows[p][p], [(flat_word(k, degree, nv), n) for k, n in rows[p].items()])
+                for p in piv
+            ]
+            got = self._words[(degree, nv)] = (index, wrows, lcm(*[d for d, _ in wrows]))
+        return got
 
     def __eq__(self, other):
         return (
@@ -446,7 +487,7 @@ class Subspace:
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     if s1.ambient != s2.ambient:
         raise ValueError("ambient dimension mismatch")
-    return Subspace(s1.ambient, s1.basis() + s2.basis())
+    return Subspace(s1.ambient, [*s1._rows.values(), *s2._rows.values()])
 
 
 def shift(s: Subspace, nv: int, left: int, right: int) -> Subspace:
@@ -472,7 +513,7 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Intersection via the kernel of the stacked-basis system."""
     if s1.ambient != s2.ambient:
         raise ValueError("ambient dimension mismatch")
-    b1, b2 = s1.basis(), s2.basis()
+    b1, b2 = list(s1._rows.values()), list(s2._rows.values())
     if not b1 or not b2:
         return Subspace(s1.ambient)
     cols = b1 + [{k: -v for k, v in r.items()} for r in b2]
@@ -562,7 +603,7 @@ def solve_affine(a: Matrix, b: Sequence) -> tuple[list[Fraction], Subspace]:
 
 
 def _scaled(entries: Mapping) -> tuple[dict, int]:
-    """Fraction entries as int numerators over their least common
+    """Fraction or int entries as int numerators over their least common
     denominator: ``(numerators, den)``."""
     den = lcm(*[c.denominator for c in entries.values()])
     return {k: c.numerator * (den // c.denominator) for k, c in entries.items()}, den
@@ -573,58 +614,117 @@ def _unscaled(nums: Mapping, den: int) -> dict:
     return {k: Fraction(n, den) for k, n in nums.items() if n}
 
 
+class FractionView(abc.Mapping):
+    """Read-only Fraction view of nonzero int numerators over one
+    positive denominator.  Keys, length and single reads (``[]``,
+    ``get``) come from the numerators; ``items``, ``values``, ``==`` and
+    ``repr`` build the Fractions of all values, once.  Equal to any
+    mapping with the same Fraction entries."""
+
+    __slots__ = ("_nums", "_den", "_fractions")
+
+    def __init__(self, nums: Mapping, den: int):
+        self._nums = nums
+        self._den = den
+        self._fractions = None
+
+    def _dict(self) -> dict:
+        if self._fractions is None:
+            self._fractions = _unscaled(self._nums, self._den)
+        return self._fractions
+
+    def __getitem__(self, key):
+        if self._fractions is None:
+            return Fraction(self._nums[key], self._den)
+        return self._fractions[key]
+
+    def __iter__(self):
+        return iter(self._nums)
+
+    def __len__(self):
+        return len(self._nums)
+
+    def __contains__(self, key):
+        return key in self._nums
+
+    def items(self):
+        return self._dict().items()
+
+    def values(self):
+        return self._dict().values()
+
+    def __eq__(self, other):
+        return self._dict() == other
+
+    def __repr__(self):
+        return repr(self._dict())
+
+
+def _canonical(nums: Mapping, den: int) -> tuple[dict, int]:
+    """Numerators over a positive den in canonical form: zeros dropped
+    and gcd(den, *nums) divided out."""
+    g = gcd(den, *nums.values())  # zeros leave the gcd alone
+    if g > 1:
+        return {k: n // g for k, n in nums.items() if n}, den // g
+    if 0 in nums.values():
+        nums = {k: n for k, n in nums.items() if n}
+    return nums, den
+
+
+def _combine(terms: Iterable[tuple]) -> tuple[dict, int]:
+    """The sum of c * nums / den over (c, nums, den) triples, c an int
+    or a Fraction, in canonical form; keys may be any hashables.  It
+    runs on int numerators over the lcm of the c.denominator * den."""
+    parts = [(c.numerator, c.denominator * den, nums) for c, nums, den in terms if c and nums]
+    big = lcm(*[d for _, d, _ in parts])
+    out: dict = {}
+    get = out.get
+    for cn, d, nums in parts:
+        f = cn * (big // d)
+        for k, n in nums.items():
+            out[k] = get(k, 0) + f * n
+    return _canonical(out, big)
+
+
 def combination(terms: Iterable[tuple]) -> dict:
     """The linear combination of (coefficient, sparse map) pairs, as a
     sparse map of Fractions with the zeros dropped.
 
     Keys may be any hashables, and coefficients and entries ints or
-    Fractions.  The sum runs on int numerators over one denominator,
-    the lcm of the scaled terms' denominators.
+    Fractions.  Each map is scaled to int numerators once and the sum
+    is ``_combine``.
     """
-    parts = []
-    for c, vec in terms:
-        c = scalar(c)
-        if c and vec:
-            nums, den = _scaled(vec)
-            parts.append((c.numerator, c.denominator * den, nums))
-    den = lcm(*[d for _, d, _ in parts])
-    out: dict = {}
-    get = out.get
-    for cn, d, nums in parts:
-        f = cn * (den // d)
-        for k, n in nums.items():
-            out[k] = get(k, 0) + f * n
-    return _unscaled(out, den)
+    return _unscaled(*_combine((scalar(c), *_scaled(vec)) for c, vec in terms))
 
 
-def _scaled_images(images: Iterable[Iterable[tuple]]) -> tuple[list[list[tuple]], int]:
-    """Each image, given as (word, coefficient) pairs, as (word,
-    numerator) pairs, all over one denominator."""
-    images = [list(img) for img in images]
-    den = lcm(*[c.denominator for img in images for _, c in img])
-    return [[(w, c.numerator * (den // c.denominator)) for w, c in img] for img in images], den
+def _scaled_images(images: Sequence["Tensor"]) -> tuple[list[list[tuple]], int]:
+    """Each image tensor as (word, numerator) pairs, all over the lcm of
+    their denominators."""
+    den = lcm(*[t.den for t in images])
+    return [[(w, n * (den // t.den)) for w, n in t.nums.items()] for t in images], den
 
 
 def _matrix_images(m: Matrix) -> tuple[list[list[tuple]], int]:
     """The rows of m as scaled images of the letters: row i sends the
     one-letter word (i,) to sum_j m[i][j] (j,)."""
-    return _scaled_images([((j,), a) for j, a in enumerate(r) if a] for r in m.rows)
-
-
-def _substitute(terms: Iterable[tuple], images) -> dict:
-    """Sum of c * head (x) images[l] (x) tail over (head, l, tail, c)."""
-    out: dict = {}
-    get = out.get
-    for head, l, tail, c in terms:
-        for iw, ic in images[l]:
-            key = head + iw + tail
-            out[key] = get(key, 0) + c * ic
-    return out
+    den = lcm(*[a.denominator for r in m.rows for a in r])
+    return [
+        [((j,), a.numerator * (den // a.denominator)) for j, a in enumerate(r) if a]
+        for r in m.rows
+    ], den
 
 
 def _substitute_at(nums: Mapping, k: int, images) -> dict:
-    """Substitute images[letter] for the letter at 0-based slot k."""
-    return _substitute(((w[:k], w[k], w[k + 1 :], c) for w, c in nums.items()), images)
+    """Substitute images[letter] for the letter at 0-based slot k of
+    each word: the sum of c * head (x) images[w[k]] (x) tail."""
+    out: dict = {}
+    get = out.get
+    for w, c in nums.items():
+        head, tail = w[:k], w[k + 1 :]
+        for iw, ic in images[w[k]]:
+            key = head + iw + tail
+            out[key] = get(key, 0) + c * ic
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +734,14 @@ def _substitute_at(nums: Mapping, k: int, images) -> dict:
 class Tensor:
     """Sparse element of V^(x)m over an nv-letter alphabet.
 
-    Entries map length-m words (tuples of 0-based letters) to nonzero
-    scalars; zero entries are never stored.
+    Stored as int numerators by length-m word (``nums``; words are
+    tuples of 0-based letters) over one positive denominator (``den``),
+    in canonical form: no zero numerator and gcd(den, *nums) = 1 (see
+    the module docstring).  ``entries`` is the read-only Fraction view.
+    ``nums`` must not be mutated: tensors share it.
     """
 
-    __slots__ = ("nv", "degree", "entries")
+    __slots__ = ("nv", "degree", "nums", "den", "_entries")
 
     def __init__(self, nv: int, degree: int, entries: Mapping | None = None):
         self.nv = nv
@@ -653,91 +756,101 @@ class Tensor:
                 if len(w) != degree or any(not (0 <= k < nv) for k in w):
                     raise ValueError(f"bad word {w} for degree {degree} over {nv} letters")
                 es[w] = c
-        self.entries = es
+        # the lcm of reduced denominators is the canonical den
+        self.nums, self.den = _scaled(es)
+        self._entries = None
 
     @staticmethod
     def word(nv: int, w: Sequence[int], coeff=ONE) -> "Tensor":
         return Tensor(nv, len(w), {tuple(w): scalar(coeff)})
 
+    @staticmethod
+    def _trusted(nv: int, degree: int, nums: dict, den: int) -> "Tensor":
+        """Trusted constructor: ``nums`` over ``den`` is already canonical
+        on valid words."""
+        t = Tensor.__new__(Tensor)
+        t.nv = nv
+        t.degree = degree
+        t.nums = nums
+        t.den = den
+        t._entries = None
+        return t
+
+    @staticmethod
+    def _from_scaled(nv: int, degree: int, nums: Mapping, den: int) -> "Tensor":
+        """A kernel's int numerators over den > 0, made canonical."""
+        return Tensor._trusted(nv, degree, *_canonical(nums, den))
+
+    @property
+    def entries(self) -> FractionView:
+        """The nonzero entries as Fractions, by word: a read-only view,
+        built on the first read."""
+        if self._entries is None:
+            self._entries = FractionView(self.nums, self.den)
+        return self._entries
+
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.nums
 
     def __bool__(self):
-        return bool(self.entries)
+        return bool(self.nums)
 
     def __eq__(self, other):
         return (
             isinstance(other, Tensor)
             and self.nv == other.nv
             and self.degree == other.degree
-            and self.entries == other.entries
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __repr__(self):
-        if not self.entries:
+        if not self.nums:
             return f"Tensor(0 in V^{self.degree})"
         parts = [f"{scalar_str(c)}*{w}" for w, c in sorted(self.entries.items())]
         return "Tensor(" + " + ".join(parts) + ")"
 
-    @staticmethod
-    def _trusted(nv: int, degree: int, entries: dict) -> "Tensor":
-        """Trusted constructor: ``entries`` already maps valid words to
-        nonzero scalars and is owned by the new tensor."""
-        t = Tensor.__new__(Tensor)
-        t.nv = nv
-        t.degree = degree
-        t.entries = entries
-        return t
-
     def __add__(self, other: "Tensor") -> "Tensor":
-        self._compat(other)
-        es = dict(self.entries)
-        for w, c in other.entries.items():
-            s = es.get(w, ZERO) + c
-            if s:
-                es[w] = s
-            else:
-                es.pop(w, None)
-        return Tensor._trusted(self.nv, self.degree, es)
+        return Tensor.combine(self.nv, self.degree, ((ONE, self), (ONE, other)))
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + (-other)
+        return Tensor.combine(self.nv, self.degree, ((ONE, self), (-ONE, other)))
 
     def __neg__(self) -> "Tensor":
-        return Tensor._trusted(self.nv, self.degree, {w: -c for w, c in self.entries.items()})
+        return Tensor._trusted(
+            self.nv, self.degree, {w: -n for w, n in self.nums.items()}, self.den
+        )
 
     def scale(self, c) -> "Tensor":
         c = scalar(c)
-        es = {w: c * v for w, v in self.entries.items()} if c else {}
-        return Tensor._trusted(self.nv, self.degree, es)
-
-    def _compat(self, other: "Tensor"):
-        if self.nv != other.nv or self.degree != other.degree:
-            raise ValueError("tensor shape mismatch")
+        f = c.numerator
+        nums = {w: f * n for w, n in self.nums.items()}
+        return Tensor._from_scaled(self.nv, self.degree, nums, self.den * c.denominator)
 
     def tensor(self, other: "Tensor") -> "Tensor":
         if self.nv != other.nv:
             raise ValueError("alphabet mismatch")
-        es = {}
-        for w1, c1 in self.entries.items():
-            for w2, c2 in other.entries.items():
-                es[w1 + w2] = c1 * c2
-        return Tensor._trusted(self.nv, self.degree + other.degree, es)
+        nums = {
+            w1 + w2: n1 * n2 for w1, n1 in self.nums.items() for w2, n2 in other.nums.items()
+        }
+        return Tensor._from_scaled(
+            self.nv, self.degree + other.degree, nums, self.den * other.den
+        )
 
     def embed(self, nv_new: int) -> "Tensor":
         """Reinterpret over a larger alphabet (V inside V-hat)."""
         if nv_new < self.nv:
             raise ValueError("alphabet can only grow")
-        return Tensor._trusted(nv_new, self.degree, dict(self.entries))
+        return Tensor._trusted(nv_new, self.degree, self.nums, self.den)
 
     @staticmethod
     def combine(nv: int, degree: int, terms: Iterable[tuple]) -> "Tensor":
         """The linear combination of (coefficient, tensor) pairs
-        (``combination``)."""
+        (``_combine``)."""
         terms = list(terms)
         if any(t.nv != nv or t.degree != degree for _, t in terms):
             raise ValueError("tensor shape mismatch")
-        return Tensor._trusted(nv, degree, combination((c, t.entries) for c, t in terms))
+        return Tensor._trusted(nv, degree, *_combine((scalar(c), t.nums, t.den) for c, t in terms))
 
     def apply_matrix_slots(self, slots: Iterable[int], m: Matrix) -> "Tensor":
         """Apply an nv x nv matrix (rows are images) at each listed factor.
@@ -750,12 +863,11 @@ class Tensor:
             raise ValueError("slot out of range")
         if m.nrows != self.nv or m.ncols != self.nv:
             raise ValueError("matrix size must match the alphabet")
-        nums, den = _scaled(self.entries)
         rows, mden = _matrix_images(m)
+        nums = self.nums
         for s in slots:
             nums = _substitute_at(nums, s - 1, rows)
-        den *= mden ** len(slots)
-        return Tensor._trusted(self.nv, self.degree, _unscaled(nums, den))
+        return Tensor._from_scaled(self.nv, self.degree, nums, self.den * mden ** len(slots))
 
     def apply_matrix_at(self, slot: int, m: Matrix) -> "Tensor":
         """Apply an nv x nv matrix at one factor (1-based)."""
@@ -767,11 +879,10 @@ class Tensor:
             raise ValueError("slot out of range")
         if len(images) != self.nv:
             raise ValueError("one image tensor per letter required")
-        nums, den = _scaled(self.entries)
-        imgs, iden = _scaled_images(img.entries.items() for img in images)
-        out = _substitute_at(nums, slot - 1, imgs)
+        imgs, iden = _scaled_images(images)
+        out = _substitute_at(self.nums, slot - 1, imgs)
         degree = self.degree + images[0].degree - 1
-        return Tensor._trusted(self.nv, degree, _unscaled(out, den * iden))
+        return Tensor._from_scaled(self.nv, degree, out, self.den * iden)
 
     def tau(self, i: int) -> "Tensor":
         """The staircase rotation tau_d^i: the first factor moves to
@@ -780,10 +891,8 @@ class Tensor:
             raise ValueError("tau index out of range")
         if i == 0:
             return self
-        es = {}
-        for w, c in self.entries.items():
-            es[w[1 : i + 1] + (w[0],) + w[i + 1 :]] = c
-        return Tensor._trusted(self.nv, self.degree, es)
+        nums = {w[1 : i + 1] + (w[0],) + w[i + 1 :]: n for w, n in self.nums.items()}
+        return Tensor._trusted(self.nv, self.degree, nums, self.den)
 
     def to_vec(self) -> dict[int, Fraction]:
         nv = self.nv
@@ -791,16 +900,57 @@ class Tensor:
 
     @staticmethod
     def from_vec(vec: Mapping[int, Fraction], nv: int, degree: int) -> "Tensor":
-        es = {flat_word(f, degree, nv): scalar(c) for f, c in vec.items() if c}
-        return Tensor._trusted(nv, degree, es)
+        """The tensor with entry vec[f] at the word of flat index f; every
+        index must lie in 0..nv**degree - 1."""
+        size = nv**degree
+        es = {}
+        for f, c in vec.items():
+            if not 0 <= f < size:
+                raise ValueError(f"index {f} outside V^(x){degree} over {nv} letters")
+            c = scalar(c)
+            if c:
+                es[flat_word(f, degree, nv)] = c
+        return Tensor._trusted(nv, degree, *_scaled(es))
 
     def terms(self) -> list[tuple[tuple, Fraction]]:
         return sorted(self.entries.items())
 
 
+def expand_scaled(
+    t: Tensor, left: int, space: Subspace, space_degree: int, right: int
+) -> tuple[dict[tuple[tuple, int, tuple], int], int] | None:
+    """``expand_through`` on the stored integers: the coefficients as
+    int numerators over ``t.den``, or None.
+
+    The residual is taken in integers as P*den*(t - sum c*row), with P
+    the lcm of the pivot entries of the space's primitive rows, each row
+    over its own pivot entry.
+    """
+    nv = t.nv
+    if t.degree != left + space_degree + right or space.ambient != nv**space_degree:
+        raise ValueError("tensor does not match the sandwich shape")
+    index, rows, big = space._word_rows(space_degree, nv)
+    nums = t.nums
+    rest = {w: big * n for w, n in nums.items()}
+    get = rest.get
+    end = left + space_degree
+    coeffs: dict[tuple[tuple, int, tuple], int] = {}
+    for w, n in nums.items():
+        l = index.get(w[left:end])
+        if l is not None:
+            jl, jr = w[:left], w[end:]
+            coeffs[(jl, l, jr)] = n
+            d, row = rows[l]
+            f = n * (big // d)
+            for bw, bn in row:
+                key = jl + bw + jr
+                rest[key] = get(key, 0) - f * bn
+    return None if any(rest.values()) else (coeffs, t.den)
+
+
 def expand_through(
     t: Tensor, left: int, space: Subspace, space_degree: int, right: int
-) -> dict[tuple[tuple, int, tuple], Fraction] | None:
+) -> FractionView | None:
     """Coefficients of t in V^(x)left (x) S (x) V^(x)right, or None.
 
     ``space`` is S inside V^(x)space_degree.  The coefficient on
@@ -809,38 +959,11 @@ def expand_through(
     t must leave zero, otherwise t lies outside the sandwich and the
     result is None.  ``expand_through(...) is not None`` is therefore a
     membership test.  A tensor of another degree, or a space over
-    another alphabet, raises ValueError.
-
-    The residual is taken in integers as D*L*(t - sum c*row), with L
-    the common denominator of t, D that of the rows' own denominators,
-    and each row scaled by its own denominator.
+    another alphabet, raises ValueError.  The coefficients are the
+    Fraction view of ``expand_scaled``.
     """
-    nv = t.nv
-    if t.degree != left + space_degree + right or space.ambient != nv**space_degree:
-        raise ValueError("tensor does not match the sandwich shape")
-    piv = sorted(space._rows)
-    index = {flat_word(p, space_degree, nv): l for l, p in enumerate(piv)}
-    rows = []
-    for p in piv:
-        nums, d = _scaled(space._rows[p])
-        rows.append((d, [(flat_word(k, space_degree, nv), n) for k, n in nums.items()]))
-    big = lcm(*[d for d, _ in rows])
-    nums, _ = _scaled(t.entries)
-    rest = {w: big * n for w, n in nums.items()}
-    get = rest.get
-    end = left + space_degree
-    coeffs: dict[tuple[tuple, int, tuple], Fraction] = {}
-    for w, c in t.entries.items():
-        l = index.get(w[left:end])
-        if l is not None:
-            jl, jr = w[:left], w[end:]
-            coeffs[(jl, l, jr)] = c
-            d, row = rows[l]
-            f = nums[w] * (big // d)
-            for bw, bn in row:
-                key = jl + bw + jr
-                rest[key] = get(key, 0) - f * bn
-    return None if any(rest.values()) else coeffs
+    got = expand_scaled(t, left, space, space_degree, right)
+    return None if got is None else FractionView(*got)
 
 
 def sandwich_map(
@@ -856,21 +979,27 @@ def sandwich_map(
     V^(x)left (x) S (x) V^(x)right, or None when t lies outside it.
 
     f sends basis row l of S (pivot order) to ``images[l]``; the
-    coefficients are read by ``expand_through``.  The substitution and
-    the m slots on the left share one integer pass.
+    coefficients are read by ``expand_scaled``.  The m slots act on the
+    left words of the coefficients before f substitutes the images,
+    while the terms are fewest; the maps act on different factors, so
+    the order does not change the result.
     """
     if not images or len(images) != space.dim:
         raise ValueError("one image per basis row of the space required")
     if m.nrows != t.nv or m.ncols != t.nv:
         raise ValueError("matrix size must match the alphabet")
-    coeffs = expand_through(t, left, space, space_degree, right)
-    if coeffs is None:
+    got = expand_scaled(t, left, space, space_degree, right)
+    if got is None:
         return None
-    nums, den = _scaled(coeffs)
-    imgs, iden = _scaled_images(img.entries.items() for img in images)
-    out = _substitute(((jl, l, jr, c) for (jl, l, jr), c in nums.items()), imgs)
-    rows, mden = _matrix_images(m)
-    for k in range(left):
-        out = _substitute_at(out, k, rows)
+    coeffs, den = got
+    # the word J_left + (l,) + J_right carries the coefficient on row l
+    nums = {jl + (l,) + jr: c for (jl, l, jr), c in coeffs.items()}
+    if left:
+        rows, mden = _matrix_images(m)
+        for k in range(left):
+            nums = _substitute_at(nums, k, rows)
+        den *= mden**left
+    imgs, iden = _scaled_images(images)
+    out = _substitute_at(nums, left, imgs)
     degree = left + images[0].degree + right
-    return Tensor._trusted(t.nv, degree, _unscaled(out, den * iden * mden**left))
+    return Tensor._from_scaled(t.nv, degree, out, den * iden)

@@ -27,11 +27,12 @@ RREF rows of ``linalg.echelon``: the pivot entry of a row is the
 denominator, and a primitive row gives a content-reduced form.  ``_nf``
 caches the form of each word, and the products and sums of
 ``_build_piece``, ``differential_rows`` and ``nf_tensor`` run on
-numerators over a common denominator (``_int_sum``).  Fractions are
-built only at the public edge, one per entry of ``nf_word``,
-``nf_tensor`` and each differential row.  Each is the exact rational
-that elimination in Fractions gives: the RREF of the reducer is unique,
-and integer arithmetic is exact.
+numerators over a common denominator (``_int_sum``), and ``nf_tensor``
+reads the tensor's own numerators.  Fractions are built only at the
+public edge, one per entry of ``nf_word``, ``nf_tensor`` and each
+differential row; ``certify_koszul`` ranks the numerators and builds
+none.  Each is the exact rational that elimination in Fractions gives:
+the RREF of the reducer is unique, and integer arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .linalg import (
     Subspace,
     Tensor,
     echelon,
-    expand_through,
+    expand_scaled,
     rank,
     shift,
     subspace_intersect,
@@ -204,9 +205,10 @@ class QuadraticAlgebra:
         of t."""
         stride = self.dim_A(t.degree - keep)
         nums, den = _int_sum(
-            (c, self._nf(w[keep:]), 1, word_flat(w[:keep], self.nv) * stride)
-            for w, c in t.entries.items()
+            (n, self._nf(w[keep:]), 1, word_flat(w[:keep], self.nv) * stride)
+            for w, n in t.nums.items()
         )
+        den *= t.den
         return {k: Fraction(n, den) for k, n in nums.items() if n}
 
     # -- Koszul spaces ------------------------------------------------------
@@ -256,6 +258,14 @@ class QuadraticAlgebra:
         with the rows-are-images convention.  The map multiplies the
         last tensor factor of W_i into A on the left of the A_j part.
         """
+        return [
+            {k: Fraction(n, den) for k, n in nums.items() if n}
+            for nums, den in self._differential(i, j)
+        ]
+
+    def _differential(self, i: int, j: int) -> list[tuple[dict[int, int], int]]:
+        """``differential_rows(i, j)`` as (int numerators, den) per row;
+        the numerators may hold zeros."""
         if i < 1:
             raise ValueError("differential index starts at 1")
         nv = self.nv
@@ -264,17 +274,19 @@ class QuadraticAlgebra:
         aj_words = self._piece(j).words
         rows = []
         for b in self.koszul_space(i).basis():
-            # expansion of the W_i vector in W_{i-1} (x) V; W_0 is the
-            # scalar line, whose one basis word is the empty word
-            exp = expand_through(Tensor.from_vec(b, nv, i), 0, wprev, i - 1, 1)
-            if exp is None:
+            # expansion of the W_i vector in W_{i-1} (x) V, as numerators
+            # over wden; W_0 is the scalar line, whose one basis word is
+            # the empty word
+            got = expand_scaled(Tensor.from_vec(b, nv, i), 0, wprev, i - 1, 1)
+            if got is None:
                 raise EngineInvariantError(f"W_{i} escapes W_{i - 1} (x) V")
+            exp, wden = got
             terms = [(c, v, l * dim_anext) for (_, l, (v,)), c in exp.items()]
             for aw in aj_words:
                 nums, den = _int_sum(
                     (c, self._nf((v,) + aw), 1, base) for c, v, base in terms
                 )
-                rows.append({k: Fraction(n, den) for k, n in nums.items() if n})
+                rows.append((nums, den * wden))
         return rows
 
     def koszul_differential(self, i: int, j: int) -> Matrix:
@@ -296,9 +308,11 @@ class QuadraticAlgebra:
         with r_{t+1} = 0.  Exactness is r_1 = D_0 and r_i + r_{i+1} = D_i
         for i = 1..t.
 
-        The ranks are first taken mod p = 2^61 - 1 (``linalg.rank``, on
-        the rows scaled to integers), giving s_i, and those stand for the
-        r_i when they meet every equality.  That is sound over Q because
+        The ranks are taken on the integer numerators of the rows, each
+        row scaled by its denominator, which keeps the rank over Q.  They
+        are first taken mod p = 2^61 - 1 (``linalg.rank``), giving s_i,
+        and those stand for the r_i when they meet every equality.  That
+        is sound over Q because
           * s_i <= r_i (scaling the rows keeps the rank over Q, and
             reduction mod p of integer rows cannot raise it);
           * d_i d_{i+1} = 0 over Q (the last two factors of W_{i+1}
@@ -328,7 +342,8 @@ class QuadraticAlgebra:
         for m in range(1, n + 1):
             top = min(m, wmax)
             dims = tuple(self.koszul_space(i).dim * self.dim_A(m - i) for i in range(top + 1))
-            diffs = [self.differential_rows(i, m - i) for i in range(1, top + 1)]
+            # the numerators alone: scaling a row keeps its rank
+            diffs = [[nums for nums, _ in self._differential(i, m - i)] for i in range(1, top + 1)]
             ranks = [rank(rows, P61) for rows in diffs]
             if _inexact_at(dims, ranks) is not None:
                 ranks = [rank(rows) for rows in diffs]

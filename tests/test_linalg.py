@@ -466,7 +466,18 @@ def _matrix_and_tensor(draw):
     return Matrix(rows), t
 
 
+def _assert_canonical(t: Tensor):
+    """The stored form: int numerators, none zero, over a positive int
+    denominator with gcd(den, *nums) = 1; ``entries`` is their view."""
+    assert type(t.den) is int and t.den > 0
+    assert all(type(n) is int and n for n in t.nums.values()), "a zero numerator is stored"
+    assert gcd(t.den, *t.nums.values()) == 1, "the stored form is not reduced"
+    assert len(t.entries) == len(t.nums)
+    assert dict(t.entries.items()) == {w: Fraction(n, t.den) for w, n in t.nums.items()}
+
+
 def _assert_same_entries(out: Tensor, expected: dict):
+    _assert_canonical(out)
     assert all(c for c in out.entries.values()), "a zero entry is stored"
     assert out.entries == expected
 
@@ -612,6 +623,95 @@ def test_expand_through_rejects_mismatched_shapes():
 
 
 # ---------------------------------------------------------------------------
+# The stored form: canonical integers inside, Fraction views outside
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_every_tensor_kernel_keeps_the_canonical_form(data):
+    nv = data.draw(st.integers(2, 3))
+    degree = data.draw(st.integers(1, 3))
+    t = data.draw(_tensors(nv, degree))
+    u = data.draw(_tensors(nv, degree))
+    c = data.draw(_rationals)
+    m = Matrix([data.draw(st.lists(_rationals, min_size=nv, max_size=nv)) for _ in range(nv)])
+    images = [data.draw(_tensors(nv, 2, max_size=4)) for _ in range(nv)]
+    te, ue = dict(t.entries), dict(u.entries)
+
+    def fsum(*terms):
+        out: dict = {}
+        for f, es in terms:
+            for w, v in es.items():
+                out[w] = out.get(w, 0) + f * v
+        return {w: v for w, v in out.items() if v}
+
+    _assert_same_entries(t, te)
+    _assert_same_entries(t + u, fsum((1, te), (1, ue)))
+    _assert_same_entries(t - u, fsum((1, te), (-1, ue)))
+    _assert_same_entries(-t, fsum((-1, te)))
+    _assert_same_entries(t.scale(c), fsum((c, te)))
+    _assert_same_entries(
+        Tensor.combine(nv, degree, [(c, t), (2, u), (-c, t)]), fsum((2, ue))
+    )
+    _assert_same_entries(
+        t.tensor(u), {w1 + w2: a * b for w1, a in te.items() for w2, b in ue.items()}
+    )
+    i = data.draw(st.integers(0, degree - 1))
+    _assert_same_entries(t.tau(i), {w[1 : i + 1] + (w[0],) + w[i + 1 :]: v for w, v in te.items()})
+    big = t.embed(nv + 1)
+    assert big.nv == nv + 1
+    _assert_same_entries(big, te)
+    slot = data.draw(st.integers(1, degree))
+    _assert_same_entries(t.apply_matrix_at(slot, m), fraction_apply_matrix_at(te, slot, m))
+    _assert_same_entries(
+        t.apply_images_at(slot, images), fraction_apply_images_at(te, slot, images)
+    )
+    back = Tensor.from_vec(t.to_vec(), nv, degree)
+    _assert_canonical(back)
+    assert back == t
+    # equal values give equal stored forms, however they were reached
+    assert t.scale(c).scale(2) == t.scale(2 * c)
+    assert (t + u) - u == t
+    assert t + u == u + t
+
+
+def test_entries_is_a_read_only_view():
+    t = Tensor(2, 2, {(0, 1): Fraction(1, 2), (1, 0): 3})
+    assert (t.nums, t.den) == ({(0, 1): 1, (1, 0): 6}, 2)
+    view = t.entries
+    assert len(view) == 2 and (0, 1) in view and (1, 1) not in view
+    assert view[(1, 0)] == 3 and view.get((1, 1), "none") == "none"
+    assert view == {(0, 1): Fraction(1, 2), (1, 0): Fraction(3)}
+    assert dict(view) == view and sorted(view) == [(0, 1), (1, 0)]
+    with pytest.raises(TypeError):
+        view[(0, 0)] = Fraction(1)
+    assert t.entries is view
+    assert Tensor(2, 2, {(0, 1): Fraction(2, 4), (1, 0): Fraction(6, 2)}) == t
+    assert Tensor(2, 2).nums == {} and Tensor(2, 2).den == 1
+
+
+def test_from_vec_rejects_indices_outside_the_space():
+    # the flat index of a degree-2 word over 2 letters lies in 0..3;
+    # 9 used to wrap to the word (0, 1) and -1 to (1, 1)
+    for vec in ({9: 1}, {4: 1}, {-1: 1}, {4: 0}):
+        with pytest.raises(ValueError):
+            Tensor.from_vec(vec, 2, 2)
+    assert Tensor.from_vec({3: 1, 0: Fraction(1, 2)}, 2, 2) == Tensor(
+        2, 2, {(1, 1): 1, (0, 0): Fraction(1, 2)}
+    )
+    assert Tensor.from_vec({0: 5}, 3, 0) == Tensor(3, 0, {(): 5})
+
+
+def test_integer_row_takes_int_rows_as_they_are():
+    assert _integer_row({0: 4, 1: -6, 2: 0}, None) == {0: 2, 1: -3}
+    assert _integer_row({0: 4, 1: -6, 2: 0}, 5) == {0: 4, 1: 4}
+    assert _integer_row({0: Fraction(1, 2), 1: 3}, None) == {0: 1, 1: 6}
+    row = {0: 2, 1: 0}
+    _integer_row(row, None)
+    assert row == {0: 2, 1: 0}, "the caller's row was changed"
+
+
+# ---------------------------------------------------------------------------
 # The integer elimination kernel against the Fraction route (conftest)
 
 _entries = st.one_of(
@@ -701,3 +801,33 @@ def test_echelon_matches_fraction_route(case, data):
     for f, kv in zip(free, kernel):
         assert {j: kv.get(j, 0) for j in free} == {j: int(j == f) for j in free}
         assert _combination(shuffled, [kv.get(j, 0) for j in range(u)]) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_row_system(), st.data())
+def test_subspace_stores_primitive_integer_rref_rows(case, data):
+    n, rows, shuffled = case
+    s = Subspace(n, rows)
+    want = fraction_echelon(rows, reduced=True)
+    assert s.pivots == tuple(sorted(want))
+    for p, row in s._rows.items():
+        assert all(type(v) is int and v for v in row.values())
+        assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
+        assert not any(k in s._rows for k in row if k != p)
+    # basis() is the Fraction view, normalised to 1 at each pivot
+    assert s.basis() == [want[k] for k in sorted(want)]
+    # == is structural: the same span, however presented, stores the same rows
+    scales = [data.draw(_rationals.filter(bool)) for _ in shuffled]
+    scaled = [{k: c * v for k, v in r.items()} for c, r in zip(scales, shuffled)]
+    for other in (Subspace(n, shuffled), Subspace(n, scaled), Subspace(n, s.basis())):
+        assert other == s and other._rows == s._rows and hash(other) == hash(s)
+    for left, right in ((0, 1), (1, 0)):
+        sh = shift(s, 2, left, right)
+        assert all(gcd(*r.values()) == 1 and r[p] > 0 for p, r in sh._rows.items())
+    vec = data.draw(st.dictionaries(st.integers(0, n - 1), _entries, max_size=n))
+    rest = dict(vec)
+    for p, b in zip(sorted(want), s.basis()):
+        f = vec.get(p, 0)
+        for k, v in b.items():
+            rest[k] = rest.get(k, 0) - f * v
+    assert s.reduce(vec) == {k: v for k, v in rest.items() if v}
