@@ -54,14 +54,31 @@ bit-identical to elimination in Fractions: a primitive row spans the
 same line as the rational row normalised to 1, dividing by its pivot
 entry gives that rational row exactly, and the RREF of a span is
 unique.  Cost: an RREF row made primitive is the rational row times its
-least common denominator, which divides the pivot minor det M_{S,P} of
+least common denominator, which divides the pivot minor det M_{S,C} of
 the scaled input M (Cramer's rule on a row basis S and the pivot
-columns P), so its entries are k x k minors of M up to a common factor,
+columns C), so its entries are k x k minors of M up to a common factor,
 at most Hadamard's bound of k*log2(k)/2 + k*log2(max |entry|) bits for
 rank k.  No such bound is proved for the rows in flight of the forward
 pass; they carry no denominators, and one clearing step holds the
 product of two stored rows until the gcd pass, linear in the row
 length, divides the content out.
+
+Row selection mod P.  Modular work uses one word-size prime, ``P`` =
+2^30 - 35, so residues and their products stay small CPython ints.  When
+an int input entry has absolute value at least P (the gate; large rows,
+such as the normal-form reducer's, come as ints, and reading a Fraction
+costs more than the test saves), a reduced echelon over Q first runs the
+forward pass mod P on the primitive rows, and eliminates over Q only the
+rows that found a pivot there.  Integer rows independent mod P are
+independent over Q (a rational dependence, cleared of denominators and
+content, stays nonzero mod P), so they give the RREF of their span.
+Each other row is checked against it by ``_residual``: an RREF row
+carries no pivot column but its own, so one pass leaves a zero residual
+exactly on the span.  If every residual is zero, that RREF, being
+unique, is the RREF of all rows; otherwise (an unlucky prime) every row
+is eliminated over Q.  The residual sum runs over the lcm of the pivot
+entries, which divides det M_{S,C}.  Below the gate the pass mod P costs
+about what it saves.
 
 Scaled integers.  ``Tensor`` and ``Subspace`` store integers, and
 Fractions exist only at the public edge.  A tensor holds its int
@@ -80,8 +97,9 @@ ints over the product or lcm of the operands' denominators, and restore
 the canonical form once, dropping zeros and dividing out gcd(den,
 *nums).  ``_combine`` is the
 one summation path: ``Tensor.combine``, the binary ``+`` and ``-``,
-``Subspace.reduce`` and ``combination`` (the same sum on Fraction maps
-with any hashable keys) are calls to it; only the sums over A_m columns
+``_residual`` (``Subspace.reduce`` and the row check of ``echelon``)
+and ``combination`` (the same sum on Fraction maps with any hashable
+keys) are calls to it; only the sums over A_m columns
 in ``quadratic`` keep their own integer loop.  The results are the
 Fraction results exactly: a rational vector has one canonical scaled
 form, and the kernels compute the same rationals in integers.  The cost
@@ -263,7 +281,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
 # ---------------------------------------------------------------------------
 # Elimination
 
-P61 = (1 << 61) - 1  # the Mersenne prime 2^61 - 1
+P = (1 << 30) - 35  # the largest prime below 2^30
 
 
 def echelon(
@@ -280,15 +298,41 @@ def echelon(
     to 1.
 
     Rows are taken sparsest first.  Each is cleared at its leading
-    column against the pivot row stored there (``_clear``) until it
+    column against the pivot row stored there (``_forward``) until it
     finds a free leading column, where it is stored, or vanishes.  With
     ``reduced`` one back pass in descending pivot order clears every
     pivot column from the other rows, which gives the canonical RREF
-    basis.
+    basis.  A reduced echelon over Q with an int entry of absolute value
+    at least ``P`` eliminates only the rows chosen mod P (module
+    docstring, "Row selection mod P").
     """
+    rows = sorted(rows, key=len)
+    if p is None and reduced and any(
+        type(v) is int and abs(v) >= P for row in rows for v in row.values()
+    ):
+        ints = [_integer_row(row, None) for row in rows]
+        # the rows that find a pivot mod P are independent over Q; the
+        # mod-P pivots are dropped before the pass over Q
+        found = _forward([_integer_row(r, P) for r in ints], P)[1]
+        pivots = _back(_forward([ints[i] for i in found], None)[0], None)
+        chosen = set(found)
+        if not any(_residual(r, 1, pivots)[0] for i, r in enumerate(ints) if i not in chosen):
+            return pivots
+    pivots = _forward((_integer_row(row, p) for row in rows), p)[0]
+    return _back(pivots, p) if reduced else pivots
+
+
+def _forward(
+    rows: Iterable[dict[int, int]], p: int | None, cap: int | None = None
+) -> tuple[dict[int, dict[int, int]], list[int]]:
+    """The forward pass of ``echelon`` on integer rows, which it
+    consumes: the echelon basis {pivot: row} and the positions of the
+    rows that found a pivot.  It stops once it holds ``cap`` pivots."""
     pivots: dict[int, dict[int, int]] = {}
-    for row in sorted(rows, key=len):
-        r = _integer_row(row, p)
+    found = []
+    for i, r in enumerate(rows):
+        if len(pivots) == cap:
+            break
         while r:
             lead = min(r)
             piv = pivots.get(lead)
@@ -299,16 +343,22 @@ def echelon(
                 elif r[lead] < 0:
                     r = {k: -v for k, v in r.items()}
                 pivots[lead] = r
+                found.append(i)
                 break
             r = _clear(r, piv, lead, p)
-    if reduced:
-        # each later row is reduced already, so clearing against it brings
-        # in no pivot column: one list of hits per row suffices
-        for lead in sorted(pivots, reverse=True):
-            r = pivots[lead]
-            for k in [k for k in r if k != lead and k in pivots]:
-                r = _clear(r, pivots[k], k, p)
-            pivots[lead] = r
+    return pivots, found
+
+
+def _back(pivots: dict[int, dict[int, int]], p: int | None) -> dict[int, dict[int, int]]:
+    """The back pass of ``echelon``, in place: each row in descending
+    pivot order loses every other pivot column.  Each later row is
+    reduced already, so clearing against it brings in no pivot column:
+    one list of hits per row suffices."""
+    for lead in sorted(pivots, reverse=True):
+        r = pivots[lead]
+        for k in [k for k in r if k != lead and k in pivots]:
+            r = _clear(r, pivots[k], k, p)
+        pivots[lead] = r
     return pivots
 
 
@@ -369,16 +419,17 @@ def fraction_rows(pivots: Mapping[int, Mapping[int, int]]) -> dict[int, dict[int
     }
 
 
-def rank(rows: Iterable[Mapping], p: int | None = None) -> int:
+def rank(rows: Iterable[Mapping], p: int | None = None, cap: int | None = None) -> int:
     """Rank of the span of sparse rows: forward elimination only.
 
     With a prime ``p`` the rank is taken over F_p of the rows scaled to
     integers, and rank mod p <= rank over Q: a nonzero minor mod p is
     the image of a nonzero integer minor, and scaling a row by a nonzero
     integer keeps the rank over Q.  Without ``p`` the result is the
-    exact rank over Q.
+    exact rank over Q.  With a ``cap`` >= 0 the pass stops once it holds
+    ``cap`` pivots, and the result is min(cap, rank).
     """
-    return len(echelon(rows, p))
+    return len(_forward((_integer_row(row, p) for row in sorted(rows, key=len)), p, cap)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -443,12 +494,7 @@ class Subspace:
 
         A basis row carries no pivot column but its own, so the pivots
         hit by vec are all the subtractions there are."""
-        nums, den = _scaled(vec)
-        rows = self._rows
-        nums, den = _combine(
-            [(1, nums, den)] + [(-nums[k], rows[k], den * rows[k][k]) for k in nums if k in rows]
-        )
-        return _unscaled(nums, den)
+        return _unscaled(*_residual(*_scaled(vec), self._rows))
 
     def contains(self, vec: Mapping) -> bool:
         return not self.reduce(vec)
@@ -684,6 +730,17 @@ def _combine(terms: Iterable[tuple]) -> tuple[dict, int]:
         for k, n in nums.items():
             out[k] = get(k, 0) + f * n
     return _canonical(out, big)
+
+
+def _residual(nums: Mapping, den: int, rows: Mapping) -> tuple[dict, int]:
+    """The canonical remainder of the vector nums / den modulo the span of
+    the primitive RREF ``rows`` ({pivot: row}), zero exactly when the
+    vector lies in it.  A row carries no pivot column but its own, so the
+    pivots hit by the vector are all the subtractions there are, and they
+    are one ``_combine``."""
+    return _combine(
+        [(1, nums, den)] + [(-nums[k], rows[k], den * rows[k][k]) for k in nums if k in rows]
+    )
 
 
 def combination(terms: Iterable[tuple]) -> dict:
@@ -922,7 +979,7 @@ def expand_scaled(
     """``expand_through`` on the stored integers: the coefficients as
     int numerators over ``t.den``, or None.
 
-    The residual is taken in integers as P*den*(t - sum c*row), with P
+    The residual is taken in integers as L*den*(t - sum c*row), with L
     the lcm of the pivot entries of the space's primitive rows, each row
     over its own pivot entry.
     """

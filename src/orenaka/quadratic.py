@@ -45,7 +45,7 @@ from typing import Iterable, Sequence
 from .errors import CertificationError, EngineInvariantError, NotASRegularError
 from .linalg import (
     ONE,
-    P61,
+    P,
     ZERO,
     Matrix,
     Subspace,
@@ -310,9 +310,10 @@ class QuadraticAlgebra:
 
         The ranks are taken on the integer numerators of the rows, each
         row scaled by its denominator, which keeps the rank over Q.  They
-        are first taken mod p = 2^61 - 1 (``linalg.rank``), giving s_i,
-        and those stand for the r_i when they meet every equality.  That
-        is sound over Q because
+        are first taken mod the word-size prime p = ``linalg.P`` = 2^30 -
+        35 (``linalg.rank``), giving s_i, and those stand for the r_i when
+        they meet every equality.  That is sound over Q, for any prime,
+        because
           * s_i <= r_i (scaling the rows keeps the rank over Q, and
             reduction mod p of integer rows cannot raise it);
           * d_i d_{i+1} = 0 over Q (the last two factors of W_{i+1}
@@ -320,9 +321,19 @@ class QuadraticAlgebra:
           * r_1 <= D_0, the dimension of its codomain.
         Then D_0 = s_1 <= r_1 <= D_0 pins r_1, and each D_i = s_i +
         s_{i+1} <= r_i + r_{i+1} <= D_i with s <= r termwise pins r_i and
-        r_{i+1}: every Q rank equals its mod-p rank.  When an equality
-        falls short, that degree's ranks are recomputed over Q, and only
-        those exact ranks can raise.
+        r_{i+1}: every Q rank equals its mod-p rank.
+
+        Each modular rank stops early at a cap: D_0 for d_1 and D_i - s_i
+        for d_{i+1}.  The cap never cuts a rank short, because by the
+        same three facts
+          s_1 <= r_1 <= D_0, and
+          s_{i+1} <= r_{i+1} <= D_i - r_i <= D_i - s_i,
+        so the capped rank min(cap, s) is s itself.  In an exact degree
+        the cap equals the rank, and the rows left once it is reached,
+        which would only have cleared to zero, are never eliminated.
+
+        When an equality falls short, that degree's ranks are recomputed
+        over Q without a cap, and only those exact ranks can raise.
 
         Raises CertificationError at the first failing position, carrying
         the degree's ``dims`` (D_0..D_t) and its Q ``ranks`` ({i: r_i}).
@@ -344,7 +355,12 @@ class QuadraticAlgebra:
             dims = tuple(self.koszul_space(i).dim * self.dim_A(m - i) for i in range(top + 1))
             # the numerators alone: scaling a row keeps its rank
             diffs = [[nums for nums, _ in self._differential(i, m - i)] for i in range(1, top + 1)]
-            ranks = [rank(rows, P61) for rows in diffs]
+            # the cap of d_{i+1} is D_i - s_i (see the docstring)
+            ranks = []
+            cap = dims[0]
+            for i, rows in enumerate(diffs, 1):
+                ranks.append(rank(rows, P, cap))
+                cap = dims[i] - ranks[-1]
             if _inexact_at(dims, ranks) is not None:
                 ranks = [rank(rows) for rows in diffs]
                 pos = _inexact_at(dims, ranks)

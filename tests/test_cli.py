@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from orenaka import scalar
+from orenaka import cli, scalar
 from orenaka.cli import main, parse_problem, render_report
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 COMM = {
@@ -211,6 +214,19 @@ def test_catalog_report_independent_of_call_history(capsys):
     assert code == 0
     assert "koszul_bound: 5\n" in second and "  verified_to: 5\n" in second
     assert "  dims_A: [1, 2, 3, 4, 5, 6]\n" in second
+
+
+def test_shared_parser_keeps_no_params_between_calls(capsys):
+    # main parses with one parser per process; the repeatable --param
+    # must start empty on every call, so each command prints what it
+    # prints alone (its golden output).  The second command leaves m12
+    # and g23 free, so a leaked value from the first would change it.
+    commands = {c["name"]: c["argv"] for c in json.loads((GOLDEN / "commands.json").read_text())}
+    for name in ("catalog-jordan-b", "readme-catalog-jordan-b", "catalog-qm1-a"):
+        code, out, _ = run(capsys, *commands[name])
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.out").read_text(), name
+    assert cli._parser() is cli._parser()
 
 
 def test_exit_code_bad_case(capsys):

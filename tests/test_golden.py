@@ -3,7 +3,8 @@
 ``tests/golden/commands.json`` lists a fixed command set (certify,
 nakayama, ore and superpotential on the problem documents next to it,
 in both formats; catalog cases with fixed parameters; the README
-command-line examples).  Each command is replayed through
+command-line examples).  The README's example problem document is
+``readme.json``.  Each command is replayed through
 ``orenaka.cli.main`` and its stdout compared with
 ``tests/golden/<name>.out``.  The README's library quick start and the
 demo scripts are run in-process, and their printed output compared
@@ -61,6 +62,13 @@ def test_cli_golden(cmd):
     code, out = _run(cmd["argv"])
     assert code == 0
     assert out == (GOLDEN / f"{cmd['name']}.out").read_text()
+
+
+def test_readme_document_is_golden():
+    """The README's example problem document is the one the golden
+    commands run, so the two cannot drift apart."""
+    block = re.search(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S).group(1)
+    assert json.loads(block) == json.loads((GOLDEN / "readme.json").read_text())
 
 
 def test_readme_quickstart_golden():

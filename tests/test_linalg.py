@@ -19,14 +19,16 @@ from orenaka import (
     subspace_sum,
 )
 
+from orenaka import linalg
 from orenaka.linalg import (
-    P61,
+    P,
     _clear,
     _integer_row,
     _scaled,
     combination,
     echelon,
     expand_through,
+    fraction_rows,
     rank,
     sandwich_map,
     shift,
@@ -111,8 +113,8 @@ def test_rank_matches_minor_oracle():
         # the row order is the kernel's own choice: no result may see it
         for order in (rows, rows[::-1], rng.sample(rows, len(rows))):
             assert rank(order) == want
-            # every minor here is a small rational, so none vanishes mod 2^61 - 1
-            assert rank(order, P61) == want
+            # every minor here is a small rational, so none vanishes mod P = 2^30 - 35
+            assert rank(order, P) == want
             assert Subspace(5, order) == space
 
 
@@ -426,10 +428,10 @@ def test_expand_through_membership_matches_shifted_space():
 # Scaled-integer tensor kernels against the Fraction route (conftest)
 
 _BIG = 2**100
-# denominators that share factors, the Mersenne prime P61 and ones above 2^100
+# denominators that share factors, the rank prime P and ones above 2^100
 _denominators = st.one_of(
     st.sampled_from([1, 2, 3, 4, 6, 9, 12, 18, 36]),
-    st.just(P61),
+    st.just(P),
     st.integers(_BIG + 1, _BIG << 8),
 )
 _rationals = st.builds(Fraction, st.integers(-30, 30), _denominators)
@@ -775,7 +777,7 @@ def test_echelon_matches_fraction_route(case, data):
     for order in (rows, shuffled):
         # forward only: the rank
         assert rank(order) == len(fraction_echelon(order)) == len(want)
-        assert rank(order, P61) <= len(want)
+        assert rank(order, P) <= len(want)
         for lead, row in echelon(order).items():
             assert all(type(v) is int for v in row.values())
             assert row[lead] > 0 and gcd(*row.values()) == 1 and min(row) == lead
@@ -831,3 +833,43 @@ def test_subspace_stores_primitive_integer_rref_rows(case, data):
         for k, v in b.items():
             rest[k] = rest.get(k, 0) - f * v
     assert s.reduce(vec) == {k: v for k, v in rest.items() if v}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_row_system(), st.data())
+def test_capped_rank_is_min_of_cap_and_rank(case, data):
+    n, rows, shuffled = case
+    for p in (None, P):
+        full = rank(rows, p)
+        cap = data.draw(st.integers(0, len(rows) + 1))
+        assert rank(shuffled, p, cap=cap) == min(cap, full)
+
+
+def test_rows_dependent_only_mod_p_fall_back_to_q(monkeypatch):
+    rows = [{0: 1, 1: 1}, {0: 1, 1: 1 + P}]
+    assert rank(rows, P) == 1 and rank(rows) == 2
+    # the modulus of every forward pass echelon runs
+    calls = []
+    real = linalg._forward
+    monkeypatch.setattr(linalg, "_forward", lambda r, p, cap=None: calls.append(p) or real(r, p, cap))
+    assert fraction_rows(echelon(rows, reduced=True)) == fraction_echelon(rows, reduced=True)
+    # preselection mod P, the chosen row over Q, then every row over Q
+    assert calls == [P, None, None]
+    calls.clear()
+    # below the gate there is one pass over Q
+    assert echelon([{0: 1, 1: 1}, {0: 1, 1: 2}], reduced=True) == {0: {0: 1}, 1: {1: 1}}
+    assert calls == [None]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_row_system(), st.data())
+def test_echelon_with_a_row_dependent_only_mod_p(case, data):
+    n, rows, _ = case
+    ints = [r for r in (_integer_row(row, None) for row in rows) if r] + [{0: 1}]
+    # as ints the entries above 2^100 pass the gate: rows chosen mod P
+    assert fraction_rows(echelon(ints, reduced=True)) == fraction_echelon(ints, reduced=True)
+    r = dict(data.draw(st.sampled_from(ints)))
+    k = data.draw(st.integers(0, n - 1))
+    r[k] = r.get(k, 0) + P
+    rows = rows + [r]
+    assert fraction_rows(echelon(rows, reduced=True)) == fraction_echelon(rows, reduced=True)

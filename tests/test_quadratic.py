@@ -21,8 +21,8 @@ from orenaka import (
     subspace_intersect,
 )
 
-from orenaka import quadratic
-from orenaka.linalg import P61, word_flat
+from orenaka import linalg, quadratic
+from orenaka.linalg import P, word_flat
 
 from conftest import (
     catalog_algebras,
@@ -140,8 +140,10 @@ def test_koszul_differential_injective_at_top():
 
 
 def test_differentials_compose_to_zero():
-    for name, a in catalog_algebras():
-        d = a.certificate.d
+    # the caps of certify_koszul's modular ranks rest on d o d = 0
+    algs = [(name, a, a.certificate.d) for name, a in catalog_algebras()]
+    algs += [("sklyanin123", _sklyanin(), 3), ("sklyanin-ext", _sklyanin_extension(), 4)]
+    for name, a, d in algs:
         for i in range(2, d + 1):
             for j in range(0, 3):
                 prod = compose_rows(a.differential_rows(i, j), a.differential_rows(i - 1, j + 1))
@@ -225,13 +227,14 @@ def test_certify_detects_non_koszul_input():
 
 def _spy_rank(monkeypatch, lossy=False):
     """Route quadratic.rank through a recorder of the moduli it is
-    called with; ``lossy`` makes every nonzero rank mod p one short."""
+    called with, forwarding any cap; ``lossy`` makes every nonzero rank
+    mod p one short."""
     real = quadratic.rank
     calls = []
 
-    def spy(rows, p=None):
+    def spy(rows, p=None, cap=None):
         calls.append(p)
-        r = real(rows, p)
+        r = real(rows, p, cap)
         return r - 1 if lossy and p is not None and r else r
 
     monkeypatch.setattr(quadratic, "rank", spy)
@@ -291,11 +294,11 @@ def test_certified_ranks_equal_exact_elimination():
 
 def test_prime_in_denominator_certifies_over_q(monkeypatch):
     want = _q_ranks(make_quantum_plane(2), 6)
-    q = Fraction(1, P61)
+    q = Fraction(1, P)
     a = QuadraticAlgebra(["x1", "x2"], [Tensor(2, 2, {(0, 1): 1, (1, 0): -q})])
     # the rows are scaled to integers, so the rank mod p is defined
     rows = a.differential_rows(1, 1)
-    assert quadratic.rank(rows, P61) <= quadratic.rank(rows)
+    assert quadratic.rank(rows, P) <= quadratic.rank(rows)
     calls = _spy_rank(monkeypatch)
     cert = a.certify_koszul(6)
     # the modular ranks alone certify
@@ -311,7 +314,7 @@ def test_modular_undercount_falls_back_to_q(monkeypatch):
         [Tensor(3, 2, {(i, j): 1, (j, i): -1}) for i in range(3) for j in range(i + 1, 3)],
     )
     cert = a.certify_koszul(6)
-    assert calls.count(None) == calls.count(P61) == len(want)
+    assert calls.count(None) == calls.count(P) == len(want)
     assert cert.ranks == want
 
 
@@ -423,3 +426,19 @@ def test_sklyanin_extension_normal_forms_and_ranks():
         for w in b.basis_words(4) for v in range(4) for c in b.nf_word(w + (v,)).values()
     )
     assert bits == 150
+
+
+def test_sklyanin_extension_certifies_by_capped_modular_ranks(monkeypatch):
+    b = _sklyanin_extension()
+    calls = _spy_rank(monkeypatch)
+    cert = b.certify_koszul(6)
+    # every degree was certified by its capped ranks mod P: none fell back
+    assert calls and None not in calls
+    # against forward-only elimination over Q, which neither caps nor
+    # preselects rows
+    want = {
+        (m, i): linalg.rank(b.differential_rows(i, m - i))
+        for m in range(1, 6)
+        for i in range(1, min(m, 4) + 1)
+    }
+    assert {k: r for k, r in cert.ranks.items() if k[0] <= 5} == want
