@@ -292,6 +292,42 @@ CASE_FREE_PARAMS = {
     "jordan-b": ("g22", "g23"),
 }
 
+# the entries of M (and q) each case reads; the case fixes the others
+CASE_MATRIX_PARAMS = {
+    "comm-a": (),
+    "comm-b": ("m11", "m12"),
+    "comm-c": ("m12", "m22"),
+    "comm-d": ("m11", "m12", "m22"),
+    "comm-e-b": ("m11", "m12"),
+    "comm-e-c": ("m12", "m22"),
+    "comm-e-d": ("m11", "m12", "m22"),
+    "comm-f": ("m11", "m12", "m21", "m22"),
+    "comm-g": ("m11", "m12", "m21", "m22"),
+    "qm1-a": (),
+    "qm1-b": (),
+    "qm1-c": ("m11",),
+    "qm1-d": (),
+    "qm1-e": ("m22",),
+    "qm1-f": ("m11", "m22"),
+    "qm1ii-a": ("m12",),
+    "qm1ii-b": ("m12", "m21"),
+    "qneq1-a": ("q",),
+    "qneq1-b": ("q", "m11"),
+    "qneq1-c": ("q", "m22"),
+    "qneq1-d": ("q", "m22"),
+    "qneq1-e": ("q", "m22"),
+    "qneq1-f": ("q", "m11", "m22"),
+    "jordan-a": ("m12",),
+    "jordan-b": ("m11", "m12"),
+}
+
+
+def case_param_names(case: str) -> tuple[str, ...]:
+    """Every parameter name a case accepts: its matrix entries (and q),
+    then its free gammas."""
+    case = CASE_ALIASES.get(case, case)
+    return CASE_MATRIX_PARAMS[case] + CASE_FREE_PARAMS[case]
+
 
 def _need(params: Mapping, name: str) -> Fraction:
     if name not in params:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .catalog import (
     CASES,
     CASE_ALIASES,
+    case_param_names,
     cy_classifier_dim2,
     dim2_instance_oracle,
     enumerate_solution,
@@ -309,6 +310,7 @@ def cmd_catalog(family, case, params, bound, check_level, input_path=None) -> di
         raise InputError(f"unknown family {family!r}")
     if fam_prefix not in expect:
         raise InputError(f"case {case!r} does not belong to family {family!r}")
+    _check_params(params, case_param_names(case), case)
     inst = enumerate_solution(case, params)
     spec = ProblemSpec(list(inst.algebra.names), [], None, None, {})
     n = _certify_to(inst.algebra, bound)
@@ -334,11 +336,20 @@ def cmd_catalog(family, case, params, bound, check_level, input_path=None) -> di
     return report
 
 
+def _check_params(params, accepted, case) -> None:
+    for name in params:
+        if name not in accepted:
+            raise InputError(
+                f"unknown parameter {name!r} for case {case!r}; accepted: {', '.join(accepted)}"
+            )
+
+
 def _catalog_poly(case, params, bound, check_level, input_path) -> dict:
     """Polynomial family: sigma = id, derivation from the input document,
     oracle = the formal divergence sum of partial derivatives."""
     if case != "divergence":
         raise InputError("family 'poly' has the single case 'divergence'")
+    _check_params(params, ("n",), case)
     n = params.get("n")
     if n is None or n != int(n) or int(n) < 1:
         raise InputError("family 'poly' needs --param n=<positive integer>")

@@ -489,6 +489,12 @@ class Subspace:
         rows = self._rows
         return [_unscaled(rows[p], rows[p][p]) for p in sorted(rows)]
 
+    def int_rows(self) -> list[dict[int, int]]:
+        """The primitive integer RREF rows in pivot order (new dicts);
+        each spans the line of its ``basis()`` row."""
+        rows = self._rows
+        return [dict(rows[p]) for p in sorted(rows)]
+
     def reduce(self, vec: Mapping) -> dict:
         """Canonical remainder of vec modulo this subspace, zeros dropped.
 

@@ -15,8 +15,24 @@ least d+2.
 Homogeneous bases: A_m is presented as (A_{m-1} (x) V) / im(A_{m-2}
 (x) R), eliminated degree by degree; the surviving (monomial, letter)
 pairs, in lexicographic word order, are the chosen monomial basis.
-This keeps every elimination matrix small while staying deterministic
-under the package-wide flattening order.
+This keeps every elimination matrix small while staying deterministic.
+The lexicographic order is that of the letter order ``order``, which
+is read off R itself.  A letter v is an *Ore letter* over the other
+letters V' when
+
+    R = R' + span{v (x) u - phi(u) : u in V'},  R' <= V' (x) V',
+    phi(u) in V' (x) v + V' (x) V',
+
+that is, when A = A'[v; sigma, delta] for A' = T(V')/(R').  The order
+takes the smallest-index Ore letter first, then repeats on R' until no
+Ore letter is left, and lists the other letters in index order.  The
+reducer clears the smallest words first, so an Ore letter put first is
+rewritten to the right: the basis becomes the PBW basis (words of A'
+followed by powers of v, as A is a free A'-module on them), and the
+bit-lengths of the normal-form coefficients grow roughly linearly in
+the degree instead of geometrically.  An algebra with no Ore letter, or whose Ore letters
+already come in index order (poly(n), the quantum and Jordan planes),
+keeps the identity order.
 
 Normal forms are held in integers.  A normal form is a pair (nums,
 den): int numerators by basis position over one positive denominator,
@@ -95,8 +111,9 @@ _NO_PIECE = _Piece([])  # A_m = 0 for m < 0
 class QuadraticAlgebra:
     """T(V)/(R) with R a subspace of V (x) V.
 
-    Immutable once certified; all memoized data is filled eagerly by
-    the certification entry points and read-only afterwards.
+    The homogeneous pieces, Koszul spaces and normal forms are memoized
+    lazily, degree by degree, on first use; the letter order ``order``
+    is fixed at construction.
     """
 
     def __init__(self, names: Sequence[str], relations: Iterable[Tensor] | Subspace):
@@ -117,12 +134,20 @@ class QuadraticAlgebra:
                     raise ValueError("relations must be degree-2 tensors over V")
                 rows.append(t.to_vec())
             self.R = Subspace(self.nv**2, rows)
+        self._order = _ore_order(self.R, self.nv)
+        self._pos = {v: k for k, v in enumerate(self._order)}
         self._pieces: list[_Piece] = []
         self._W: list[Subspace] = []
         self._nf_cache: dict[tuple, dict] = {}
         self._sandwich = None          # R(x)V + V(x)R, for derivation admissibility
         self.certificate: KoszulCertificate | None = None
         self._nakayama = None          # filled by morphisms.nakayama_of_A
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        """The letters in the order that sorts the monomial bases: the
+        peeled Ore letters first (module docstring)."""
+        return self._order
 
     # -- homogeneous pieces -------------------------------------------------
 
@@ -134,21 +159,25 @@ class QuadraticAlgebra:
             if k == 0:
                 self._pieces.append(_Piece([()]))
             elif k == 1:
-                self._pieces.append(_Piece([(j,) for j in range(self.nv)]))
+                self._pieces.append(_Piece([(v,) for v in self._order]))
             else:
                 self._pieces.append(self._build_piece(k))
         return self._pieces[m]
 
     def _build_piece(self, m: int) -> _Piece:
-        nv = self.nv
+        nv, pos = self.nv, self._pos
         lower = self._piece(m - 1)
         lower2 = self._piece(m - 2)
-        rels = [[(divmod(pair, nv), c) for pair, c in rel.items()] for rel in self.R.basis()]
+        # pair column b * nv + pos[v]: lexicographic in ``order``
+        rels = [
+            [(pair // nv, pos[pair % nv], c) for pair, c in rel.items()]
+            for rel in self.R.int_rows()
+        ]
         rows = []
         for aw in lower2.words:
             for rel in rels:
                 # the numerators alone: scaling a row keeps its span
-                rows.append(_int_sum((c, self._nf(aw + (u,)), nv, v) for (u, v), c in rel)[0])
+                rows.append(_int_sum((c, self._nf(aw + (u,)), nv, k) for u, k, c in rel)[0])
         # a primitive RREF row p reads e_p = -sum_k (row[k] / row[p]) e_k in A_m
         reducer = echelon(rows, reduced=True)
         npairs = len(lower.words) * nv
@@ -161,7 +190,7 @@ class QuadraticAlgebra:
                 pairs.append(({col[p]: 1}, 1))
             else:
                 pairs.append(({col[k]: -v for k, v in row.items() if k != p}, row[p]))
-        words = [lower.words[p // nv] + (p % nv,) for p in pair_cols]
+        words = [lower.words[p // nv] + (self._order[p % nv],) for p in pair_cols]
         return _Piece(words, pairs)
 
     def dim_A(self, m: int) -> int:
@@ -169,7 +198,9 @@ class QuadraticAlgebra:
 
     def basis_words(self, m: int) -> list[tuple]:
         """Chosen monomial basis of A_m as words, in lexicographic order
-        (empty for m < 0)."""
+        for the letter order ``order`` (empty for m < 0).  With an Ore
+        letter first these are the PBW words: standard words of the base
+        followed by a power of the Ore letter."""
         return list(self._piece(m).words)
 
     def nf_word(self, word: tuple) -> dict[int, Fraction]:
@@ -183,13 +214,13 @@ class QuadraticAlgebra:
         if m == 0:
             return {0: 1}, 1
         if m == 1:
-            return {word[0]: 1}, 1
+            return {self._pos[word[0]]: 1}, 1
         cached = self._nf_cache.get(word)
         if cached is not None:
             return cached
         prefix, pden = self._nf(word[:-1])
         pairs = self._piece(m).pairs
-        last = word[-1]
+        last = self._pos[word[-1]]
         nums, den = _int_sum((c, pairs[b * self.nv + last], 1, 0) for b, c in prefix.items())
         den *= pden
         g = gcd(den, *nums.values())
@@ -452,6 +483,55 @@ class QuadraticAlgebra:
     def __repr__(self):
         rel = self.R.dim
         return f"QuadraticAlgebra(<{', '.join(self.names)}> with {rel} relations)"
+
+
+def _ore_order(R: Subspace, nv: int) -> tuple[int, ...]:
+    """The letter order of T(V)/(R): Ore letters peeled smallest index
+    first, then the rest in index order (module docstring)."""
+    # relation rows keyed by pairs (a, b), an echelon basis for the
+    # index order of the pairs; R's own RREF is one
+    rels = [{divmod(k, nv): c for k, c in row.items()} for row in R.int_rows()]
+    letters = list(range(nv))
+    order = []
+    while len(letters) > 1:
+        for v in letters:
+            rest = _peel(rels, v, letters, nv)
+            if rest is not None:
+                break
+        else:
+            break
+        order.append(v)
+        letters.remove(v)
+        rels = rest
+    return tuple(order + letters)
+
+
+def _peel(rels: list[dict], v: int, letters: list[int], nv: int) -> list[dict] | None:
+    """R' as an echelon basis for the index order when v is an Ore
+    letter of the span of ``rels`` over the other ``letters`` V', else
+    None.
+
+    Take an echelon basis for an order of the pairs with v (x) V' first.
+    Its rows that meet v (x) V' have their pivots there, and the others
+    span the relations with no part in v (x) V'.  So v is an Ore letter
+    when no row meets v (x) v, |V'| rows meet v (x) V', and none of the
+    others meets V' (x) v; those others span R'.  With v the smallest
+    letter left the index order puts v (x) V' first, so ``rels`` is such
+    a basis already; for another v one echelon pass reorders the pairs.
+    Either way the rest keeps the index order on V' (x) V'.
+    """
+    if any((v, v) in rel for rel in rels):
+        return None
+    if v != letters[0]:
+        n2 = nv * nv
+        pivots = echelon(
+            {(0 if a == v else n2) + a * nv + b: c for (a, b), c in rel.items()} for rel in rels
+        )
+        rels = [{divmod(k % n2, nv): c for k, c in row.items()} for row in pivots.values()]
+    rest = [rel for rel in rels if all(a != v for a, _ in rel)]
+    if len(rels) - len(rest) != len(letters) - 1 or any(b == v for rel in rest for _, b in rel):
+        return None
+    return rest
 
 
 def _int_sum(terms: Iterable[tuple]) -> tuple[dict[int, int], int]:

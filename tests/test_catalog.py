@@ -32,6 +32,8 @@ from orenaka import (
     random_case_params,
 )
 
+from orenaka.catalog import case_param_names
+
 from conftest import minor_det
 
 
@@ -271,6 +273,19 @@ def test_all_solution_cases_admissible_and_match_oracle():
             inst = enumerate_solution(case, random_case_params(case, rng))
             rep = nakayama_of_B(inst.sigma, inst.delta, with_superpotential=False)
             assert rep.mu_B == dim2_instance_oracle(inst), case
+
+
+def test_case_param_names_cover_random_params():
+    # the accepted names are exactly what random_case_params draws, up
+    # to the free gammas it always draws
+    rng = random.Random(3)
+    for case in CASES:
+        names = case_param_names(case)
+        for _ in range(3):
+            drawn = set(random_case_params(case, rng))
+            assert drawn == set(names), case
+    want = ("q", "g11", "g13", "g21", "g23")
+    assert case_param_names("qneq-1-a") == case_param_names("qneq1-a") == want
 
 
 def test_enumerate_solution_spec_examples():

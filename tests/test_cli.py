@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import orenaka
 from orenaka import cli, scalar
 from orenaka.cli import main, parse_problem, render_report
 
@@ -233,6 +237,35 @@ def test_exit_code_bad_case(capsys):
     code, _, _ = run(capsys, "catalog", "--family", "quantum-plane",
                      "--case", "qm1ii-b", "--param", "m12=2", "--param", "m21=1/2")
     assert code == 3  # precondition m12 m21 != 1 violated
+
+
+def test_exit_code_unknown_param(capsys):
+    # a parameter the case does not have fails instead of being ignored
+    code, out, err = run(capsys, "catalog", "--family", "quantum-plane",
+                         "--case", "qm1-a", "--param", "bogus=3")
+    assert (code, out) == (1, "")
+    assert "'bogus'" in err and "accepted: g11, g13, g21, g23" in err
+    # qm1-a fixes M = -1, so m11 is no parameter of it either
+    code, _, err = run(capsys, "catalog", "--family", "quantum-plane", "--case", "qm1-a",
+                       "--param", "g11=-1", "--param", "m11=2")
+    assert code == 1 and "'m11'" in err
+    code, _, err = run(capsys, "catalog", "--family", "poly", "--case", "divergence",
+                       "--param", "n=2", "--param", "q=2", "--input", str(GOLDEN / "comm.json"))
+    assert code == 1 and "'q'" in err and "accepted: n" in err
+
+
+def test_python_dash_m_entry_point():
+    # ``python -m orenaka`` runs cli.main in a fresh interpreter
+    src = str(Path(orenaka.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = [sys.executable, "-m", "orenaka", "catalog", "--family", "jordan", "--case", "jordan-b",
+            "--param", "m11=2", "--param", "g22=1"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0
+    assert done.stdout == (GOLDEN / "readme-catalog-jordan-b.out").read_text()
+    done = subprocess.run(argv + ["--param", "bogus=3"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 1 and "'bogus'" in done.stderr
 
 
 def test_byte_stability(tmp_path, capsys):

@@ -1,27 +1,35 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from orenaka import (
+    CASES,
     CertificationError,
     Matrix,
     NotASRegularError,
     QuadraticAlgebra,
     Subspace,
     Tensor,
+    enumerate_solution,
     extend_derivation,
     identity_automorphism,
     make_jordan_plane,
     make_polynomial,
     make_quantum_plane,
     ore_relations,
+    random_admissible_automorphism,
+    random_admissible_derivation,
+    random_case_params,
     subspace_intersect,
 )
 
 from orenaka import linalg, quadratic
+from orenaka.cli import parse_problem
 from orenaka.linalg import P, word_flat
 
 from conftest import (
@@ -34,6 +42,8 @@ from conftest import (
     rand_frac,
     shifted_relation_space,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_ideal_component_commutative_plane():
@@ -374,10 +384,9 @@ def test_poly1_degenerate_case():
         assert a.dim_A(m) == 1
 
 
-# B = S[w; id, delta] for the Sklyanin algebra S = Sklyanin(1, 2, 3): its
-# normal forms reach 150-bit coefficients in degree 5.  Three admissible
-# lifts over x, y, z = 0, 1, 2 span the derivations of S modulo the lifts
-# V -> R; delta is 1, 2 and 3 times them.
+# B = S[w; id, delta] for the Sklyanin algebra S = Sklyanin(1, 2, 3).
+# Three admissible lifts over x, y, z = 0, 1, 2 span the derivations of S
+# modulo the lifts V -> R; delta is 1, 2 and 3 times them.
 _SKLYANIN_LIFTS = (
     ({(1, 0): 1, (2, 2): 1}, {}, {(1, 2): Fraction(1, 3), (2, 1): Fraction(-1, 3)}),
     ({(1, 1): 1, (2, 0): 1}, {(1, 2): Fraction(-2, 3), (2, 1): Fraction(2, 3)}, {}),
@@ -396,6 +405,20 @@ def _sklyanin_extension() -> QuadraticAlgebra:
     return QuadraticAlgebra(("x", "y", "z", "w"), ore_relations(sigma, delta))
 
 
+def _forced_ranks(bound: int) -> dict:
+    """The ranks of B's Koszul differentials that exactness forces from
+    dim W_i = 1, 4, 6, 4, 1 and dim B_m = C(m + 3, 3)."""
+    w_dims = [1, 4, 6, 4, 1]
+    want = {}
+    for m in range(1, bound + 1):
+        r = 0
+        for i in range(min(m, 4), 0, -1):
+            r = w_dims[i] * math.comb(m - i + 3, 3) - r
+            want[(m, i)] = r
+        assert r == math.comb(m + 3, 3)
+    return want
+
+
 def test_sklyanin_extension_normal_forms_and_ranks():
     b = _sklyanin_extension()
     cert = b.certify_koszul(5)
@@ -409,23 +432,94 @@ def test_sklyanin_extension_normal_forms_and_ranks():
             for k, c in b.nf_word(w).items():
                 vec[basis[k]] = vec.get(basis[k], 0) - c
             assert ideal.contains({k: v for k, v in vec.items() if v}), w
-    # the ranks that exactness forces from dim W_i and dim B_m
-    w_dims = [1, 4, 6, 4, 1]
-    assert [b.koszul_space(i).dim for i in range(6)] == w_dims + [0]
-    want = {}
-    for m in range(1, 6):
-        top = min(m, 4)
-        r = 0
-        for i in range(top, 0, -1):
-            r = w_dims[i] * math.comb(m - i + 3, 3) - r
-            want[(m, i)] = r
-        assert r == math.comb(m + 3, 3) == b.dim_A(m)
-    assert cert.ranks == want
+    assert [b.koszul_space(i).dim for i in range(6)] == [1, 4, 6, 4, 1, 0]
+    assert [b.dim_A(m) for m in range(6)] == [math.comb(m + 3, 3) for m in range(6)]
+    assert cert.ranks == _forced_ranks(5)
+    # w is the Ore letter and comes first in the order; with w last (the
+    # index order) the degree-5 normal forms reached 150 bits
     bits = max(
         max(abs(c.numerator), c.denominator).bit_length()
         for w in b.basis_words(4) for v in range(4) for c in b.nf_word(w + (v,)).values()
     )
-    assert bits == 150
+    assert bits == 35
+
+
+def test_sklyanin_extension_certifies_to_default_bound():
+    b = _sklyanin_extension()
+    d, _ = b.certify_as_regular()
+    assert (d, b.certificate.bound) == (4, 7)
+    assert b.certificate.ranks == _forced_ranks(7)
+
+
+def test_ore_letter_order_matches_relabelled_presentation():
+    # B with its letters relabelled by hand so that w is letter 0: there
+    # w is the smallest-index Ore letter, so the order is the identity
+    b = _sklyanin_extension()
+    assert b.order == (3, 0, 1, 2)
+    new = {old: k for k, old in enumerate(b.order)}
+    rels = [
+        Tensor(4, 2, {(new[a], new[c]): v for (a, c), v in t.entries.items()})
+        for t in (Tensor.from_vec(r, 4, 2) for r in b.R.basis())
+    ]
+    b0 = QuadraticAlgebra(("w", "x", "y", "z"), rels)
+    assert b0.order == (0, 1, 2, 3)
+    for m in range(5):
+        assert [tuple(new[v] for v in w) for w in b.basis_words(m)] == b0.basis_words(m)
+    assert b.certify_koszul(6).ranks == b0.certify_koszul(6).ranks == _forced_ranks(6)
+
+
+def test_ore_letter_order_gives_pbw_basis():
+    # B is a free S-module on the powers of w: its basis words are the
+    # basis words of S followed by a power of w
+    b, s = _sklyanin_extension(), _sklyanin()
+    for m in range(6):
+        pbw = {u + (3,) * (m - len(u)) for j in range(m + 1) for u in s.basis_words(j)}
+        assert set(b.basis_words(m)) == pbw
+
+
+def _poly(n: int) -> QuadraticAlgebra:
+    """poly(n) built from its relations, uncertified."""
+    rels = [Tensor(n, 2, {(i, j): 1, (j, i): -1}) for i in range(n) for j in range(i + 1, n)]
+    return QuadraticAlgebra([f"x{i + 1}" for i in range(n)], rels)
+
+
+def test_letter_order_identity_on_standard_presentations():
+    rng = random.Random(11)
+    algs = [(f"poly{n}", _poly(n)) for n in range(2, 7)]
+    algs += catalog_algebras() + [("sklyanin123", _sklyanin())]
+    algs += [(f"quantum({q})", make_quantum_plane(q)) for q in (1, 5, Fraction(-2, 3))]
+    algs += [
+        (case, enumerate_solution(case, random_case_params(case, rng)).algebra) for case in CASES
+    ]
+    for path in sorted(GOLDEN.glob("*.json")):
+        if path.name != "commands.json":
+            spec = parse_problem(json.loads(path.read_text()))
+            algs.append((path.name, QuadraticAlgebra(spec.generators, spec.relations)))
+    assert {name for name, _ in algs} >= {
+        "comm.json", "jordan_cy.json", "poly3.json", "qplane.json", "readme.json"
+    }
+    for name, a in algs:
+        assert a.order == tuple(range(a.nv)), name
+
+
+def test_letter_order_puts_ore_letters_first():
+    # the Jordan plane relabelled: x1 x2 - x2 x1 - x1^2 makes x2 the Ore letter
+    j = QuadraticAlgebra(["x1", "x2"], [Tensor(2, 2, {(0, 1): 1, (1, 0): -1, (0, 0): -1})])
+    assert j.order == (1, 0)
+    assert j.basis_words(2) == [(1, 1), (0, 1), (0, 0)]
+    # a two-level tower C = B[u; id, delta'] over swell's B
+    b = _sklyanin_extension()
+    sigma = identity_automorphism(b)
+    delta = random_admissible_derivation(b, sigma, random.Random(7))
+    c = QuadraticAlgebra(("x", "y", "z", "w", "u"), ore_relations(sigma, delta))
+    assert c.order == (4, 3, 0, 1, 2)
+    # poly(3)[z; sigma, delta] with dense sigma and delta
+    p3 = make_polynomial(3)
+    rng = random.Random(5)
+    sigma = random_admissible_automorphism(p3, rng)
+    delta = random_admissible_derivation(p3, sigma, rng)
+    d = QuadraticAlgebra(("x1", "x2", "x3", "z"), ore_relations(sigma, delta))
+    assert d.order[0] == 3
 
 
 def test_sklyanin_extension_certifies_by_capped_modular_ranks(monkeypatch):
