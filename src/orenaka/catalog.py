@@ -555,10 +555,18 @@ def enumerate_solution(case: str, params: Mapping) -> SolutionInstance:
     ``params`` maps parameter names (m11..m22, g11..g23, q) to exact
     rationals; constrained gammas are filled per the case table and the
     instance is re-verified through the generic admissibility checks.
+    A name outside ``case_param_names(case)`` raises
+    CasePreconditionError.
     """
     case = CASE_ALIASES.get(case, case)
     if case not in CASES:
         raise CasePreconditionError(f"unknown case {case!r}")
+    accepted = case_param_names(case)
+    for name in params:
+        if name not in accepted:
+            raise CasePreconditionError(
+                f"unknown parameter {name!r} for case {case!r}; accepted: {', '.join(accepted)}"
+            )
     family = case.split("-")[0]
     q = None
     mirrored = False

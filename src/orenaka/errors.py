@@ -12,7 +12,16 @@ class OrenakaError(Exception):
 
 
 class NoSolutionError(OrenakaError):
-    """An affine linear system has no solution."""
+    """An affine linear system has no solution.
+
+    Raised by a sequence-pair stage, ``stage`` is i and ``index`` the W_i
+    basis vector k whose delta_{i,r} image has no solution; both are
+    None elsewhere."""
+
+    def __init__(self, message, stage=None, index=None):
+        super().__init__(message)
+        self.stage = stage
+        self.index = index
 
 
 class NotInvertibleError(OrenakaError):
@@ -58,7 +67,13 @@ class EngineInvariantError(OrenakaError):
 
 
 class LeftImageEscapeError(EngineInvariantError):
-    """A left-tower map's image left V(x)W_i."""
+    """A left-tower map's image left V(x)W_i: the image of W_i basis
+    vector ``index`` at stage ``stage`` = i."""
+
+    def __init__(self, message, stage=None, index=None):
+        super().__init__(message)
+        self.stage = stage
+        self.index = index
 
 
 class AutomorphismCheckFailedError(EngineInvariantError):
@@ -67,13 +82,28 @@ class AutomorphismCheckFailedError(EngineInvariantError):
 
 
 class FormMismatchError(EngineInvariantError):
-    """The two closed forms of the twisted superpotential disagree."""
+    """The two closed forms of the twisted superpotential disagree;
+    ``degree`` is the degree d + 1 of omega-hat."""
+
+    def __init__(self, message, degree=None):
+        super().__init__(message)
+        self.degree = degree
 
 
 class NotInHatWError(EngineInvariantError):
     """The twisted superpotential is not in the top Koszul space of the
-    Ore extension."""
+    Ore extension: it escapes V-hat^s (x) R-hat (x) V-hat^(d-1-s) at the
+    slot ``slot`` = s."""
+
+    def __init__(self, message, slot=None):
+        super().__init__(message)
+        self.slot = slot
 
 
 class TwistFailureError(EngineInvariantError):
-    """The twisted superpotential fails its twist condition."""
+    """The twisted superpotential fails its twist condition; ``degree``
+    is the degree d + 1 of omega-hat."""
+
+    def __init__(self, message, degree=None):
+        super().__init__(message)
+        self.degree = degree

@@ -12,13 +12,33 @@ assemble the Nakayama automorphism of B:
 plus the twisted superpotential omega-hat presenting B as a derivation
 quotient algebra.
 
-Right towers are built stage by stage: delta_{i,r}(w) is any element u
-of W_i (x) V with (id^(i-1) (x) m)(u) matching the multiplication of
-(sigma^(i-1) (x) delta + delta_{i-1,r} (x) id)(w) into A_2; the solver
-takes the canonical particular solution (free variables zeroed) so
-runs are reproducible, and optionally adds random kernel vectors when
-exercising the choice-independence of the divergence.  Left towers
-then follow from the alternating recursion and never need a solve.
+W-coordinates.  The towers are held in the bases of the W_i (the
+tables of ``QuadraticAlgebra.w_tables``), never in V^(x)(i+1): the image
+of w_k under delta_{i,r} is its coordinates on the w_l (x) x_j of W_i (x)
+V, under delta_{i,l} on the x_u (x) w_l of V (x) W_i, and sigma^(x)i on
+W_i is the square matrix S^i.  Each is a vector of int numerators over
+one denominator.  Tensors are built only where one is the output: the
+``right`` and ``left`` stages on first read, and omega-hat.
+
+Right towers are built stage by stage: delta_{i,r}(w_k) is any u in W_i
+(x) V with (id^(i-1) (x) m)(u) = (id^(i-1) (x) m)((sigma^(i-1) (x) delta
++ delta_{i-1,r} (x) id)(w_k)), both sides multiplied into W_{i-1} (x)
+A_2.  The columns, the images of the w_l (x) x_j, are the rows of the
+Koszul differential d_i on W_i (x) A_1; the right-hand side comes from
+the split of w_k in W_{i-1} (x) V, S^(i-1), the normal forms of
+delta(x_v) and of the letter pairs, and stage i-1.  Solving in W_{i-1}
+(x) A_2 instead of V^(x)(i-1) (x) A_2 changes nothing: the inclusion of
+the one in the other is injective, so the two systems have the same
+solutions and the same dependencies among their columns, hence the
+same pivot unknowns, the same canonical particular solution (free
+unknowns zero) and the same kernel basis.  The solver takes that
+canonical solution so runs are reproducible, and optionally adds
+random kernel vectors when exercising the choice-independence of the
+divergence.  Left towers follow from the alternating recursion, in V
+(x) W_{i-1} (x) V coordinates, and are read back into V (x) W_i; they
+need no solve.  ``SequencePair.verify``, ``apply_right`` and
+``apply_left`` work on tensors in V^(x)k, a route independent of these
+coordinates.
 """
 
 from __future__ import annotations
@@ -42,6 +62,9 @@ from .linalg import (
     Matrix,
     Subspace,
     Tensor,
+    _canonical,
+    _combine,
+    _scaled,
     expand_through,
     sandwich_map,
     solve_columns,
@@ -53,34 +76,105 @@ from .morphisms import (
     hdet,
     nakayama_of_A,
 )
-from .quadratic import QuadraticAlgebra
+from .quadratic import QuadraticAlgebra, _int_sum
 
 
-def _sign(i: int) -> Fraction:
-    return ONE if i % 2 == 0 else -ONE
+def _sign(i: int) -> int:
+    return 1 if i % 2 == 0 else -1
+
+
+def _sum(terms) -> tuple[dict[int, int], int]:
+    """``quadratic._int_sum`` of (c, (nums, den), stride, offset) terms
+    in canonical form."""
+    return _canonical(*_int_sum(terms))
+
+
+def _expand(vec: tuple[dict, int], head, tail) -> tuple[dict, int]:
+    """A coordinate vector on a tensor product of two spaces as a
+    tensor: int numerators by word over one denominator.  ``head`` and
+    ``tail`` are ``WTables.words`` or ``words_v`` entries (rows, L), and
+    key k * len(tail rows) + m holds the coordinate on head row k (x)
+    tail row m."""
+    nums, den = vec
+    hrows, hden = head
+    trows, tden = tail
+    size = len(trows)
+    out: dict = {}
+    get = out.get
+    for key, c in nums.items():
+        h, t = divmod(key, size)
+        tail_row = trows[t]
+        for hw, hn in hrows[h]:
+            f = c * hn
+            for tw, tn in tail_row:
+                w = hw + tw
+                out[w] = get(w, 0) + f * tn
+    return out, den * hden * tden
+
+
+_UNIT = ([[((), 1)]], 1)  # the scalar line, as a ``_expand`` factor
 
 
 class SequencePair:
-    """The two towers of maps attached to a derivation lift.
+    """The two towers of maps attached to a derivation lift, in
+    W-coordinates (module docstring).
 
-    ``right[i]`` / ``left[i]`` hold the images of the W_i basis vectors
-    (pivot order) under delta_{i,r} / delta_{i,l}; index 0 holds the
-    zero maps and index 1 the lift itself, so the defining recursions
-    can be read literally off the stored data.
+    ``right_w[i][k]`` holds delta_{i,r}(w_k) for the W_i basis vector w_k
+    (pivot order), keyed l * nv + j on w_l (x) x_j, and ``left_w[i][k]``
+    holds delta_{i,l}(w_k), keyed u * dim W_i + l on x_u (x) w_l; each is
+    (int numerators, denominator).  Index 0 holds the zero map and index
+    1 the lift itself.  ``right`` and ``left`` are the same stages as
+    tensors in V^(x)(i+1), built on first read, so the defining
+    recursions can be read literally off them; ``sigma_w[i]`` is
+    sigma^(x)i on W_i in the same coordinates.
     """
 
-    __slots__ = ("algebra", "sigma", "delta", "right", "left")
+    __slots__ = ("algebra", "sigma", "delta", "right_w", "left_w", "_sigma_w", "_right", "_left")
 
-    def __init__(self, sigma, delta, right, left):
+    def __init__(self, sigma, delta, right_w, left_w):
         self.algebra = sigma.algebra
         self.sigma = sigma
         self.delta = delta
-        self.right = right
-        self.left = left
+        self.right_w = right_w
+        self.left_w = left_w
+        self._sigma_w = None
+        self._right = None
+        self._left = None
 
     @property
     def d(self) -> int:
-        return len(self.right) - 1
+        return len(self.right_w) - 1
+
+    @property
+    def sigma_w(self) -> list[list[tuple[dict[int, int], int]]]:
+        """S^i = sigma^(x)i on W_i for i = 0..d: row m is the image of w_m,
+        keyed by the W_i basis."""
+        if self._sigma_w is None:
+            self._sigma_w = _sigma_on_w(self.algebra, self.sigma.matrix)
+        return self._sigma_w
+
+    @property
+    def right(self) -> list[list[Tensor]]:
+        if self._right is None:
+            self._right = self._tensors(self.right_w, True)
+        return self._right
+
+    @property
+    def left(self) -> list[list[Tensor]]:
+        if self._left is None:
+            self._left = self._tensors(self.left_w, False)
+        return self._left
+
+    def _tensors(self, tower, right: bool) -> list[list[Tensor]]:
+        """The stages as tensors.  W_i (x) V is ``words_v[i]``, and V (x)
+        W_i is the letters, ``words_v[0]`` (W_0 is the scalar line),
+        followed by W_i."""
+        tab = self.algebra.w_tables()
+        out = []
+        for i, stage in enumerate(tower):
+            head, tail = (tab.words_v[i], _UNIT) if right else (tab.words_v[0], tab.words[i])
+            out.append([Tensor._from_scaled(self.algebra.nv, i + 1, *_expand(v, head, tail)) for v in stage])
+        return out
 
     def apply_right(self, i: int, t: Tensor, right_pad: int) -> Tensor:
         """(delta_{i,r} (x) id^(x)right_pad)(t) for t in W_i (x) V^(x)right_pad."""
@@ -103,10 +197,12 @@ class SequencePair:
         return out
 
     def verify(self) -> None:
-        """Re-check both tower conditions and image containments.
+        """Re-check both tower conditions on the tensors, in V^(x)k.
 
         Construction already guarantees these; the method exists for the
-        paranoid check level and the test suite.
+        paranoid check level and the test suite.  The images lie in W_i
+        (x) V and V (x) W_i by construction: the tensors are built from
+        their coordinates there.
         """
         alg = self.algebra
         nv = alg.nv
@@ -122,10 +218,6 @@ class SequencePair:
                 )
                 if lhs != rhs:
                     raise EngineInvariantError(f"right tower fails at stage {i}")
-                if expand_through(self.right[i][k], 0, wi, i, 1) is None:
-                    raise EngineInvariantError(f"right image escapes W_{i}(x)V")
-                if expand_through(self.left[i][k], 1, wi, i, 0) is None:
-                    raise LeftImageEscapeError(f"left image escapes V(x)W_{i}")
                 sgn = _sign(i)
                 recursion = Tensor.combine(nv, i + 1, [
                     (ONE, self._apply(self.right, i - 1, w, 1, 0)),
@@ -142,12 +234,63 @@ def _sigma_power_delta(sigma, delta, w: Tensor, i: int) -> Tensor:
     return w.apply_matrix_slots(range(1, i), sigma.matrix).apply_images_at(i, delta.images)
 
 
+def _on_left(vec: tuple[dict, int], rows, size: int, sign: int = 1) -> list[tuple]:
+    """The ``_sum`` terms of sign * (f (x) id)(vec) for vec keyed m * size
+    + v, with f(w_m) = rows[m] keyed g: keyed g * size + v."""
+    nums, den = vec
+    return [
+        (sign * c, (rows[key // size][0], rows[key // size][1] * den), size, key % size)
+        for key, c in nums.items()
+    ]
+
+
+def _on_right(vec: tuple[dict, int], rows, size: int, width: int, sign: int = 1) -> list[tuple]:
+    """The ``_sum`` terms of sign * (id (x) f)(vec) for vec keyed m * size
+    + v, with f(v) = rows[v] keyed g < width: keyed m * width + g."""
+    nums, den = vec
+    return [
+        (sign * c, (rows[key % size][0], rows[key % size][1] * den), 1, key // size * width)
+        for key, c in nums.items()
+    ]
+
+
+def _read(read, nums: dict[int, int], base: int = 0) -> dict[int, int]:
+    """The W_i coordinates of an element of W_i given by its numerators
+    in W_{i-1} (x) V at keys base + m * nv + v: the pivot-word reads of
+    ``WTables.read[i]`` = (L, rows), as numerators over the element's
+    denominator times L."""
+    get = nums.get
+    out = {}
+    for l, pairs in enumerate(read[1]):
+        c = sum(n * get(base + key, 0) for key, n in pairs)
+        if c:
+            out[l] = c
+    return out
+
+
+def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> list:
+    """S^i = sigma^(x)i on W_i for i = 0..d: (S^(i-1) (x) M)(w_l) in
+    W_{i-1} (x) V through the split of w_l, read back into W_i."""
+    tab = alg.w_tables()
+    nv = alg.nv
+    mrows = [_scaled({j: a for j, a in enumerate(r) if a}) for r in m.rows]
+    out = [[({0: 1}, 1)], mrows]
+    for i in range(2, alg.certificate.d + 1):
+        stage = []
+        for split in tab.right[i]:
+            moved, den = _sum(_on_right(_sum(_on_left(split, out[-1], nv)), mrows, nv, nv))
+            stage.append(_canonical(_read(tab.read[i], moved), den * tab.read[i][0]))
+        out.append(stage)
+    return out[: alg.certificate.d + 1]
+
+
 def build_sequence_pair(
     sigma: GradedAutomorphism,
     delta: DerivationLift,
     rng: random.Random | None = None,
 ) -> SequencePair:
-    """Construct a sequence pair for (sigma, delta).
+    """Construct a sequence pair for (sigma, delta) in W-coordinates
+    (module docstring).
 
     With ``rng`` given, random kernel elements are added to the
     canonical choice at every right-tower stage; any such choice is a
@@ -157,52 +300,74 @@ def build_sequence_pair(
     if delta.sigma is not sigma:
         raise ValueError("delta was built against a different sigma")
     nv = alg.nv
-    d = alg.certificate.d
-    zero1 = [Tensor(nv, 1) for _ in range(1)]
-    right: list[list[Tensor]] = [zero1, list(delta.images)]
-    left: list[list[Tensor]] = [zero1, list(delta.images)]
+    tab = alg.w_tables()
+    # stage 1 is delta itself; W_1 (x) V and V (x) W_1 are both V (x) V
+    lift = [({a * nv + b: n for (a, b), n in t.nums.items()}, t.den) for t in delta.images]
+    right: list[list[tuple]] = [[({}, 1)], lift]
+    left: list[list[tuple]] = [[({}, 1)], lift]
     sp = SequencePair(sigma, delta, right, left)
-    for i in range(2, d + 1):
-        wi = alg.koszul_space(i)
-        wvecs = [Tensor.from_vec(b, nv, i) for b in wi.basis()]
-        # the unknowns are the coefficients on the products w_l (x) x_j
-        products = [w.tensor(Tensor.word(nv, (j,))) for w in wvecs for j in range(nv)]
-        cols = [alg.nf_tensor(t, i - 1) for t in products]
+    mrows = sp.sigma_w[1]
+    dim_a2 = alg.dim_A(2)
+    nf_delta = [alg._nf_scaled(t) for t in delta.images]
+    for i in range(2, alg.certificate.d + 1):
+        p, q = tab.dims[i - 1], tab.dims[i]
+        # the right-hand sides in W_{i-1} (x) A_2, keyed m * dim A_2 + k:
+        # (sigma^(i-1) (x) id)(w_k) then delta(x_v) multiplied into A_2,
+        # plus (delta_{i-1,r} (x) id)(w_k) then x_j x_v multiplied in
         rhs = [
-            alg.nf_tensor(
-                _sigma_power_delta(sigma, delta, w, i) + sp.apply_right(i - 1, w, 1), i - 1
+            _int_sum(
+                _on_right(_sum(_on_left(split, sp.sigma_w[i - 1], nv)), nf_delta, nv, dim_a2)
+                + _on_right(_sum(_on_left(split, right[i - 1], nv)), tab.pairs, nv * nv, dim_a2)
             )
-            for w in wvecs
+            for split in tab.right[i]
         ]
-        particulars, kernel = solve_columns(cols, rhs)
+        # the solver sees numerators: with every column over one D, the
+        # kernel is unchanged and x = y * D / (the right-hand side's den)
+        cols, cden = tab.stage[i]
+        particulars, kernel = solve_columns(cols, [r for r, _ in rhs])
         stage = []
-        for k, x in enumerate(particulars):
-            if x is None:
+        for k, (y, (_, rden)) in enumerate(zip(particulars, rhs)):
+            if y is None:
                 raise NoSolutionError(
                     f"no delta_{i},r image for W_{i} basis vector {k}; "
-                    "Koszulity hypotheses are violated"
+                    "Koszulity hypotheses are violated",
+                    stage=i, index=k,
                 )
-            terms = list(zip(x, products))
+            nums, den = _scaled({u: c for u, c in enumerate(y) if c})
+            x = ({u: n * cden for u, n in nums.items()}, den * rden)
             if rng is not None:
+                noise: dict = {}
                 for kv in kernel:
                     c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                    terms += [(c * v, products[unk]) for unk, v in kv.items()]
-            stage.append(Tensor.combine(nv, i + 1, terms))
+                    for u, v in kv.items():
+                        noise[u] = noise.get(u, ZERO) + c * v
+                x = _combine([(1, *x), (1, *_scaled(noise))])
+            stage.append(_canonical(*x))
         right.append(stage)
-        # left tower by the alternating recursion; no choice remains
+        # left tower by the alternating recursion, in V (x) W_{i-1} (x) V
+        # keyed (u * p + m) * nv + v, then read back into V (x) W_i; no
+        # choice remains
         sgn = _sign(i)
         lstage = []
-        for k, w in enumerate(wvecs):
-            term = Tensor.combine(nv, i + 1, [
-                (sgn, sp._apply(right, i - 1, w, 1, 0)),
-                (-sgn, right[i][k]),
-                (ONE, sp.apply_left(i - 1, w, 0, 1)),
-            ])
-            if expand_through(term, 1, wi, i, 0) is None:
+        for k, (lsplit, rsplit) in enumerate(zip(tab.left[i], tab.right[i])):
+            t = _sum(
+                # sgn (sigma (x) delta_{i-1,r})(w_k), sigma first
+                _on_right(_sum(_on_left(lsplit, mrows, p)), right[i - 1], p, p * nv, sgn)
+                # -sgn delta_{i,r}(w_k), through the left split of each w_l
+                + _on_left(stage[k], tab.left[i], nv, -sgn)
+                # (delta_{i-1,l} (x) id)(w_k)
+                + _on_left(rsplit, left[i - 1], nv)
+            )
+            coef = {
+                u * q + l: c for u in range(nv) for l, c in _read(tab.read[i], t[0], u * p * nv).items()
+            }
+            image = (coef, t[1] * tab.read[i][0])
+            # the reads are exact only on V (x) W_i: what they miss remains
+            if _sum([(1, t, 1, 0)] + _on_right(image, tab.right[i], q, p * nv, -1))[0]:
                 raise LeftImageEscapeError(
-                    f"left tower image escapes V(x)W_{i} at stage {i}"
+                    f"left tower image escapes V(x)W_{i} at stage {i}", stage=i, index=k
                 )
-            lstage.append(term)
+            lstage.append(_canonical(*image))
         left.append(lstage)
     return sp
 
@@ -233,16 +398,11 @@ def divergence(
         sp = build_sequence_pair(sigma, delta)
     nv = alg.nv
     d = alg.certificate.d
-    omega = alg.certificate.omega
-    pivot = min(omega.entries)
-    img_r = sp.right[d][0]
-    dr = Tensor(nv, 1, {(j,): img_r.entries.get(pivot + (j,), ZERO) for j in range(nv)})
-    if omega.tensor(dr) != img_r:
-        raise EngineInvariantError("delta_{d,r}(omega) is not omega (x) v")
-    img_l = sp.left[d][0]
-    dl = Tensor(nv, 1, {(j,): img_l.entries.get((j,) + pivot, ZERO) for j in range(nv)})
-    if dl.tensor(omega) != img_l:
-        raise EngineInvariantError("delta_{d,l}(omega) is not v (x) omega")
+    # dim W_d = 1, so x_j has the key j in both W_d (x) V and V (x) W_d
+    dr, dl = (
+        Tensor._from_scaled(nv, 1, {(j,): n for j, n in tower[d][0][0].items()}, tower[d][0][1])
+        for tower in (sp.right_w, sp.left_w)
+    )
     p = nakayama_of_A(alg).matrix
     n_map = sigma.matrix.inverse() * p
     dl_coords = [dl.entries.get((j,), ZERO) for j in range(nv)]
@@ -381,28 +541,19 @@ def twisted_superpotential_hat(
         t = t.apply_matrix_slots((i + 1,), m_hat)
         cyclic_terms.append((_sign(i), t.tau(i)))
     cyclic = Tensor.combine(nh, d + 1, cyclic_terms)
-    right_part = Tensor.combine(
-        nh,
-        d + 1,
-        ((_sign(i), sp.apply_right(i, omega, d - i).embed(nh)) for i in range(1, d + 1)),
-    )
-    left_part = Tensor.combine(
-        nh,
-        d + 1,
-        ((_sign(i + d + 1), sp.apply_left(i, omega, d - i).embed(nh)) for i in range(1, d + 1)),
-    )
+    right_part, left_part = _tower_forms(sp, nh)
     form1 = cyclic + right_part
     form2 = cyclic + left_part
     if form1 != form2:
         raise FormMismatchError(
-            f"superpotential forms disagree; residual {form1 - form2!r}"
+            f"superpotential forms disagree; residual {form1 - form2!r}", degree=d + 1
         )
     if r_hat is None:
         r_hat = ore_relations(sigma, delta)
     for s in range(d):
         if expand_through(form1, s, r_hat, 2, d - 1 - s) is None:
             raise NotInHatWError(
-                f"omega-hat escapes V-hat^{s} (x) R-hat (x) V-hat^{d - 1 - s}"
+                f"omega-hat escapes V-hat^{s} (x) R-hat (x) V-hat^{d - 1 - s}", slot=s
             )
     if mu_b is None:
         mu_b = nakayama_of_B(
@@ -411,9 +562,33 @@ def twisted_superpotential_hat(
     twisted = form1.apply_matrix_slots((1,), mu_b).tau(d).scale(_sign(d))
     if twisted != form1:
         raise TwistFailureError(
-            f"twist condition fails; residual {twisted - form1!r}"
+            f"twist condition fails; residual {twisted - form1!r}", degree=d + 1
         )
     return form1
+
+
+def _tower_forms(sp: SequencePair, nh: int) -> tuple[Tensor, Tensor]:
+    """The tower parts of omega-hat's two closed forms, over V-hat:
+    sum_i (-1)^i (delta_{i,r} (x) id^(d-i))(omega) and sum_i (-1)^(i+d+1)
+    (sigma^(x)(d-i) (x) delta_{i,l})(omega), i = 1..d.
+
+    Both are taken on omega's coordinates in W_i (x) W_{d-i} and W_{d-i}
+    (x) W_i, so sigma^(x)(d-i) acts as S^(d-i); each form is turned into
+    words once."""
+    tab = sp.algebra.w_tables()
+    nv = sp.algebra.nv
+    d = sp.d
+    right_terms, left_terms = [], []
+    for i in range(1, d + 1):
+        q, qc = tab.dims[i], tab.dims[d - i]
+        # w_a (x) w_b (a in W_i) goes to delta_{i,r}(w_a) (x) w_b
+        part = _sum(_on_left(tab.omega[i], sp.right_w[i], qc))
+        right_terms.append((_sign(i), *_expand(part, tab.words_v[i], tab.words[d - i])))
+        # w_b (x) w_a (b in W_{d-i}) goes to S^(d-i)(w_b) (x) delta_{i,l}(w_a)
+        moved = _sum(_on_left(tab.omega[d - i], sp.sigma_w[d - i], q))
+        part = _sum(_on_right(moved, sp.left_w[i], q, nv * q))
+        left_terms.append((_sign(i + d + 1), *_expand(part, tab.words_v[d - i], tab.words[i])))
+    return tuple(Tensor._trusted(nh, d + 1, *_combine(terms)) for terms in (right_terms, left_terms))
 
 
 def derivation_quotient_relations(omega: Tensor, order: int) -> Subspace:

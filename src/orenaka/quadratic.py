@@ -49,6 +49,14 @@ public edge, one per entry of ``nf_word``, ``nf_tensor`` and each
 differential row; ``certify_koszul`` ranks the numerators and builds
 none.  Each is the exact rational that elimination in Fractions gives:
 the RREF of the reducer is unique, and integer arithmetic is exact.
+
+W-coordinate tables.  ``w_tables`` holds what the sequence-pair towers
+of ``ore`` read in the bases of the W_i (``WTables``): the splits of W_i
+in W_{i-1} (x) V and V (x) W_{i-1} (``split``, which ``_differential``
+also calls without keeping the result), the pivot-word reads back into
+W_i, the rows of d_i on W_i (x) A_1, the normal forms of the letter
+pairs and omega in each W_j (x) W_{d-j}.  They are built on the first
+Ore request, never during certification.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from .linalg import (
     Tensor,
     echelon,
     expand_scaled,
+    flat_word,
     rank,
     shift,
     subspace_intersect,
@@ -142,6 +151,7 @@ class QuadraticAlgebra:
         self._sandwich = None          # R(x)V + V(x)R, for derivation admissibility
         self.certificate: KoszulCertificate | None = None
         self._nakayama = None          # filled by morphisms.nakayama_of_A
+        self._w_tables = None          # filled by w_tables, on the first Ore request
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -234,13 +244,18 @@ class QuadraticAlgebra:
         word_flat(head) * dim A_(deg - keep) + k holds the coordinate of
         head (x) (A-basis monomial k); with keep = 0 it is the normal form
         of t."""
+        nums, den = self._nf_scaled(t, keep)
+        return {k: Fraction(n, den) for k, n in nums.items() if n}
+
+    def _nf_scaled(self, t: Tensor, keep: int = 0) -> tuple[dict[int, int], int]:
+        """``nf_tensor`` as int numerators over one denominator; the
+        numerators may hold zeros."""
         stride = self.dim_A(t.degree - keep)
         nums, den = _int_sum(
             (n, self._nf(w[keep:]), 1, word_flat(w[:keep], self.nv) * stride)
             for w, n in t.nums.items()
         )
-        den *= t.den
-        return {k: Fraction(n, den) for k, n in nums.items() if n}
+        return nums, den * t.den
 
     # -- Koszul spaces ------------------------------------------------------
 
@@ -299,26 +314,47 @@ class QuadraticAlgebra:
         the numerators may hold zeros."""
         if i < 1:
             raise ValueError("differential index starts at 1")
-        nv = self.nv
-        wprev = self.koszul_space(i - 1)
         dim_anext = self.dim_A(j + 1)
         aj_words = self._piece(j).words
         rows = []
-        for b in self.koszul_space(i).basis():
-            # expansion of the W_i vector in W_{i-1} (x) V, as numerators
-            # over wden; W_0 is the scalar line, whose one basis word is
-            # the empty word
-            got = expand_scaled(Tensor.from_vec(b, nv, i), 0, wprev, i - 1, 1)
-            if got is None:
-                raise EngineInvariantError(f"W_{i} escapes W_{i - 1} (x) V")
-            exp, wden = got
-            terms = [(c, v, l * dim_anext) for (_, l, (v,)), c in exp.items()]
+        nv = self.nv
+        for exp, wden in self.split(i):
+            terms = [(c, key % nv, key // nv * dim_anext) for key, c in exp.items()]
             for aw in aj_words:
                 nums, den = _int_sum(
                     (c, self._nf((v,) + aw), 1, base) for c, v, base in terms
                 )
                 rows.append((nums, den * wden))
         return rows
+
+    def split(self, i: int, left: bool = False) -> list[tuple[dict[int, int], int]]:
+        """The W_i basis vectors (pivot order) in W_{i-1} (x) V: per
+        vector, int numerators keyed m * nv + v on w_m (x) x_v (w_m the
+        W_{i-1} basis) over one denominator.  With ``left``, in V (x)
+        W_{i-1}, keyed v * dim W_{i-1} + m on x_v (x) w_m.  W_0 is the
+        scalar line, whose one basis word is the empty word."""
+        nv = self.nv
+        wprev = self.koszul_space(i - 1)
+        out = []
+        for b in self.koszul_space(i).basis():
+            got = expand_scaled(Tensor.from_vec(b, nv, i), int(left), wprev, i - 1, int(not left))
+            if got is None:
+                side = f"V (x) W_{i - 1}" if left else f"W_{i - 1} (x) V"
+                raise EngineInvariantError(f"W_{i} escapes {side}")
+            exp, den = got
+            if left:
+                out.append(({v * wprev.dim + m: c for ((v,), m, _), c in exp.items()}, den))
+            else:
+                out.append(({m * nv + v: c for (_, m, (v,)), c in exp.items()}, den))
+        return out
+
+    def w_tables(self) -> "WTables":
+        """The W-coordinate tables of the sequence-pair towers, built on
+        the first call (``WTables``); certifies AS-regularity first."""
+        if self._w_tables is None:
+            self.ensure_as_regular()
+            self._w_tables = WTables(self)
+        return self._w_tables
 
     def koszul_differential(self, i: int, j: int) -> Matrix:
         """Dense view of ``differential_rows(i, j)``."""
@@ -483,6 +519,95 @@ class QuadraticAlgebra:
     def __repr__(self):
         rel = self.R.dim
         return f"QuadraticAlgebra(<{', '.join(self.names)}> with {rel} relations)"
+
+
+class WTables:
+    """Per-algebra data of the sequence-pair towers in W-coordinates,
+    for i = 0..d.  The basis w^i_0, w^i_1, ... of W_i is the RREF
+    ``basis()`` in pivot order, each row 1 at its pivot word; a vector is
+    a pair (int numerators by key, denominator).
+
+    * ``dims[i]`` = dim W_i.
+    * ``words[i]`` = (rows, L): w^i_l is the sum of n / L * word over the
+      (word, n) pairs of rows[l]; ``words_v[i]`` the same for the w^i_l
+      (x) x_j of W_i (x) V, at rows[l * nv + j].
+    * ``right[i]``, ``left[i]`` (i >= 1): ``split(i)`` and ``split(i,
+      left=True)``.
+    * ``read[i]`` = (L, rows) (i >= 1): an element X of W_i given in
+      W_{i-1} (x) V, keyed m * nv + v, has the coefficient sum X[key] * n
+      / L over the (key, n) pairs of rows[l] on w^i_l.  That is X's entry
+      at the pivot word h + (v,) of w^i_l: key = m * nv + v and n / L the
+      entry of w^(i-1)_m at h.
+    * ``stage[i]`` = (rows, D) (i >= 2): the rows of ``_differential(i,
+      1)``, the Koszul differential W_i (x) A_1 -> W_{i-1} (x) A_2, as
+      int numerators over one denominator D, with the row of w^i_l (x)
+      x_j at l * nv + j (letters by index, not by ``order``).
+    * ``pairs[a * nv + b]``: the normal form of x_a x_b in A_2.
+    * ``omega[j]``: omega in W_j (x) W_{d-j}, keyed a * dims[d - j] + b on
+      w^j_a (x) w^(d-j)_b: omega's entry at the joined pivot words.
+    """
+
+    __slots__ = ("dims", "words", "words_v", "right", "left", "read", "stage", "pairs", "omega")
+
+    def __init__(self, alg: "QuadraticAlgebra"):
+        nv = alg.nv
+        d = alg.certificate.d
+        spaces = [alg.koszul_space(i) for i in range(d + 1)]
+        # primitive rows in pivot order, each over its pivot entry, scaled
+        # to the lcm L of those entries
+        scaled = []
+        for w in spaces:
+            rows = w.int_rows()
+            big = lcm(*[r[min(r)] for r in rows])
+            scaled.append(([{k: n * (big // r[min(r)]) for k, n in r.items()} for r in rows], big))
+        self.dims = [w.dim for w in spaces]
+        self.words = [
+            ([[(flat_word(k, i, nv), n) for k, n in r.items()] for r in rows], big)
+            for i, (rows, big) in enumerate(scaled)
+        ]
+        self.words_v = [
+            ([[(w + (j,), n) for w, n in r] for r in rows for j in range(nv)], big)
+            for rows, big in self.words
+        ]
+        self.right = [None] + [alg.split(i) for i in range(1, d + 1)]
+        self.left = [None] + [alg.split(i, left=True) for i in range(1, d + 1)]
+        self.read = [None] + [
+            (scaled[i - 1][1], [
+                [(m * nv + p % nv, r[p // nv]) for m, r in enumerate(scaled[i - 1][0]) if p // nv in r]
+                for p in spaces[i].pivots
+            ])
+            for i in range(1, d + 1)
+        ]
+        self.stage = [None, None]
+        for i in range(2, d + 1):
+            diff = alg._differential(i, 1)
+            diff = [diff[l * nv + alg._pos[j]] for l in range(self.dims[i]) for j in range(nv)]
+            big = lcm(*[den for _, den in diff])
+            self.stage.append(
+                ([{k: n * (big // den) for k, n in nums.items() if n} for nums, den in diff], big)
+            )
+        self.pairs = [alg._nf((a, b)) for a in range(nv) for b in range(nv)]
+        omega = alg.certificate.omega
+        self.omega = []
+        for j in range(d + 1):
+            head = [flat_word(p, j, nv) for p in spaces[j].pivots]
+            tail = [flat_word(p, d - j, nv) for p in spaces[d - j].pivots]
+            nums = {
+                a * len(tail) + b: omega.nums[h + t]
+                for a, h in enumerate(head)
+                for b, t in enumerate(tail)
+                if h + t in omega.nums
+            }
+            # omega lies in W_j (x) W_{d-j}, so these coordinates give it back
+            (hrows, hden), (trows, tden) = self.words[j], self.words[d - j]
+            back: dict = {}
+            for key, c in nums.items():
+                for h, hn in hrows[key // len(tail)]:
+                    for t, tn in trows[key % len(tail)]:
+                        back[h + t] = back.get(h + t, 0) + c * hn * tn
+            if {w: n for w, n in back.items() if n} != {w: n * hden * tden for w, n in omega.nums.items()}:
+                raise EngineInvariantError(f"omega escapes W_{j} (x) W_{d - j}")
+            self.omega.append((nums, omega.den))
 
 
 def _ore_order(R: Subspace, nv: int) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from orenaka import (
     NotAdmissibleError,
     Tensor,
     antisymmetrizer_tensor,
+    build_sequence_pair,
     check_automorphism,
     cy_classifier_dim2,
     dim2_instance_oracle,
@@ -316,6 +317,34 @@ def test_case_precondition_violations():
         enumerate_solution("nope-x", {})
     with pytest.raises(CasePreconditionError):
         enumerate_solution("qm1ii-b", {"m12": 2, "m21": Fraction(1, 2)})
+
+
+def test_unknown_parameter_is_a_precondition_violation():
+    # a name the case does not read is refused, not silently dropped
+    with pytest.raises(CasePreconditionError) as err:
+        enumerate_solution("qm1-a", {"g11": 1, "g12": 5, "g13": 2, "g21": 3, "g23": 5})
+    assert str(err.value) == (
+        "unknown parameter 'g12' for case 'qm1-a'; accepted: g11, g13, g21, g23"
+    )
+    with pytest.raises(CasePreconditionError):
+        enumerate_solution("qneq-1-a", {"q": 2, "bogus": 7})
+    # every accepted name is still accepted
+    rng = random.Random(66)
+    for case in CASES:
+        params = random_case_params(case, rng)
+        params.update({name: params.get(name, 0) for name in case_param_names(case)})
+        try:
+            enumerate_solution(case, params)
+        except CasePreconditionError as e:
+            assert "unknown parameter" not in str(e), case
+
+
+def test_every_case_sequence_pair_verifies():
+    # the d = 2 coordinate towers of all 25 cases, re-checked in V^(x)3
+    rng = random.Random(67)
+    for case in CASES:
+        inst = enumerate_solution(case, random_case_params(case, rng))
+        build_sequence_pair(inst.sigma, inst.delta).verify()
 
 
 def test_mirrored_cases_flagged_and_admissible():

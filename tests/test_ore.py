@@ -30,7 +30,7 @@ from orenaka import (
     twist_solve,
 )
 
-from orenaka.linalg import expand_through
+from orenaka.linalg import expand_scaled, expand_through, sandwich_map, solve_columns
 
 from conftest import rand_frac
 
@@ -95,7 +95,6 @@ def _lemma_sequence_pair(a, delta):
     sid = delta.sigma
     right = [[Tensor(n, 1)], list(delta.images)]
     left = [[Tensor(n, 1)], list(delta.images)]
-    from orenaka.linalg import solve_columns
 
     for m in range(2, a.certificate.d + 1):
         combos = list(itertools.combinations(range(1, n + 1), m))
@@ -116,7 +115,30 @@ def _lemma_sequence_pair(a, delta):
             lstage.append(lt)
         right.append(rstage)
         left.append(lstage)
-    return SequencePair(sid, delta, right, left)
+    sp = SequencePair(sid, delta, _w_coordinates(a, right, 0), _w_coordinates(a, left, 1))
+    # the coordinates give the closed-form tensors back
+    assert sp.right == right and sp.left == left
+    return sp
+
+
+def _w_coordinates(a, tower, left):
+    """A tower of tensors read into the coordinates of ``SequencePair``:
+    W_i (x) V keyed l * nv + j (left = 0), V (x) W_i keyed u * dim W_i + l
+    (left = 1)."""
+    out = []
+    for i, stage in enumerate(tower):
+        wi = a.koszul_space(i)
+        coords = []
+        for t in stage:
+            got = expand_scaled(t, left, wi, i, 1 - left)
+            assert got is not None
+            nums, den = got
+            if left:
+                coords.append(({u * wi.dim + l: c for ((u,), l, _), c in nums.items()}, den))
+            else:
+                coords.append(({l * a.nv + j: c for (_, l, (j,)), c in nums.items()}, den))
+        out.append(coords)
+    return out
 
 
 def _anti(n, idx):
@@ -503,3 +525,194 @@ def test_sequence_pair_rejects_foreign_delta():
     delta = extend_derivation([Tensor(2, 2)] * 2, other, a)
     with pytest.raises(ValueError):
         build_sequence_pair(sid, delta)
+
+
+# -- the W-coordinate towers against the tensor construction --------------
+
+
+def _tensor_towers(sigma, delta, rng=None):
+    """Oracle: the sequence pair built stage by stage in V^(x)(i+1), with
+    every stage solved in V^(x)(i-1) (x) A_2 and every map applied to
+    tensors.  Returns the right and left towers as tensor stages."""
+    a = sigma.algebra
+    nv, d = a.nv, a.certificate.d
+    right = [[Tensor(nv, 1)], list(delta.images)]
+    left = [[Tensor(nv, 1)], list(delta.images)]
+
+    def apply(tower, i, t, lpad, rpad):
+        out = sandwich_map(t, lpad, a.koszul_space(i), i, rpad, tower[i], sigma.matrix)
+        assert out is not None
+        return out
+
+    for i in range(2, d + 1):
+        wi = a.koszul_space(i)
+        wvecs = [Tensor.from_vec(b, nv, i) for b in wi.basis()]
+        products = [w.tensor(Tensor.word(nv, (j,))) for w in wvecs for j in range(nv)]
+        cols = [a.nf_tensor(t, i - 1) for t in products]
+        rhs = [
+            a.nf_tensor(
+                w.apply_matrix_slots(range(1, i), sigma.matrix).apply_images_at(i, delta.images)
+                + apply(right, i - 1, w, 0, 1),
+                i - 1,
+            )
+            for w in wvecs
+        ]
+        particulars, kernel = solve_columns(cols, rhs)
+        stage = []
+        for x in particulars:
+            assert x is not None
+            terms = list(zip(x, products))
+            if rng is not None:
+                for kv in kernel:
+                    c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    terms += [(c * v, products[unk]) for unk, v in kv.items()]
+            stage.append(Tensor.combine(nv, i + 1, terms))
+        right.append(stage)
+        sgn = (-1) ** i
+        lstage = []
+        for k, w in enumerate(wvecs):
+            term = Tensor.combine(nv, i + 1, [
+                (sgn, apply(right, i - 1, w, 1, 0)),
+                (-sgn, right[i][k]),
+                (1, apply(left, i - 1, w, 0, 1)),
+            ])
+            assert expand_through(term, 1, wi, i, 0) is not None
+            lstage.append(term)
+        left.append(lstage)
+    return right, left
+
+
+def _tower_cases():
+    """(name, sigma, delta) on poly(2..4), three quantum planes, the
+    Jordan plane, Sklyanin(1, 2, 3) and the relabelled Jordan plane,
+    whose letter order is (1, 0)."""
+    from test_quadratic import _sklyanin
+
+    rng = random.Random(61)
+    cases = []
+    for name, a in [
+        ("poly2", make_polynomial(2)),
+        ("poly3", make_polynomial(3)),
+        ("poly4", make_polynomial(4)),
+        ("quantum2", make_quantum_plane(2)),
+        ("quantum-1", make_quantum_plane(-1)),
+        ("quantum1/3", make_quantum_plane(Fraction(1, 3))),
+        ("jordan", make_jordan_plane()),
+    ]:
+        sig = random_admissible_automorphism(a, rng)
+        cases.append((name, sig, random_admissible_derivation(a, sig, rng)))
+    s = _sklyanin()
+    sig = identity_automorphism(s)
+    cases.append(("sklyanin123", sig, random_admissible_derivation(s, sig, rng)))
+    j = QuadraticAlgebra(["x1", "x2"], [Tensor(2, 2, {(0, 1): 1, (1, 0): -1, (0, 0): -1})])
+    assert j.order == (1, 0)
+    sig = check_automorphism(Matrix([[2, 0], [3, 2]]), j)
+    cases.append(("jordan-relabelled", sig, random_admissible_derivation(j, sig, rng)))
+    return cases
+
+
+@pytest.mark.parametrize("name, sig, delta", _tower_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_w_coordinate_towers_equal_tensor_towers(name, sig, delta):
+    from orenaka import hdet
+
+    sp = build_sequence_pair(sig, delta)
+    assert (sp.right, sp.left) == _tensor_towers(sig, delta)
+    sp.verify()
+    # the same kernel draws give the same noisy towers
+    noisy = build_sequence_pair(sig, delta, rng=random.Random(5))
+    assert (noisy.right, noisy.left) == _tensor_towers(sig, delta, random.Random(5))
+    noisy.verify()
+    # sigma^(x)d on the line W_d is hdet(sigma)
+    d = sig.algebra.certificate.d
+    ((nums, den),) = sp.sigma_w[d]
+    assert Fraction(nums.get(0, 0), den) == hdet(sig)
+    assert len(sp.sigma_w) == d + 1
+
+
+def test_sigma_on_w_is_sigma_on_tensors():
+    # S^i read back to tensors is sigma^(x)i applied to each W_i basis vector
+    rng = random.Random(62)
+    a = make_polynomial(3)
+    sig = random_admissible_automorphism(a, rng)
+    sp = build_sequence_pair(sig, random_admissible_derivation(a, sig, rng))
+    for i in range(a.certificate.d + 1):
+        wi = a.koszul_space(i)
+        basis = [Tensor.from_vec(b, 3, i) for b in wi.basis()]
+        for b, (nums, den) in zip(basis, sp.sigma_w[i]):
+            image = Tensor.combine(3, i, [(Fraction(n, den), basis[l]) for l, n in nums.items()])
+            assert image == sig.apply_all(b)
+
+
+# -- failures carry their position ---------------------------------------
+
+
+def test_no_solution_names_stage_and_vector():
+    # delta(x) = x (x) x is not admissible on the q = 2 plane, so stage 2
+    # has no solution; DerivationLift skips the admissibility check
+    from orenaka import DerivationLift, NoSolutionError
+
+    a = make_quantum_plane(2)
+    sid = identity_automorphism(a)
+    delta = DerivationLift([Tensor.word(2, (0, 0)), Tensor(2, 2)], sid)
+    with pytest.raises(NoSolutionError) as err:
+        build_sequence_pair(sid, delta)
+    assert (err.value.stage, err.value.index) == (2, 0)
+    assert str(err.value) == (
+        "no delta_2,r image for W_2 basis vector 0; Koszulity hypotheses are violated"
+    )
+
+
+def test_left_escape_names_stage_and_vector(monkeypatch):
+    # a wrong right image for w_0 (one unit added) sends its left image
+    # out of V (x) W_2, as W_3 = 0 on the plane
+    from orenaka import LeftImageEscapeError, ore
+
+    a = make_quantum_plane(3)
+    rng = random.Random(63)
+    sig = random_admissible_automorphism(a, rng)
+    delta = random_admissible_derivation(a, sig, rng)
+    real = ore.solve_columns
+
+    def off_by_one(cols, rhs):
+        particulars, kernel = real(cols, rhs)
+        particulars[0] = [particulars[0][0] + 1] + particulars[0][1:]
+        return particulars, kernel
+
+    monkeypatch.setattr(ore, "solve_columns", off_by_one)
+    with pytest.raises(LeftImageEscapeError) as err:
+        build_sequence_pair(sig, delta)
+    assert (err.value.stage, err.value.index) == (2, 0)
+    assert str(err.value) == "left tower image escapes V(x)W_2 at stage 2"
+
+
+def test_superpotential_failures_name_degree_and_slot():
+    from orenaka import (
+        FormMismatchError,
+        NotInHatWError,
+        Subspace,
+        TwistFailureError,
+        twisted_superpotential_hat,
+    )
+
+    rng = random.Random(64)
+    a = make_polynomial(3)
+    sig = random_admissible_automorphism(a, rng)
+    delta = random_admissible_derivation(a, sig, rng)
+    sp = build_sequence_pair(sig, delta)
+    d = a.certificate.d
+    # a right tower that no longer matches the left one
+    right_w = [list(stage) for stage in sp.right_w]
+    nums, den = right_w[d][0]
+    right_w[d][0] = ({**nums, 0: nums.get(0, 0) + den}, den)
+    bent = SequencePair(sig, delta, right_w, sp.left_w)
+    with pytest.raises(FormMismatchError) as err:
+        twisted_superpotential_hat(sig, delta, bent)
+    assert err.value.degree == d + 1
+    # nothing lies in a zero R-hat, so the first slot fails
+    with pytest.raises(NotInHatWError) as err:
+        twisted_superpotential_hat(sig, delta, sp, r_hat=Subspace(16))
+    assert err.value.slot == 0
+    assert str(err.value) == "omega-hat escapes V-hat^0 (x) R-hat (x) V-hat^2"
+    with pytest.raises(TwistFailureError) as err:
+        twisted_superpotential_hat(sig, delta, sp, mu_b=Matrix.identity(4) * 2)
+    assert err.value.degree == d + 1
