@@ -30,10 +30,8 @@ from .linalg import (
     Scalar,
     Subspace,
     Tensor,
-    rref,
     scalar,
     scalar_str,
-    solve_affine,
     subspace_intersect,
     subspace_sum,
 )

@@ -93,7 +93,8 @@ class FormMismatchError(EngineInvariantError):
 class NotInHatWError(EngineInvariantError):
     """The twisted superpotential is not in the top Koszul space of the
     Ore extension: it escapes V-hat^s (x) R-hat (x) V-hat^(d-1-s) at the
-    slot ``slot`` = s."""
+    slot ``slot`` = s.  Only s = d - 1 is read; the twist condition
+    carries it to the other slots (``ore.twisted_superpotential_hat``)."""
 
     def __init__(self, message, slot=None):
         super().__init__(message)

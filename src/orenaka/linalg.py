@@ -91,11 +91,11 @@ and the coefficients of ``expand_through`` are ``FractionView``s, whose
 values are built on the first read, and ``Subspace.basis()`` builds its
 rows on each call.  The kernels (``Tensor.apply_matrix_slots``,
 ``apply_images_at``, ``combine``, ``tensor``, ``scale``, ``tau``,
-``embed``, ``shift``, ``Subspace.reduce``, ``expand_scaled`` and
-``sandwich_map``) read the stored numerators, multiply and add plain
-ints over the product or lcm of the operands' denominators, and restore
-the canonical form once, dropping zeros and dividing out gcd(den,
-*nums).  ``_combine`` is the
+``embed``, ``shift``, ``Subspace.reduce``, ``escaping_row``,
+``expand_scaled`` and ``sandwich_map``) read the stored numerators,
+multiply and add plain ints over the product or lcm of the operands'
+denominators, and restore the canonical form once, dropping zeros and
+dividing out gcd(den, *nums).  ``_combine`` is the
 one summation path: ``Tensor.combine``, the binary ``+`` and ``-``,
 ``_residual`` (``Subspace.reduce`` and the row check of ``echelon``)
 and ``combination`` (the same sum on Fraction maps with any hashable
@@ -119,7 +119,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import NoSolutionError, NotInvertibleError
+from .errors import NotInvertibleError
 
 Scalar = Fraction
 
@@ -264,18 +264,6 @@ class Matrix:
         if any(p >= n for p in piv):
             raise NotInvertibleError("singular matrix")
         return Matrix([[piv[i].get(n + j, ZERO) for j in range(n)] for i in range(n)])
-
-
-def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
-    """Reduced row echelon form of a dense matrix.
-
-    Returns ``(rref_matrix, pivot_columns, rank)``; the result matrix
-    keeps the shape of the input with zero rows at the bottom.
-    """
-    s = Subspace(m.ncols, ({j: e for j, e in enumerate(r) if e} for r in m.rows))
-    rows = [[row.get(j, ZERO) for j in range(m.ncols)] for row in s.basis()]
-    rows += [[ZERO] * m.ncols for _ in range(m.nrows - s.dim)]
-    return Matrix(rows), list(s.pivots), s.dim
 
 
 # ---------------------------------------------------------------------------
@@ -630,26 +618,6 @@ def solve_columns(
     return particulars, kernel
 
 
-def solve_affine(a: Matrix, b: Sequence) -> tuple[list[Fraction], Subspace]:
-    """Solve a x = b exactly.
-
-    Returns the canonical particular solution (free variables zeroed)
-    and the kernel of ``a`` as a Subspace of k^ncols.  Raises
-    ``NoSolutionError`` when b is outside the column space.
-    """
-    bs = [scalar(x) for x in b]
-    if len(bs) != a.nrows:
-        raise ValueError("right-hand side length mismatch")
-    cols = []
-    for j in range(a.ncols):
-        cols.append({i: a.rows[i][j] for i in range(a.nrows) if a.rows[i][j]})
-    rhs = {i: v for i, v in enumerate(bs) if v}
-    particulars, kernel = solve_columns(cols, [rhs])
-    if particulars[0] is None:
-        raise NoSolutionError("b is outside the column space")
-    return particulars[0], Subspace(a.ncols, kernel)
-
-
 # ---------------------------------------------------------------------------
 # Scaled integers (see the module docstring)
 
@@ -775,6 +743,36 @@ def _matrix_images(m: Matrix) -> tuple[list[list[tuple]], int]:
         [((j,), a.numerator * (den // a.denominator)) for j, a in enumerate(r) if a]
         for r in m.rows
     ], den
+
+
+def escaping_row(space: Subspace, m: Matrix) -> int | None:
+    """The pivot-order position of the first basis row of S inside V (x)
+    V whose image under m (x) m leaves S, or None when (m (x) m)(S) <= S.
+
+    Each primitive int row is mapped on the flat indices a * nv + b by
+    the scaled rows of m (``_matrix_images``) and reduced by
+    ``_residual``.  Scaling a vector does not move it in or out of S, so
+    the common denominator is dropped."""
+    nv = m.nrows
+    if m.ncols != nv or space.ambient != nv * nv:
+        raise ValueError("matrix size must match the alphabet of the space")
+    images, _ = _matrix_images(m)
+    rows = space._rows
+    for pos, p in enumerate(sorted(rows)):
+        out: dict = {}
+        get = out.get
+        for k, c in rows[p].items():
+            a, b = divmod(k, nv)
+            tail = images[b]
+            for (i,), x in images[a]:
+                f = c * x
+                base = i * nv
+                for (j,), y in tail:
+                    key = base + j
+                    out[key] = get(key, 0) + f * y
+        if _residual(out, 1, rows)[0]:
+            return pos
+    return None
 
 
 def _substitute_at(nums: Mapping, k: int, images) -> dict:

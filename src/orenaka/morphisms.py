@@ -27,6 +27,7 @@ from .linalg import (
     ZERO,
     Matrix,
     Tensor,
+    escaping_row,
     solve_columns,
     word_flat,
 )
@@ -90,13 +91,12 @@ def check_automorphism(m: Matrix, alg: QuadraticAlgebra) -> GradedAutomorphism:
     if not m.is_square() or m.nrows != alg.nv:
         raise ValueError(f"matrix must be {alg.nv} x {alg.nv}")
     m.inverse()  # raises NotInvertibleError on singular input
-    for b in alg.R.basis():
-        t = Tensor.from_vec(b, alg.nv, 2)
-        image = t.apply_matrix_slots((1, 2), m)
-        if not alg.R.contains(image.to_vec()):
-            raise NotAdmissibleError(
-                f"automorphism does not preserve R: image of {t!r} escapes"
-            )
+    k = escaping_row(alg.R, m)
+    if k is not None:
+        t = Tensor.from_vec(alg.R.basis()[k], alg.nv, 2)
+        raise NotAdmissibleError(
+            f"automorphism does not preserve R: image of {t!r} escapes"
+        )
     return GradedAutomorphism(m, alg)
 
 

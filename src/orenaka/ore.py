@@ -10,7 +10,10 @@ assemble the Nakayama automorphism of B:
     mu_B(z)     : hdet(sigma) z + divergence
 
 plus the twisted superpotential omega-hat presenting B as a derivation
-quotient algebra.
+quotient algebra.  mu_B is checked to preserve R-hat on its integer rows
+(``linalg.escaping_row``).  omega-hat is certified by one membership,
+in V-hat^(d-1) (x) R-hat, and the twist condition, which carries that
+membership to every other slot (proof in ``twisted_superpotential_hat``).
 
 W-coordinates.  The towers are held in the bases of the W_i (the
 tables of ``QuadraticAlgebra.w_tables``), never in V^(x)(i+1): the image
@@ -64,7 +67,9 @@ from .linalg import (
     Tensor,
     _canonical,
     _combine,
+    _matrix_images,
     _scaled,
+    escaping_row,
     expand_through,
     sandwich_map,
     solve_columns,
@@ -484,11 +489,8 @@ def nakayama_of_B(
     rows.append([div.divergence.entries.get((j,), ZERO) for j in range(nv)] + [h])
     mu_b = Matrix(rows)
     r_hat = ore_relations(sigma, delta)
-    for b in r_hat.basis():
-        t = Tensor.from_vec(b, nv + 1, 2)
-        image = t.apply_matrix_slots((1, 2), mu_b)
-        if not r_hat.contains(image.to_vec()):
-            raise AutomorphismCheckFailedError("mu_B does not preserve R-hat")
+    if escaping_row(r_hat, mu_b) is not None:
+        raise AutomorphismCheckFailedError("mu_B does not preserve R-hat")
     cy = sigma.matrix == p and div.divergence.is_zero()
     omega_hat = None
     if with_superpotential:
@@ -516,10 +518,29 @@ def twisted_superpotential_hat(
 ) -> Tensor:
     """The degree-(d+1) twisted superpotential of the Ore extension.
 
-    Computed by both closed forms (right-tower and left-tower), which
-    must agree; asserted to lie in every shifted copy of R-hat (that
-    is, in the top Koszul space of B) and to satisfy the twist
-    condition with nu = mu_B restricted to degree one.
+    omega-hat = cyclic part + tower part, where the tower part is taken
+    by both closed forms (right-tower and left-tower, ``_tower_forms``),
+    which must agree; the cyclic part is common to both, so the tower
+    parts are compared directly (tensors are canonical).  omega-hat is
+    then certified to lie in the top Koszul space W-hat_(d+1) = cap_s
+    V-hat^s (x) R-hat (x) V-hat^(d-1-s) of B, s = 0..d-1, and to satisfy
+    the twist condition omega-hat = (-1)^d tau_d (mu_B (x) id^d)(omega-
+    hat), where tau_d moves factor 1 to the end.
+
+    One membership suffices.  Suppose omega-hat lies in V-hat^s (x)
+    R-hat (x) V-hat^(d-1-s) for some s >= 1.  mu_B (x) id^d acts on
+    factor 1, which lies in the V-hat^s block, outside the R-hat pair
+    at factors s+1, s+2, so it maps that sandwich into itself; tau_d
+    then shifts every factor after the first one place left, which puts
+    the R-hat pair at factors s, s+1.  The twist condition therefore
+    puts omega-hat in V-hat^(s-1) (x) R-hat (x) V-hat^(d-s), and by
+    induction from s = d-1 down to 0 in every copy.  So the membership
+    at slot d-1 (``expand_through``) and the twist check together prove
+    all d memberships; the argument does not use that mu_B is
+    invertible.  The checks run in that order: an escape at slot d-1
+    raises ``NotInHatWError`` (slot d-1), and an escape at any other
+    slot can only coexist with a failed twist, ``TwistFailureError``.
+    Slot d-1 is also the cheapest slot to read.
     """
     alg = sigma.algebra.ensure_as_regular()
     if sp is None:
@@ -542,29 +563,41 @@ def twisted_superpotential_hat(
         cyclic_terms.append((_sign(i), t.tau(i)))
     cyclic = Tensor.combine(nh, d + 1, cyclic_terms)
     right_part, left_part = _tower_forms(sp, nh)
-    form1 = cyclic + right_part
-    form2 = cyclic + left_part
-    if form1 != form2:
+    if right_part != left_part:
         raise FormMismatchError(
-            f"superpotential forms disagree; residual {form1 - form2!r}", degree=d + 1
+            f"superpotential forms disagree; residual {right_part - left_part!r}", degree=d + 1
         )
+    omega_hat = cyclic + right_part
     if r_hat is None:
         r_hat = ore_relations(sigma, delta)
-    for s in range(d):
-        if expand_through(form1, s, r_hat, 2, d - 1 - s) is None:
-            raise NotInHatWError(
-                f"omega-hat escapes V-hat^{s} (x) R-hat (x) V-hat^{d - 1 - s}", slot=s
-            )
+    if expand_through(omega_hat, d - 1, r_hat, 2, 0) is None:
+        raise NotInHatWError(
+            f"omega-hat escapes V-hat^{d - 1} (x) R-hat (x) V-hat^0", slot=d - 1
+        )
     if mu_b is None:
         mu_b = nakayama_of_B(
             sigma, delta, sp, with_superpotential=False
         ).mu_B
-    twisted = form1.apply_matrix_slots((1,), mu_b).tau(d).scale(_sign(d))
-    if twisted != form1:
+    if mu_b.nrows != nh or mu_b.ncols != nh:
+        raise ValueError(f"mu_B must be {nh} x {nh}")
+    # (-1)^d tau_d (mu_B (x) id^d)(omega-hat) in one pass: the image of
+    # each word's first letter goes to its end
+    rows, mden = _matrix_images(mu_b)
+    sgn = _sign(d)
+    moved: dict = {}
+    get = moved.get
+    for w, c in omega_hat.nums.items():
+        tail = w[1:]
+        c *= sgn
+        for j, n in rows[w[0]]:
+            key = tail + j
+            moved[key] = get(key, 0) + c * n
+    twisted = Tensor._from_scaled(nh, d + 1, moved, omega_hat.den * mden)
+    if twisted != omega_hat:
         raise TwistFailureError(
-            f"twist condition fails; residual {twisted - form1!r}", degree=d + 1
+            f"twist condition fails; residual {twisted - omega_hat!r}", degree=d + 1
         )
-    return form1
+    return omega_hat
 
 
 def _tower_forms(sp: SequencePair, nh: int) -> tuple[Tensor, Tensor]:

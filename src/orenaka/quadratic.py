@@ -70,8 +70,6 @@ from .errors import CertificationError, EngineInvariantError, NotASRegularError
 from .linalg import (
     ONE,
     P,
-    ZERO,
-    Matrix,
     Subspace,
     Tensor,
     echelon,
@@ -355,14 +353,6 @@ class QuadraticAlgebra:
             self.ensure_as_regular()
             self._w_tables = WTables(self)
         return self._w_tables
-
-    def koszul_differential(self, i: int, j: int) -> Matrix:
-        """Dense view of ``differential_rows(i, j)``."""
-        rows = self.differential_rows(i, j)
-        ncols = self.koszul_space(i - 1).dim * self.dim_A(j + 1)
-        if not rows:
-            return Matrix.zero(0, ncols)
-        return Matrix([[row.get(k, ZERO) for k in range(ncols)] for row in rows])
 
     def certify_koszul(self, bound: int | None = None) -> KoszulCertificate:
         """Verify exactness of the Koszul complex of k_A through internal

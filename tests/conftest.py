@@ -14,13 +14,17 @@ import pytest
 
 from orenaka import (
     Matrix,
+    NoSolutionError,
     QuadraticAlgebra,
     Subspace,
+    Tensor,
     make_jordan_plane,
     make_polynomial,
     make_quantum_plane,
+    scalar,
     subspace_intersect,
 )
+from orenaka.linalg import ZERO, solve_columns
 
 
 def frac(a, b=1) -> Fraction:
@@ -79,6 +83,51 @@ def minor_rank(m: Matrix) -> int:
         else:
             break
     return best
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int], int]:
+    """Reduced row echelon form of a dense matrix through ``Subspace``:
+    ``(rref_matrix, pivot_columns, rank)``, with the zero rows at the
+    bottom so the result keeps the shape of the input."""
+    s = Subspace(m.ncols, ({j: e for j, e in enumerate(r) if e} for r in m.rows))
+    rows = [[row.get(j, ZERO) for j in range(m.ncols)] for row in s.basis()]
+    rows += [[ZERO] * m.ncols for _ in range(m.nrows - s.dim)]
+    return Matrix(rows), list(s.pivots), s.dim
+
+
+def solve_affine(a: Matrix, b) -> tuple[list[Fraction], Subspace]:
+    """Solve a x = b exactly through ``solve_columns``: the canonical
+    particular solution (free variables zero) and the kernel of ``a`` as
+    a Subspace of k^ncols; ``NoSolutionError`` when b is outside the
+    column space."""
+    bs = [scalar(x) for x in b]
+    if len(bs) != a.nrows:
+        raise ValueError("right-hand side length mismatch")
+    cols = [{i: a.rows[i][j] for i in range(a.nrows) if a.rows[i][j]} for j in range(a.ncols)]
+    particulars, kernel = solve_columns(cols, [{i: v for i, v in enumerate(bs) if v}])
+    if particulars[0] is None:
+        raise NoSolutionError("b is outside the column space")
+    return particulars[0], Subspace(a.ncols, kernel)
+
+
+def koszul_differential(alg: QuadraticAlgebra, i: int, j: int) -> Matrix:
+    """Dense view of ``alg.differential_rows(i, j)``."""
+    rows = alg.differential_rows(i, j)
+    ncols = alg.koszul_space(i - 1).dim * alg.dim_A(j + 1)
+    if not rows:
+        return Matrix.zero(0, ncols)
+    return Matrix([[row.get(k, ZERO) for k in range(ncols)] for row in rows])
+
+
+def first_escape_by_tensors(space: Subspace, m: Matrix, nv: int):
+    """The Tensor route of ``linalg.escaping_row`` (oracle): the
+    pivot-order position of the first basis row whose image under m (x)
+    m, applied to its tensor, leaves the space, or None."""
+    for pos, b in enumerate(space.basis()):
+        image = Tensor.from_vec(b, nv, 2).apply_matrix_slots((1, 2), m)
+        if not space.contains(image.to_vec()):
+            return pos
+    return None
 
 
 def commutative_monomial_count(n: int, m: int) -> int:

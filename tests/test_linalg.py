@@ -12,9 +12,7 @@ from orenaka import (
     Subspace,
     Tensor,
     make_polynomial,
-    rref,
     scalar,
-    solve_affine,
     subspace_intersect,
     subspace_sum,
 )
@@ -39,6 +37,7 @@ from orenaka.linalg import (
 from conftest import (
     catalog_algebras,
     compose_rows,
+    first_escape_by_tensors,
     fraction_apply_images_at,
     fraction_apply_matrix_at,
     fraction_echelon,
@@ -48,7 +47,9 @@ from conftest import (
     minor_rank,
     rand_frac,
     rand_matrix,
+    rref,
     shifted_relation_space,
+    solve_affine,
 )
 
 fractions_st = st.fractions(
@@ -873,3 +874,23 @@ def test_echelon_with_a_row_dependent_only_mod_p(case, data):
     r[k] = r.get(k, 0) + P
     rows = rows + [r]
     assert fraction_rows(echelon(rows, reduced=True)) == fraction_echelon(rows, reduced=True)
+
+
+def test_escaping_row_matches_tensor_route():
+    # the integer check against (m (x) m) applied to each basis tensor
+    rng = random.Random(73)
+    seen = set()
+    for nv in (2, 3):
+        for _ in range(20):
+            rows = [
+                {rng.randrange(nv * nv): rand_frac(rng, 3, nonzero=True) for _ in range(rng.randint(1, 3))}
+                for _ in range(rng.randint(0, 3))
+            ]
+            s = Subspace(nv * nv, rows)
+            for m in (Matrix.identity(nv) * rand_frac(rng, 3, nonzero=True), rand_matrix(rng, nv, span=2)):
+                expect = first_escape_by_tensors(s, m, nv)
+                assert linalg.escaping_row(s, m) == expect
+                seen.add(expect is None)
+    assert seen == {True, False}
+    with pytest.raises(ValueError):
+        linalg.escaping_row(Subspace(9), Matrix.identity(2))

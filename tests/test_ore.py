@@ -32,7 +32,7 @@ from orenaka import (
 
 from orenaka.linalg import expand_scaled, expand_through, sandwich_map, solve_columns
 
-from conftest import rand_frac
+from conftest import first_escape_by_tensors, rand_frac
 
 
 def _simple_delta(a, images):
@@ -708,11 +708,98 @@ def test_superpotential_failures_name_degree_and_slot():
     with pytest.raises(FormMismatchError) as err:
         twisted_superpotential_hat(sig, delta, bent)
     assert err.value.degree == d + 1
-    # nothing lies in a zero R-hat, so the first slot fails
+    # nothing lies in a zero R-hat; only the last slot is read, and the
+    # twist check carries it to the others
     with pytest.raises(NotInHatWError) as err:
         twisted_superpotential_hat(sig, delta, sp, r_hat=Subspace(16))
-    assert err.value.slot == 0
-    assert str(err.value) == "omega-hat escapes V-hat^0 (x) R-hat (x) V-hat^2"
+    assert err.value.slot == d - 1
+    assert str(err.value) == "omega-hat escapes V-hat^2 (x) R-hat (x) V-hat^0"
     with pytest.raises(TwistFailureError) as err:
         twisted_superpotential_hat(sig, delta, sp, mu_b=Matrix.identity(4) * 2)
     assert err.value.degree == d + 1
+
+
+# -- one membership plus the twist gives every slot ------------------------
+
+
+def _escaped_slots(t: Tensor, space, d: int) -> list[int]:
+    """Oracle: the d-slot membership loop, the slots s at which t leaves
+    V^s (x) S (x) V^(d-1-s)."""
+    return [s for s in range(d) if expand_through(t, s, space, 2, d - 1 - s) is None]
+
+
+def test_last_slot_and_twist_give_every_slot():
+    # no Ore machinery: a random sparse t is cyclically symmetrised under
+    # the twist with mu = id and sign (-1)^d, and S is the span of its
+    # last-two-slot slices, so it lies in V^(d-1) (x) S by construction
+    from orenaka import Subspace
+
+    rng = random.Random(71)
+    proper = unsymmetrised_escapes = 0
+    for nv in (2, 3):
+        for d in (2, 3, 4):
+            sign = (-1) ** d
+            for _ in range(30):
+                words = {tuple(rng.randrange(nv) for _ in range(d + 1)) for _ in range(rng.randint(1, 4))}
+                t = Tensor(nv, d + 1, {w: rand_frac(rng, 3, nonzero=True) for w in words})
+                terms, moved = [], t
+                for _ in range(d + 1):
+                    terms.append((1, moved))
+                    moved = moved.tau(d).scale(sign)
+                omega = Tensor.combine(nv, d + 1, terms)
+                assert omega.tau(d).scale(sign) == omega
+                if not omega:
+                    continue
+                for u in (omega, t):
+                    slices: dict = {}
+                    for w, c in u.entries.items():
+                        slices.setdefault(w[: d - 1], {})[w[d - 1] * nv + w[d]] = c
+                    space = Subspace(nv * nv, list(slices.values()))
+                    escaped = _escaped_slots(u, space, d)
+                    assert d - 1 not in escaped
+                    if u is omega:
+                        assert escaped == []
+                        proper += space.dim < nv * nv
+                    else:
+                        unsymmetrised_escapes += bool(escaped)
+    # S is a proper subspace often enough for the membership to be tested,
+    # and without the twist the last slot alone does not carry
+    assert proper >= 120
+    assert unsymmetrised_escapes > 0
+
+
+@pytest.mark.parametrize("name, sig, delta", _tower_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_superpotential_checks_match_oracles(name, sig, delta):
+    from orenaka.linalg import escaping_row
+
+    rep = nakayama_of_B(sig, delta)
+    d = sig.algebra.certificate.d
+    nh = sig.algebra.nv + 1
+    r_hat, mu = rep.relations_hat, rep.mu_B
+    # omega-hat, certified by one slot and the twist, lies in every slot
+    assert _escaped_slots(rep.omega_hat, r_hat, d) == []
+    # the integer R-hat check against the Tensor route
+    assert escaping_row(r_hat, mu) is None
+    assert first_escape_by_tensors(r_hat, mu, nh) is None
+    # z scaled by hdet + 1 keeps R-hat only when delta lies in R, and
+    # these derivations are dense
+    rows = [list(r) for r in mu.rows]
+    rows[-1][-1] += 1
+    bent = Matrix(rows)
+    got = escaping_row(r_hat, bent)
+    assert got is not None
+    assert got == first_escape_by_tensors(r_hat, bent, nh)
+
+
+def test_mu_b_off_r_hat_raises(monkeypatch):
+    from orenaka import AutomorphismCheckFailedError, ore
+
+    rng = random.Random(72)
+    a = make_quantum_plane(3)
+    sig = random_admissible_automorphism(a, rng)
+    delta = random_admissible_derivation(a, sig, rng)
+    real = ore.hdet
+    monkeypatch.setattr(ore, "hdet", lambda s: real(s) + 1)
+    with pytest.raises(AutomorphismCheckFailedError) as err:
+        nakayama_of_B(sig, delta)
+    assert str(err.value) == "mu_B does not preserve R-hat"
