@@ -25,7 +25,7 @@ def main():
     print(f"{'case':<10}{'mirrored':<10}{'CY':<6}{'matches closed form'}")
     for case in CASES:
         inst = enumerate_solution(case, random_case_params(case, rng))
-        rep = nakayama_of_B(inst.sigma, inst.delta, with_superpotential=False)
+        rep = nakayama_of_B(inst.sigma, inst.delta)
         oracle = dim2_instance_oracle(inst)
         flag = "yes" if inst.derived_by_symmetry else ""
         cy = "yes" if rep.calabi_yau else "no"

@@ -86,18 +86,20 @@ def check_automorphism(m: Matrix, alg: QuadraticAlgebra) -> GradedAutomorphism:
     """Validate that m defines a graded automorphism of alg.
 
     Checks invertibility and (m (x) m)(R) = R; since m is invertible the
-    inclusion (m (x) m)(R) <= R already forces equality.
+    inclusion (m (x) m)(R) <= R already forces equality.  The inverse
+    computed for the first check is kept as ``inverse()``.
     """
     if not m.is_square() or m.nrows != alg.nv:
         raise ValueError(f"matrix must be {alg.nv} x {alg.nv}")
-    m.inverse()  # raises NotInvertibleError on singular input
+    sigma = GradedAutomorphism(m, alg)
+    sigma._inverse = GradedAutomorphism(m.inverse(), alg)  # raises NotInvertibleError on singular input
     k = escaping_row(alg.R, m)
     if k is not None:
         t = Tensor.from_vec(alg.R.basis()[k], alg.nv, 2)
         raise NotAdmissibleError(
             f"automorphism does not preserve R: image of {t!r} escapes"
         )
-    return GradedAutomorphism(m, alg)
+    return sigma
 
 
 def identity_automorphism(alg: QuadraticAlgebra) -> GradedAutomorphism:

@@ -10,7 +10,8 @@ assemble the Nakayama automorphism of B:
     mu_B(z)     : hdet(sigma) z + divergence
 
 plus the twisted superpotential omega-hat presenting B as a derivation
-quotient algebra.  mu_B is checked to preserve R-hat on its integer rows
+quotient algebra, each made once per request; hdet(sigma) is S^d
+(below).  mu_B is checked to preserve R-hat on its integer rows
 (``linalg.escaping_row``).  omega-hat is certified by one membership,
 in V-hat^(d-1) (x) R-hat, and the twist condition, which carries that
 membership to every other slot (proof in ``twisted_superpotential_hat``).
@@ -78,7 +79,6 @@ from .linalg import (
 from .morphisms import (
     DerivationLift,
     GradedAutomorphism,
-    hdet,
     nakayama_of_A,
 )
 from .quadratic import QuadraticAlgebra, _int_sum
@@ -130,11 +130,11 @@ class SequencePair:
     (int numerators, denominator).  Index 0 holds the zero map and index
     1 the lift itself.  ``right`` and ``left`` are the same stages as
     tensors in V^(x)(i+1), built on first read, so the defining
-    recursions can be read literally off them; ``sigma_w[i]`` is
-    sigma^(x)i on W_i in the same coordinates.
+    recursions can be read literally off them; ``sigma_w[i]`` is S^i =
+    sigma^(x)i on W_i, row m the image of w_m keyed by the W_i basis.
     """
 
-    __slots__ = ("algebra", "sigma", "delta", "right_w", "left_w", "_sigma_w", "_right", "_left")
+    __slots__ = ("algebra", "sigma", "delta", "right_w", "left_w", "sigma_w", "_right", "_left")
 
     def __init__(self, sigma, delta, right_w, left_w):
         self.algebra = sigma.algebra
@@ -142,21 +142,13 @@ class SequencePair:
         self.delta = delta
         self.right_w = right_w
         self.left_w = left_w
-        self._sigma_w = None
+        self.sigma_w = _sigma_on_w(self.algebra, sigma.matrix)
         self._right = None
         self._left = None
 
     @property
     def d(self) -> int:
         return len(self.right_w) - 1
-
-    @property
-    def sigma_w(self) -> list[list[tuple[dict[int, int], int]]]:
-        """S^i = sigma^(x)i on W_i for i = 0..d: row m is the image of w_m,
-        keyed by the W_i basis."""
-        if self._sigma_w is None:
-            self._sigma_w = _sigma_on_w(self.algebra, self.sigma.matrix)
-        return self._sigma_w
 
     @property
     def right(self) -> list[list[Tensor]]:
@@ -275,18 +267,30 @@ def _read(read, nums: dict[int, int], base: int = 0) -> dict[int, int]:
 
 def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> list:
     """S^i = sigma^(x)i on W_i for i = 0..d: (S^(i-1) (x) M)(w_l) in
-    W_{i-1} (x) V through the split of w_l, read back into W_i."""
+    W_{i-1} (x) V through the split of w_l, read back into W_i.  Each
+    read-back is checked, so by induction each S^i is sigma^(x)i on W_i,
+    and S^d = hdet(sigma) must be nonzero.  An unchecked sigma that
+    moves some W_i fails here."""
     tab = alg.w_tables()
     nv = alg.nv
+    d = alg.certificate.d
     mrows = [_scaled({j: a for j, a in enumerate(r) if a}) for r in m.rows]
     out = [[({0: 1}, 1)], mrows]
-    for i in range(2, alg.certificate.d + 1):
+    for i in range(2, d + 1):
         stage = []
         for split in tab.right[i]:
-            moved, den = _sum(_on_right(_sum(_on_left(split, out[-1], nv)), mrows, nv, nv))
-            stage.append(_canonical(_read(tab.read[i], moved), den * tab.read[i][0]))
+            moved = _sum(_on_right(_sum(_on_left(split, out[-1], nv)), mrows, nv, nv))
+            image = (_read(tab.read[i], moved[0]), moved[1] * tab.read[i][0])
+            # the reads are exact only on W_i, as in the left tower
+            if _sum([(1, moved, 1, 0)] + _on_left(image, tab.right[i], 1, -1))[0]:
+                raise EngineInvariantError(
+                    f"sigma^(x){i} does not preserve W_{i}; certification is broken"
+                )
+            stage.append(_canonical(*image))
         out.append(stage)
-    return out[: alg.certificate.d + 1]
+    if not out[d][0][0]:
+        raise EngineInvariantError("sigma^(x)d is zero on W_d; certification is broken")
+    return out[: d + 1]
 
 
 def build_sequence_pair(
@@ -401,15 +405,17 @@ def divergence(
     alg = sigma.algebra.ensure_as_regular()
     if sp is None:
         sp = build_sequence_pair(sigma, delta)
-    nv = alg.nv
-    d = alg.certificate.d
+    return _divergence(sp, sigma.inverse().matrix * nakayama_of_A(alg).matrix)
+
+
+def _divergence(sp: SequencePair, n_map: Matrix) -> DivergenceResult:
+    """``divergence`` from the pair and N = M^{-1} P."""
+    nv = sp.algebra.nv
     # dim W_d = 1, so x_j has the key j in both W_d (x) V and V (x) W_d
     dr, dl = (
-        Tensor._from_scaled(nv, 1, {(j,): n for j, n in tower[d][0][0].items()}, tower[d][0][1])
+        Tensor._from_scaled(nv, 1, {(j,): n for j, n in tower[sp.d][0][0].items()}, tower[sp.d][0][1])
         for tower in (sp.right_w, sp.left_w)
     )
-    p = nakayama_of_A(alg).matrix
-    n_map = sigma.matrix.inverse() * p
     dl_coords = [dl.entries.get((j,), ZERO) for j in range(nv)]
     moved = n_map.transpose().mul_vec(dl_coords)
     div = dr + Tensor(nv, 1, {(j,): moved[j] for j in range(nv)})
@@ -455,7 +461,7 @@ class OreReport:
     mu_B: Matrix
     relations_hat: Subspace
     calabi_yau: bool
-    omega_hat: Tensor | None
+    omega_hat: Tensor
     sequence_pair: SequencePair
 
     @property
@@ -464,37 +470,28 @@ class OreReport:
         return Matrix([[self.mu_B[i, j] for j in range(n)] for i in range(n)])
 
 
-def nakayama_of_B(
-    sigma: GradedAutomorphism,
-    delta: DerivationLift,
-    sp: SequencePair | None = None,
-    with_superpotential: bool = True,
-) -> OreReport:
+def nakayama_of_B(sigma: GradedAutomorphism, delta: DerivationLift) -> OreReport:
     """Nakayama automorphism of B = A[z; sigma, delta] and companions.
 
-    The V-block of mu_B is M^{-1} P and the z-row is (divergence
-    coordinates, hdet(sigma)); the assembled matrix is verified to
-    preserve R-hat, and the Calabi-Yau flag is sigma = mu_A together
-    with vanishing divergence.
+    The V-block of mu_B is N = M^{-1} P, formed once from the inverse
+    ``check_automorphism`` keeps, and the z-row is (divergence from the
+    sequence pair and N, hdet(sigma) read off S^d); the assembled matrix
+    is verified to preserve R-hat, omega-hat is certified against it,
+    and the Calabi-Yau flag is sigma = mu_A with vanishing divergence.
     """
     alg = sigma.algebra.ensure_as_regular()
-    if sp is None:
-        sp = build_sequence_pair(sigma, delta)
-    nv = alg.nv
-    h = hdet(sigma)
-    div = divergence(sigma, delta, sp)
+    sp = build_sequence_pair(sigma, delta)
     p = nakayama_of_A(alg).matrix
-    v_block = sigma.matrix.inverse() * p
-    rows = [[v_block[i, j] for j in range(nv)] + [ZERO] for i in range(nv)]
-    rows.append([div.divergence.entries.get((j,), ZERO) for j in range(nv)] + [h])
+    n_map = sigma.inverse().matrix * p
+    ((nums, den),) = sp.sigma_w[sp.d]
+    h = Fraction(nums[0], den)
+    div = _divergence(sp, n_map)
+    rows = [list(r) + [ZERO] for r in n_map.rows]
+    rows.append([div.divergence.entries.get((j,), ZERO) for j in range(alg.nv)] + [h])
     mu_b = Matrix(rows)
     r_hat = ore_relations(sigma, delta)
     if escaping_row(r_hat, mu_b) is not None:
         raise AutomorphismCheckFailedError("mu_B does not preserve R-hat")
-    cy = sigma.matrix == p and div.divergence.is_zero()
-    omega_hat = None
-    if with_superpotential:
-        omega_hat = twisted_superpotential_hat(sigma, delta, sp, mu_b, r_hat)
     return OreReport(
         algebra=alg,
         sigma=sigma,
@@ -503,8 +500,8 @@ def nakayama_of_B(
         div=div,
         mu_B=mu_b,
         relations_hat=r_hat,
-        calabi_yau=cy,
-        omega_hat=omega_hat,
+        calabi_yau=sigma.matrix == p and div.divergence.is_zero(),
+        omega_hat=twisted_superpotential_hat(sigma, delta, sp, mu_b, r_hat),
         sequence_pair=sp,
     )
 
@@ -512,9 +509,9 @@ def nakayama_of_B(
 def twisted_superpotential_hat(
     sigma: GradedAutomorphism,
     delta: DerivationLift,
-    sp: SequencePair | None = None,
-    mu_b: Matrix | None = None,
-    r_hat: Subspace | None = None,
+    sp: SequencePair,
+    mu_b: Matrix,
+    r_hat: Subspace,
 ) -> Tensor:
     """The degree-(d+1) twisted superpotential of the Ore extension.
 
@@ -542,9 +539,7 @@ def twisted_superpotential_hat(
     slot can only coexist with a failed twist, ``TwistFailureError``.
     Slot d-1 is also the cheapest slot to read.
     """
-    alg = sigma.algebra.ensure_as_regular()
-    if sp is None:
-        sp = build_sequence_pair(sigma, delta)
+    alg = sp.algebra
     nv = alg.nv
     nh = nv + 1
     d = alg.certificate.d
@@ -568,16 +563,10 @@ def twisted_superpotential_hat(
             f"superpotential forms disagree; residual {right_part - left_part!r}", degree=d + 1
         )
     omega_hat = cyclic + right_part
-    if r_hat is None:
-        r_hat = ore_relations(sigma, delta)
     if expand_through(omega_hat, d - 1, r_hat, 2, 0) is None:
         raise NotInHatWError(
             f"omega-hat escapes V-hat^{d - 1} (x) R-hat (x) V-hat^0", slot=d - 1
         )
-    if mu_b is None:
-        mu_b = nakayama_of_B(
-            sigma, delta, sp, with_superpotential=False
-        ).mu_B
     if mu_b.nrows != nh or mu_b.ncols != nh:
         raise ValueError(f"mu_B must be {nh} x {nh}")
     # (-1)^d tau_d (mu_B (x) id^d)(omega-hat) in one pass: the image of

@@ -43,7 +43,6 @@ from orenaka import (
     random_case_params,
     subspace_intersect,
     subspace_sum,
-    twisted_superpotential_hat,
 )
 from orenaka.quadratic import QuadraticAlgebra
 
@@ -64,7 +63,7 @@ def pool_polynomial():
         sid = identity_automorphism(alg)
         for _ in range(50):
             delta = random_admissible_derivation(alg, sid, rng)
-            rep = nakayama_of_B(sid, delta, with_superpotential=False)
+            rep = nakayama_of_B(sid, delta)
             pool.append(rep)
     return pool
 
@@ -80,11 +79,9 @@ def pool_cy():
         l1, l2, l3, l4 = (rand_frac(rng) for _ in range(4))
         gamma = ((l1, -2 * l4, l2), (l3, -2 * l1, l4))
         delta = extend_derivation(gamma_images(gamma), sid, comm)
-        family.append(nakayama_of_B(sid, delta, with_superpotential=False))
+        family.append(nakayama_of_B(sid, delta))
     outlier = nakayama_of_B(
-        sid,
-        extend_derivation(gamma_images(((1, 0, 0), (0, 0, 0))), sid, comm),
-        with_superpotential=False,
+        sid, extend_derivation(gamma_images(((1, 0, 0), (0, 0, 0))), sid, comm)
     )
     matched = []
     for q in CATALOG_QS:
@@ -94,14 +91,12 @@ def pool_cy():
             if q != -1:
                 params["q"] = q
             inst = enumerate_solution(case, params)
-            matched.append(
-                nakayama_of_B(inst.sigma, inst.delta, with_superpotential=False)
-            )
+            matched.append(nakayama_of_B(inst.sigma, inst.delta))
     for _ in range(5):
         params = random_case_params("jordan-a", rng)
         params["m12"] = Fraction(2)
         inst = enumerate_solution("jordan-a", params)
-        matched.append(nakayama_of_B(inst.sigma, inst.delta, with_superpotential=False))
+        matched.append(nakayama_of_B(inst.sigma, inst.delta))
     return family, outlier, matched
 
 
@@ -113,7 +108,7 @@ def pool_solutions():
     for case in CASES:
         for _ in range(5):
             inst = enumerate_solution(case, random_case_params(case, rng))
-            rep = nakayama_of_B(inst.sigma, inst.delta, with_superpotential=False)
+            rep = nakayama_of_B(inst.sigma, inst.delta)
             pool.append((inst, rep))
     return pool
 
@@ -197,10 +192,8 @@ def test_criterion_5_superpotential_suite(pool_polynomial, pool_cy, pool_solutio
         alg = rep.algebra
         d = alg.certificate.d
         # both closed forms, membership in the top Koszul space of B and
-        # the twist identity are asserted inside; any failure raises
-        oh = twisted_superpotential_hat(
-            rep.sigma, rep.delta, rep.sequence_pair, rep.mu_B, rep.relations_hat
-        )
+        # the twist identity were asserted inside nakayama_of_B
+        oh = rep.omega_hat
         twisted = oh.apply_matrix_at(1, rep.mu_B).tau(d).scale(Fraction(-1) ** d)
         assert twisted == oh
         assert derivation_quotient_relations(oh, d - 1) == rep.relations_hat

@@ -272,7 +272,7 @@ def test_all_solution_cases_admissible_and_match_oracle():
     for case in CASES:
         for _ in range(3):
             inst = enumerate_solution(case, random_case_params(case, rng))
-            rep = nakayama_of_B(inst.sigma, inst.delta, with_superpotential=False)
+            rep = nakayama_of_B(inst.sigma, inst.delta)
             assert rep.mu_B == dim2_instance_oracle(inst), case
 
 
@@ -363,7 +363,7 @@ def test_jordan_a_gamma21_branches():
     inst2 = enumerate_solution("jordan-a", {"m12": 2, "g21": 7, "g22": 0, "g23": 0, "g13": 0})
     assert inst2.gamma[1][0] == 7
     # nonzero gamma21 with m12 = 2 is admissible and Calabi-Yau
-    rep = nakayama_of_B(inst2.sigma, inst2.delta, with_superpotential=False)
+    rep = nakayama_of_B(inst2.sigma, inst2.delta)
     assert rep.calabi_yau and rep.mu_B == Matrix.identity(3)
 
 
@@ -376,7 +376,7 @@ def test_cy_classifier_l_family():
     verdict = cy_classifier_dim2(a, sid, delta)
     assert verdict.is_cy
     assert verdict.witness["l"] == ("1", "2", "3", "4")
-    rep = nakayama_of_B(sid, delta, with_superpotential=False)
+    rep = nakayama_of_B(sid, delta)
     assert rep.calabi_yau == verdict.is_cy
 
 
@@ -385,7 +385,7 @@ def test_cy_classifier_out_of_family():
     sid = identity_automorphism(a)
     delta = extend_derivation(gamma_images(((1, 0, 0), (0, 0, 0))), sid, a)
     verdict = cy_classifier_dim2(a, sid, delta)
-    rep = nakayama_of_B(sid, delta, with_superpotential=False)
+    rep = nakayama_of_B(sid, delta)
     assert not verdict.is_cy and not rep.calabi_yau
 
 
@@ -396,7 +396,7 @@ def test_cy_classifier_quantum_any_admissible_delta():
     for _ in range(5):
         delta = random_admissible_derivation(a, sig, rng)
         verdict = cy_classifier_dim2(a, sig, delta)
-        rep = nakayama_of_B(sig, delta, with_superpotential=False)
+        rep = nakayama_of_B(sig, delta)
         assert verdict.is_cy and rep.calabi_yau
 
 
@@ -409,5 +409,5 @@ def test_cy_classifier_agrees_with_engine_randomly():
             sig = random_admissible_automorphism(a, rng)
             delta = random_admissible_derivation(a, sig, rng)
             verdict = cy_classifier_dim2(a, sig, delta)
-            rep = nakayama_of_B(sig, delta, with_superpotential=False)
+            rep = nakayama_of_B(sig, delta)
             assert verdict.is_cy == rep.calabi_yau

@@ -221,14 +221,20 @@ def test_hdet_of_nakayama_recorded():
 
 def test_hdet_flags_unchecked_automorphism():
     # bypassing check_automorphism with a non-admissible matrix trips
-    # the proportionality assertion
-    from orenaka import EngineInvariantError
+    # the proportionality assertion, and the S^d guard of the Ore
+    # pipeline; so does the zero matrix, which preserves every W_i
+    from orenaka import DerivationLift, EngineInvariantError, nakayama_of_B
     from orenaka.morphisms import GradedAutomorphism
 
     q2 = make_quantum_plane(2)
-    rogue = GradedAutomorphism(Matrix([[0, 1], [1, 0]]), q2)
-    with pytest.raises(EngineInvariantError):
-        hdet(rogue)
+    for m in (Matrix([[0, 1], [1, 0]]), Matrix.zero(2, 2)):
+        rogue = GradedAutomorphism(m, q2)
+        with pytest.raises(EngineInvariantError):
+            hdet(rogue)
+        with pytest.raises(EngineInvariantError) as err:
+            nakayama_of_B(rogue, DerivationLift.zero(rogue))
+        # not a later check that a wrong hdet happens to trip
+        assert str(err.value).endswith("certification is broken")
 
 
 def test_twist_solve_degenerate_tensor_rejected():

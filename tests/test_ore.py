@@ -248,7 +248,7 @@ def test_mu_b_trimmed_scales_z_by_hdet():
     for a in (make_polynomial(2), make_quantum_plane(3), make_jordan_plane()):
         sig = random_admissible_automorphism(a, rng)
         d0 = extend_derivation([Tensor(a.nv, 2)] * a.nv, sig, a)
-        rep = nakayama_of_B(sig, d0, with_superpotential=False)
+        rep = nakayama_of_B(sig, d0)
         n = a.nv
         from orenaka import hdet
 
@@ -262,7 +262,7 @@ def test_mu_b_polynomial_identity_block():
     sid = identity_automorphism(a)
     for _ in range(3):
         delta = random_admissible_derivation(a, sid, rng)
-        rep = nakayama_of_B(sid, delta, with_superpotential=False)
+        rep = nakayama_of_B(sid, delta)
         assert rep.mu_B_on_V == Matrix.identity(3)
         assert rep.mu_B[3, 3] == 1
 
@@ -466,7 +466,7 @@ def test_ore_extension_feeds_back_as_algebra():
     sig = check_automorphism(Matrix([[3, 0], [0, 5]]), a)
     rng = random.Random(54)
     delta = random_admissible_derivation(a, sig, rng)
-    rep = nakayama_of_B(sig, delta, with_superpotential=False)
+    rep = nakayama_of_B(sig, delta)
     b = QuadraticAlgebra(["x1", "x2", "z"], rep.relations_hat)
     b.certify_as_regular()
     assert b.certificate.d == a.certificate.d + 1
@@ -622,11 +622,12 @@ def test_w_coordinate_towers_equal_tensor_towers(name, sig, delta):
     noisy = build_sequence_pair(sig, delta, rng=random.Random(5))
     assert (noisy.right, noisy.left) == _tensor_towers(sig, delta, random.Random(5))
     noisy.verify()
-    # sigma^(x)d on the line W_d is hdet(sigma)
+    # sigma^(x)d on the line W_d is hdet(sigma), and the report reads it there
     d = sig.algebra.certificate.d
     ((nums, den),) = sp.sigma_w[d]
     assert Fraction(nums.get(0, 0), den) == hdet(sig)
     assert len(sp.sigma_w) == d + 1
+    assert nakayama_of_B(sig, delta).hdet == hdet(sig)
 
 
 def test_sigma_on_w_is_sigma_on_tensors():
@@ -698,7 +699,8 @@ def test_superpotential_failures_name_degree_and_slot():
     a = make_polynomial(3)
     sig = random_admissible_automorphism(a, rng)
     delta = random_admissible_derivation(a, sig, rng)
-    sp = build_sequence_pair(sig, delta)
+    rep = nakayama_of_B(sig, delta)
+    sp, mu_b, r_hat = rep.sequence_pair, rep.mu_B, rep.relations_hat
     d = a.certificate.d
     # a right tower that no longer matches the left one
     right_w = [list(stage) for stage in sp.right_w]
@@ -706,16 +708,16 @@ def test_superpotential_failures_name_degree_and_slot():
     right_w[d][0] = ({**nums, 0: nums.get(0, 0) + den}, den)
     bent = SequencePair(sig, delta, right_w, sp.left_w)
     with pytest.raises(FormMismatchError) as err:
-        twisted_superpotential_hat(sig, delta, bent)
+        twisted_superpotential_hat(sig, delta, bent, mu_b, r_hat)
     assert err.value.degree == d + 1
     # nothing lies in a zero R-hat; only the last slot is read, and the
     # twist check carries it to the others
     with pytest.raises(NotInHatWError) as err:
-        twisted_superpotential_hat(sig, delta, sp, r_hat=Subspace(16))
+        twisted_superpotential_hat(sig, delta, sp, mu_b, Subspace(16))
     assert err.value.slot == d - 1
     assert str(err.value) == "omega-hat escapes V-hat^2 (x) R-hat (x) V-hat^0"
     with pytest.raises(TwistFailureError) as err:
-        twisted_superpotential_hat(sig, delta, sp, mu_b=Matrix.identity(4) * 2)
+        twisted_superpotential_hat(sig, delta, sp, Matrix.identity(4) * 2, r_hat)
     assert err.value.degree == d + 1
 
 
@@ -798,8 +800,46 @@ def test_mu_b_off_r_hat_raises(monkeypatch):
     a = make_quantum_plane(3)
     sig = random_admissible_automorphism(a, rng)
     delta = random_admissible_derivation(a, sig, rng)
-    real = ore.hdet
-    monkeypatch.setattr(ore, "hdet", lambda s: real(s) + 1)
+    real = ore._sigma_on_w
+
+    def hdet_plus_one(alg, m):
+        # S^d is hdet(sigma), the z-entry of mu_B
+        out = real(alg, m)
+        ((nums, den),) = out[-1]
+        out[-1] = [({0: nums[0] + den}, den)]
+        return out
+
+    monkeypatch.setattr(ore, "_sigma_on_w", hdet_plus_one)
     with pytest.raises(AutomorphismCheckFailedError) as err:
         nakayama_of_B(sig, delta)
     assert str(err.value) == "mu_B does not preserve R-hat"
+
+
+def test_ore_request_makes_each_quantity_once(monkeypatch):
+    # mu_B's V-block is one product with the inverse check_automorphism
+    # kept, and hdet is read off S^d instead of sigma^(x)d over V^(x)d
+    from orenaka import hdet, morphisms
+
+    rng = random.Random(73)
+    a = make_polynomial(3)
+    nakayama_of_A(a)
+    sig = check_automorphism(Matrix([[2, 1, 1], [1, 3, 1], [1, 1, -4]]), a)
+    delta = random_admissible_derivation(a, sig, rng)
+    calls = {"inverse": 0, "__mul__": 0, "hdet": 0}
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((Matrix, "inverse"), (Matrix, "__mul__"), (morphisms, "hdet")):
+        count(owner, name)
+    rep = nakayama_of_B(sig, delta)
+    assert calls["inverse"] == 0
+    assert calls["__mul__"] <= 1
+    assert calls["hdet"] == 0 and sig._hdet is None
+    assert rep.hdet == hdet(sig)
