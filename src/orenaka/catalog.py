@@ -37,21 +37,25 @@ from .quadratic import QuadraticAlgebra
 _ALGEBRA_CACHE: dict = {}
 
 
+def _shared(key, build) -> QuadraticAlgebra:
+    """One certified algebra per key, built by ``build()`` on the first
+    call.  Sharing is safe: every attribute of an algebra is a memo of a
+    fact about it, and its certificate is an immutable value."""
+    if key not in _ALGEBRA_CACHE:
+        alg = build()
+        alg.certify_as_regular()
+        _ALGEBRA_CACHE[key] = alg
+    return _ALGEBRA_CACHE[key]
+
+
 def make_polynomial(n: int) -> QuadraticAlgebra:
     """k[x_1..x_n], certified AS-regular of dimension n."""
     if n < 1:
         raise ValueError("need at least one variable")
-    key = ("poly", n)
-    if key not in _ALGEBRA_CACHE:
-        rels = [
-            Tensor(n, 2, {(i, j): ONE, (j, i): -ONE})
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        alg = QuadraticAlgebra([f"x{i + 1}" for i in range(n)], rels)
-        alg.certify_as_regular()
-        _ALGEBRA_CACHE[key] = alg
-    return _ALGEBRA_CACHE[key]
+    return _shared(("poly", n), lambda: QuadraticAlgebra(
+        [f"x{i + 1}" for i in range(n)],
+        [Tensor(n, 2, {(i, j): ONE, (j, i): -ONE}) for i in range(n) for j in range(i + 1, n)],
+    ))
 
 
 def make_quantum_plane(q) -> QuadraticAlgebra:
@@ -59,26 +63,16 @@ def make_quantum_plane(q) -> QuadraticAlgebra:
     q = scalar(q)
     if not q:
         raise ValueError("q must be nonzero")
-    key = ("quantum", q)
-    if key not in _ALGEBRA_CACHE:
-        alg = QuadraticAlgebra(
-            ["x1", "x2"], [Tensor(2, 2, {(0, 1): ONE, (1, 0): -q})]
-        )
-        alg.certify_as_regular()
-        _ALGEBRA_CACHE[key] = alg
-    return _ALGEBRA_CACHE[key]
+    return _shared(("quantum", q), lambda: QuadraticAlgebra(
+        ["x1", "x2"], [Tensor(2, 2, {(0, 1): ONE, (1, 0): -q})]
+    ))
 
 
 def make_jordan_plane() -> QuadraticAlgebra:
     """k<x1,x2>/(x1 x2 - x2 x1 - x2^2), certified."""
-    key = ("jordan",)
-    if key not in _ALGEBRA_CACHE:
-        alg = QuadraticAlgebra(
-            ["x1", "x2"], [Tensor(2, 2, {(0, 1): ONE, (1, 0): -ONE, (1, 1): -ONE})]
-        )
-        alg.certify_as_regular()
-        _ALGEBRA_CACHE[key] = alg
-    return _ALGEBRA_CACHE[key]
+    return _shared(("jordan",), lambda: QuadraticAlgebra(
+        ["x1", "x2"], [Tensor(2, 2, {(0, 1): ONE, (1, 0): -ONE, (1, 1): -ONE})]
+    ))
 
 
 def dim2_relation_matrix(kind: str, q=None) -> Matrix:

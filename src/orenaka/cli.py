@@ -204,13 +204,11 @@ def render_report(report: dict) -> str:
 
 def _certify_to(alg: QuadraticAlgebra, bound) -> int:
     """Certify alg to the requested bound and return the bound to report,
-    max(bound, d + 3).  It comes from the command, not from the stored
-    certificate, because catalog algebras are shared between commands
-    and may already carry a higher bound from an earlier call."""
-    alg.certify_as_regular()
+    max(bound, d + 3)."""
+    d, _ = alg.certify_as_regular()
     if bound:
         alg.certify_koszul(int(bound))
-    return max(int(bound or 0), alg.certificate.d + 3)
+    return max(int(bound or 0), d + 3)
 
 
 def _certify_algebra(spec: ProblemSpec, bound) -> tuple[QuadraticAlgebra, int]:

@@ -41,13 +41,12 @@ class GradedAutomorphism:
     preservation of the relation space are always verified.
     """
 
-    __slots__ = ("matrix", "algebra", "_inverse", "_hdet")
+    __slots__ = ("matrix", "algebra", "_inverse")
 
     def __init__(self, matrix: Matrix, algebra: QuadraticAlgebra):
         self.matrix = matrix
         self.algebra = algebra
         self._inverse = None
-        self._hdet = None
 
     def inverse(self) -> "GradedAutomorphism":
         if self._inverse is None:
@@ -185,10 +184,7 @@ def extend_derivation(
 def hdet(sigma: GradedAutomorphism) -> Fraction:
     """Homological determinant: the scalar by which sigma^(x)d acts on
     the line W_d."""
-    if sigma._hdet is not None:
-        return sigma._hdet
-    alg = sigma.algebra.ensure_as_regular()
-    omega = alg.omega
+    omega = sigma.algebra.omega
     image = sigma.apply_all(omega)
     pivot = min(omega.entries)  # leading coefficient is 1 by normalization
     c = image.entries.get(pivot, ZERO)
@@ -196,7 +192,6 @@ def hdet(sigma: GradedAutomorphism) -> Fraction:
         raise EngineInvariantError(
             "sigma^(x)d does not act as a scalar on W_d; certification is broken"
         )
-    sigma._hdet = c
     return c
 
 

@@ -81,7 +81,7 @@ from .morphisms import (
     GradedAutomorphism,
     nakayama_of_A,
 )
-from .quadratic import QuadraticAlgebra, _int_sum
+from .quadratic import QuadraticAlgebra, _expand, _int_sum
 
 
 def _sign(i: int) -> int:
@@ -92,29 +92,6 @@ def _sum(terms) -> tuple[dict[int, int], int]:
     """``quadratic._int_sum`` of (c, (nums, den), stride, offset) terms
     in canonical form."""
     return _canonical(*_int_sum(terms))
-
-
-def _expand(vec: tuple[dict, int], head, tail) -> tuple[dict, int]:
-    """A coordinate vector on a tensor product of two spaces as a
-    tensor: int numerators by word over one denominator.  ``head`` and
-    ``tail`` are ``WTables.words`` or ``words_v`` entries (rows, L), and
-    key k * len(tail rows) + m holds the coordinate on head row k (x)
-    tail row m."""
-    nums, den = vec
-    hrows, hden = head
-    trows, tden = tail
-    size = len(trows)
-    out: dict = {}
-    get = out.get
-    for key, c in nums.items():
-        h, t = divmod(key, size)
-        tail_row = trows[t]
-        for hw, hn in hrows[h]:
-            f = c * hn
-            for tw, tn in tail_row:
-                w = hw + tw
-                out[w] = get(w, 0) + f * tn
-    return out, den * hden * tden
 
 
 _UNIT = ([[((), 1)]], 1)  # the scalar line, as a ``_expand`` factor
@@ -273,7 +250,7 @@ def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> list:
     moves some W_i fails here."""
     tab = alg.w_tables()
     nv = alg.nv
-    d = alg.certificate.d
+    d = alg.d
     mrows = [_scaled({j: a for j, a in enumerate(r) if a}) for r in m.rows]
     out = [[({0: 1}, 1)], mrows]
     for i in range(2, d + 1):
@@ -318,7 +295,7 @@ def build_sequence_pair(
     mrows = sp.sigma_w[1]
     dim_a2 = alg.dim_A(2)
     nf_delta = [alg._nf_scaled(t) for t in delta.images]
-    for i in range(2, alg.certificate.d + 1):
+    for i in range(2, alg.d + 1):
         p, q = tab.dims[i - 1], tab.dims[i]
         # the right-hand sides in W_{i-1} (x) A_2, keyed m * dim A_2 + k:
         # (sigma^(i-1) (x) id)(w_k) then delta(x_v) multiplied into A_2,
@@ -400,11 +377,14 @@ def divergence(
     delta_{d,r}(omega) = omega (x) delta_r and delta_{d,l}(omega) =
     delta_l (x) omega hold exactly because dim W_d = 1; the divergence
     does not depend on the sequence pair even though (delta_r, delta_l)
-    individually do.
+    individually do.  A given ``sp`` must have been built for this very
+    sigma and delta.
     """
     alg = sigma.algebra.ensure_as_regular()
     if sp is None:
         sp = build_sequence_pair(sigma, delta)
+    elif sp.sigma is not sigma or sp.delta is not delta:
+        raise ValueError("the sequence pair was built for a different (sigma, delta)")
     return _divergence(sp, sigma.inverse().matrix * nakayama_of_A(alg).matrix)
 
 
@@ -501,19 +481,14 @@ def nakayama_of_B(sigma: GradedAutomorphism, delta: DerivationLift) -> OreReport
         mu_B=mu_b,
         relations_hat=r_hat,
         calabi_yau=sigma.matrix == p and div.divergence.is_zero(),
-        omega_hat=twisted_superpotential_hat(sigma, delta, sp, mu_b, r_hat),
+        omega_hat=twisted_superpotential_hat(sp, mu_b, r_hat),
         sequence_pair=sp,
     )
 
 
-def twisted_superpotential_hat(
-    sigma: GradedAutomorphism,
-    delta: DerivationLift,
-    sp: SequencePair,
-    mu_b: Matrix,
-    r_hat: Subspace,
-) -> Tensor:
-    """The degree-(d+1) twisted superpotential of the Ore extension.
+def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) -> Tensor:
+    """The degree-(d+1) twisted superpotential of the Ore extension of
+    the pair's (sigma, delta), with mu_B and R-hat already formed.
 
     omega-hat = cyclic part + tower part, where the tower part is taken
     by both closed forms (right-tower and left-tower, ``_tower_forms``),
@@ -542,11 +517,11 @@ def twisted_superpotential_hat(
     alg = sp.algebra
     nv = alg.nv
     nh = nv + 1
-    d = alg.certificate.d
-    omega = alg.certificate.omega
+    d = alg.d
+    omega = alg.omega
     z = Tensor.word(nh, (nv,))
     omega_h = omega.embed(nh)
-    m_hat_rows = [list(r) + [ZERO] for r in sigma.matrix.rows]
+    m_hat_rows = [list(r) + [ZERO] for r in sp.sigma.matrix.rows]
     m_hat_rows.append([ZERO] * nv + [ONE])
     m_hat = Matrix(m_hat_rows)
     # term i of the cyclic part carries m-hat at slots 2..i+1, one slot

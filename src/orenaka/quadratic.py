@@ -61,7 +61,7 @@ Ore request, never during certification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -83,21 +83,25 @@ from .linalg import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class KoszulCertificate:
-    """Outcome of the finite Koszul/AS checks.
+    """Outcome of the finite Koszul/AS checks, a value: exactness in
+    every internal degree <= ``bound``.
 
     ``ranks[(m, i)]`` is the rank over Q of the i-th Koszul differential
-    in internal degree m.  ``as_regular``, ``d`` and ``omega`` stay unset
-    until ``certify_as_regular`` runs.
+    in internal degree m.  ``d`` and ``omega`` are set on the algebra's
+    AS-regular certificate and on every certificate made after it.
     """
 
     bound: int
-    ranks: dict = field(default_factory=dict)
+    ranks: dict
     euler_ok: bool = True
-    as_regular: bool = False
     d: int | None = None
     omega: Tensor | None = None
+
+    @property
+    def as_regular(self) -> bool:
+        return self.d is not None
 
 
 class _Piece:
@@ -147,7 +151,8 @@ class QuadraticAlgebra:
         self._W: list[Subspace] = []
         self._nf_cache: dict[tuple, dict] = {}
         self._sandwich = None          # R(x)V + V(x)R, for derivation admissibility
-        self.certificate: KoszulCertificate | None = None
+        self._exact: list[tuple[int, ...]] = []  # Q ranks of degrees 1, 2, ... proved exact
+        self.certificate: KoszulCertificate | None = None  # set once, by certify_as_regular
         self._nakayama = None          # filled by morphisms.nakayama_of_A
         self._w_tables = None          # filled by w_tables, on the first Ore request
 
@@ -354,9 +359,12 @@ class QuadraticAlgebra:
             self._w_tables = WTables(self)
         return self._w_tables
 
-    def certify_koszul(self, bound: int | None = None) -> KoszulCertificate:
+    def certify_koszul(self, bound: int) -> KoszulCertificate:
         """Verify exactness of the Koszul complex of k_A through internal
-        degree ``bound`` by rank computations, plus the Euler identity.
+        degree ``bound`` by rank computations, plus the Euler identity,
+        and return a new certificate for exactly that bound.  Each degree
+        is proved once per algebra (its Q ranks are kept), so a higher
+        bound proves only the degrees above the highest one proved.
 
         In degree m the complex is W_t (x) A_{m-t} -> ... -> W_1 (x)
         A_{m-1} -> A_m -> 0 with t = min(m, top nonzero W).  Write
@@ -397,18 +405,13 @@ class QuadraticAlgebra:
         A passing certificate says nothing beyond the bound; that is the
         strongest finite statement available.
         """
-        n = bound if bound is not None else (self.certificate.d + 3 if self.certificate and self.certificate.d else 8)
-        if n < 2:
+        if bound < 2:
             raise ValueError("certification bound must be at least 2")
-        if self.certificate is not None and self.certificate.bound >= n:
-            return self.certificate
-        cert = KoszulCertificate(bound=n)
         # W spaces vanish for good once one is zero (W_i <= W_{i-1} (x) V).
-        wmax = 0
-        while self.koszul_space(wmax + 1).dim > 0 and wmax + 1 <= n:
-            wmax += 1
-        for m in range(1, n + 1):
-            top = min(m, wmax)
+        top = 0
+        for m in range(len(self._exact) + 1, bound + 1):
+            while top < m and self.koszul_space(top + 1).dim > 0:
+                top += 1
             dims = tuple(self.koszul_space(i).dim * self.dim_A(m - i) for i in range(top + 1))
             # the numerators alone: scaling a row keeps its rank
             diffs = [[nums for nums, _ in self._differential(i, m - i)] for i in range(1, top + 1)]
@@ -431,31 +434,29 @@ class QuadraticAlgebra:
                         msg, degree=m, position=pos, dims=dims,
                         ranks=dict(enumerate(ranks, 1)),
                     )
-            for i, r in enumerate(ranks, 1):
-                cert.ranks[(m, i)] = r
             # implied by exactness; kept as an independent safety net
-            euler = sum((-1) ** i * d for i, d in enumerate(dims))
-            if euler != 0:
-                cert.euler_ok = False
+            if sum((-1) ** i * d for i, d in enumerate(dims)):
                 raise CertificationError(
                     f"Euler identity fails in degree {m}", degree=m,
                     dims=dims, ranks=dict(enumerate(ranks, 1)),
                 )
-        if self.certificate is not None:
-            cert.as_regular = self.certificate.as_regular
-            cert.d = self.certificate.d
-            cert.omega = self.certificate.omega
-        self.certificate = cert
-        return cert
+            self._exact.append(tuple(ranks))
+        proved = {
+            (m, i): r for m, rs in enumerate(self._exact[:bound], 1) for i, r in enumerate(rs, 1)
+        }
+        if self.certificate is None:
+            return KoszulCertificate(bound, proved)
+        return replace(self.certificate, bound=bound, ranks=proved)
 
     def certify_as_regular(self, max_search: int = 12):
         """Locate d with W_d != 0 = W_{d+1} and run the finite AS checks.
 
         Returns (d, omega) with omega the canonical basis tensor of W_d
-        (RREF representative, leading coordinate 1).  Raises
-        NotASRegularError if any check fails.
+        (RREF representative, leading coordinate 1).  The first success
+        sets ``certificate`` once, at bound d + 3; later calls read it.
+        Raises NotASRegularError if any check fails.
         """
-        if self.certificate is not None and self.certificate.as_regular:
+        if self.certificate is not None:
             return self.certificate.d, self.certificate.omega
         d = None
         for i in range(1, max_search + 2):
@@ -477,19 +478,11 @@ class QuadraticAlgebra:
                     f"dim W_{i} != dim W_{d - i}: "
                     f"{self.koszul_space(i).dim} vs {self.koszul_space(d - i).dim}"
                 )
-        cert = self.certify_koszul(max(d + 3, self.certificate.bound if self.certificate else 0))
         omega = Tensor.from_vec(wd.basis()[0], self.nv, d)
-        cert.as_regular = True
-        cert.d = d
-        cert.omega = omega
-        self.certificate = cert
+        self.certificate = replace(self.certify_koszul(d + 3), d=d, omega=omega)
         return d, omega
 
     # -- certified accessors -------------------------------------------------
-
-    @property
-    def certified(self) -> bool:
-        return self.certificate is not None and self.certificate.as_regular
 
     @property
     def d(self) -> int:
@@ -502,7 +495,7 @@ class QuadraticAlgebra:
         return self.certificate.omega
 
     def ensure_as_regular(self):
-        if not self.certified:
+        if self.certificate is None:
             self.certify_as_regular()
         return self
 
@@ -541,7 +534,7 @@ class WTables:
 
     def __init__(self, alg: "QuadraticAlgebra"):
         nv = alg.nv
-        d = alg.certificate.d
+        d = alg.d
         spaces = [alg.koszul_space(i) for i in range(d + 1)]
         # primitive rows in pivot order, each over its pivot entry, scaled
         # to the lcm L of those entries
@@ -577,7 +570,7 @@ class WTables:
                 ([{k: n * (big // den) for k, n in nums.items() if n} for nums, den in diff], big)
             )
         self.pairs = [alg._nf((a, b)) for a in range(nv) for b in range(nv)]
-        omega = alg.certificate.omega
+        omega = alg.omega
         self.omega = []
         for j in range(d + 1):
             head = [flat_word(p, j, nv) for p in spaces[j].pivots]
@@ -589,13 +582,8 @@ class WTables:
                 if h + t in omega.nums
             }
             # omega lies in W_j (x) W_{d-j}, so these coordinates give it back
-            (hrows, hden), (trows, tden) = self.words[j], self.words[d - j]
-            back: dict = {}
-            for key, c in nums.items():
-                for h, hn in hrows[key // len(tail)]:
-                    for t, tn in trows[key % len(tail)]:
-                        back[h + t] = back.get(h + t, 0) + c * hn * tn
-            if {w: n for w, n in back.items() if n} != {w: n * hden * tden for w, n in omega.nums.items()}:
+            back, den = _expand((nums, 1), self.words[j], self.words[d - j])
+            if {w: n for w, n in back.items() if n} != {w: n * den for w, n in omega.nums.items()}:
                 raise EngineInvariantError(f"omega escapes W_{j} (x) W_{d - j}")
             self.omega.append((nums, omega.den))
 
@@ -664,6 +652,29 @@ def _int_sum(terms: Iterable[tuple]) -> tuple[dict[int, int], int]:
             key = k * st + off
             out[key] = get(key, 0) + f * n
     return out, big
+
+
+def _expand(vec: tuple[dict, int], head, tail) -> tuple[dict, int]:
+    """A coordinate vector on a tensor product of two spaces as a
+    tensor: int numerators by word over one denominator.  ``head`` and
+    ``tail`` are ``WTables.words`` or ``words_v`` entries (rows, L), and
+    key k * len(tail rows) + m holds the coordinate on head row k (x)
+    tail row m.  Cancelled entries stay as zeros."""
+    nums, den = vec
+    hrows, hden = head
+    trows, tden = tail
+    size = len(trows)
+    out: dict = {}
+    get = out.get
+    for key, c in nums.items():
+        h, t = divmod(key, size)
+        tail_row = trows[t]
+        for hw, hn in hrows[h]:
+            f = c * hn
+            for tw, tn in tail_row:
+                w = hw + tw
+                out[w] = get(w, 0) + f * tn
+    return out, den * hden * tden
 
 
 def _inexact_at(dims: Sequence[int], ranks: Sequence[int]) -> int | None:

@@ -278,6 +278,20 @@ def test_mu_b_q_minus_one_cy_instance():
     assert rep.calabi_yau
 
 
+def test_divergence_rejects_a_pair_built_for_another_derivation():
+    rng = random.Random(1)
+    a = make_polynomial(3)
+    sig = random_admissible_automorphism(a, rng)
+    d1 = random_admissible_derivation(a, sig, rng)
+    d2 = random_admissible_derivation(a, sig, rng)
+    assert divergence(sig, d1).divergence != divergence(sig, d2).divergence
+    with pytest.raises(ValueError, match="different"):
+        divergence(sig, d1, build_sequence_pair(sig, d2))
+    other = check_automorphism(sig.matrix, a)
+    with pytest.raises(ValueError, match="different"):
+        divergence(other, d1, build_sequence_pair(sig, d1))
+
+
 def test_divergence_invariance_under_all_choices():
     rng = random.Random(49)
     for a in (make_polynomial(3), make_quantum_plane(2), make_jordan_plane()):
@@ -708,16 +722,16 @@ def test_superpotential_failures_name_degree_and_slot():
     right_w[d][0] = ({**nums, 0: nums.get(0, 0) + den}, den)
     bent = SequencePair(sig, delta, right_w, sp.left_w)
     with pytest.raises(FormMismatchError) as err:
-        twisted_superpotential_hat(sig, delta, bent, mu_b, r_hat)
+        twisted_superpotential_hat(bent, mu_b, r_hat)
     assert err.value.degree == d + 1
     # nothing lies in a zero R-hat; only the last slot is read, and the
     # twist check carries it to the others
     with pytest.raises(NotInHatWError) as err:
-        twisted_superpotential_hat(sig, delta, sp, mu_b, Subspace(16))
+        twisted_superpotential_hat(sp, mu_b, Subspace(16))
     assert err.value.slot == d - 1
     assert str(err.value) == "omega-hat escapes V-hat^2 (x) R-hat (x) V-hat^0"
     with pytest.raises(TwistFailureError) as err:
-        twisted_superpotential_hat(sig, delta, sp, Matrix.identity(4) * 2, r_hat)
+        twisted_superpotential_hat(sp, Matrix.identity(4) * 2, r_hat)
     assert err.value.degree == d + 1
 
 
@@ -841,5 +855,5 @@ def test_ore_request_makes_each_quantity_once(monkeypatch):
     rep = nakayama_of_B(sig, delta)
     assert calls["inverse"] == 0
     assert calls["__mul__"] <= 1
-    assert calls["hdet"] == 0 and sig._hdet is None
+    assert calls["hdet"] == 0
     assert rep.hdet == hdet(sig)

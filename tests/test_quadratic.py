@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -537,3 +538,65 @@ def test_sklyanin_extension_certifies_by_capped_modular_ranks(monkeypatch):
         for i in range(1, min(m, 4) + 1)
     }
     assert {k: r for k, r in cert.ranks.items() if k[0] <= 5} == want
+
+
+def test_certificates_are_values_independent_of_call_history():
+    shared = make_quantum_plane(2)
+    stored = shared.certificate
+    assert (stored.bound, stored.as_regular, stored.d) == (5, True, 2)
+    assert shared.certify_koszul(10).bound == 10
+    # the catalog hands out the same algebra, whose certificate never moves
+    again = make_quantum_plane(2)
+    assert again.certificate is stored and again.certificate.bound == 5
+    assert again.certify_as_regular() == (2, stored.omega)
+    assert again.certificate is stored
+
+
+def test_certificate_fields_are_frozen():
+    cert = make_polynomial(2).certificate
+    for f in dataclasses.fields(cert):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cert, f.name, getattr(cert, f.name))
+    with pytest.raises(AttributeError):
+        cert.as_regular = False
+
+
+def test_certify_koszul_returns_exactly_the_bound_asked_for():
+    a = _poly(3)
+    high = a.certify_koszul(8)
+    low = a.certify_koszul(6)
+    assert (high.bound, low.bound) == (8, 6)
+    assert max(m for m, _ in high.ranks) == 8
+    assert max(m for m, _ in low.ranks) == 6
+    assert low.ranks == {k: r for k, r in high.ranks.items() if k[0] <= 6}
+    # no AS certification ran, so neither certificate carries d
+    assert not low.as_regular and low.d is None and a.certificate is None
+    # the AS certificate made later carries its own bound d + 3, and a
+    # Koszul certificate made after it carries d and omega
+    assert a.certify_as_regular()[0] == 3 and a.certificate.bound == 6
+    later = a.certify_koszul(8)
+    assert (later.bound, later.d, later.omega) == (8, 3, a.omega)
+
+
+def test_raising_the_bound_proves_only_the_new_degrees(monkeypatch):
+    a = _poly(3)
+    a.certify_koszul(8)
+    calls = _spy_rank(monkeypatch)
+    a.certify_koszul(6)
+    assert calls == []
+    cert = a.certify_koszul(10)
+    # W_1..W_3 are nonzero: three modular ranks in each of degrees 9, 10
+    assert calls == [P] * 6
+    assert sorted(cert.ranks) == [(m, i) for m in range(1, 11) for i in range(1, 4) if i <= m]
+    assert cert.ranks == _q_ranks(a, 10)
+
+
+def test_koszul_certificate_alone_leaves_the_algebra_uncertified():
+    # demo 01's monomial algebra: Koszul, but not AS-regular
+    mono = QuadraticAlgebra(["x1", "x2"], [Tensor(2, 2, {(0, 0): 1})])
+    cert = mono.certify_koszul(6)
+    assert cert.bound == 6 and not cert.as_regular
+    assert mono.certificate is None
+    with pytest.raises(NotASRegularError):
+        mono.certify_as_regular()
+    assert mono.certificate is None
