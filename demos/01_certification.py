@@ -1,11 +1,12 @@
 """Certifying Koszulity and AS-regularity.
 
 Every computation downstream rests on a certificate: exactness of the
-Koszul complex through a finite degree bound plus the finite
-AS-regularity checks (one-dimensional top space W_d, vanishing W_{d+1},
-symmetric dimensions).  This script certifies the standard examples,
-prints their homogeneous dimensions, and shows an algebra that is
-Koszul but fails the AS checks.
+Koszul complex (in every degree for a PBW algebra, else through a
+finite degree bound) plus the finite AS-regularity checks
+(one-dimensional top space W_d, vanishing W_{d+1}, symmetric
+dimensions).  This script certifies the standard examples, prints their
+homogeneous dimensions, and shows an algebra that is Koszul but fails
+the AS checks.
 """
 
 from orenaka import (

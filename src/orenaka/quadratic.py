@@ -4,13 +4,28 @@ Provides the Koszul spaces W_i, homogeneous monomial bases and normal
 forms for the A_m, the Koszul differentials, and finite certification
 of Koszulity and AS-regularity.
 
-Certification philosophy: true Koszulity is not decidable by finite
-rank computations, so ``certify_koszul`` verifies exactness of the
-Koszul complex in every internal degree up to a bound N and every
-report carries that bound.  AS-regularity is certified by the finite
-necessary conditions (dim W_d = 1, W_{d+1} = 0, the dimension symmetry
-dim W_i = dim W_{d-i}) on top of a Koszul certificate reaching at
-least d+2.
+Certification philosophy.  Koszulity is not decidable by finite rank
+computations in general, so every certificate names the route that
+proved it (``KoszulCertificate.route``), and every report carries its
+bound.  The route is not a choice: the PBW test decides it.
+
+* "pbw": A is PBW for the letter order ``order``.  Call a degree-2 word
+  *leading* when it is not in ``basis_words(2)``.  The test is that the
+  degree-3 words with no leading pair number dim A_3.  Then, by
+  Bergman's diamond lemma (1978), the words with no leading pair are a
+  basis of every A_m, and a PBW algebra is Koszul in *every* degree
+  (Priddy 1970; Polishchuk-Positselski, *Quadratic Algebras*, AMS 2005,
+  Ch. 4).  A PBW certificate proves Koszulity in all degrees; its ranks
+  up to the bound are the ones exactness forces, read off counts of
+  words, and no normal-form piece above A_3 is built.
+* "ranks": otherwise ``certify_koszul`` verifies exactness of the
+  Koszul complex in every internal degree up to the bound N by rank
+  computations, and proves nothing beyond N.
+
+AS-regularity is certified on either route by the finite necessary
+conditions dim W_d = 1, W_{d+1} = 0 and dim W_i = dim W_{d-i}, on top of
+a Koszul certificate at bound d + 3.  On the PBW route these dimensions
+are counts of words too.
 
 Homogeneous bases: A_m is presented as (A_{m-1} (x) V) / im(A_{m-2}
 (x) R), eliminated degree by degree; the surviving (monomial, letter)
@@ -46,9 +61,10 @@ caches the form of each word, and the products and sums of
 numerators over a common denominator (``_int_sum``), and ``nf_tensor``
 reads the tensor's own numerators.  Fractions are built only at the
 public edge, one per entry of ``nf_word``, ``nf_tensor`` and each
-differential row; ``certify_koszul`` ranks the numerators and builds
-none.  Each is the exact rational that elimination in Fractions gives:
-the RREF of the reducer is unique, and integer arithmetic is exact.
+differential row; the rank route of ``certify_koszul`` ranks the
+numerators and builds none.  Each is the exact rational that
+elimination in Fractions gives: the RREF of the reducer is unique, and
+integer arithmetic is exact.
 
 W-coordinate tables.  ``w_tables`` holds what the sequence-pair towers
 of ``ore`` read in the bases of the W_i (``WTables``): the splits of W_i
@@ -86,15 +102,18 @@ from .linalg import (
 @dataclass(frozen=True)
 class KoszulCertificate:
     """Outcome of the finite Koszul/AS checks, a value: exactness in
-    every internal degree <= ``bound``.
+    every internal degree <= ``bound``, and in every degree when
+    ``route`` is "pbw" (``QuadraticAlgebra.certify_koszul``).
 
     ``ranks[(m, i)]`` is the rank over Q of the i-th Koszul differential
-    in internal degree m.  ``d`` and ``omega`` are set on the algebra's
-    AS-regular certificate and on every certificate made after it.
+    in internal degree m.  ``route`` is "pbw" or "ranks", the route that
+    proved it.  ``d`` and ``omega`` are set on the algebra's AS-regular
+    certificate and on every certificate made after it.
     """
 
     bound: int
     ranks: dict
+    route: str
     euler_ok: bool = True
     d: int | None = None
     omega: Tensor | None = None
@@ -151,6 +170,7 @@ class QuadraticAlgebra:
         self._W: list[Subspace] = []
         self._nf_cache: dict[tuple, dict] = {}
         self._sandwich = None          # R(x)V + V(x)R, for derivation admissibility
+        self._pbw = None               # normal-pair matrix, or False: the PBW test, run once
         self._exact: list[tuple[int, ...]] = []  # Q ranks of degrees 1, 2, ... proved exact
         self.certificate: KoszulCertificate | None = None  # set once, by certify_as_regular
         self._nakayama = None          # filled by morphisms.nakayama_of_A
@@ -359,12 +379,21 @@ class QuadraticAlgebra:
             self._w_tables = WTables(self)
         return self._w_tables
 
+    def _normal_pairs(self) -> list[list[int]] | None:
+        """The PBW test of ``certify_koszul``, run once per algebra: the
+        0/1 matrix of normal pairs (row a, column b for x_a x_b in
+        ``basis_words(2)``) when A is PBW for ``order``, else None.  It
+        reads the pieces A_2 and A_3 and nothing above."""
+        if self._pbw is None:
+            normal = [[0] * self.nv for _ in range(self.nv)]
+            for a, b in self.basis_words(2):
+                normal[a][b] = 1
+            self._pbw = normal if _walk_counts(normal, 3)[3] == self.dim_A(3) else False
+        return self._pbw or None
+
     def certify_koszul(self, bound: int) -> KoszulCertificate:
-        """Verify exactness of the Koszul complex of k_A through internal
-        degree ``bound`` by rank computations, plus the Euler identity,
-        and return a new certificate for exactly that bound.  Each degree
-        is proved once per algebra (its Q ranks are kept), so a higher
-        bound proves only the degrees above the highest one proved.
+        """Prove the Koszul complex of k_A exact through internal degree
+        ``bound`` and return a new certificate for exactly that bound.
 
         In degree m the complex is W_t (x) A_{m-t} -> ... -> W_1 (x)
         A_{m-1} -> A_m -> 0 with t = min(m, top nonzero W).  Write
@@ -372,6 +401,52 @@ class QuadraticAlgebra:
         rank over Q of d_i: W_i (x) A_{m-i} -> W_{i-1} (x) A_{m-i+1},
         with r_{t+1} = 0.  Exactness is r_1 = D_0 and r_i + r_{i+1} = D_i
         for i = 1..t.
+
+        PBW route (``route`` "pbw").  Order the words of one length
+        lexicographically by ``order``.  The smallest words of the
+        elements of R are the pivot words of its RREF, the *leading*
+        pairs; the other pairs are ``basis_words(2)``.  Rewriting a
+        leading pair by its relation replaces a word by larger ones, so
+        this terminates, and the *normal* words, those with no leading
+        pair, span every A_m.  By Bergman's diamond lemma (1978) they are
+        a basis of every A_m iff every overlap x_a x_b x_c with both
+        pairs leading resolves, and the overlaps live in degree 3: that
+        is the test, N_3 = dim A_3 with N_m the number of normal words of
+        length m (``_normal_pairs``).  When it holds, A is a PBW algebra
+        and so Koszul in every degree (Priddy 1970; Polishchuk-
+        Positselski, *Quadratic Algebras*, AMS 2005, Ch. 4).  Its dual
+        A^! = T(V*)/(R^perp) is PBW too, for the reversed order, with the
+        leading pairs of A as its normal pairs, so dim W_i = dim A^!_i is
+        the number of words of length i whose pairs are all leading.
+        Both counts are powers of a 0/1 transfer matrix (``_walk_counts``).
+        An exact complex has the ranks r_1 = D_0 and r_{i+1} = D_i - r_i,
+        so these are the ranks over Q of the differentials, the ones the
+        rank route would find; no differential is built and no rank is
+        taken.  The Euler identity D_t = r_t, which exactness implies, is
+        kept as a safety net (``EngineInvariantError``).
+
+        Rank route (``route`` "ranks"), for every other algebra: the
+        ranks are computed degree by degree (``_prove_by_ranks``), and
+        the certificate says nothing beyond the bound; that is the
+        strongest finite statement available without the PBW test.
+        """
+        if bound < 2:
+            raise ValueError("certification bound must be at least 2")
+        normal = self._normal_pairs()
+        if normal is None:
+            proved, route = self._prove_by_ranks(bound), "ranks"
+        else:
+            proved, route = _pbw_ranks(normal, bound), "pbw"
+        if self.certificate is None:
+            return KoszulCertificate(bound, proved, route)
+        return replace(self.certificate, bound=bound, ranks=proved)
+
+    def _prove_by_ranks(self, bound: int) -> dict:
+        """The rank route of ``certify_koszul``: prove exactness in
+        every degree <= ``bound`` by rank computations, plus the Euler
+        identity, and return the ranks as {(m, i): r_i}.  Each degree is
+        proved once per algebra (its Q ranks are kept), so a higher bound
+        proves only the degrees above the highest one proved.
 
         The ranks are taken on the integer numerators of the rows, each
         row scaled by its denominator, which keeps the rank over Q.  They
@@ -402,11 +477,7 @@ class QuadraticAlgebra:
 
         Raises CertificationError at the first failing position, carrying
         the degree's ``dims`` (D_0..D_t) and its Q ``ranks`` ({i: r_i}).
-        A passing certificate says nothing beyond the bound; that is the
-        strongest finite statement available.
         """
-        if bound < 2:
-            raise ValueError("certification bound must be at least 2")
         # W spaces vanish for good once one is zero (W_i <= W_{i-1} (x) V).
         top = 0
         for m in range(len(self._exact) + 1, bound + 1):
@@ -441,12 +512,9 @@ class QuadraticAlgebra:
                     dims=dims, ranks=dict(enumerate(ranks, 1)),
                 )
             self._exact.append(tuple(ranks))
-        proved = {
+        return {
             (m, i): r for m, rs in enumerate(self._exact[:bound], 1) for i, r in enumerate(rs, 1)
         }
-        if self.certificate is None:
-            return KoszulCertificate(bound, proved)
-        return replace(self.certificate, bound=bound, ranks=proved)
 
     def certify_as_regular(self, max_search: int = 12):
         """Locate d with W_d != 0 = W_{d+1} and run the finite AS checks.
@@ -454,30 +522,35 @@ class QuadraticAlgebra:
         Returns (d, omega) with omega the canonical basis tensor of W_d
         (RREF representative, leading coordinate 1).  The first success
         sets ``certificate`` once, at bound d + 3; later calls read it.
-        Raises NotASRegularError if any check fails.
+        On the PBW route the dims of the W_i are counts of words
+        (``certify_koszul``), so an infinite A^!, whose leading pairs
+        close a cycle, is refuted with no W_i built.  Raises
+        NotASRegularError if any check fails.
         """
         if self.certificate is not None:
             return self.certificate.d, self.certificate.omega
-        d = None
-        for i in range(1, max_search + 2):
-            if self.koszul_space(i).dim == 0:
-                d = i - 1
+        normal = self._normal_pairs()
+        counts = None if normal is None else _walk_counts(_complement(normal), max_search + 1)
+        dims = []
+        for i in range(max_search + 2):
+            dims.append(self.koszul_space(i).dim if counts is None else counts[i])
+            if dims[-1] == 0:
                 break
-        if d is None:
+        else:
             raise NotASRegularError(
                 f"W_i stays nonzero through degree {max_search + 1}"
             )
-        if d == 0:
-            raise NotASRegularError("R is the full space V (x) V")
-        wd = self.koszul_space(d)
-        if wd.dim != 1:
-            raise NotASRegularError(f"dim W_{d} = {wd.dim} != 1")
+        d = len(dims) - 2
+        if dims[d] != 1:
+            raise NotASRegularError(f"dim W_{d} = {dims[d]} != 1")
         for i in range(0, d + 1):
-            if self.koszul_space(i).dim != self.koszul_space(d - i).dim:
+            if dims[i] != dims[d - i]:
                 raise NotASRegularError(
-                    f"dim W_{i} != dim W_{d - i}: "
-                    f"{self.koszul_space(i).dim} vs {self.koszul_space(d - i).dim}"
+                    f"dim W_{i} != dim W_{d - i}: {dims[i]} vs {dims[d - i]}"
                 )
+        wd = self.koszul_space(d)
+        if wd.dim != dims[d]:
+            raise EngineInvariantError(f"dim W_{d} = {wd.dim}, but {dims[d]} words count it")
         omega = Tensor.from_vec(wd.basis()[0], self.nv, d)
         self.certificate = replace(self.certify_koszul(d + 3), d=d, omega=omega)
         return d, omega
@@ -675,6 +748,43 @@ def _expand(vec: tuple[dict, int], head, tail) -> tuple[dict, int]:
                 w = hw + tw
                 out[w] = get(w, 0) + f * tn
     return out, den * hden * tden
+
+
+def _walk_counts(adj: list[list[int]], top: int) -> list[int]:
+    """The number of words of each length 0..top whose consecutive
+    letters (a, b) all have adj[a][b] = 1: 1, then the entry sums of the
+    powers of the transfer matrix adj."""
+    n = len(adj)
+    ends = [1] * n  # the words of the current length, by last letter
+    counts = [1]
+    for _ in range(top):
+        counts.append(sum(ends))
+        ends = [sum(ends[a] for a in range(n) if adj[a][b]) for b in range(n)]
+    return counts
+
+
+def _complement(adj: list[list[int]]) -> list[list[int]]:
+    """The leading pairs from the normal ones, and back."""
+    return [[1 - x for x in row] for row in adj]
+
+
+def _pbw_ranks(normal: list[list[int]], bound: int) -> dict:
+    """The ranks {(m, i): r_i} that exactness forces in degrees
+    1..``bound`` of a PBW algebra with normal-pair matrix ``normal``:
+    r_1 = D_0 and r_{i+1} = D_i - r_i (``certify_koszul``)."""
+    a_dims = _walk_counts(normal, bound)
+    w_dims = _walk_counts(_complement(normal), bound)
+    ranks = {}
+    for m in range(1, bound + 1):
+        # D_0..D_t: a zero count of W stays zero in every higher degree
+        dims = [w * a_dims[m - i] for i, w in enumerate(w_dims[: m + 1]) if w]
+        r = 0
+        for i in range(len(dims) - 1):
+            r = dims[i] - r
+            ranks[(m, i + 1)] = r
+        if dims[-1] != r:
+            raise EngineInvariantError(f"PBW counts break the Euler identity in degree {m}")
+    return ranks
 
 
 def _inexact_at(dims: Sequence[int], ranks: Sequence[int]) -> int | None:

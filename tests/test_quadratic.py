@@ -312,10 +312,10 @@ def test_prime_in_denominator_certifies_over_q(monkeypatch):
     rows = a.differential_rows(1, 1)
     assert quadratic.rank(rows, P) <= quadratic.rank(rows)
     calls = _spy_rank(monkeypatch)
-    cert = a.certify_koszul(6)
+    ranks = a._prove_by_ranks(6)
     # the modular ranks alone certify
     assert calls and None not in calls
-    assert cert.ranks == _q_ranks(a, 6) == want
+    assert ranks == _q_ranks(a, 6) == want
 
 
 def test_modular_undercount_falls_back_to_q(monkeypatch):
@@ -325,9 +325,9 @@ def test_modular_undercount_falls_back_to_q(monkeypatch):
         ["x1", "x2", "x3"],
         [Tensor(3, 2, {(i, j): 1, (j, i): -1}) for i in range(3) for j in range(i + 1, 3)],
     )
-    cert = a.certify_koszul(6)
+    ranks = a._prove_by_ranks(6)
     assert calls.count(None) == calls.count(P) == len(want)
-    assert cert.ranks == want
+    assert ranks == want
 
 
 def test_certify_runs_on_monomial_algebra():
@@ -407,17 +407,17 @@ def _sklyanin_extension() -> QuadraticAlgebra:
     return QuadraticAlgebra(("x", "y", "z", "w"), ore_relations(sigma, delta))
 
 
-def _forced_ranks(bound: int) -> dict:
-    """The ranks of B's Koszul differentials that exactness forces from
-    dim W_i = 1, 4, 6, 4, 1 and dim B_m = C(m + 3, 3)."""
-    w_dims = [1, 4, 6, 4, 1]
+def _forced_ranks(bound: int, n: int = 4) -> dict:
+    """The ranks of the Koszul differentials that exactness forces from
+    dim W_i = C(n, i) and dim A_m = C(m + n - 1, n - 1), those of poly(n)
+    and of B (n = 4)."""
     want = {}
     for m in range(1, bound + 1):
         r = 0
-        for i in range(min(m, 4), 0, -1):
-            r = w_dims[i] * math.comb(m - i + 3, 3) - r
+        for i in range(min(m, n), 0, -1):
+            r = math.comb(n, i) * math.comb(m - i + n - 1, n - 1) - r
             want[(m, i)] = r
-        assert r == math.comb(m + 3, 3)
+        assert r == math.comb(m + n - 1, n - 1)
     return want
 
 
@@ -580,15 +580,15 @@ def test_certify_koszul_returns_exactly_the_bound_asked_for():
 
 def test_raising_the_bound_proves_only_the_new_degrees(monkeypatch):
     a = _poly(3)
-    a.certify_koszul(8)
+    a._prove_by_ranks(8)
     calls = _spy_rank(monkeypatch)
-    a.certify_koszul(6)
+    a._prove_by_ranks(6)
     assert calls == []
-    cert = a.certify_koszul(10)
+    ranks = a._prove_by_ranks(10)
     # W_1..W_3 are nonzero: three modular ranks in each of degrees 9, 10
     assert calls == [P] * 6
-    assert sorted(cert.ranks) == [(m, i) for m in range(1, 11) for i in range(1, 4) if i <= m]
-    assert cert.ranks == _q_ranks(a, 10)
+    assert sorted(ranks) == [(m, i) for m in range(1, 11) for i in range(1, 4) if i <= m]
+    assert ranks == _q_ranks(a, 10)
 
 
 def test_koszul_certificate_alone_leaves_the_algebra_uncertified():
@@ -600,3 +600,99 @@ def test_koszul_certificate_alone_leaves_the_algebra_uncertified():
     with pytest.raises(NotASRegularError):
         mono.certify_as_regular()
     assert mono.certificate is None
+
+
+# -- PBW route ----------------------------------------------------------------
+
+
+def _normal_words(a: QuadraticAlgebra, m: int) -> list[tuple]:
+    """The words of length m with no leading pair (no pair outside
+    ``basis_words(2)``), in lexicographic order for ``a.order``, by
+    listing every word."""
+    normal = set(a.basis_words(2))
+    pos = {v: k for k, v in enumerate(a.order)}
+    words = [
+        w for w in itertools.product(range(a.nv), repeat=m)
+        if all(w[k:k + 2] in normal for k in range(m - 1))
+    ]
+    return sorted(words, key=lambda w: [pos[v] for v in w])
+
+
+def _by_rank_route(a: QuadraticAlgebra, bound: int):
+    """d, omega and the ranks to ``bound`` of a fresh copy of ``a``, by
+    the Koszul spaces and the rank route alone."""
+    r = QuadraticAlgebra(a.names, a.R)
+    d = next(i for i in itertools.count(1) if r.koszul_space(i + 1).dim == 0)
+    omega = Tensor.from_vec(r.koszul_space(d).basis()[0], r.nv, d)
+    return d, omega, r._prove_by_ranks(bound)
+
+
+def _dense_ore_extension(n: int, seed: int) -> QuadraticAlgebra:
+    """poly(n)[z; sigma, delta] for a dense sigma and an admissible delta."""
+    p = make_polynomial(n)
+    rng = random.Random(seed)
+    sigma = random_admissible_automorphism(p, rng)
+    delta = random_admissible_derivation(p, sigma, rng)
+    names = tuple(f"x{i + 1}" for i in range(n)) + ("z",)
+    return QuadraticAlgebra(names, ore_relations(sigma, delta))
+
+
+def test_pbw_route_agrees_with_rank_route():
+    rng = random.Random(17)
+    algs = [(name, QuadraticAlgebra(a.names, a.R)) for name, a in catalog_algebras()]
+    algs += [
+        (case, QuadraticAlgebra(alg.names, alg.R))
+        for case in CASES
+        for alg in [enumerate_solution(case, random_case_params(case, rng)).algebra]
+    ]
+    algs += [(f"poly{n}", _poly(n)) for n in range(2, 6)]
+    algs.append(("quantum(1/P)", QuadraticAlgebra(
+        ["x1", "x2"], [Tensor(2, 2, {(0, 1): 1, (1, 0): -Fraction(1, P)})]
+    )))
+    # the rank route to d + 3 = 8 on the poly(4) extension takes about a
+    # minute, so its ranks are compared to d = 5
+    algs += [("poly3[z]", _dense_ore_extension(3, 5)), ("poly4[z]", _dense_ore_extension(4, 5))]
+    for name, a in algs:
+        d, omega = a.certify_as_regular()
+        cert = a.certificate
+        assert cert.route == "pbw" and cert.bound == d + 3, name
+        bound = d if name == "poly4[z]" else d + 3
+        assert (d, omega, a.certify_koszul(bound).ranks) == _by_rank_route(a, bound), name
+        for m in range(6):
+            assert a.basis_words(m) == _normal_words(a, m), (name, m)
+
+
+def test_non_pbw_inputs_take_the_rank_route(monkeypatch):
+    s = _sklyanin()
+    assert s._normal_pairs() is None and s.certificate.route == "ranks"
+    b = _sklyanin_extension()
+    assert b._normal_pairs() is None
+    assert b.certify_koszul(4).route == "ranks"
+    a = _non_koszul_algebra()
+    assert a._normal_pairs() is None
+    calls = _spy_rank(monkeypatch)
+    with pytest.raises(CertificationError):
+        a.certify_koszul(5)
+    assert calls
+
+
+def test_pbw_certificate_builds_no_piece_above_degree_3(monkeypatch):
+    a = _poly(5)
+    calls = _spy_rank(monkeypatch)
+    d, _ = a.certify_as_regular()
+    assert (d, a.certificate.route, a.certificate.bound) == (5, "pbw", 8)
+    assert a.certify_koszul(12).ranks == _forced_ranks(12, 5)
+    assert calls == [] and len(a._pieces) == 4
+
+
+@pytest.mark.parametrize("nv, rels", [
+    # demo 01's monomial algebra x1^2 = 0: A^! has x1^i in every degree
+    (2, [(0, 0)]),
+    # every monomial in x, y, z but z^2: W_9 alone has dimension 9,136
+    (3, [(a, b) for a in range(3) for b in range(3) if (a, b) != (2, 2)]),
+])
+def test_infinite_dual_fails_fast_with_no_koszul_space_built(nv, rels):
+    a = QuadraticAlgebra([f"x{i + 1}" for i in range(nv)], [Tensor(nv, 2, {w: 1}) for w in rels])
+    with pytest.raises(NotASRegularError, match=r"^W_i stays nonzero through degree 13$"):
+        a.certify_as_regular()
+    assert len(a._W) <= 4 and a.certificate is None
