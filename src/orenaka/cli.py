@@ -44,7 +44,7 @@ from .morphisms import (
     twist_solve,
 )
 from .ore import derivation_quotient_relations, nakayama_of_B
-from .quadratic import QuadraticAlgebra
+from .quadratic import KoszulCertificate, QuadraticAlgebra
 
 
 class InputError(ValueError):
@@ -138,13 +138,13 @@ def _matrix_out(m: Matrix) -> list:
     return [[scalar_str(e) for e in row] for row in m.rows]
 
 
-def _certificate_out(alg: QuadraticAlgebra, n: int) -> dict:
-    cert = alg.certificate
+def _certificate_out(alg: QuadraticAlgebra, cert: KoszulCertificate) -> dict:
+    # exactness at A_m makes dim A_m the rank of d_1 in degree m
     return {
-        "verified_to": n,
+        "verified_to": cert.bound,
         "as_regular": cert.as_regular,
         "global_dimension": cert.d,
-        "dims_A": [alg.dim_A(m) for m in range(n + 1)],
+        "dims_A": [1] + [cert.ranks[(m, 1)] for m in range(1, cert.bound + 1)],
         "dims_W": [alg.koszul_space(i).dim for i in range(cert.d + 2)]
         if cert.d is not None
         else [],
@@ -152,17 +152,17 @@ def _certificate_out(alg: QuadraticAlgebra, n: int) -> dict:
     }
 
 
-def _base_report(command, spec: ProblemSpec, alg, check_level, bound) -> dict:
+def _base_report(command, spec: ProblemSpec, alg, check_level, cert) -> dict:
     names = spec.generators
     return {
         "command": command,
         "check_level": check_level,
-        "koszul_bound": bound,
+        "koszul_bound": cert.bound,
         "generators": list(names),
         "relations": [
             _terms_out(Tensor.from_vec(b, alg.nv, 2), names) for b in alg.R.basis()
         ],
-        "certificate": _certificate_out(alg, bound),
+        "certificate": _certificate_out(alg, cert),
         "omega": _terms_out(alg.certificate.omega, names),
     }
 
@@ -202,16 +202,15 @@ def render_report(report: dict) -> str:
 # commands
 
 
-def _certify_to(alg: QuadraticAlgebra, bound) -> int:
-    """Certify alg to the requested bound and return the bound to report,
-    max(bound, d + 3)."""
-    d, _ = alg.certify_as_regular()
-    if bound:
-        alg.certify_koszul(int(bound))
-    return max(int(bound or 0), d + 3)
+def _certify_to(alg: QuadraticAlgebra, bound) -> KoszulCertificate:
+    """Certify alg to the requested bound and return the certificate of
+    the bound to report, max(bound, d + 3)."""
+    alg.certify_as_regular()
+    cert = alg.certify_koszul(int(bound)) if bound else alg.certificate
+    return cert if cert.bound > alg.certificate.bound else alg.certificate
 
 
-def _certify_algebra(spec: ProblemSpec, bound) -> tuple[QuadraticAlgebra, int]:
+def _certify_algebra(spec: ProblemSpec, bound) -> tuple[QuadraticAlgebra, KoszulCertificate]:
     alg = QuadraticAlgebra(spec.generators, spec.relations)
     return alg, _certify_to(alg, bound or spec.options.get("koszul_bound"))
 
@@ -232,13 +231,13 @@ def _sigma_delta(spec: ProblemSpec, alg):
 
 
 def cmd_certify(spec: ProblemSpec, bound, check_level) -> dict:
-    alg, n = _certify_algebra(spec, bound)
-    return _base_report("certify", spec, alg, check_level, n)
+    alg, cert = _certify_algebra(spec, bound)
+    return _base_report("certify", spec, alg, check_level, cert)
 
 
 def cmd_nakayama(spec: ProblemSpec, bound, check_level) -> dict:
-    alg, n = _certify_algebra(spec, bound)
-    report = _base_report("nakayama", spec, alg, check_level, n)
+    alg, cert = _certify_algebra(spec, bound)
+    report = _base_report("nakayama", spec, alg, check_level, cert)
     report["mu_A"] = _matrix_out(nakayama_of_A(alg).matrix)
     return report
 
@@ -264,18 +263,18 @@ def _ore_body(spec, alg, sigma, delta, check_level) -> dict:
 
 
 def cmd_ore(spec: ProblemSpec, bound, check_level) -> dict:
-    alg, n = _certify_algebra(spec, bound)
+    alg, cert = _certify_algebra(spec, bound)
     sigma, delta = _sigma_delta(spec, alg)
-    report = _base_report("ore", spec, alg, check_level, n)
+    report = _base_report("ore", spec, alg, check_level, cert)
     report.update(_ore_body(spec, alg, sigma, delta, check_level))
     return report
 
 
 def cmd_superpotential(spec: ProblemSpec, bound, check_level) -> dict:
-    alg, n = _certify_algebra(spec, bound)
+    alg, cert = _certify_algebra(spec, bound)
     sigma, delta = _sigma_delta(spec, alg)
     rep = nakayama_of_B(sigma, delta)
-    report = _base_report("superpotential", spec, alg, check_level, n)
+    report = _base_report("superpotential", spec, alg, check_level, cert)
     names = spec.generators + ["z"]
     d = alg.certificate.d
     report["omega_hat"] = _terms_out(rep.omega_hat, names)
@@ -311,8 +310,8 @@ def cmd_catalog(family, case, params, bound, check_level, input_path=None) -> di
     _check_params(params, case_param_names(case), case)
     inst = enumerate_solution(case, params)
     spec = ProblemSpec(list(inst.algebra.names), [], None, None, {})
-    n = _certify_to(inst.algebra, bound)
-    report = _base_report("catalog", spec, inst.algebra, check_level, n)
+    cert = _certify_to(inst.algebra, bound)
+    report = _base_report("catalog", spec, inst.algebra, check_level, cert)
     report["family"] = family
     report["case"] = case
     report["derived_by_symmetry"] = inst.derived_by_symmetry
@@ -362,8 +361,8 @@ def _catalog_poly(case, params, bound, check_level, input_path) -> dict:
     sigma = identity_automorphism(alg)
     images = spec.derivation or [Tensor(alg.nv, 2) for _ in range(alg.nv)]
     delta = extend_derivation(images, sigma, alg)
-    n = _certify_to(alg, bound)
-    report = _base_report("catalog", spec, alg, check_level, n)
+    cert = _certify_to(alg, bound)
+    report = _base_report("catalog", spec, alg, check_level, cert)
     report["family"] = "poly"
     report["case"] = case
     report.update(_ore_body(spec, alg, sigma, delta, check_level))

@@ -40,7 +40,8 @@ normal-form reducer of ``quadratic`` keep the integer rows.  The
 kernel picks its own row order (sparsest first).  The order is free
 because nothing read off the kernel depends on it: the rank does not,
 the RREF of a span is unique, and so is the particular solution with
-every free unknown zero.
+every free unknown zero.  Modular work uses one word-size prime, ``P``
+= 2^30 - 35, so residues and their products stay small CPython ints.
 
 Over Q the kernel is fraction-free.  Each input row is scaled once by
 the lcm of its denominators and divided by its content, the gcd of its
@@ -63,41 +64,24 @@ pass; they carry no denominators, and one clearing step holds the
 product of two stored rows until the gcd pass, linear in the row
 length, divides the content out.
 
-Row selection mod P.  Modular work uses one word-size prime, ``P`` =
-2^30 - 35, so residues and their products stay small CPython ints.  When
-an int input entry has absolute value at least P (the gate; large rows,
-such as the normal-form reducer's, come as ints, and reading a Fraction
-costs more than the test saves), a reduced echelon over Q first runs the
-forward pass mod P on the primitive rows, and eliminates over Q only the
-rows that found a pivot there.  Integer rows independent mod P are
-independent over Q (a rational dependence, cleared of denominators and
-content, stays nonzero mod P), so they give the RREF of their span.
-Each other row is checked against it by ``_residual``: an RREF row
-carries no pivot column but its own, so one pass leaves a zero residual
-exactly on the span.  If every residual is zero, that RREF, being
-unique, is the RREF of all rows; otherwise (an unlucky prime) every row
-is eliminated over Q.  The residual sum runs over the lcm of the pivot
-entries, which divides det M_{S,C}.  Below the gate the pass mod P costs
-about what it saves.
-
 Scaled integers.  ``Tensor`` and ``Subspace`` store integers, and
 Fractions exist only at the public edge.  A tensor holds its int
 numerators by word (``nums``) over one positive denominator (``den``),
 in canonical form: no zero numerator and gcd(den, *nums) = 1, so den is
 the lcm of the reduced denominators of its entries and equal tensors
 compare equal structurally.  A subspace holds the primitive integer
-RREF rows of ``echelon``.  The Fractions are views: ``Tensor.entries``
-and the coefficients of ``expand_through`` are ``FractionView``s, whose
-values are built on the first read, and ``Subspace.basis()`` builds its
-rows on each call.  The kernels (``Tensor.apply_matrix_slots``,
-``apply_images_at``, ``combine``, ``tensor``, ``scale``, ``tau``,
-``embed``, ``shift``, ``Subspace.reduce``, ``escaping_row``,
-``expand_scaled`` and ``sandwich_map``) read the stored numerators,
+RREF rows of ``echelon``.  ``Tensor.entries`` is a read-only view of
+a Fraction dict built on the first read; ``expand_through`` and
+``Subspace.basis()`` build their Fractions on each call.  The kernels
+(``Tensor.apply_matrix_slots``, ``apply_images_at``, ``combine``,
+``tensor``, ``scale``, ``tau``, ``embed``, ``shift``,
+``Subspace.reduce``, ``escaping_row``, ``expand_scaled`` and
+``sandwich_map``) read the stored numerators,
 multiply and add plain ints over the product or lcm of the operands'
 denominators, and restore the canonical form once, dropping zeros and
 dividing out gcd(den, *nums).  ``_combine`` is the
 one summation path: ``Tensor.combine``, the binary ``+`` and ``-``,
-``_residual`` (``Subspace.reduce`` and the row check of ``echelon``)
+``_residual`` (``Subspace.reduce`` and ``escaping_row``)
 and ``combination`` (the same sum on Fraction maps with any hashable
 keys) are calls to it; only the sums over A_m columns
 in ``quadratic`` keep their own integer loop.  The results are the
@@ -114,9 +98,9 @@ extension of the benchmark) are integers too, but they meet only
 
 from __future__ import annotations
 
-from collections import abc
 from fractions import Fraction
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import NotInvertibleError
@@ -290,35 +274,20 @@ def echelon(
     finds a free leading column, where it is stored, or vanishes.  With
     ``reduced`` one back pass in descending pivot order clears every
     pivot column from the other rows, which gives the canonical RREF
-    basis.  A reduced echelon over Q with an int entry of absolute value
-    at least ``P`` eliminates only the rows chosen mod P (module
-    docstring, "Row selection mod P").
+    basis.
     """
-    rows = sorted(rows, key=len)
-    if p is None and reduced and any(
-        type(v) is int and abs(v) >= P for row in rows for v in row.values()
-    ):
-        ints = [_integer_row(row, None) for row in rows]
-        # the rows that find a pivot mod P are independent over Q; the
-        # mod-P pivots are dropped before the pass over Q
-        found = _forward([_integer_row(r, P) for r in ints], P)[1]
-        pivots = _back(_forward([ints[i] for i in found], None)[0], None)
-        chosen = set(found)
-        if not any(_residual(r, 1, pivots)[0] for i, r in enumerate(ints) if i not in chosen):
-            return pivots
-    pivots = _forward((_integer_row(row, p) for row in rows), p)[0]
+    pivots = _forward((_integer_row(row, p) for row in sorted(rows, key=len)), p)
     return _back(pivots, p) if reduced else pivots
 
 
 def _forward(
     rows: Iterable[dict[int, int]], p: int | None, cap: int | None = None
-) -> tuple[dict[int, dict[int, int]], list[int]]:
+) -> dict[int, dict[int, int]]:
     """The forward pass of ``echelon`` on integer rows, which it
-    consumes: the echelon basis {pivot: row} and the positions of the
-    rows that found a pivot.  It stops once it holds ``cap`` pivots."""
+    consumes: the echelon basis {pivot: row}.  It stops once it holds
+    ``cap`` pivots."""
     pivots: dict[int, dict[int, int]] = {}
-    found = []
-    for i, r in enumerate(rows):
+    for r in rows:
         if len(pivots) == cap:
             break
         while r:
@@ -331,10 +300,9 @@ def _forward(
                 elif r[lead] < 0:
                     r = {k: -v for k, v in r.items()}
                 pivots[lead] = r
-                found.append(i)
                 break
             r = _clear(r, piv, lead, p)
-    return pivots, found
+    return pivots
 
 
 def _back(pivots: dict[int, dict[int, int]], p: int | None) -> dict[int, dict[int, int]]:
@@ -417,7 +385,7 @@ def rank(rows: Iterable[Mapping], p: int | None = None, cap: int | None = None) 
     exact rank over Q.  With a ``cap`` >= 0 the pass stops once it holds
     ``cap`` pivots, and the result is min(cap, rank).
     """
-    return len(_forward((_integer_row(row, p) for row in sorted(rows, key=len)), p, cap)[0])
+    return len(_forward((_integer_row(row, p) for row in sorted(rows, key=len)), p, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +403,7 @@ class Subspace:
     pivot.
     """
 
-    __slots__ = ("ambient", "_rows", "_words")
+    __slots__ = ("ambient", "_rows")
 
     def __init__(self, ambient: int, rows: Iterable[Mapping] = ()):
         self.ambient = ambient
@@ -443,7 +411,6 @@ class Subspace:
             ({k: v if type(v) is int else scalar(v) for k, v in row.items()} for row in rows),
             reduced=True,
         )
-        self._words = {}
         if self._rows and (
             min(self._rows) < 0 or max(max(r) for r in self._rows.values()) >= ambient
         ):
@@ -457,7 +424,6 @@ class Subspace:
         s = Subspace.__new__(Subspace)
         s.ambient = ambient
         s._rows = rows
-        s._words = {}
         return s
 
     @staticmethod
@@ -492,23 +458,6 @@ class Subspace:
 
     def contains(self, vec: Mapping) -> bool:
         return not self.reduce(vec)
-
-    def _word_rows(self, degree: int, nv: int) -> tuple[dict, list, int]:
-        """The rows with coordinates as words of V^(x)degree, for the
-        sandwich kernels: ({pivot word: position}, [(pivot entry, [(word,
-        entry)])] in pivot order, lcm of the pivot entries).  Computed
-        once per (degree, nv)."""
-        got = self._words.get((degree, nv))
-        if got is None:
-            rows = self._rows
-            piv = sorted(rows)
-            index = {flat_word(p, degree, nv): l for l, p in enumerate(piv)}
-            wrows = [
-                (rows[p][p], [(flat_word(k, degree, nv), n) for k, n in rows[p].items()])
-                for p in piv
-            ]
-            got = self._words[(degree, nv)] = (index, wrows, lcm(*[d for d, _ in wrows]))
-        return got
 
     def __eq__(self, other):
         return (
@@ -632,52 +581,6 @@ def _scaled(entries: Mapping) -> tuple[dict, int]:
 def _unscaled(nums: Mapping, den: int) -> dict:
     """Int numerators over ``den`` back to Fractions, zeros dropped."""
     return {k: Fraction(n, den) for k, n in nums.items() if n}
-
-
-class FractionView(abc.Mapping):
-    """Read-only Fraction view of nonzero int numerators over one
-    positive denominator.  Keys, length and single reads (``[]``,
-    ``get``) come from the numerators; ``items``, ``values``, ``==`` and
-    ``repr`` build the Fractions of all values, once.  Equal to any
-    mapping with the same Fraction entries."""
-
-    __slots__ = ("_nums", "_den", "_fractions")
-
-    def __init__(self, nums: Mapping, den: int):
-        self._nums = nums
-        self._den = den
-        self._fractions = None
-
-    def _dict(self) -> dict:
-        if self._fractions is None:
-            self._fractions = _unscaled(self._nums, self._den)
-        return self._fractions
-
-    def __getitem__(self, key):
-        if self._fractions is None:
-            return Fraction(self._nums[key], self._den)
-        return self._fractions[key]
-
-    def __iter__(self):
-        return iter(self._nums)
-
-    def __len__(self):
-        return len(self._nums)
-
-    def __contains__(self, key):
-        return key in self._nums
-
-    def items(self):
-        return self._dict().items()
-
-    def values(self):
-        return self._dict().values()
-
-    def __eq__(self, other):
-        return self._dict() == other
-
-    def __repr__(self):
-        return repr(self._dict())
 
 
 def _canonical(nums: Mapping, den: int) -> tuple[dict, int]:
@@ -843,11 +746,11 @@ class Tensor:
         return Tensor._trusted(nv, degree, *_canonical(nums, den))
 
     @property
-    def entries(self) -> FractionView:
+    def entries(self) -> Mapping[tuple, Fraction]:
         """The nonzero entries as Fractions, by word: a read-only view,
         built on the first read."""
         if self._entries is None:
-            self._entries = FractionView(self.nums, self.den)
+            self._entries = MappingProxyType(_unscaled(self.nums, self.den))
         return self._entries
 
     def is_zero(self) -> bool:
@@ -990,7 +893,14 @@ def expand_scaled(
     nv = t.nv
     if t.degree != left + space_degree + right or space.ambient != nv**space_degree:
         raise ValueError("tensor does not match the sandwich shape")
-    index, rows, big = space._word_rows(space_degree, nv)
+    # the rows in pivot order as (pivot entry, [(word, entry)])
+    piv = sorted(space._rows)
+    index = {flat_word(p, space_degree, nv): l for l, p in enumerate(piv)}
+    rows = []
+    for p in piv:
+        r = space._rows[p]
+        rows.append((r[p], [(flat_word(k, space_degree, nv), n) for k, n in r.items()]))
+    big = lcm(*[d for d, _ in rows])
     nums = t.nums
     rest = {w: big * n for w, n in nums.items()}
     get = rest.get
@@ -1011,7 +921,7 @@ def expand_scaled(
 
 def expand_through(
     t: Tensor, left: int, space: Subspace, space_degree: int, right: int
-) -> FractionView | None:
+) -> dict[tuple[tuple, int, tuple], Fraction] | None:
     """Coefficients of t in V^(x)left (x) S (x) V^(x)right, or None.
 
     ``space`` is S inside V^(x)space_degree.  The coefficient on
@@ -1020,11 +930,11 @@ def expand_through(
     t must leave zero, otherwise t lies outside the sandwich and the
     result is None.  ``expand_through(...) is not None`` is therefore a
     membership test.  A tensor of another degree, or a space over
-    another alphabet, raises ValueError.  The coefficients are the
-    Fraction view of ``expand_scaled``.
+    another alphabet, raises ValueError.  The coefficients are those of
+    ``expand_scaled`` as Fractions.
     """
     got = expand_scaled(t, left, space, space_degree, right)
-    return None if got is None else FractionView(*got)
+    return None if got is None else _unscaled(*got)
 
 
 def sandwich_map(

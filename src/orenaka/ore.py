@@ -71,7 +71,7 @@ from .linalg import (
     _matrix_images,
     _scaled,
     escaping_row,
-    expand_through,
+    expand_scaled,
     sandwich_map,
     solve_columns,
     word_flat,
@@ -507,7 +507,7 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     the R-hat pair at factors s, s+1.  The twist condition therefore
     puts omega-hat in V-hat^(s-1) (x) R-hat (x) V-hat^(d-s), and by
     induction from s = d-1 down to 0 in every copy.  So the membership
-    at slot d-1 (``expand_through``) and the twist check together prove
+    at slot d-1 (``expand_scaled``) and the twist check together prove
     all d memberships; the argument does not use that mu_B is
     invertible.  The checks run in that order: an escape at slot d-1
     raises ``NotInHatWError`` (slot d-1), and an escape at any other
@@ -538,7 +538,7 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
             f"superpotential forms disagree; residual {right_part - left_part!r}", degree=d + 1
         )
     omega_hat = cyclic + right_part
-    if expand_through(omega_hat, d - 1, r_hat, 2, 0) is None:
+    if expand_scaled(omega_hat, d - 1, r_hat, 2, 0) is None:
         raise NotInHatWError(
             f"omega-hat escapes V-hat^{d - 1} (x) R-hat (x) V-hat^0", slot=d - 1
         )

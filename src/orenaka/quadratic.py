@@ -136,6 +136,7 @@ class _Piece:
 
 
 _NO_PIECE = _Piece([])  # A_m = 0 for m < 0
+_MAX_D = 12  # the largest global dimension certify_as_regular looks for
 
 
 class QuadraticAlgebra:
@@ -516,8 +517,9 @@ class QuadraticAlgebra:
             (m, i): r for m, rs in enumerate(self._exact[:bound], 1) for i, r in enumerate(rs, 1)
         }
 
-    def certify_as_regular(self, max_search: int = 12):
-        """Locate d with W_d != 0 = W_{d+1} and run the finite AS checks.
+    def certify_as_regular(self):
+        """Locate d <= ``_MAX_D`` with W_d != 0 = W_{d+1} and run the finite
+        AS checks.
 
         Returns (d, omega) with omega the canonical basis tensor of W_d
         (RREF representative, leading coordinate 1).  The first success
@@ -530,16 +532,14 @@ class QuadraticAlgebra:
         if self.certificate is not None:
             return self.certificate.d, self.certificate.omega
         normal = self._normal_pairs()
-        counts = None if normal is None else _walk_counts(_complement(normal), max_search + 1)
+        counts = None if normal is None else _walk_counts(_complement(normal), _MAX_D + 1)
         dims = []
-        for i in range(max_search + 2):
+        for i in range(_MAX_D + 2):
             dims.append(self.koszul_space(i).dim if counts is None else counts[i])
             if dims[-1] == 0:
                 break
         else:
-            raise NotASRegularError(
-                f"W_i stays nonzero through degree {max_search + 1}"
-            )
+            raise NotASRegularError(f"W_i stays nonzero through degree {_MAX_D + 1}")
         d = len(dims) - 2
         if dims[d] != 1:
             raise NotASRegularError(f"dim W_{d} = {dims[d]} != 1")

@@ -93,6 +93,30 @@ def test_certify_jordan_to_8(tmp_path, capsys):
     assert rep["certificate"]["verified_to"] == 8
 
 
+def test_certify_pbw_report_builds_no_piece_above_a3(tmp_path, capsys, monkeypatch):
+    # poly(4) is PBW: the report reads dims_A off the certificate's
+    # counts, so no normal-form piece above A_3 is built
+    names = ["x1", "x2", "x3", "x4"]
+    rels = [
+        [{"coeff": "1", "word": [a, b]}, {"coeff": "-1", "word": [b, a]}]
+        for i, a in enumerate(names) for b in names[i + 1:]
+    ]
+    built = []
+    real = orenaka.quadratic.QuadraticAlgebra._build_piece
+    monkeypatch.setattr(
+        orenaka.quadratic.QuadraticAlgebra, "_build_piece",
+        lambda self, m: built.append(m) or real(self, m),
+    )
+    code, out, err = run(capsys, "certify", "--input",
+                         write(tmp_path, {"generators": names, "relations": rels}),
+                         "--format", "json")
+    assert code == 0, err
+    cert = json.loads(out)["certificate"]
+    assert cert["verified_to"] == 7
+    assert cert["dims_A"] == [1, 4, 10, 20, 35, 56, 84, 120]
+    assert built and max(built) <= 3
+
+
 def test_nakayama_command(tmp_path, capsys):
     doc = {
         "generators": ["x1", "x2"],
@@ -200,7 +224,7 @@ def test_exit_code_reader_escape_is_internal(tmp_path, capsys, monkeypatch):
     # invariant violation (exit 4), not malformed input (exit 1)
     import orenaka.ore
 
-    monkeypatch.setattr(orenaka.ore, "expand_through", lambda *args: None)
+    monkeypatch.setattr(orenaka.ore, "expand_scaled", lambda *args: None)
     code, _, err = run(capsys, "ore", "--input", write(tmp_path, COMM))
     assert code == 4 and "internal invariant violation" in err
 
