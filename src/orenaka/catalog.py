@@ -5,10 +5,15 @@ the closed-form Nakayama oracles for relations written as x^T Q x, and
 the full table of admissible (automorphism, derivation) families in
 dimension 2 with their parameter constraints.
 
-Each solution case is encoded as a constraint filler: given the free
-parameters it produces the constrained gamma values, then the generic
-admissibility checks re-verify the instance, so a transcription slip in
-the table fails loudly instead of corrupting downstream oracles.
+The classification is held in two tables.  ``CASE_PARAMS`` maps each
+solution case to the parameters it accepts: the entries of M (and q) it
+reads, then its free gammas.  ``FAMILIES`` maps each case prefix to its
+family: the CLI family name, the relation matrix, how q and the base
+plane are found, and the constraint filler of its cases.  Given the
+free parameters a filler produces M and the constrained gamma values,
+then the generic admissibility checks re-verify the instance, so a
+transcription slip in the table fails loudly instead of corrupting
+downstream oracles.
 
 Derivations on the two-generator algebras are parametrized in the
 monomial basis {x1^2, x2 x1, x2^2} of degree two:
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 import random
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import CasePreconditionError, NotAdmissibleError
 from .linalg import ONE, ZERO, Matrix, Tensor, rank, scalar, scalar_str
@@ -239,16 +244,6 @@ class SolutionInstance:
     derived_by_symmetry: bool = False
 
 
-CASES = (
-    "comm-a", "comm-b", "comm-c", "comm-d",
-    "comm-e-b", "comm-e-c", "comm-e-d",
-    "comm-f", "comm-g",
-    "qm1-a", "qm1-b", "qm1-c", "qm1-d", "qm1-e", "qm1-f",
-    "qm1ii-a", "qm1ii-b",
-    "qneq1-a", "qneq1-b", "qneq1-c", "qneq1-d", "qneq1-e", "qneq1-f",
-    "jordan-a", "jordan-b",
-)
-
 CASE_ALIASES = {
     "q=-1-a": "qm1-a", "q=-1-b": "qm1-b", "q=-1-c": "qm1-c",
     "q=-1-d": "qm1-d", "q=-1-e": "qm1-e", "q=-1-f": "qm1-f",
@@ -257,70 +252,43 @@ CASE_ALIASES = {
     "qneq-1-d": "qneq1-d", "qneq-1-e": "qneq1-e", "qneq-1-f": "qneq1-f",
 }
 
-# free parameters each case expects (beyond the matrix entries)
-CASE_FREE_PARAMS = {
+# the parameters each case accepts: the entries of M (and q) it reads,
+# the case fixing the others, then its free gammas
+CASE_PARAMS = {
     "comm-a": ("g11", "g12", "g13", "g21", "g22", "g23"),
-    "comm-b": ("g11", "g12", "g13"),
-    "comm-c": ("g21", "g22", "g23"),
-    "comm-d": ("g22", "g23"),
-    "comm-e-b": ("g11", "g12", "g13"),
-    "comm-e-c": ("g21", "g22", "g23"),
-    "comm-e-d": ("g22", "g23"),
-    "comm-f": ("g13", "g21", "g22"),
-    "comm-g": ("g13", "g21"),
+    "comm-b": ("m11", "m12", "g11", "g12", "g13"),
+    "comm-c": ("m12", "m22", "g21", "g22", "g23"),
+    "comm-d": ("m11", "m12", "m22", "g22", "g23"),
+    "comm-e-b": ("m11", "m12", "g11", "g12", "g13"),
+    "comm-e-c": ("m12", "m22", "g21", "g22", "g23"),
+    "comm-e-d": ("m11", "m12", "m22", "g22", "g23"),
+    "comm-f": ("m11", "m12", "m21", "m22", "g13", "g21", "g22"),
+    "comm-g": ("m11", "m12", "m21", "m22", "g13", "g21"),
     "qm1-a": ("g11", "g13", "g21", "g23"),
     "qm1-b": ("g11", "g12", "g13", "g22"),
-    "qm1-c": ("g11", "g12", "g13"),
+    "qm1-c": ("m11", "g11", "g12", "g13"),
     "qm1-d": ("g12", "g21", "g22", "g23"),
-    "qm1-e": ("g21", "g22", "g23"),
-    "qm1-f": ("g12", "g22"),
-    "qm1ii-a": ("g21", "g22", "g23"),
-    "qm1ii-b": ("g21", "g23"),
-    "qneq1-a": ("g11", "g13", "g21", "g23"),
-    "qneq1-b": ("g13", "g22", "g23"),
-    "qneq1-c": ("g11", "g12", "g21"),
-    "qneq1-d": ("g12", "g22"),
-    "qneq1-e": ("g11", "g12", "g23"),
-    "qneq1-f": ("g11", "g12"),
-    "jordan-a": ("g13", "g21", "g22", "g23"),
-    "jordan-b": ("g22", "g23"),
+    "qm1-e": ("m22", "g21", "g22", "g23"),
+    "qm1-f": ("m11", "m22", "g12", "g22"),
+    "qm1ii-a": ("m12", "g21", "g22", "g23"),
+    "qm1ii-b": ("m12", "m21", "g21", "g23"),
+    "qneq1-a": ("q", "g11", "g13", "g21", "g23"),
+    "qneq1-b": ("q", "m11", "g13", "g22", "g23"),
+    "qneq1-c": ("q", "m22", "g11", "g12", "g21"),
+    "qneq1-d": ("q", "m22", "g12", "g22"),
+    "qneq1-e": ("q", "m22", "g11", "g12", "g23"),
+    "qneq1-f": ("q", "m11", "m22", "g11", "g12"),
+    "jordan-a": ("m12", "g13", "g21", "g22", "g23"),
+    "jordan-b": ("m11", "m12", "g22", "g23"),
 }
 
-# the entries of M (and q) each case reads; the case fixes the others
-CASE_MATRIX_PARAMS = {
-    "comm-a": (),
-    "comm-b": ("m11", "m12"),
-    "comm-c": ("m12", "m22"),
-    "comm-d": ("m11", "m12", "m22"),
-    "comm-e-b": ("m11", "m12"),
-    "comm-e-c": ("m12", "m22"),
-    "comm-e-d": ("m11", "m12", "m22"),
-    "comm-f": ("m11", "m12", "m21", "m22"),
-    "comm-g": ("m11", "m12", "m21", "m22"),
-    "qm1-a": (),
-    "qm1-b": (),
-    "qm1-c": ("m11",),
-    "qm1-d": (),
-    "qm1-e": ("m22",),
-    "qm1-f": ("m11", "m22"),
-    "qm1ii-a": ("m12",),
-    "qm1ii-b": ("m12", "m21"),
-    "qneq1-a": ("q",),
-    "qneq1-b": ("q", "m11"),
-    "qneq1-c": ("q", "m22"),
-    "qneq1-d": ("q", "m22"),
-    "qneq1-e": ("q", "m22"),
-    "qneq1-f": ("q", "m11", "m22"),
-    "jordan-a": ("m12",),
-    "jordan-b": ("m11", "m12"),
-}
+CASES = tuple(CASE_PARAMS)
 
 
 def case_param_names(case: str) -> tuple[str, ...]:
     """Every parameter name a case accepts: its matrix entries (and q),
     then its free gammas."""
-    case = CASE_ALIASES.get(case, case)
-    return CASE_MATRIX_PARAMS[case] + CASE_FREE_PARAMS[case]
+    return CASE_PARAMS[CASE_ALIASES.get(case, case)]
 
 
 def _need(params: Mapping, name: str) -> Fraction:
@@ -338,9 +306,12 @@ def _require(cond: bool, msg: str):
         raise CasePreconditionError(msg)
 
 
-def _comm_fill(case: str, params: Mapping):
-    """Matrix and gamma table for the commutative-family cases."""
-    g = {k: _opt(params, k) for k in ("g11", "g12", "g13", "g21", "g22", "g23")}
+# A filler reads the case's matrix entries from ``params``, checks its
+# preconditions, overwrites the constrained entries of the gamma dict
+# ``g`` (filled from ``params``, zero where absent) and returns M.
+
+
+def _comm_fill(case: str, params: Mapping, g: dict, q) -> Matrix:
     if case == "comm-a":
         m11, m12, m21, m22 = ONE, ZERO, ZERO, ONE
     elif case == "comm-b":
@@ -356,12 +327,7 @@ def _comm_fill(case: str, params: Mapping):
         g["g12"] = inv * m12 * g["g22"]
         g["g13"] = inv * m12 * g["g23"]
     elif case == "comm-d":
-        m11, m12, m21, m22 = (
-            _need(params, "m11"),
-            _opt(params, "m12"),
-            ZERO,
-            _need(params, "m22"),
-        )
+        m11, m12, m21, m22 = _need(params, "m11"), _opt(params, "m12"), ZERO, _need(params, "m22")
         _require(m22 not in (ZERO, ONE) and m11 not in (ZERO, ONE),
                  "comm-d requires m11, m22 not in {0, 1}")
         inv = ONE / (m22 - 1)
@@ -369,13 +335,8 @@ def _comm_fill(case: str, params: Mapping):
         g["g11"] = inv * (m11 - 1) * g["g22"]
         g["g12"] = inv * (m12 * g["g22"] + (m11 - 1) * g["g23"])
         g["g13"] = inv * m12 * g["g23"]
-    elif case in ("comm-f", "comm-g"):
-        m11, m12, m21, m22 = (
-            _need(params, "m11"),
-            _need(params, "m12"),
-            _need(params, "m21"),
-            _need(params, "m22"),
-        )
+    else:  # comm-f, comm-g
+        m11, m12, m21, m22 = (_need(params, k) for k in ("m11", "m12", "m21", "m22"))
         # printed as m21 m22 != 0, but the constraints invert both
         # off-diagonal entries; the intended split is m21, m12 != 0
         _require(m21 != 0 and m12 != 0, "cases f/g require m12, m21 != 0")
@@ -392,11 +353,7 @@ def _comm_fill(case: str, params: Mapping):
             g["g12"] = m12 / m21 * g["g21"] + (m11 - 1) / m12 * g["g13"]
             g["g22"] = (m22 - 1) / m21 * g["g21"] + m21 / m12 * g["g13"]
             g["g23"] = (m22 - 1) / m12 * g["g13"]
-    else:
-        raise CasePreconditionError(f"unknown commutative case {case!r}")
-    mat = Matrix([[m11, m12], [m21, m22]])
-    gamma = ((g["g11"], g["g12"], g["g13"]), (g["g21"], g["g22"], g["g23"]))
-    return mat, gamma
+    return Matrix([[m11, m12], [m21, m22]])
 
 
 def _swap_mirror(mat: Matrix, gamma) -> tuple[Matrix, tuple]:
@@ -406,15 +363,12 @@ def _swap_mirror(mat: Matrix, gamma) -> tuple[Matrix, tuple]:
     order reversed (x1 x2 is rewritten as x2 x1 modulo the relation,
     which leaves the induced derivation unchanged).
     """
-    m2 = Matrix(
-        [[mat[1, 1], mat[1, 0]], [mat[0, 1], mat[0, 0]]]
-    )
+    m2 = Matrix([[mat[1, 1], mat[1, 0]], [mat[0, 1], mat[0, 0]]])
     (g11, g12, g13), (g21, g22, g23) = gamma
     return m2, ((g23, g22, g21), (g13, g12, g11))
 
 
-def _qm1_fill(case: str, params: Mapping):
-    g = {k: _opt(params, k) for k in ("g11", "g12", "g13", "g21", "g22", "g23")}
+def _qm1_fill(case: str, params: Mapping, g: dict, q) -> Matrix:
     if case == "qm1-a":
         m11 = m22 = -ONE
         g["g12"] = g["g22"] = ZERO
@@ -436,22 +390,17 @@ def _qm1_fill(case: str, params: Mapping):
         _require(m22 not in (ONE, -ONE, ZERO), "qm1-e requires m22 != 0, +-1")
         g["g12"] = g["g13"] = ZERO
         g["g11"] = -2 / (m22 + 1) * g["g22"]
-    elif case == "qm1-f":
+    else:  # qm1-f
         m11, m22 = _need(params, "m11"), _need(params, "m22")
         _require(m11 not in (-ONE, ZERO) and m22 not in (-ONE, ZERO),
                  "qm1-f requires m11, m22 != 0, -1")
         g["g13"] = g["g21"] = ZERO
         g["g11"] = (m11 - 1) / (m22 + 1) * g["g22"]
         g["g23"] = (1 - m22) / (m11 + 1) * g["g12"]
-    else:
-        raise CasePreconditionError(f"unknown q=-1 case {case!r}")
-    mat = Matrix([[m11, ZERO], [ZERO, m22]])
-    gamma = ((g["g11"], g["g12"], g["g13"]), (g["g21"], g["g22"], g["g23"]))
-    return mat, gamma
+    return Matrix([[m11, ZERO], [ZERO, m22]])
 
 
-def _qm1ii_fill(case: str, params: Mapping):
-    g = {k: _opt(params, k) for k in ("g11", "g12", "g13", "g21", "g22", "g23")}
+def _qm1ii_fill(case: str, params: Mapping, g: dict, q) -> Matrix:
     m12 = _need(params, "m12")
     _require(m12 != 0, "m12 must be nonzero")
     if case == "qm1ii-a":
@@ -459,22 +408,17 @@ def _qm1ii_fill(case: str, params: Mapping):
         g["g11"] = -m12 * g["g21"]
         g["g12"] = m12 * g["g22"]
         g["g13"] = -m12 * g["g23"]
-    elif case == "qm1ii-b":
+    else:  # qm1ii-b
         m21 = _need(params, "m21")
         _require(m21 != 0 and m12 * m21 != 1, "qm1ii-b requires m12 m21 != 0, 1")
         g["g11"] = -g["g21"] / m21
         g["g12"] = m12 / m21 * g["g21"] + g["g23"]
         g["g13"] = -m12 * g["g23"]
         g["g22"] = g["g21"] / m21 + m21 * g["g23"]
-    else:
-        raise CasePreconditionError(f"unknown q=-1 antidiagonal case {case!r}")
-    mat = Matrix([[ZERO, m12], [m21, ZERO]])
-    gamma = ((g["g11"], g["g12"], g["g13"]), (g["g21"], g["g22"], g["g23"]))
-    return mat, gamma
+    return Matrix([[ZERO, m12], [m21, ZERO]])
 
 
-def _qneq1_fill(case: str, params: Mapping, q: Fraction):
-    g = {k: _opt(params, k) for k in ("g11", "g12", "g13", "g21", "g22", "g23")}
+def _qneq1_fill(case: str, params: Mapping, g: dict, q: Fraction) -> Matrix:
     qi = ONE / q
     if case == "qneq1-a":
         m11, m22 = q, qi
@@ -504,22 +448,17 @@ def _qneq1_fill(case: str, params: Mapping, q: Fraction):
         g["g22"] = (q - m22) / (1 - qi) * g["g11"]
         if m22 != 1:
             g["g12"] = ZERO
-    elif case == "qneq1-f":
+    else:  # qneq1-f
         m11, m22 = _need(params, "m11"), _need(params, "m22")
         _require(m11 not in (q, qi, ONE, ZERO), "qneq1-f requires m11 != q, 1/q, 1, 0")
         _require(m22 not in (qi, ZERO), "qneq1-f requires m22 != 1/q, 0")
         g["g13"] = g["g21"] = ZERO
         g["g22"] = (q - m22) / (1 - m11) * g["g11"]
         g["g23"] = (1 - m22) / (1 - q * m11) * g["g12"]
-    else:
-        raise CasePreconditionError(f"unknown qneq-1 case {case!r}")
-    mat = Matrix([[m11, ZERO], [ZERO, m22]])
-    gamma = ((g["g11"], g["g12"], g["g13"]), (g["g21"], g["g22"], g["g23"]))
-    return mat, gamma
+    return Matrix([[m11, ZERO], [ZERO, m22]])
 
 
-def _jordan_fill(case: str, params: Mapping):
-    g = {k: _opt(params, k) for k in ("g11", "g12", "g13", "g21", "g22", "g23")}
+def _jordan_fill(case: str, params: Mapping, g: dict, q) -> Matrix:
     if case == "jordan-a":
         m11, m12 = ONE, _opt(params, "m12")
         # equation (2 - m12) gamma21 = 0: gamma21 is free exactly when
@@ -528,7 +467,7 @@ def _jordan_fill(case: str, params: Mapping):
             g["g21"] = ZERO
         g["g11"] = (m12 * g["g21"] + (1 - m12) * g["g22"]) / 2
         g["g12"] = m12 * (g["g22"] - g["g23"])
-    elif case == "jordan-b":
+    else:  # jordan-b
         m11, m12 = _need(params, "m11"), _opt(params, "m12")
         _require(m11 not in (ONE, ZERO), "jordan-b requires m11 != 0, 1")
         inv = ONE / (m11 - 1)
@@ -536,11 +475,38 @@ def _jordan_fill(case: str, params: Mapping):
         g["g11"] = g["g22"]
         g["g12"] = inv * (m12 + 1) * g["g22"] + g["g23"]
         g["g13"] = inv * (m11 + m12) * (inv * g["g22"] + g["g23"])
-    else:
-        raise CasePreconditionError(f"unknown jordan case {case!r}")
-    mat = Matrix([[m11, m12], [ZERO, m11]])
-    gamma = ((g["g11"], g["g12"], g["g13"]), (g["g21"], g["g22"], g["g23"]))
-    return mat, gamma
+    return Matrix([[m11, m12], [ZERO, m11]])
+
+
+def _qneq1_base(params: Mapping) -> tuple[Fraction, QuadraticAlgebra]:
+    q = _need(params, "q")
+    _require(q not in (ZERO, ONE, -ONE), "qneq-1 cases require q != 0, +-1")
+    return q, make_quantum_plane(q)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family of the dimension-2 classification, keyed in
+    ``FAMILIES`` by its case prefix.
+
+    ``name`` is its ``--family`` in the CLI, ``kind`` its relation matrix
+    (``dim2_relation_matrix``), ``base(params)`` gives (q, base plane),
+    q None off the quantum planes, and ``fill(case, params, g, q)`` is
+    the filler of its cases."""
+
+    name: str
+    kind: str
+    base: Callable[[Mapping], tuple]
+    fill: Callable[..., Matrix]
+
+
+FAMILIES = {
+    "comm": Family("commutative", "commutative", lambda p: (None, make_quantum_plane(1)), _comm_fill),
+    "qm1": Family("quantum-plane", "quantum", lambda p: (-ONE, make_quantum_plane(-1)), _qm1_fill),
+    "qm1ii": Family("quantum-plane", "quantum", lambda p: (-ONE, make_quantum_plane(-1)), _qm1ii_fill),
+    "qneq1": Family("quantum-plane", "quantum", _qneq1_base, _qneq1_fill),
+    "jordan": Family("jordan", "jordan", lambda p: (None, make_jordan_plane()), _jordan_fill),
+}
 
 
 def enumerate_solution(case: str, params: Mapping) -> SolutionInstance:
@@ -550,7 +516,8 @@ def enumerate_solution(case: str, params: Mapping) -> SolutionInstance:
     rationals; constrained gammas are filled per the case table and the
     instance is re-verified through the generic admissibility checks.
     A name outside ``case_param_names(case)`` raises
-    CasePreconditionError.
+    CasePreconditionError.  The comm-e cases are the comm-b..d cases
+    under ``_swap_mirror``.
     """
     case = CASE_ALIASES.get(case, case)
     if case not in CASES:
@@ -562,39 +529,18 @@ def enumerate_solution(case: str, params: Mapping) -> SolutionInstance:
                 f"unknown parameter {name!r} for case {case!r}; accepted: {', '.join(accepted)}"
             )
     family = case.split("-")[0]
-    q = None
-    mirrored = False
-    if family == "comm":
-        alg = make_quantum_plane(1)
-        if case.startswith("comm-e-"):
-            mat, gamma = _comm_fill("comm-" + case[-1], params)
-            mat, gamma = _swap_mirror(mat, gamma)
-            mirrored = True
-        else:
-            mat, gamma = _comm_fill(case, params)
-    elif family == "qm1":
-        q = -ONE
-        alg = make_quantum_plane(-1)
-        mat, gamma = _qm1_fill(case, params)
-    elif family == "qm1ii":
-        q = -ONE
-        alg = make_quantum_plane(-1)
-        mat, gamma = _qm1ii_fill(case, params)
-    elif family == "qneq1":
-        q = _need(params, "q")
-        _require(q not in (ZERO, ONE, -ONE), "qneq-1 cases require q != 0, +-1")
-        alg = make_quantum_plane(q)
-        mat, gamma = _qneq1_fill(case, params, q)
-    elif family == "jordan":
-        alg = make_jordan_plane()
-        mat, gamma = _jordan_fill(case, params)
-    else:
-        raise CasePreconditionError(f"unknown case family {family!r}")
+    q, alg = FAMILIES[family].base(params)
+    mirrored = case.startswith("comm-e-")
+    g = {k: _opt(params, k) for k in ("g11", "g12", "g13", "g21", "g22", "g23")}
+    mat = FAMILIES[family].fill("comm-" + case[-1] if mirrored else case, params, g, q)
+    gamma = ((g["g11"], g["g12"], g["g13"]), (g["g21"], g["g22"], g["g23"]))
+    if mirrored:
+        mat, gamma = _swap_mirror(mat, gamma)
     sigma = check_automorphism(mat, alg)
     delta = extend_derivation(gamma_images(gamma), sigma, alg)
     return SolutionInstance(
         case=case,
-        family="comm" if mirrored else family,
+        family=family,
         q=q,
         algebra=alg,
         sigma=sigma,
@@ -608,8 +554,7 @@ def enumerate_solution(case: str, params: Mapping) -> SolutionInstance:
 def dim2_instance_oracle(inst: SolutionInstance) -> Matrix:
     """Closed-form mu_B of a catalog instance: the family's relation
     matrix Q and its (c_r, c_l) closed form fed to dim2_nakayama_oracle."""
-    kind = {"comm": "commutative", "jordan": "jordan"}.get(inst.family, "quantum")
-    qm = dim2_relation_matrix(kind, inst.q)
+    qm = dim2_relation_matrix(FAMILIES[inst.family].kind, inst.q)
     c_r, c_l = dim2_delta_rl_closed_form(inst.family, inst.m, inst.gamma, inst.q)
     return dim2_nakayama_oracle(qm, inst.m, c_r, c_l)
 
@@ -628,14 +573,12 @@ def gamma_of_images(
     """Gamma coordinates of the induced derivation on a 2-generator
     algebra: each image is reduced modulo R into the monomial basis
     {x1^2, x2 x1, x2^2}."""
+    words = alg.basis_words(2)
+    want = [(0, 0), (1, 0), (1, 1)]
     rows = []
     for im in images:
-        nf = alg.nf_tensor(im)
-        words = alg.basis_words(2)
-        lut = {w: i for i, w in enumerate(words)}
         g = [ZERO, ZERO, ZERO]
-        want = [(0, 0), (1, 0), (1, 1)]
-        for k, c in nf.items():
+        for k, c in alg.nf_tensor(im).items():
             w = words[k]
             if w not in want:
                 raise ValueError(f"unexpected basis word {w}")
@@ -769,8 +712,9 @@ def random_case_params(case: str, rng: random.Random) -> dict:
         elif case == "jordan-b":
             p["m11"] = _rand_avoid(rng, (ZERO, ONE))
             p["m12"] = random_rational(rng)
-        for gp in CASE_FREE_PARAMS[case]:
-            p[gp] = random_rational(rng, span=3)
+        for gp in CASE_PARAMS[case]:
+            if gp.startswith("g"):
+                p[gp] = random_rational(rng, span=3)
         return p
 
 
@@ -785,7 +729,6 @@ def random_admissible_automorphism(
     alg: QuadraticAlgebra, rng: random.Random
 ) -> GradedAutomorphism:
     """Random automorphism from the known shape of each catalog family."""
-    mu = None
     nv = alg.nv
     r = alg.R
     if nv == 2 and r.dim == 1:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .catalog import (
     CASES,
     CASE_ALIASES,
+    FAMILIES,
     case_param_names,
     cy_classifier_dim2,
     dim2_instance_oracle,
@@ -139,13 +140,14 @@ def _matrix_out(m: Matrix) -> list:
 
 
 def _certificate_out(alg: QuadraticAlgebra, cert: KoszulCertificate) -> dict:
-    # exactness at A_m makes dim A_m the rank of d_1 in degree m
+    # exactness at A_m makes dim A_m the rank of d_1 in degree m; an
+    # AS-regular certificate has W_{d+1} = 0
     return {
         "verified_to": cert.bound,
         "as_regular": cert.as_regular,
         "global_dimension": cert.d,
         "dims_A": [1] + [cert.ranks[(m, 1)] for m in range(1, cert.bound + 1)],
-        "dims_W": [alg.koszul_space(i).dim for i in range(cert.d + 2)]
+        "dims_W": [alg.koszul_space(i).dim for i in range(cert.d + 1)] + [0]
         if cert.d is not None
         else [],
         "euler_ok": cert.euler_ok,
@@ -297,15 +299,9 @@ def cmd_catalog(family, case, params, bound, check_level, input_path=None) -> di
     case = CASE_ALIASES.get(case, case)
     if case not in CASES:
         raise InputError(f"unknown case {case!r}; known: {', '.join(CASES)}")
-    fam_prefix = case.split("-")[0]
-    expect = {
-        "commutative": ("comm",),
-        "quantum-plane": ("qm1", "qm1ii", "qneq1"),
-        "jordan": ("jordan",),
-    }.get(family)
-    if expect is None:
+    if family not in {f.name for f in FAMILIES.values()}:
         raise InputError(f"unknown family {family!r}")
-    if fam_prefix not in expect:
+    if FAMILIES[case.split("-")[0]].name != family:
         raise InputError(f"case {case!r} does not belong to family {family!r}")
     _check_params(params, case_param_names(case), case)
     inst = enumerate_solution(case, params)

@@ -17,12 +17,13 @@ in V-hat^(d-1) (x) R-hat, and the twist condition, which carries that
 membership to every other slot (proof in ``twisted_superpotential_hat``).
 
 W-coordinates.  The towers are held in the bases of the W_i (the
-tables of ``QuadraticAlgebra.w_tables``), never in V^(x)(i+1): the image
-of w_k under delta_{i,r} is its coordinates on the w_l (x) x_j of W_i (x)
-V, under delta_{i,l} on the x_u (x) w_l of V (x) W_i, and sigma^(x)i on
-W_i is the square matrix S^i.  Each is a vector of int numerators over
-one denominator.  Tensors are built only where one is the output: the
-``right`` and ``left`` stages on first read, and omega-hat.
+tables of ``QuadraticAlgebra.w_tables`` and its ``split``), never in
+V^(x)(i+1): the image of w_k under delta_{i,r} is its coordinates on
+the w_l (x) x_j of W_i (x) V, under delta_{i,l} on the x_u (x) w_l of V
+(x) W_i, and sigma^(x)i on W_i is the square matrix S^i.  Each is a
+vector of int numerators over one denominator.  Tensors are built only
+where one is the output: the ``right`` and ``left`` stages on first
+read, and omega-hat.
 
 Right towers are built stage by stage: delta_{i,r}(w_k) is any u in W_i
 (x) V with (id^(i-1) (x) m)(u) = (id^(i-1) (x) m)((sigma^(i-1) (x) delta
@@ -254,12 +255,13 @@ def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> list:
     mrows = [_scaled({j: a for j, a in enumerate(r) if a}) for r in m.rows]
     out = [[({0: 1}, 1)], mrows]
     for i in range(2, d + 1):
+        splits = alg.split(i)
         stage = []
-        for split in tab.right[i]:
+        for split in splits:
             moved = _sum(_on_right(_sum(_on_left(split, out[-1], nv)), mrows, nv, nv))
             image = (_read(tab.read[i], moved[0]), moved[1] * tab.read[i][0])
             # the reads are exact only on W_i, as in the left tower
-            if _sum([(1, moved, 1, 0)] + _on_left(image, tab.right[i], 1, -1))[0]:
+            if _sum([(1, moved, 1, 0)] + _on_left(image, splits, 1, -1))[0]:
                 raise EngineInvariantError(
                     f"sigma^(x){i} does not preserve W_{i}; certification is broken"
                 )
@@ -297,6 +299,7 @@ def build_sequence_pair(
     nf_delta = [alg._nf_scaled(t) for t in delta.images]
     for i in range(2, alg.d + 1):
         p, q = tab.dims[i - 1], tab.dims[i]
+        splits, lsplits = alg.split(i), alg.split(i, left=True)
         # the right-hand sides in W_{i-1} (x) A_2, keyed m * dim A_2 + k:
         # (sigma^(i-1) (x) id)(w_k) then delta(x_v) multiplied into A_2,
         # plus (delta_{i-1,r} (x) id)(w_k) then x_j x_v multiplied in
@@ -305,7 +308,7 @@ def build_sequence_pair(
                 _on_right(_sum(_on_left(split, sp.sigma_w[i - 1], nv)), nf_delta, nv, dim_a2)
                 + _on_right(_sum(_on_left(split, right[i - 1], nv)), tab.pairs, nv * nv, dim_a2)
             )
-            for split in tab.right[i]
+            for split in splits
         ]
         # the solver sees numerators: with every column over one D, the
         # kernel is unchanged and x = y * D / (the right-hand side's den)
@@ -335,12 +338,12 @@ def build_sequence_pair(
         # choice remains
         sgn = _sign(i)
         lstage = []
-        for k, (lsplit, rsplit) in enumerate(zip(tab.left[i], tab.right[i])):
+        for k, (lsplit, rsplit) in enumerate(zip(lsplits, splits)):
             t = _sum(
                 # sgn (sigma (x) delta_{i-1,r})(w_k), sigma first
                 _on_right(_sum(_on_left(lsplit, mrows, p)), right[i - 1], p, p * nv, sgn)
                 # -sgn delta_{i,r}(w_k), through the left split of each w_l
-                + _on_left(stage[k], tab.left[i], nv, -sgn)
+                + _on_left(stage[k], lsplits, nv, -sgn)
                 # (delta_{i-1,l} (x) id)(w_k)
                 + _on_left(rsplit, left[i - 1], nv)
             )
@@ -349,7 +352,7 @@ def build_sequence_pair(
             }
             image = (coef, t[1] * tab.read[i][0])
             # the reads are exact only on V (x) W_i: what they miss remains
-            if _sum([(1, t, 1, 0)] + _on_right(image, tab.right[i], q, p * nv, -1))[0]:
+            if _sum([(1, t, 1, 0)] + _on_right(image, splits, q, p * nv, -1))[0]:
                 raise LeftImageEscapeError(
                     f"left tower image escapes V(x)W_{i} at stage {i}", stage=i, index=k
                 )
@@ -517,6 +520,8 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     alg = sp.algebra
     nv = alg.nv
     nh = nv + 1
+    if mu_b.nrows != nh or mu_b.ncols != nh:
+        raise ValueError(f"mu_B must be {nh} x {nh}")
     d = alg.d
     omega = alg.omega
     z = Tensor.word(nh, (nv,))
@@ -542,8 +547,6 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
         raise NotInHatWError(
             f"omega-hat escapes V-hat^{d - 1} (x) R-hat (x) V-hat^0", slot=d - 1
         )
-    if mu_b.nrows != nh or mu_b.ncols != nh:
-        raise ValueError(f"mu_B must be {nh} x {nh}")
     # (-1)^d tau_d (mu_B (x) id^d)(omega-hat) in one pass: the image of
     # each word's first letter goes to its end
     rows, mden = _matrix_images(mu_b)

@@ -67,12 +67,13 @@ elimination in Fractions gives: the RREF of the reducer is unique, and
 integer arithmetic is exact.
 
 W-coordinate tables.  ``w_tables`` holds what the sequence-pair towers
-of ``ore`` read in the bases of the W_i (``WTables``): the splits of W_i
-in W_{i-1} (x) V and V (x) W_{i-1} (``split``, which ``_differential``
-also calls without keeping the result), the pivot-word reads back into
-W_i, the rows of d_i on W_i (x) A_1, the normal forms of the letter
-pairs and omega in each W_j (x) W_{d-j}.  They are built on the first
-Ore request, never during certification.
+of ``ore`` read in the bases of the W_i (``WTables``): the pivot-word
+reads back into W_i, the rows of d_i on W_i (x) A_1, the normal forms
+of the letter pairs and omega in each W_j (x) W_{d-j}.  They are built
+on the first Ore request, never during certification.  The towers also
+read the splits of W_i in W_{i-1} (x) V and V (x) W_{i-1} (``split``),
+which the algebra keeps, so the differentials of the rank route and
+the towers compute each split once.
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ class QuadraticAlgebra:
         self._pieces: list[_Piece] = []
         self._W: list[Subspace] = []
         self._nf_cache: dict[tuple, dict] = {}
+        self._splits: dict[tuple, list] = {}  # split(i, left), by (i, left)
         self._sandwich = None          # R(x)V + V(x)R, for derivation admissibility
         self._pbw = None               # normal-pair matrix, or False: the PBW test, run once
         self._exact: list[tuple[int, ...]] = []  # Q ranks of degrees 1, 2, ... proved exact
@@ -356,7 +358,10 @@ class QuadraticAlgebra:
         vector, int numerators keyed m * nv + v on w_m (x) x_v (w_m the
         W_{i-1} basis) over one denominator.  With ``left``, in V (x)
         W_{i-1}, keyed v * dim W_{i-1} + m on x_v (x) w_m.  W_0 is the
-        scalar line, whose one basis word is the empty word."""
+        scalar line, whose one basis word is the empty word.  Kept once
+        every vector is split: an escape raises and keeps nothing."""
+        if (i, left) in self._splits:
+            return self._splits[(i, left)]
         nv = self.nv
         wprev = self.koszul_space(i - 1)
         out = []
@@ -370,6 +375,7 @@ class QuadraticAlgebra:
                 out.append(({v * wprev.dim + m: c for ((v,), m, _), c in exp.items()}, den))
             else:
                 out.append(({m * nv + v: c for (_, m, (v,)), c in exp.items()}, den))
+        self._splits[(i, left)] = out
         return out
 
     def w_tables(self) -> "WTables":
@@ -587,8 +593,6 @@ class WTables:
     * ``words[i]`` = (rows, L): w^i_l is the sum of n / L * word over the
       (word, n) pairs of rows[l]; ``words_v[i]`` the same for the w^i_l
       (x) x_j of W_i (x) V, at rows[l * nv + j].
-    * ``right[i]``, ``left[i]`` (i >= 1): ``split(i)`` and ``split(i,
-      left=True)``.
     * ``read[i]`` = (L, rows) (i >= 1): an element X of W_i given in
       W_{i-1} (x) V, keyed m * nv + v, has the coefficient sum X[key] * n
       / L over the (key, n) pairs of rows[l] on w^i_l.  That is X's entry
@@ -603,7 +607,7 @@ class WTables:
       w^j_a (x) w^(d-j)_b: omega's entry at the joined pivot words.
     """
 
-    __slots__ = ("dims", "words", "words_v", "right", "left", "read", "stage", "pairs", "omega")
+    __slots__ = ("dims", "words", "words_v", "read", "stage", "pairs", "omega")
 
     def __init__(self, alg: "QuadraticAlgebra"):
         nv = alg.nv
@@ -625,8 +629,6 @@ class WTables:
             ([[(w + (j,), n) for w, n in r] for r in rows for j in range(nv)], big)
             for rows, big in self.words
         ]
-        self.right = [None] + [alg.split(i) for i in range(1, d + 1)]
-        self.left = [None] + [alg.split(i, left=True) for i in range(1, d + 1)]
         self.read = [None] + [
             (scaled[i - 1][1], [
                 [(m * nv + p % nv, r[p // nv]) for m, r in enumerate(scaled[i - 1][0]) if p // nv in r]

@@ -93,28 +93,50 @@ def test_certify_jordan_to_8(tmp_path, capsys):
     assert rep["certificate"]["verified_to"] == 8
 
 
+POLY4_NAMES = ["x1", "x2", "x3", "x4"]
+POLY4 = {
+    "generators": POLY4_NAMES,
+    "relations": [
+        [{"coeff": "1", "word": [a, b]}, {"coeff": "-1", "word": [b, a]}]
+        for i, a in enumerate(POLY4_NAMES) for b in POLY4_NAMES[i + 1:]
+    ],
+}
+
+
 def test_certify_pbw_report_builds_no_piece_above_a3(tmp_path, capsys, monkeypatch):
     # poly(4) is PBW: the report reads dims_A off the certificate's
     # counts, so no normal-form piece above A_3 is built
-    names = ["x1", "x2", "x3", "x4"]
-    rels = [
-        [{"coeff": "1", "word": [a, b]}, {"coeff": "-1", "word": [b, a]}]
-        for i, a in enumerate(names) for b in names[i + 1:]
-    ]
     built = []
     real = orenaka.quadratic.QuadraticAlgebra._build_piece
     monkeypatch.setattr(
         orenaka.quadratic.QuadraticAlgebra, "_build_piece",
         lambda self, m: built.append(m) or real(self, m),
     )
-    code, out, err = run(capsys, "certify", "--input",
-                         write(tmp_path, {"generators": names, "relations": rels}),
+    code, out, err = run(capsys, "certify", "--input", write(tmp_path, POLY4),
                          "--format", "json")
     assert code == 0, err
     cert = json.loads(out)["certificate"]
     assert cert["verified_to"] == 7
     assert cert["dims_A"] == [1, 4, 10, 20, 35, 56, 84, 120]
     assert built and max(built) <= 3
+
+
+def test_certify_report_builds_no_koszul_space_above_d(tmp_path, capsys, monkeypatch):
+    # certification proves W_{d+1} = 0, so the report prints that 0
+    # without building W_{d+1}
+    asked = []
+    real = orenaka.quadratic.QuadraticAlgebra.koszul_space
+    monkeypatch.setattr(
+        orenaka.quadratic.QuadraticAlgebra, "koszul_space",
+        lambda self, i: asked.append(i) or real(self, i),
+    )
+    code, out, err = run(capsys, "certify", "--input", write(tmp_path, POLY4),
+                         "--format", "json")
+    assert code == 0, err
+    cert = json.loads(out)["certificate"]
+    assert cert["global_dimension"] == 4
+    assert cert["dims_W"] == [1, 4, 6, 4, 1, 0]
+    assert asked and max(asked) <= 4
 
 
 def test_nakayama_command(tmp_path, capsys):

@@ -735,6 +735,20 @@ def test_superpotential_failures_name_degree_and_slot():
     assert err.value.degree == d + 1
 
 
+def test_superpotential_rejects_a_wrong_shaped_mu_b_first(monkeypatch):
+    from orenaka import ore, twisted_superpotential_hat
+
+    rng = random.Random(64)
+    a = make_polynomial(3)
+    sig = random_admissible_automorphism(a, rng)
+    rep = nakayama_of_B(sig, random_admissible_derivation(a, sig, rng))
+    towers = []
+    monkeypatch.setattr(ore, "_tower_forms", lambda *args: towers.append(args))
+    with pytest.raises(ValueError, match=r"^mu_B must be 4 x 4$"):
+        twisted_superpotential_hat(rep.sequence_pair, Matrix.identity(3), rep.relations_hat)
+    assert towers == []
+
+
 # -- one membership plus the twist gives every slot ------------------------
 
 

@@ -676,6 +676,27 @@ def test_non_pbw_inputs_take_the_rank_route(monkeypatch):
     assert calls
 
 
+def test_each_split_is_expanded_once(monkeypatch):
+    # the rank route reads split(i) in every internal degree and the
+    # W-tables read it again; each basis vector of each W_i is expanded
+    # once
+    sides = []
+    real = quadratic.expand_scaled
+    monkeypatch.setattr(quadratic, "expand_scaled", lambda *a: sides.append(a[1]) or real(*a))
+    s = _sklyanin()
+    s.w_tables()
+    assert s.certificate.route == "ranks"
+    n = sum(s.koszul_space(i).dim for i in range(1, s.d + 1))
+    assert sides == [0] * n
+    # an escape raises and keeps nothing
+    fresh = QuadraticAlgebra(s.names, s.R)
+    monkeypatch.setattr(quadratic, "expand_scaled", lambda *a: None)
+    with pytest.raises(quadratic.EngineInvariantError, match=r"^W_2 escapes W_1 \(x\) V$"):
+        fresh.split(2)
+    monkeypatch.setattr(quadratic, "expand_scaled", real)
+    assert fresh.split(2) == s.split(2)
+
+
 def test_pbw_certificate_builds_no_piece_above_degree_3(monkeypatch):
     a = _poly(5)
     calls = _spy_rank(monkeypatch)
