@@ -199,30 +199,16 @@ def dim2_delta_rl_closed_form(
 ) -> tuple[tuple, tuple]:
     """(c_r, c_l) coordinate rows of delta_r, delta_l per family.
 
-    These are the per-family closed forms in the gamma parametrization;
-    the generic engine must reproduce them exactly (the degree-2
-    decomposition is unique in dimension 2).
+    These are the per-family closed forms in the gamma parametrization,
+    the ``delta_rl`` of each ``FAMILIES`` entry; the generic engine must
+    reproduce them exactly (the degree-2 decomposition is unique in
+    dimension 2).
     """
-    (g11, g12, g13), (g21, g22, g23) = (
-        tuple(scalar(x) for x in gamma[0]),
-        tuple(scalar(x) for x in gamma[1]),
-    )
-    m11, m12, m21, m22 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    if family == "comm":
-        c_r = (m22 * g11 - m12 * g21 + g22, m11 * g23 - m21 * g13)
-        c_l = (g11, m22 * g12 - m12 * g22 + g23)
-    elif family in ("qm1", "qneq1"):
-        c_r = (m22 * g11 + g22, m11 * g23)
-        c_l = (g11, m22 * g12 + g23)
-    elif family == "qm1ii":
-        c_r = (m12 * g21 + g22, m21 * g13)
-        c_l = (g11, m12 * g22 + g23)
-    elif family == "jordan":
-        c_r = (m11 * g11 + (m11 - m12) * g21 + g22, g11 - g21 + m11 * g23)
-        c_l = (g11 - g21, g11 + g12 - g21 - g22 + m11 * g23)
-    else:
+    g = (tuple(scalar(x) for x in gamma[0]), tuple(scalar(x) for x in gamma[1]))
+    entries = (m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    return c_r, c_l
+    return FAMILIES[family].delta_rl(entries, g)
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +470,29 @@ def _qneq1_base(params: Mapping) -> tuple[Fraction, QuadraticAlgebra]:
     return q, make_quantum_plane(q)
 
 
+def _comm_delta_rl(m, g) -> tuple[tuple, tuple]:
+    (m11, m12, m21, m22), ((g11, g12, g13), (g21, g22, g23)) = m, g
+    return (m22 * g11 - m12 * g21 + g22, m11 * g23 - m21 * g13), (g11, m22 * g12 - m12 * g22 + g23)
+
+
+def _quantum_delta_rl(m, g) -> tuple[tuple, tuple]:
+    (m11, _, _, m22), ((g11, g12, _), (_, g22, g23)) = m, g
+    return (m22 * g11 + g22, m11 * g23), (g11, m22 * g12 + g23)
+
+
+def _qm1ii_delta_rl(m, g) -> tuple[tuple, tuple]:
+    (_, m12, m21, _), ((g11, _, g13), (g21, g22, g23)) = m, g
+    return (m12 * g21 + g22, m21 * g13), (g11, m12 * g22 + g23)
+
+
+def _jordan_delta_rl(m, g) -> tuple[tuple, tuple]:
+    (m11, m12, _, _), ((g11, g12, _), (g21, g22, g23)) = m, g
+    return (
+        (m11 * g11 + (m11 - m12) * g21 + g22, g11 - g21 + m11 * g23),
+        (g11 - g21, g11 + g12 - g21 - g22 + m11 * g23),
+    )
+
+
 @dataclass(frozen=True)
 class Family:
     """One family of the dimension-2 classification, keyed in
@@ -491,21 +500,32 @@ class Family:
 
     ``name`` is its ``--family`` in the CLI, ``kind`` its relation matrix
     (``dim2_relation_matrix``), ``base(params)`` gives (q, base plane),
-    q None off the quantum planes, and ``fill(case, params, g, q)`` is
-    the filler of its cases."""
+    q None off the quantum planes, ``fill(case, params, g, q)`` is the
+    filler of its cases, and ``delta_rl(m, g)`` gives the closed forms
+    (c_r, c_l) from M's entries (m11, m12, m21, m22) and the gamma rows
+    (``dim2_delta_rl_closed_form``)."""
 
     name: str
     kind: str
     base: Callable[[Mapping], tuple]
     fill: Callable[..., Matrix]
+    delta_rl: Callable[[tuple, tuple], tuple[tuple, tuple]]
 
 
 FAMILIES = {
-    "comm": Family("commutative", "commutative", lambda p: (None, make_quantum_plane(1)), _comm_fill),
-    "qm1": Family("quantum-plane", "quantum", lambda p: (-ONE, make_quantum_plane(-1)), _qm1_fill),
-    "qm1ii": Family("quantum-plane", "quantum", lambda p: (-ONE, make_quantum_plane(-1)), _qm1ii_fill),
-    "qneq1": Family("quantum-plane", "quantum", _qneq1_base, _qneq1_fill),
-    "jordan": Family("jordan", "jordan", lambda p: (None, make_jordan_plane()), _jordan_fill),
+    "comm": Family(
+        "commutative", "commutative", lambda p: (None, make_quantum_plane(1)), _comm_fill, _comm_delta_rl
+    ),
+    "qm1": Family(
+        "quantum-plane", "quantum", lambda p: (-ONE, make_quantum_plane(-1)), _qm1_fill, _quantum_delta_rl
+    ),
+    "qm1ii": Family(
+        "quantum-plane", "quantum", lambda p: (-ONE, make_quantum_plane(-1)), _qm1ii_fill, _qm1ii_delta_rl
+    ),
+    "qneq1": Family("quantum-plane", "quantum", _qneq1_base, _qneq1_fill, _quantum_delta_rl),
+    "jordan": Family(
+        "jordan", "jordan", lambda p: (None, make_jordan_plane()), _jordan_fill, _jordan_delta_rl
+    ),
 }
 
 

@@ -74,7 +74,7 @@ RREF rows of ``echelon``.  ``Tensor.entries`` is a read-only view of
 a Fraction dict built on the first read; ``expand_through`` and
 ``Subspace.basis()`` build their Fractions on each call.  The kernels
 (``Tensor.apply_matrix_slots``, ``apply_images_at``, ``combine``,
-``tensor``, ``scale``, ``tau``, ``embed``, ``shift``,
+``tensor``, ``scale``, ``tau``, ``shift``,
 ``Subspace.reduce``, ``escaping_row``, ``expand_scaled`` and
 ``sandwich_map``) read the stored numerators,
 multiply and add plain ints over the product or lcm of the operands'
@@ -800,12 +800,6 @@ class Tensor:
         return Tensor._from_scaled(
             self.nv, self.degree + other.degree, nums, self.den * other.den
         )
-
-    def embed(self, nv_new: int) -> "Tensor":
-        """Reinterpret over a larger alphabet (V inside V-hat)."""
-        if nv_new < self.nv:
-            raise ValueError("alphabet can only grow")
-        return Tensor._trusted(nv_new, self.degree, self.nums, self.den)
 
     @staticmethod
     def combine(nv: int, degree: int, terms: Iterable[tuple]) -> "Tensor":

@@ -26,8 +26,11 @@ from .linalg import (
     ONE,
     ZERO,
     Matrix,
+    Subspace,
     Tensor,
+    _residual,
     escaping_row,
+    flat_word,
     solve_columns,
     word_flat,
 )
@@ -148,7 +151,7 @@ class DerivationLift:
         the quotient and is automatically admissible again.
         """
         for e in eps_images:
-            if not self.algebra.R.contains(e.to_vec()):
+            if _outside(self.algebra.R, e):
                 raise ValueError("perturbation images must lie in R")
         return extend_derivation(
             [a + b for a, b in zip(self.images, eps_images)], self.sigma, self.algebra
@@ -170,15 +173,23 @@ def extend_derivation(
         if im.degree != 2 or im.nv != alg.nv:
             raise ValueError("derivation images must be degree-2 tensors over V")
     delta = DerivationLift(images, sigma)
+    nv = alg.nv
     sandwich = alg.sandwich_space()
-    for b in alg.R.basis():
-        t = Tensor.from_vec(b, alg.nv, 2)
-        image = delta.extend(t)
-        if not sandwich.contains(image.to_vec()):
+    for r in alg.R.int_rows():
+        # the basis() row: the primitive row over its pivot entry
+        t = Tensor._from_scaled(nv, 2, {flat_word(k, 2, nv): n for k, n in r.items()}, r[min(r)])
+        if _outside(sandwich, delta.extend(t)):
             raise NotAdmissibleError(
                 f"delta(R) leaves R(x)V + V(x)R on relation {t!r}"
             )
     return delta
+
+
+def _outside(space: Subspace, t: Tensor) -> bool:
+    """Whether t leaves ``space``, read on its int numerators keyed by
+    flat word; no Fraction is built."""
+    nv = t.nv
+    return bool(_residual({word_flat(w, nv): n for w, n in t.nums.items()}, t.den, space._rows)[0])
 
 
 def hdet(sigma: GradedAutomorphism) -> Fraction:

@@ -15,6 +15,11 @@ quotient algebra, each made once per request; hdet(sigma) is S^d
 (``linalg.escaping_row``).  omega-hat is certified by one membership,
 in V-hat^(d-1) (x) R-hat, and the twist condition, which carries that
 membership to every other slot (proof in ``twisted_superpotential_hat``).
+The membership is read on W-blocks: every term of omega-hat lies in
+some W_i (x) V-hat (x) W_{d-i}, the blocks with d - i >= 2 lie in
+V-hat^(d-1) (x) R already, and the two others are checked on their
+dim W_{d-1} * (n+1)^2 coordinates in W_{d-1} (x) V-hat (x) V-hat; an
+R-hat that does not contain R falls back to the word-level reader.
 
 W-coordinates.  The towers are held in the bases of the W_i (the
 tables of ``QuadraticAlgebra.w_tables`` and its ``split``), never in
@@ -23,7 +28,8 @@ the w_l (x) x_j of W_i (x) V, under delta_{i,l} on the x_u (x) w_l of V
 (x) W_i, and sigma^(x)i on W_i is the square matrix S^i.  Each is a
 vector of int numerators over one denominator.  Tensors are built only
 where one is the output: the ``right`` and ``left`` stages on first
-read, and omega-hat.
+read, and omega-hat, whose cyclic part and two tower forms are taken on
+omega's coordinates in W_i (x) W_{d-i}.
 
 Right towers are built stage by stage: delta_{i,r}(w_k) is any u in W_i
 (x) V with (id^(i-1) (x) m)(u) = (id^(i-1) (x) m)((sigma^(i-1) (x) delta
@@ -70,6 +76,7 @@ from .linalg import (
     _canonical,
     _combine,
     _matrix_images,
+    _residual,
     _scaled,
     escaping_row,
     expand_scaled,
@@ -496,11 +503,13 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     omega-hat = cyclic part + tower part, where the tower part is taken
     by both closed forms (right-tower and left-tower, ``_tower_forms``),
     which must agree; the cyclic part is common to both, so the tower
-    parts are compared directly (tensors are canonical).  omega-hat is
-    then certified to lie in the top Koszul space W-hat_(d+1) = cap_s
-    V-hat^s (x) R-hat (x) V-hat^(d-1-s) of B, s = 0..d-1, and to satisfy
-    the twist condition omega-hat = (-1)^d tau_d (mu_B (x) id^d)(omega-
-    hat), where tau_d moves factor 1 to the end.
+    parts are compared directly (tensors are canonical).  Cyclic term i
+    is (-1)^i (sigma^(x)i (x) id)(omega) with z put after factor i, taken
+    as S^i on omega's coordinates in W_i (x) W_{d-i}.  omega-hat is then
+    certified to lie in the top Koszul space W-hat_(d+1) = cap_s V-hat^s
+    (x) R-hat (x) V-hat^(d-1-s) of B, s = 0..d-1, and to satisfy the
+    twist condition omega-hat = (-1)^d tau_d (mu_B (x) id^d)(omega-hat),
+    where tau_d moves factor 1 to the end.
 
     One membership suffices.  Suppose omega-hat lies in V-hat^s (x)
     R-hat (x) V-hat^(d-1-s) for some s >= 1.  mu_B (x) id^d acts on
@@ -510,12 +519,33 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     the R-hat pair at factors s, s+1.  The twist condition therefore
     puts omega-hat in V-hat^(s-1) (x) R-hat (x) V-hat^(d-s), and by
     induction from s = d-1 down to 0 in every copy.  So the membership
-    at slot d-1 (``expand_scaled``) and the twist check together prove
-    all d memberships; the argument does not use that mu_B is
-    invertible.  The checks run in that order: an escape at slot d-1
-    raises ``NotInHatWError`` (slot d-1), and an escape at any other
-    slot can only coexist with a failed twist, ``TwistFailureError``.
-    Slot d-1 is also the cheapest slot to read.
+    at slot d-1 and the twist check together prove all d memberships;
+    the argument does not use that mu_B is invertible.  The checks run
+    in that order: an escape at slot d-1 raises ``NotInHatWError`` (slot
+    d-1), and an escape at any other slot can only coexist with a failed
+    twist, ``TwistFailureError``.
+
+    The slot-(d-1) membership is read on blocks (``_in_last_slot``).
+    Cyclic term i lies in W_i (x) z (x) W_{d-i}, as S^i maps W_i into
+    itself, and right-form term i in W_i (x) V (x) W_{d-i}, as
+    delta_{i,r} maps W_i into W_i (x) V; so omega-hat is a sum of blocks
+    W_i (x) V-hat (x) W_{d-i}, i = 0..d.
+    - If d - i >= 2, W_{d-i} lies in V^(d-i-2) (x) R, so block i lies in
+      V-hat^(d-1) (x) R, and in V-hat^(d-1) (x) R-hat when R-hat
+      contains R.
+    - Blocks d-1 and d remain.  W_1 = V, and omega's split in W_{d-1}
+      (x) V (``alg.split(d)``; dim W_d = 1) writes block d in W_{d-1}
+      (x) V (x) V-hat, so both lie in W_{d-1} (x) V-hat (x) V-hat and
+      their sum is sum_l w_l (x) C_l over the basis w_l of W_{d-1}.
+    - The w_l are linearly independent, so applying the functionals dual
+      to them (f_l (x) id) shows sum_l w_l (x) C_l lies in V-hat^(d-1) (x)
+      R-hat iff every C_l, a vector in (n+1)^2 coordinates, lies in R-hat.
+    Hence, when R-hat contains R, omega-hat lies in V-hat^(d-1) (x) R-hat
+    iff every C_l does; each C_l is reduced by ``linalg._residual`` on
+    R-hat's rows.  Whether R-hat contains R is checked first, on dim R
+    rows; ``nakayama_of_B``'s R-hat always does, and for any other
+    R-hat the word-level reader ``expand_scaled`` decides, so the
+    verdict is the same for every input.
     """
     alg = sp.algebra
     nv = alg.nv
@@ -523,27 +553,23 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     if mu_b.nrows != nh or mu_b.ncols != nh:
         raise ValueError(f"mu_B must be {nh} x {nh}")
     d = alg.d
-    omega = alg.omega
-    z = Tensor.word(nh, (nv,))
-    omega_h = omega.embed(nh)
-    m_hat_rows = [list(r) + [ZERO] for r in sp.sigma.matrix.rows]
-    m_hat_rows.append([ZERO] * nv + [ONE])
-    m_hat = Matrix(m_hat_rows)
-    # term i of the cyclic part carries m-hat at slots 2..i+1, one slot
-    # more than term i-1
-    t = z.tensor(omega_h)
-    cyclic_terms = [(ONE, t)]
-    for i in range(1, d + 1):
-        t = t.apply_matrix_slots((i + 1,), m_hat)
-        cyclic_terms.append((_sign(i), t.tau(i)))
-    cyclic = Tensor.combine(nh, d + 1, cyclic_terms)
+    tab = alg.w_tables()
+    # cyclic term i is (S^i (x) id) on omega's coordinates in W_i (x)
+    # W_{d-i}, with z put between the two factors
+    cyclic_terms = []
+    for i in range(d + 1):
+        rows, big = tab.words[d - i]
+        z_tail = ([[((nv,) + w, n) for w, n in r] for r in rows], big)
+        part = _sum(_on_left(tab.omega[i], sp.sigma_w[i], tab.dims[d - i]))
+        cyclic_terms.append((_sign(i), *_expand(part, tab.words[i], z_tail)))
+    cyclic = Tensor._trusted(nh, d + 1, *_combine(cyclic_terms))
     right_part, left_part = _tower_forms(sp, nh)
     if right_part != left_part:
         raise FormMismatchError(
             f"superpotential forms disagree; residual {right_part - left_part!r}", degree=d + 1
         )
     omega_hat = cyclic + right_part
-    if expand_scaled(omega_hat, d - 1, r_hat, 2, 0) is None:
+    if not _in_last_slot(sp, omega_hat, r_hat):
         raise NotInHatWError(
             f"omega-hat escapes V-hat^{d - 1} (x) R-hat (x) V-hat^0", slot=d - 1
         )
@@ -565,6 +591,42 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
             f"twist condition fails; residual {twisted - omega_hat!r}", degree=d + 1
         )
     return omega_hat
+
+
+def _in_last_slot(sp: SequencePair, omega_hat: Tensor, r_hat: Subspace) -> bool:
+    """Whether omega-hat lies in V-hat^(d-1) (x) R-hat: on the
+    w_l-coefficients of its blocks d-1 and d when R-hat contains R, else
+    word by word (proof in ``twisted_superpotential_hat``)."""
+    alg = sp.algebra
+    nv, d = alg.nv, sp.d
+    nh = nv + 1
+    embedded = ({k // nv * nh + k % nv: n for k, n in r.items()} for r in alg.R.int_rows())
+    if r_hat.ambient != nh * nh or not all(r_hat.contains(r) for r in embedded):
+        return expand_scaled(omega_hat, d - 1, r_hat, 2, 0) is not None
+    tab = alg.w_tables()
+    # the coefficients keyed (l, p * nh + q) on w_l (x) x_p (x) x_q; block
+    # d-1 is the cyclic term w_a (x) z (x) x_b from (S^(d-1) (x) id)(omega),
+    # keyed a * nv + b, plus the right-form term w_l (x) x_j (x) x_b,
+    # keyed (l * nv + j) * nv + b
+    nums, den = _sum(_on_left(tab.omega[d - 1], sp.sigma_w[d - 1], nv))
+    terms = [(1, {(k // nv, nv * nh + k % nv): c for k, c in nums.items()}, den)]
+    if d > 1:
+        nums, den = _sum(_on_left(tab.omega[d - 1], sp.right_w[d - 1], nv))
+        terms.append((1, {(k // nv // nv, k // nv % nv * nh + k % nv): c for k, c in nums.items()}, den))
+    # block d, of the opposite sign, is w^d_0 (x) u with u = hdet z +
+    # delta_r scaled by omega's coordinate, and w^d_0 splits in W_{d-1} (x) V
+    top = _sum([(1, sp.sigma_w[d][0], 1, nv), (1, sp.right_w[d][0], 1, 0)])
+    unums, uden = _sum(_on_left(tab.omega[d], [top], 1))
+    ((snums, sden),) = alg.split(d)
+    terms.append((-1, {
+        (k // nv, k % nv * nh + p): s * n for k, s in snums.items() for p, n in unums.items()
+    }, sden * uden))
+    nums, den = _combine(terms)
+    coefficients: dict[int, dict] = {}
+    for (l, key), c in nums.items():
+        coefficients.setdefault(l, {})[key] = c
+    rows = r_hat._rows
+    return not any(_residual(vec, den, rows)[0] for vec in coefficients.values())
 
 
 def _tower_forms(sp: SequencePair, nh: int) -> tuple[Tensor, Tensor]:

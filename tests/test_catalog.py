@@ -15,6 +15,7 @@ from orenaka import (
     build_sequence_pair,
     check_automorphism,
     cy_classifier_dim2,
+    dim2_delta_rl_closed_form,
     dim2_instance_oracle,
     dim2_hdet,
     dim2_nakayama_oracle,
@@ -411,3 +412,9 @@ def test_cy_classifier_agrees_with_engine_randomly():
             verdict = cy_classifier_dim2(a, sig, delta)
             rep = nakayama_of_B(sig, delta)
             assert verdict.is_cy == rep.calabi_yau
+
+
+def test_delta_rl_closed_form_rejects_an_unknown_family():
+    # the closed forms are keyed by case prefix, not by the CLI family name
+    with pytest.raises(ValueError, match=r"^unknown family 'quantum-plane'$"):
+        dim2_delta_rl_closed_form("quantum-plane", Matrix.identity(2), ((1, 0, 0), (0, 1, 0)))

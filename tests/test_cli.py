@@ -242,11 +242,11 @@ def test_exit_code_inadmissible(tmp_path, capsys):
 
 
 def test_exit_code_reader_escape_is_internal(tmp_path, capsys, monkeypatch):
-    # a tensor the sandwich reader rejects inside the engine is an
+    # a coefficient the R-hat reader rejects inside the engine is an
     # invariant violation (exit 4), not malformed input (exit 1)
     import orenaka.ore
 
-    monkeypatch.setattr(orenaka.ore, "expand_scaled", lambda *args: None)
+    monkeypatch.setattr(orenaka.ore, "_residual", lambda *args: ({0: 1}, 1))
     code, _, err = run(capsys, "ore", "--input", write(tmp_path, COMM))
     assert code == 4 and "internal invariant violation" in err
 

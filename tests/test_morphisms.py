@@ -298,3 +298,70 @@ def test_admissible_lift_space_matches_unit_extension():
         assert basis == _lift_space_by_unit_extension(alg, sig)
         for images in basis:
             extend_derivation(images, sig, alg)  # admissible, or raises
+
+
+def _admissible_by_fractions(images, sigma, alg):
+    """Oracle: delta(R) <= R(x)V + V(x)R on the Fraction basis of R, and
+    the first relation that leaves it, as a tensor."""
+    delta = DerivationLift(images, sigma)
+    for b in alg.R.basis():
+        t = Tensor.from_vec(b, alg.nv, 2)
+        if not alg.sandwich_space().contains(delta.extend(t).to_vec()):
+            return t
+    return None
+
+
+def test_admissibility_on_integers_matches_fraction_oracle():
+    # the q = 2/3 plane's primitive relation row is 3 x1x2 - 2 x2x1, so the
+    # message must show the basis row 1, -2/3, not the integer one
+    rng = random.Random(33)
+    algs = catalog_algebras() + [("q2/3", make_quantum_plane(Fraction(2, 3)))]
+    rejected = 0
+    for name, a in algs:
+        nv = a.nv
+        for _ in range(4):
+            sig = random_admissible_automorphism(a, rng)
+            images = [
+                Tensor(nv, 2, {(i, j): rand_frac(rng) for i in range(nv) for j in range(nv) if rng.random() < 0.4})
+                for _ in range(nv)
+            ]
+            escape = _admissible_by_fractions(images, sig, a)
+            if escape is None:
+                assert extend_derivation(images, sig, a).images == tuple(images)
+                continue
+            rejected += 1
+            with pytest.raises(NotAdmissibleError) as err:
+                extend_derivation(images, sig, a)
+            assert str(err.value) == f"delta(R) leaves R(x)V + V(x)R on relation {escape!r}", name
+    assert rejected >= 20
+    a = make_quantum_plane(Fraction(2, 3))
+    with pytest.raises(NotAdmissibleError) as err:
+        extend_derivation([Tensor.word(2, (0, 0)), Tensor(2, 2)], identity_automorphism(a), a)
+    assert str(err.value) == "delta(R) leaves R(x)V + V(x)R on relation Tensor(1*(0, 1) + -2/3*(1, 0))"
+
+
+def test_admissibility_and_perturb_read_no_fractions(monkeypatch):
+    from orenaka import random_admissible_derivation
+
+    rng = random.Random(34)
+    a = make_quantum_plane(Fraction(2, 3))
+    sig = random_admissible_automorphism(a, rng)
+    delta = random_admissible_derivation(a, sig, rng)
+    rel = Tensor.from_vec(a.R.basis()[0], 2, 2)
+    inside = [rel.scale(Fraction(5, 7)), Tensor(2, 2)]
+    outside = [rel, Tensor.word(2, (0, 0))]
+
+    def forbidden(self):
+        raise AssertionError("Fraction view read")
+
+    a.sandwich_space()
+    monkeypatch.setattr(Tensor, "entries", property(forbidden))
+    monkeypatch.setattr(Tensor, "to_vec", forbidden)
+    again = extend_derivation(delta.images, sig, a)
+    perturbed = delta.perturb(inside)
+    with pytest.raises(ValueError) as err:
+        delta.perturb(outside)
+    monkeypatch.undo()
+    assert again.images == delta.images
+    assert perturbed.images == tuple(x + e for x, e in zip(delta.images, inside))
+    assert str(err.value) == "perturbation images must lie in R"

@@ -821,6 +821,89 @@ def test_superpotential_checks_match_oracles(name, sig, delta):
     assert got == first_escape_by_tensors(r_hat, bent, nh)
 
 
+# -- the block membership against the word-level one -------------------
+
+
+def _membership_cases():
+    """(name, sigma, delta): poly(1..5), quantum planes, the Jordan
+    plane, every dim-2 catalog case and Sklyanin(1, 2, 3)[w; id, delta]."""
+    from orenaka import CASES, enumerate_solution, random_case_params
+    from test_quadratic import _sklyanin
+
+    rng = random.Random(81)
+    cases = []
+    bases = [(f"poly{n}", make_polynomial(n)) for n in range(1, 6)]
+    bases += [(f"quantum{q}", make_quantum_plane(q)) for q in (2, -1, Fraction(1, 3))]
+    bases.append(("jordan", make_jordan_plane()))
+    for name, a in bases:
+        sig = random_admissible_automorphism(a, rng)
+        cases.append((name, sig, random_admissible_derivation(a, sig, rng)))
+    for case in CASES:
+        inst = enumerate_solution(case, random_case_params(case, rng))
+        cases.append((case, inst.sigma, inst.delta))
+    s = _sklyanin()
+    sig = identity_automorphism(s)
+    cases.append(("sklyanin123", sig, random_admissible_derivation(s, sig, rng)))
+    return cases
+
+
+def _hat_rows(sig, delta):
+    """R embedded in V-hat (x) V-hat, and the Ore rows z (x) x_i -
+    sigma(x_i) (x) z - delta(x_i), as Fraction rows."""
+    nv = sig.algebra.nv
+    nh = nv + 1
+    r_rows = [{k // nv * nh + k % nv: c for k, c in b.items()} for b in sig.algebra.R.basis()]
+    ore_rows = []
+    for i in range(nv):
+        row = {nv * nh + i: Fraction(1)}
+        for j in range(nv):
+            row[j * nh + nv] = -sig.matrix[i, j]
+        for (a, b), c in delta.images[i].entries.items():
+            row[a * nh + b] = row.get(a * nh + b, 0) - c
+        ore_rows.append(row)
+    return r_rows, ore_rows
+
+
+@pytest.mark.parametrize("name, sig, delta", _membership_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_block_membership_matches_word_oracle(name, sig, delta, monkeypatch):
+    from orenaka import Subspace, ore
+
+    rep = nakayama_of_B(sig, delta)
+    sp, oh = rep.sequence_pair, rep.omega_hat
+    d = sig.algebra.certificate.d
+    nh = sig.algebra.nv + 1
+    r_rows, ore_rows = _hat_rows(sig, delta)
+    assert Subspace(nh * nh, r_rows + ore_rows) == rep.relations_hat
+    words = []
+    monkeypatch.setattr(ore, "expand_scaled", lambda *args: words.append(args) or expand_scaled(*args))
+    # R-hat, and R-hat with one Ore row dropped, contain R: block path
+    contain_r = [rep.relations_hat] + [
+        Subspace(nh * nh, r_rows + ore_rows[:i] + ore_rows[i + 1:]) for i in range(nh - 1)
+    ]
+    # spaces that miss R (when R is nonzero) take the word-level fallback
+    miss_r = [Subspace(nh * nh), Subspace(nh * nh, ore_rows), Subspace(nh * nh, r_rows[1:] + ore_rows)]
+    for space in contain_r + miss_r:
+        words.clear()
+        got = ore._in_last_slot(sp, oh, space)
+        fallback = bool(words)
+        words.clear()
+        assert got == (expand_scaled(oh, d - 1, space, 2, 0) is not None), name
+        assert fallback == (space in miss_r and not all(space.contains(r) for r in r_rows)), name
+        # the last-two-slot slices of omega-hat span R-hat, so it lies in
+        # V-hat^(d-1) (x) S exactly when S contains R-hat
+        assert got == all(space.contains(r) for r in rep.relations_hat.basis()), name
+
+
+def test_ore_request_takes_no_word_level_membership(monkeypatch):
+    from orenaka import ore
+
+    calls = []
+    monkeypatch.setattr(ore, "expand_scaled", lambda *args: calls.append(args))
+    for name, sig, delta in _membership_cases():
+        nakayama_of_B(sig, delta)
+    assert calls == []
+
+
 def test_mu_b_off_r_hat_raises(monkeypatch):
     from orenaka import AutomorphismCheckFailedError, ore
 
