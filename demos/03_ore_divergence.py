@@ -44,7 +44,7 @@ def main():
     a3 = make_polynomial(3)
     sid3 = identity_automorphism(a3)
     delta3 = random_admissible_derivation(a3, sid3, rng)
-    base = divergence(sid3, delta3)
+    base = divergence(build_sequence_pair(sid3, delta3))
     print("random derivation on k[x1,x2,x3]:")
     print(f"  delta_r = {base.delta_r!r}")
     print(f"  delta_l = {base.delta_l!r}")
@@ -55,14 +55,14 @@ def main():
     print("choice-independence: noisy tower choices and a different lift")
     for trial in range(3):
         noisy = build_sequence_pair(sid3, delta3, rng=random.Random(100 + trial))
-        res = divergence(sid3, delta3, noisy)
+        res = divergence(noisy)
         print(f"  noisy pair {trial}: delta_r = {res.delta_r!r}")
         print(f"       divergence unchanged: {res.divergence == base.divergence}")
     eps = [
         Tensor.from_vec(a3.R.basis()[trial % 3], 3, 2) for trial in range(3)
     ]
     other_lift = delta3.perturb(eps)
-    res = divergence(sid3, other_lift)
+    res = divergence(build_sequence_pair(sid3, other_lift))
     print(f"  perturbed lift: divergence unchanged: {res.divergence == base.divergence}")
 
 

@@ -36,6 +36,7 @@ from .morphisms import (
     admissible_lift_space,
     check_automorphism,
     extend_derivation,
+    nakayama_of_A_dim2_closed_form,
 )
 from .quadratic import QuadraticAlgebra
 
@@ -177,7 +178,7 @@ def dim2_nakayama_oracle(
     and delta_r = c_r x, delta_l = c_l x.  A singular Q or M raises
     NotInvertibleError.
     """
-    core = -(m.inverse()) * (q_mat.transpose().inverse()) * q_mat
+    core = m.inverse() * nakayama_of_A_dim2_closed_form(q_mat)
     h = dim2_hdet(q_mat, m)
     cr = [scalar(x) for x in c_r]
     cl = [scalar(x) for x in c_l]

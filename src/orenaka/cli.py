@@ -354,9 +354,7 @@ def _catalog_poly(case, params, bound, check_level, input_path) -> dict:
     spec = parse_problem({k: v for k, v in data.items() if k != "relations"})
     if spec.automorphism is not None and spec.automorphism != Matrix.identity(alg.nv):
         raise InputError("the polynomial divergence case fixes sigma = id")
-    sigma = identity_automorphism(alg)
-    images = spec.derivation or [Tensor(alg.nv, 2) for _ in range(alg.nv)]
-    delta = extend_derivation(images, sigma, alg)
+    sigma, delta = _sigma_delta(spec, alg)
     cert = _certify_to(alg, bound)
     report = _base_report("catalog", spec, alg, check_level, cert)
     report["family"] = "poly"

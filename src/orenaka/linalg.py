@@ -30,17 +30,18 @@ coordinate, so no pivot column of one row appears in another.  The
 coefficient of a sandwich element on the row (J_left, l, J_right) is
 therefore its entry at the word J_left + pivot_word(l) + J_right.
 
-Elimination.  One kernel, ``echelon``, row-reduces for the whole
-package, over Q or over F_p, in two modes.  Forward only, it clears
-each row at its leading column and returns an echelon basis; ``rank``
-counts its rows.  With ``reduced=True`` one back pass makes it the
-canonical RREF; ``solve_columns`` and ``Matrix.inverse`` read their
-results off that through ``fraction_rows``, while ``Subspace`` and the
-normal-form reducer of ``quadratic`` keep the integer rows.  The
-kernel picks its own row order (sparsest first).  The order is free
-because nothing read off the kernel depends on it: the rank does not,
-the RREF of a span is unique, and so is the particular solution with
-every free unknown zero.  Modular work uses one word-size prime, ``P``
+Elimination.  One kernel row-reduces for the whole package, in two
+modes.  Forward only (``_forward``), it clears each row at its leading
+column and returns an echelon basis; ``rank`` counts its rows, over Q
+or, given a prime, over F_p.  ``echelon`` runs over Q only: forward,
+and with ``reduced=True`` one back pass makes it the canonical RREF;
+``solve_columns`` and ``Matrix.inverse`` read their results off that
+through ``fraction_rows``, while ``Subspace`` and the normal-form
+reducer of ``quadratic`` keep the integer rows.  The kernel picks its
+own row order (sparsest first).  The order is free because nothing
+read off the kernel depends on it: the rank does not, the RREF of a
+span is unique, and so is the particular solution with every free
+unknown zero.  Modular ranks use one word-size prime, ``P``
 = 2^30 - 35, so residues and their products stay small CPython ints.
 
 Over Q the kernel is fraction-free.  Each input row is scaled once by
@@ -79,14 +80,18 @@ a Fraction dict built on the first read; ``expand_through`` and
 ``sandwich_map``) read the stored numerators,
 multiply and add plain ints over the product or lcm of the operands'
 denominators, and restore the canonical form once, dropping zeros and
-dividing out gcd(den, *nums).  ``_combine`` is the
-one summation path: ``Tensor.combine``, the binary ``+`` and ``-``,
-``_residual`` (``Subspace.reduce`` and ``escaping_row``)
-and ``combination`` (the same sum on Fraction maps with any hashable
-keys) are calls to it; only the sums over A_m columns
-in ``quadratic`` keep their own integer loop.  The results are the
-Fraction results exactly: a rational vector has one canonical scaled
-form, and the kernels compute the same rationals in integers.  The cost
+dividing out gcd(den, *nums).  Sums run on two kernels.  ``_combine``
+adds keyed vectors: ``Tensor.combine``, the binary ``+`` and ``-``,
+``_residual`` (``Subspace.reduce`` and ``escaping_row``) and
+``combination`` (the same sum on Fraction maps with any hashable keys)
+are calls to it, and so are the sums in ``ore`` that assemble
+omega-hat's words, its membership coefficients and a noisy tower
+choice.  ``quadratic._int_sum`` adds vectors placed at a stride and an
+offset: it serves the sums over A_m columns in ``quadratic`` and the
+W-coordinate sums in ``ore`` (tower stages, S^i, the read-backs and
+omega-hat's blocks).  The results are the Fraction results exactly: a
+rational vector has one canonical scaled form, and the kernels compute
+the same rationals in integers.  The cost
 is bounded by the shared denominators: a kernel's denominator is at
 most the product of its operands' (the lcm, for sums), and the
 canonical form divides the common factors out after each kernel.  The
@@ -256,18 +261,14 @@ class Matrix:
 P = (1 << 30) - 35  # the largest prime below 2^30
 
 
-def echelon(
-    rows: Iterable[Mapping], p: int | None = None, reduced: bool = False
-) -> dict[int, dict[int, int]]:
-    """Echelon basis of the span of sparse rows, as {pivot: int row}.
+def echelon(rows: Iterable[Mapping], reduced: bool = False) -> dict[int, dict[int, int]]:
+    """Echelon basis over Q of the span of sparse rows, as {pivot: int
+    row}.
 
-    Entries may be ints or Fractions.  Over Q (no ``p``) each row is
-    scaled once to integers and divided by its content; every stored row
-    is primitive with a positive entry at its pivot, and stands for the
-    rational row ``{k: v / row[pivot]}`` (``fraction_rows``).  With a
-    prime ``p`` each row is scaled to integers by the lcm of its
-    denominators and reduced mod p, and the stored rows are normalised
-    to 1.
+    Entries may be ints or Fractions.  Each row is scaled once to
+    integers and divided by its content; every stored row is primitive
+    with a positive entry at its pivot, and stands for the rational row
+    ``{k: v / row[pivot]}`` (``fraction_rows``).
 
     Rows are taken sparsest first.  Each is cleared at its leading
     column against the pivot row stored there (``_forward``) until it
@@ -276,8 +277,8 @@ def echelon(
     pivot column from the other rows, which gives the canonical RREF
     basis.
     """
-    pivots = _forward((_integer_row(row, p) for row in sorted(rows, key=len)), p)
-    return _back(pivots, p) if reduced else pivots
+    pivots = _forward((_integer_row(row, None) for row in sorted(rows, key=len)), None)
+    return _back(pivots) if reduced else pivots
 
 
 def _forward(
@@ -305,7 +306,7 @@ def _forward(
     return pivots
 
 
-def _back(pivots: dict[int, dict[int, int]], p: int | None) -> dict[int, dict[int, int]]:
+def _back(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
     """The back pass of ``echelon``, in place: each row in descending
     pivot order loses every other pivot column.  Each later row is
     reduced already, so clearing against it brings in no pivot column:
@@ -313,7 +314,7 @@ def _back(pivots: dict[int, dict[int, int]], p: int | None) -> dict[int, dict[in
     for lead in sorted(pivots, reverse=True):
         r = pivots[lead]
         for k in [k for k in r if k != lead and k in pivots]:
-            r = _clear(r, pivots[k], k, p)
+            r = _clear(r, pivots[k], k, None)
         pivots[lead] = r
     return pivots
 

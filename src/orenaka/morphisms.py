@@ -28,7 +28,11 @@ from .linalg import (
     Matrix,
     Subspace,
     Tensor,
+    _combine,
+    _matrix_images,
     _residual,
+    _scaled_images,
+    _substitute_at,
     escaping_row,
     flat_word,
     solve_columns,
@@ -118,12 +122,13 @@ class DerivationLift:
     exactly the condition for the induced map on A to be well defined.
     """
 
-    __slots__ = ("images", "sigma", "algebra")
+    __slots__ = ("images", "sigma", "algebra", "_tables")
 
     def __init__(self, images: Sequence[Tensor], sigma: GradedAutomorphism):
         self.images = tuple(images)
         self.sigma = sigma
         self.algebra = sigma.algebra
+        self._tables = None
 
     @staticmethod
     def zero(sigma: GradedAutomorphism) -> "DerivationLift":
@@ -132,14 +137,20 @@ class DerivationLift:
 
     def extend(self, t: Tensor) -> Tensor:
         """Apply the extended derivation to a degree-m tensor: the sum
-        over k of (sigma^(x)(k-1) (x) delta (x) id)(t)."""
+        over k of (sigma^(x)(k-1) (x) delta (x) id)(t), one
+        ``_substitute_at`` pass per slot on tables made on the first call."""
+        if t.nv != self.algebra.nv:
+            raise ValueError("tensor alphabet mismatch")
+        if self._tables is None:
+            self._tables = (_matrix_images(self.sigma.matrix), _scaled_images(self.images))
+        (rows, mden), (images, iden) = self._tables
         terms = []
-        twisted = t  # sigma applied at slots 1..k-1
-        for k in range(1, t.degree + 1):
-            if k > 1:
-                twisted = twisted.apply_matrix_slots((k - 1,), self.sigma.matrix)
-            terms.append((ONE, twisted.apply_images_at(k, self.images)))
-        return Tensor.combine(self.algebra.nv, t.degree + 1, terms)
+        twisted, den = t.nums, t.den  # sigma applied at slots 1..k-1
+        for k in range(t.degree):
+            if k:
+                twisted, den = _substitute_at(twisted, k - 1, rows), den * mden
+            terms.append((1, _substitute_at(twisted, k, images), den * iden))
+        return Tensor._trusted(self.algebra.nv, t.degree + 1, *_combine(terms))
 
     def is_zero(self) -> bool:
         return all(im.is_zero() for im in self.images)
@@ -264,6 +275,8 @@ def admissible_lift_space(
     whose letter at that slot is i; those words are grouped by letter
     once per call.
     """
+    if sigma.algebra is not alg:
+        raise ValueError("sigma belongs to a different algebra")
     nv = alg.nv
     sandwich = alg.sandwich_space()
     # hits[r][i]: (slot, other letter, coefficient) for each word of the

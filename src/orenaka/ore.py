@@ -18,8 +18,9 @@ membership to every other slot (proof in ``twisted_superpotential_hat``).
 The membership is read on W-blocks: every term of omega-hat lies in
 some W_i (x) V-hat (x) W_{d-i}, the blocks with d - i >= 2 lie in
 V-hat^(d-1) (x) R already, and the two others are checked on their
-dim W_{d-1} * (n+1)^2 coordinates in W_{d-1} (x) V-hat (x) V-hat; an
-R-hat that does not contain R falls back to the word-level reader.
+dim W_{d-1} * (n+1)^2 coordinates in W_{d-1} (x) V-hat (x) V-hat.  So
+R-hat must contain R, as the R-hat of every Ore extension of A does;
+another raises ``ValueError``.
 
 W-coordinates.  The towers are held in the bases of the W_i (the
 tables of ``QuadraticAlgebra.w_tables`` and its ``split``), never in
@@ -28,8 +29,8 @@ the w_l (x) x_j of W_i (x) V, under delta_{i,l} on the x_u (x) w_l of V
 (x) W_i, and sigma^(x)i on W_i is the square matrix S^i.  Each is a
 vector of int numerators over one denominator.  Tensors are built only
 where one is the output: the ``right`` and ``left`` stages on first
-read, and omega-hat, whose cyclic part and two tower forms are taken on
-omega's coordinates in W_i (x) W_{d-i}.
+read, and omega-hat, made in one pass over the blocks (S^i (x) id) and
+(delta_{i,r} (x) id) of omega's coordinates in W_i (x) W_{d-i}.
 
 Right towers are built stage by stage: delta_{i,r}(w_k) is any u in W_i
 (x) V with (id^(i-1) (x) m)(u) = (id^(i-1) (x) m)((sigma^(i-1) (x) delta
@@ -47,9 +48,10 @@ canonical solution so runs are reproducible, and optionally adds
 random kernel vectors when exercising the choice-independence of the
 divergence.  Left towers follow from the alternating recursion, in V
 (x) W_{i-1} (x) V coordinates, and are read back into V (x) W_i; they
-need no solve.  ``SequencePair.verify``, ``apply_right`` and
-``apply_left`` work on tensors in V^(x)k, a route independent of these
-coordinates.
+need no solve.  That read-back, checked, is the one S^i takes from
+W_{i-1} (x) V into W_i (``_read_back``).  ``SequencePair.verify``,
+``apply_right`` and ``apply_left`` work on tensors in V^(x)k, a route
+independent of these coordinates.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ from .linalg import (
     _residual,
     _scaled,
     escaping_row,
-    expand_scaled,
     sandwich_map,
     solve_columns,
     word_flat,
@@ -236,18 +237,29 @@ def _on_right(vec: tuple[dict, int], rows, size: int, width: int, sign: int = 1)
     ]
 
 
-def _read(read, nums: dict[int, int], base: int = 0) -> dict[int, int]:
-    """The W_i coordinates of an element of W_i given by its numerators
-    in W_{i-1} (x) V at keys base + m * nv + v: the pivot-word reads of
-    ``WTables.read[i]`` = (L, rows), as numerators over the element's
-    denominator times L."""
+def _read_back(
+    alg: QuadraticAlgebra, i: int, t: tuple[dict, int], pad: int
+) -> tuple[dict, int] | None:
+    """t in V^pad (x) W_{i-1} (x) V (pad = 0 or 1), keyed (u * dim
+    W_{i-1} + m) * nv + v, read back into V^pad (x) W_i, keyed u * dim W_i
+    + l, by the pivot words of ``WTables.read[i]`` = (L, rows); None when
+    t escapes V^pad (x) W_i, where the reads are not exact."""
+    tab = alg.w_tables()
+    scale, reads = tab.read[i]
+    q, block = tab.dims[i], tab.dims[i - 1] * alg.nv
+    nums, den = t
     get = nums.get
-    out = {}
-    for l, pairs in enumerate(read[1]):
-        c = sum(n * get(base + key, 0) for key, n in pairs)
-        if c:
-            out[l] = c
-    return out
+    coef = {}
+    for u in range(alg.nv**pad):
+        base = u * block
+        for l, pairs in enumerate(reads):
+            c = sum(n * get(base + key, 0) for key, n in pairs)
+            if c:
+                coef[u * q + l] = c
+    image = (coef, den * scale)
+    if _sum([(1, t, 1, 0)] + _on_right(image, alg.split(i), q, block, -1))[0]:
+        return None
+    return _canonical(*image)
 
 
 def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> list:
@@ -256,23 +268,19 @@ def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> list:
     read-back is checked, so by induction each S^i is sigma^(x)i on W_i,
     and S^d = hdet(sigma) must be nonzero.  An unchecked sigma that
     moves some W_i fails here."""
-    tab = alg.w_tables()
-    nv = alg.nv
-    d = alg.d
+    nv, d = alg.nv, alg.d
     mrows = [_scaled({j: a for j, a in enumerate(r) if a}) for r in m.rows]
     out = [[({0: 1}, 1)], mrows]
     for i in range(2, d + 1):
-        splits = alg.split(i)
         stage = []
-        for split in splits:
+        for split in alg.split(i):
             moved = _sum(_on_right(_sum(_on_left(split, out[-1], nv)), mrows, nv, nv))
-            image = (_read(tab.read[i], moved[0]), moved[1] * tab.read[i][0])
-            # the reads are exact only on W_i, as in the left tower
-            if _sum([(1, moved, 1, 0)] + _on_left(image, splits, 1, -1))[0]:
+            image = _read_back(alg, i, moved, 0)
+            if image is None:
                 raise EngineInvariantError(
                     f"sigma^(x){i} does not preserve W_{i}; certification is broken"
                 )
-            stage.append(_canonical(*image))
+            stage.append(image)
         out.append(stage)
     if not out[d][0][0]:
         raise EngineInvariantError("sigma^(x)d is zero on W_d; certification is broken")
@@ -305,7 +313,7 @@ def build_sequence_pair(
     dim_a2 = alg.dim_A(2)
     nf_delta = [alg._nf_scaled(t) for t in delta.images]
     for i in range(2, alg.d + 1):
-        p, q = tab.dims[i - 1], tab.dims[i]
+        p = tab.dims[i - 1]
         splits, lsplits = alg.split(i), alg.split(i, left=True)
         # the right-hand sides in W_{i-1} (x) A_2, keyed m * dim A_2 + k:
         # (sigma^(i-1) (x) id)(w_k) then delta(x_v) multiplied into A_2,
@@ -354,16 +362,12 @@ def build_sequence_pair(
                 # (delta_{i-1,l} (x) id)(w_k)
                 + _on_left(rsplit, left[i - 1], nv)
             )
-            coef = {
-                u * q + l: c for u in range(nv) for l, c in _read(tab.read[i], t[0], u * p * nv).items()
-            }
-            image = (coef, t[1] * tab.read[i][0])
-            # the reads are exact only on V (x) W_i: what they miss remains
-            if _sum([(1, t, 1, 0)] + _on_right(image, splits, q, p * nv, -1))[0]:
+            image = _read_back(alg, i, t, 1)
+            if image is None:
                 raise LeftImageEscapeError(
                     f"left tower image escapes V(x)W_{i} at stage {i}", stage=i, index=k
                 )
-            lstage.append(_canonical(*image))
+            lstage.append(image)
         left.append(lstage)
     return sp
 
@@ -377,25 +381,16 @@ class DivergenceResult:
     divergence: Tensor
 
 
-def divergence(
-    sigma: GradedAutomorphism,
-    delta: DerivationLift,
-    sp: SequencePair | None = None,
-) -> DivergenceResult:
-    """The sigma-divergence delta_r + mu_A sigma^{-1}(delta_l).
+def divergence(sp: SequencePair) -> DivergenceResult:
+    """The sigma-divergence delta_r + mu_A sigma^{-1}(delta_l) of the
+    pair's (sigma, delta).
 
     delta_{d,r}(omega) = omega (x) delta_r and delta_{d,l}(omega) =
     delta_l (x) omega hold exactly because dim W_d = 1; the divergence
     does not depend on the sequence pair even though (delta_r, delta_l)
-    individually do.  A given ``sp`` must have been built for this very
-    sigma and delta.
+    individually do.
     """
-    alg = sigma.algebra.ensure_as_regular()
-    if sp is None:
-        sp = build_sequence_pair(sigma, delta)
-    elif sp.sigma is not sigma or sp.delta is not delta:
-        raise ValueError("the sequence pair was built for a different (sigma, delta)")
-    return _divergence(sp, sigma.inverse().matrix * nakayama_of_A(alg).matrix)
+    return _divergence(sp, sp.sigma.inverse().matrix * nakayama_of_A(sp.algebra).matrix)
 
 
 def _divergence(sp: SequencePair, n_map: Matrix) -> DivergenceResult:
@@ -500,16 +495,26 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     """The degree-(d+1) twisted superpotential of the Ore extension of
     the pair's (sigma, delta), with mu_B and R-hat already formed.
 
+    R-hat must contain R in V-hat (x) V-hat, as every Ore extension's
+    does (``ore_relations``); any other subspace raises ``ValueError``
+    before a block is formed.
+
     omega-hat = cyclic part + tower part, where the tower part is taken
-    by both closed forms (right-tower and left-tower, ``_tower_forms``),
-    which must agree; the cyclic part is common to both, so the tower
-    parts are compared directly (tensors are canonical).  Cyclic term i
-    is (-1)^i (sigma^(x)i (x) id)(omega) with z put after factor i, taken
-    as S^i on omega's coordinates in W_i (x) W_{d-i}.  omega-hat is then
-    certified to lie in the top Koszul space W-hat_(d+1) = cap_s V-hat^s
-    (x) R-hat (x) V-hat^(d-1-s) of B, s = 0..d-1, and to satisfy the
-    twist condition omega-hat = (-1)^d tau_d (mu_B (x) id^d)(omega-hat),
-    where tau_d moves factor 1 to the end.
+    by both closed forms, sum_i (-1)^i (delta_{i,r} (x) id^(d-i))(omega)
+    and sum_i (-1)^(i+d+1) (sigma^(x)(d-i) (x) delta_{i,l})(omega), i =
+    1..d, which must agree; the cyclic part is common to both, so the
+    tower parts are compared directly (tensors are canonical).  Cyclic
+    term i is (-1)^i (sigma^(x)i (x) id)(omega) with z put after factor
+    i.  All three are taken on omega's coordinates omega_i in W_i (x)
+    W_{d-i}, through its blocks, each formed once: C_i = (S^i (x)
+    id)(omega_i) for i = 0..d and R_i = (delta_{i,r} (x) id)(omega_i) for
+    i = 1..d.  Cyclic term i is C_i, right-form term i is R_i, and
+    left-form term i is (id (x) delta_{i,l}) of C_{d-i}; each form is
+    turned into words once.  omega-hat is then certified to lie in the
+    top Koszul space W-hat_(d+1) = cap_s V-hat^s (x) R-hat (x)
+    V-hat^(d-1-s) of B, s = 0..d-1, and to satisfy the twist condition
+    omega-hat = (-1)^d tau_d (mu_B (x) id^d)(omega-hat), where tau_d
+    moves factor 1 to the end.
 
     One membership suffices.  Suppose omega-hat lies in V-hat^s (x)
     R-hat (x) V-hat^(d-1-s) for some s >= 1.  mu_B (x) id^d acts on
@@ -531,8 +536,8 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     delta_{i,r} maps W_i into W_i (x) V; so omega-hat is a sum of blocks
     W_i (x) V-hat (x) W_{d-i}, i = 0..d.
     - If d - i >= 2, W_{d-i} lies in V^(d-i-2) (x) R, so block i lies in
-      V-hat^(d-1) (x) R, and in V-hat^(d-1) (x) R-hat when R-hat
-      contains R.
+      V-hat^(d-1) (x) R, and in V-hat^(d-1) (x) R-hat as R-hat contains
+      R.
     - Blocks d-1 and d remain.  W_1 = V, and omega's split in W_{d-1}
       (x) V (``alg.split(d)``; dim W_d = 1) writes block d in W_{d-1}
       (x) V (x) V-hat, so both lie in W_{d-1} (x) V-hat (x) V-hat and
@@ -540,36 +545,44 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     - The w_l are linearly independent, so applying the functionals dual
       to them (f_l (x) id) shows sum_l w_l (x) C_l lies in V-hat^(d-1) (x)
       R-hat iff every C_l, a vector in (n+1)^2 coordinates, lies in R-hat.
-    Hence, when R-hat contains R, omega-hat lies in V-hat^(d-1) (x) R-hat
-    iff every C_l does; each C_l is reduced by ``linalg._residual`` on
-    R-hat's rows.  Whether R-hat contains R is checked first, on dim R
-    rows; ``nakayama_of_B``'s R-hat always does, and for any other
-    R-hat the word-level reader ``expand_scaled`` decides, so the
-    verdict is the same for every input.
+    Hence omega-hat lies in V-hat^(d-1) (x) R-hat iff every C_l does;
+    each C_l is reduced by ``linalg._residual`` on R-hat's rows.
     """
     alg = sp.algebra
     nv = alg.nv
     nh = nv + 1
     if mu_b.nrows != nh or mu_b.ncols != nh:
         raise ValueError(f"mu_B must be {nh} x {nh}")
+    embedded = ({k // nv * nh + k % nv: n for k, n in r.items()} for r in alg.R.int_rows())
+    if r_hat.ambient != nh * nh or not all(r_hat.contains(r) for r in embedded):
+        raise ValueError("R-hat must contain R")
     d = alg.d
     tab = alg.w_tables()
-    # cyclic term i is (S^i (x) id) on omega's coordinates in W_i (x)
-    # W_{d-i}, with z put between the two factors
-    cyclic_terms = []
+    # C_i keyed a * dim W_{d-i} + b on w_a (x) w_b, R_i keyed (l * nv +
+    # j) * dim W_{d-i} + b on w_l (x) x_j (x) w_b; R_0 = 0
+    cs = [_sum(_on_left(tab.omega[i], sp.sigma_w[i], tab.dims[d - i])) for i in range(d + 1)]
+    rs = [({}, 1)] + [_sum(_on_left(tab.omega[i], sp.right_w[i], tab.dims[d - i])) for i in range(1, d + 1)]
+    cyclic_terms, right_terms, left_terms = [], [], []
     for i in range(d + 1):
+        # z put between the two factors of C_i
         rows, big = tab.words[d - i]
         z_tail = ([[((nv,) + w, n) for w, n in r] for r in rows], big)
-        part = _sum(_on_left(tab.omega[i], sp.sigma_w[i], tab.dims[d - i]))
-        cyclic_terms.append((_sign(i), *_expand(part, tab.words[i], z_tail)))
-    cyclic = Tensor._trusted(nh, d + 1, *_combine(cyclic_terms))
-    right_part, left_part = _tower_forms(sp, nh)
+        cyclic_terms.append((_sign(i), *_expand(cs[i], tab.words[i], z_tail)))
+        if i:
+            right_terms.append((_sign(i), *_expand(rs[i], tab.words_v[i], tab.words[d - i])))
+            # w_b (x) w_a (b in W_{d-i}) goes to S^(d-i)(w_b) (x) delta_{i,l}(w_a)
+            q = tab.dims[i]
+            part = _sum(_on_right(cs[d - i], sp.left_w[i], q, nv * q))
+            left_terms.append((_sign(i + d + 1), *_expand(part, tab.words_v[d - i], tab.words[i])))
+    cyclic, right_part, left_part = (
+        Tensor._trusted(nh, d + 1, *_combine(terms)) for terms in (cyclic_terms, right_terms, left_terms)
+    )
     if right_part != left_part:
         raise FormMismatchError(
             f"superpotential forms disagree; residual {right_part - left_part!r}", degree=d + 1
         )
     omega_hat = cyclic + right_part
-    if not _in_last_slot(sp, omega_hat, r_hat):
+    if not _in_last_slot(alg, cs, rs, r_hat):
         raise NotInHatWError(
             f"omega-hat escapes V-hat^{d - 1} (x) R-hat (x) V-hat^0", slot=d - 1
         )
@@ -593,30 +606,25 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     return omega_hat
 
 
-def _in_last_slot(sp: SequencePair, omega_hat: Tensor, r_hat: Subspace) -> bool:
-    """Whether omega-hat lies in V-hat^(d-1) (x) R-hat: on the
-    w_l-coefficients of its blocks d-1 and d when R-hat contains R, else
-    word by word (proof in ``twisted_superpotential_hat``)."""
-    alg = sp.algebra
-    nv, d = alg.nv, sp.d
+def _in_last_slot(alg: QuadraticAlgebra, cs: list, rs: list, r_hat: Subspace) -> bool:
+    """Whether omega-hat, with blocks C_i = ``cs[i]`` and R_i = ``rs[i]``,
+    lies in V-hat^(d-1) (x) R-hat for an R-hat that contains R: on the
+    w_l-coefficients of its blocks d-1 and d (proof in
+    ``twisted_superpotential_hat``)."""
+    nv, d = alg.nv, alg.d
     nh = nv + 1
-    embedded = ({k // nv * nh + k % nv: n for k, n in r.items()} for r in alg.R.int_rows())
-    if r_hat.ambient != nh * nh or not all(r_hat.contains(r) for r in embedded):
-        return expand_scaled(omega_hat, d - 1, r_hat, 2, 0) is not None
-    tab = alg.w_tables()
     # the coefficients keyed (l, p * nh + q) on w_l (x) x_p (x) x_q; block
-    # d-1 is the cyclic term w_a (x) z (x) x_b from (S^(d-1) (x) id)(omega),
-    # keyed a * nv + b, plus the right-form term w_l (x) x_j (x) x_b,
+    # d-1 is the cyclic term w_a (x) z (x) x_b from C_{d-1}, keyed a * nv
+    # + b, plus the right-form term w_l (x) x_j (x) x_b from R_{d-1},
     # keyed (l * nv + j) * nv + b
-    nums, den = _sum(_on_left(tab.omega[d - 1], sp.sigma_w[d - 1], nv))
-    terms = [(1, {(k // nv, nv * nh + k % nv): c for k, c in nums.items()}, den)]
-    if d > 1:
-        nums, den = _sum(_on_left(tab.omega[d - 1], sp.right_w[d - 1], nv))
-        terms.append((1, {(k // nv // nv, k // nv % nv * nh + k % nv): c for k, c in nums.items()}, den))
-    # block d, of the opposite sign, is w^d_0 (x) u with u = hdet z +
-    # delta_r scaled by omega's coordinate, and w^d_0 splits in W_{d-1} (x) V
-    top = _sum([(1, sp.sigma_w[d][0], 1, nv), (1, sp.right_w[d][0], 1, 0)])
-    unums, uden = _sum(_on_left(tab.omega[d], [top], 1))
+    (cnums, cden), (rnums, rden) = cs[d - 1], rs[d - 1]
+    terms = [
+        (1, {(k // nv, nv * nh + k % nv): c for k, c in cnums.items()}, cden),
+        (1, {(k // nv // nv, k // nv % nv * nh + k % nv): c for k, c in rnums.items()}, rden),
+    ]
+    # block d, of the opposite sign, is w^d_0 (x) u with u = C_d z + R_d,
+    # and w^d_0 splits in W_{d-1} (x) V
+    unums, uden = _sum([(1, cs[d], 1, nv), (1, rs[d], 1, 0)])
     ((snums, sden),) = alg.split(d)
     terms.append((-1, {
         (k // nv, k % nv * nh + p): s * n for k, s in snums.items() for p, n in unums.items()
@@ -627,30 +635,6 @@ def _in_last_slot(sp: SequencePair, omega_hat: Tensor, r_hat: Subspace) -> bool:
         coefficients.setdefault(l, {})[key] = c
     rows = r_hat._rows
     return not any(_residual(vec, den, rows)[0] for vec in coefficients.values())
-
-
-def _tower_forms(sp: SequencePair, nh: int) -> tuple[Tensor, Tensor]:
-    """The tower parts of omega-hat's two closed forms, over V-hat:
-    sum_i (-1)^i (delta_{i,r} (x) id^(d-i))(omega) and sum_i (-1)^(i+d+1)
-    (sigma^(x)(d-i) (x) delta_{i,l})(omega), i = 1..d.
-
-    Both are taken on omega's coordinates in W_i (x) W_{d-i} and W_{d-i}
-    (x) W_i, so sigma^(x)(d-i) acts as S^(d-i); each form is turned into
-    words once."""
-    tab = sp.algebra.w_tables()
-    nv = sp.algebra.nv
-    d = sp.d
-    right_terms, left_terms = [], []
-    for i in range(1, d + 1):
-        q, qc = tab.dims[i], tab.dims[d - i]
-        # w_a (x) w_b (a in W_i) goes to delta_{i,r}(w_a) (x) w_b
-        part = _sum(_on_left(tab.omega[i], sp.right_w[i], qc))
-        right_terms.append((_sign(i), *_expand(part, tab.words_v[i], tab.words[d - i])))
-        # w_b (x) w_a (b in W_{d-i}) goes to S^(d-i)(w_b) (x) delta_{i,l}(w_a)
-        moved = _sum(_on_left(tab.omega[d - i], sp.sigma_w[d - i], q))
-        part = _sum(_on_right(moved, sp.left_w[i], q, nv * q))
-        left_terms.append((_sign(i + d + 1), *_expand(part, tab.words_v[d - i], tab.words[i])))
-    return tuple(Tensor._trusted(nh, d + 1, *_combine(terms)) for terms in (right_terms, left_terms))
 
 
 def derivation_quotient_relations(omega: Tensor, order: int) -> Subspace:

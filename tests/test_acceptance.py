@@ -162,7 +162,7 @@ def test_criterion_4_divergence_invariance():
         for _ in range(10):
             sigma = random_admissible_automorphism(alg, rng)
             delta = random_admissible_derivation(alg, sigma, rng)
-            base = divergence(sigma, delta)
+            base = divergence(build_sequence_pair(sigma, delta))
             eps = [
                 Tensor.from_vec(
                     alg.R.basis()[rng.randrange(alg.R.dim)], alg.nv, 2
@@ -173,7 +173,7 @@ def test_criterion_4_divergence_invariance():
             ]
             perturbed = delta.perturb(eps)
             noisy_sp = build_sequence_pair(sigma, perturbed, rng=rng)
-            other = divergence(sigma, perturbed, noisy_sp)
+            other = divergence(noisy_sp)
             assert other.divergence == base.divergence
             total += 1
             if (other.delta_r, other.delta_l) != (base.delta_r, base.delta_l):

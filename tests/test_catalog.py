@@ -142,7 +142,7 @@ def test_polynomial_oracle_matches_engine():
             delta = random_admissible_derivation(a, sid, rng)
             from orenaka import divergence
 
-            assert divergence(sid, delta).divergence == polynomial_divergence_oracle(delta)
+            assert divergence(build_sequence_pair(sid, delta)).divergence == polynomial_divergence_oracle(delta)
 
 
 def test_dim2_hdet_values():

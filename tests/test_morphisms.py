@@ -252,6 +252,14 @@ def test_admissible_lift_space_dimensions():
     j = make_jordan_plane()
     sj = check_automorphism(Matrix([[1, 2], [0, 1]]), j)
     assert len(admissible_lift_space(j, sj)) == 4 + 2 * j.R.dim
+    # a sigma of another algebra is refused before any lift is built
+    from orenaka import random_admissible_derivation
+
+    p2 = make_polynomial(2)
+    with pytest.raises(ValueError, match=r"^sigma belongs to a different algebra$"):
+        admissible_lift_space(p2, sig)
+    with pytest.raises(ValueError, match=r"^sigma belongs to a different algebra$"):
+        random_admissible_derivation(p2, sig, random.Random(0))
 
 
 def _lift_space_by_unit_extension(alg, sigma):

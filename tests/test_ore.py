@@ -156,9 +156,7 @@ def test_lemma_towers_are_valid_sequence_pair():
         sp = _lemma_sequence_pair(a, delta)
         sp.verify()
         engine = build_sequence_pair(sid, delta)
-        assert divergence(sid, delta, sp).divergence == divergence(
-            sid, delta, engine
-        ).divergence
+        assert divergence(sp).divergence == divergence(engine).divergence
 
 
 def test_build_zero_derivation_gives_zero_towers():
@@ -183,7 +181,7 @@ def test_divergence_zero_for_zero_delta():
     for a in (make_polynomial(2), make_quantum_plane(2)):
         sid = identity_automorphism(a)
         d0 = extend_derivation([Tensor(a.nv, 2)] * a.nv, sid, a)
-        assert divergence(sid, d0).divergence.is_zero()
+        assert divergence(build_sequence_pair(sid, d0)).divergence.is_zero()
 
 
 def test_divergence_polynomial_formula():
@@ -193,7 +191,8 @@ def test_divergence_polynomial_formula():
         sid = identity_automorphism(a)
         for _ in range(5):
             delta = random_admissible_derivation(a, sid, rng)
-            assert divergence(sid, delta).divergence == polynomial_divergence_oracle(delta)
+            got = divergence(build_sequence_pair(sid, delta)).divergence
+            assert got == polynomial_divergence_oracle(delta)
 
 
 def test_divergence_quantum_plane_gamma_formula():
@@ -213,7 +212,7 @@ def test_divergence_quantum_plane_gamma_formula():
         gamma = gamma_of_images(a, raw.images)
         delta = extend_derivation(gamma_images(gamma), sig, a)
         (g11, g12, g13), (g21, g22, g23) = gamma
-        res = divergence(sig, delta)
+        res = divergence(build_sequence_pair(sig, delta))
         assert res.delta_r == Tensor(
             2, 1, {(0,): m22 * g11 + g22, (1,): m11 * g23}
         )
@@ -278,30 +277,16 @@ def test_mu_b_q_minus_one_cy_instance():
     assert rep.calabi_yau
 
 
-def test_divergence_rejects_a_pair_built_for_another_derivation():
-    rng = random.Random(1)
-    a = make_polynomial(3)
-    sig = random_admissible_automorphism(a, rng)
-    d1 = random_admissible_derivation(a, sig, rng)
-    d2 = random_admissible_derivation(a, sig, rng)
-    assert divergence(sig, d1).divergence != divergence(sig, d2).divergence
-    with pytest.raises(ValueError, match="different"):
-        divergence(sig, d1, build_sequence_pair(sig, d2))
-    other = check_automorphism(sig.matrix, a)
-    with pytest.raises(ValueError, match="different"):
-        divergence(other, d1, build_sequence_pair(sig, d1))
-
-
 def test_divergence_invariance_under_all_choices():
     rng = random.Random(49)
     for a in (make_polynomial(3), make_quantum_plane(2), make_jordan_plane()):
         sig = random_admissible_automorphism(a, rng)
         delta = random_admissible_derivation(a, sig, rng)
-        base = divergence(sig, delta).divergence
+        base = divergence(build_sequence_pair(sig, delta)).divergence
         for trial in range(3):
             noisy = build_sequence_pair(sig, delta, rng=random.Random(900 + trial))
             noisy.verify()
-            assert divergence(sig, delta, noisy).divergence == base
+            assert divergence(noisy).divergence == base
             eps = [
                 Tensor.from_vec(a.R.basis()[rng.randrange(a.R.dim)], a.nv, 2).scale(
                     rand_frac(rng)
@@ -309,7 +294,7 @@ def test_divergence_invariance_under_all_choices():
                 for _ in range(a.nv)
             ]
             delta2 = delta.perturb(eps)
-            assert divergence(sig, delta2).divergence == base
+            assert divergence(build_sequence_pair(sig, delta2)).divergence == base
 
 
 def test_relation_between_towers_proposition():
@@ -724,12 +709,17 @@ def test_superpotential_failures_name_degree_and_slot():
     with pytest.raises(FormMismatchError) as err:
         twisted_superpotential_hat(bent, mu_b, r_hat)
     assert err.value.degree == d + 1
-    # nothing lies in a zero R-hat; only the last slot is read, and the
-    # twist check carries it to the others
+    # R-hat without one Ore row still contains R, but omega-hat's
+    # last-two-slot slices span all of R-hat; only the last slot is read,
+    # and the twist check carries it to the others
+    r_rows, ore_rows = _hat_rows(sig, delta)
     with pytest.raises(NotInHatWError) as err:
-        twisted_superpotential_hat(sp, mu_b, Subspace(16))
+        twisted_superpotential_hat(sp, mu_b, Subspace(16, r_rows + ore_rows[1:]))
     assert err.value.slot == d - 1
     assert str(err.value) == "omega-hat escapes V-hat^2 (x) R-hat (x) V-hat^0"
+    # a zero R-hat misses R, so it is no Ore extension's R-hat
+    with pytest.raises(ValueError, match=r"^R-hat must contain R$"):
+        twisted_superpotential_hat(sp, mu_b, Subspace(16))
     with pytest.raises(TwistFailureError) as err:
         twisted_superpotential_hat(sp, Matrix.identity(4) * 2, r_hat)
     assert err.value.degree == d + 1
@@ -742,11 +732,11 @@ def test_superpotential_rejects_a_wrong_shaped_mu_b_first(monkeypatch):
     a = make_polynomial(3)
     sig = random_admissible_automorphism(a, rng)
     rep = nakayama_of_B(sig, random_admissible_derivation(a, sig, rng))
-    towers = []
-    monkeypatch.setattr(ore, "_tower_forms", lambda *args: towers.append(args))
+    blocks = []
+    monkeypatch.setattr(ore, "_on_left", lambda *args: blocks.append(args))
     with pytest.raises(ValueError, match=r"^mu_B must be 4 x 4$"):
         twisted_superpotential_hat(rep.sequence_pair, Matrix.identity(3), rep.relations_hat)
-    assert towers == []
+    assert blocks == []
 
 
 # -- one membership plus the twist gives every slot ------------------------
@@ -865,43 +855,74 @@ def _hat_rows(sig, delta):
 
 
 @pytest.mark.parametrize("name, sig, delta", _membership_cases(), ids=lambda v: v if isinstance(v, str) else "")
-def test_block_membership_matches_word_oracle(name, sig, delta, monkeypatch):
-    from orenaka import Subspace, ore
+def test_block_membership_matches_word_oracle(name, sig, delta):
+    from orenaka import NotInHatWError, Subspace, twisted_superpotential_hat
 
     rep = nakayama_of_B(sig, delta)
-    sp, oh = rep.sequence_pair, rep.omega_hat
+    sp, oh, mu_b = rep.sequence_pair, rep.omega_hat, rep.mu_B
     d = sig.algebra.certificate.d
     nh = sig.algebra.nv + 1
     r_rows, ore_rows = _hat_rows(sig, delta)
     assert Subspace(nh * nh, r_rows + ore_rows) == rep.relations_hat
-    words = []
-    monkeypatch.setattr(ore, "expand_scaled", lambda *args: words.append(args) or expand_scaled(*args))
-    # R-hat, and R-hat with one Ore row dropped, contain R: block path
+    # R-hat, and R-hat with one Ore row dropped, contain R: the block
+    # reader decides, against the word-level oracle
     contain_r = [rep.relations_hat] + [
         Subspace(nh * nh, r_rows + ore_rows[:i] + ore_rows[i + 1:]) for i in range(nh - 1)
     ]
-    # spaces that miss R (when R is nonzero) take the word-level fallback
-    miss_r = [Subspace(nh * nh), Subspace(nh * nh, ore_rows), Subspace(nh * nh, r_rows[1:] + ore_rows)]
-    for space in contain_r + miss_r:
-        words.clear()
-        got = ore._in_last_slot(sp, oh, space)
-        fallback = bool(words)
-        words.clear()
+    for space in contain_r:
+        try:
+            got = twisted_superpotential_hat(sp, mu_b, space) == oh
+        except NotInHatWError:
+            got = False
         assert got == (expand_scaled(oh, d - 1, space, 2, 0) is not None), name
-        assert fallback == (space in miss_r and not all(space.contains(r) for r in r_rows)), name
         # the last-two-slot slices of omega-hat span R-hat, so it lies in
         # V-hat^(d-1) (x) S exactly when S contains R-hat
         assert got == all(space.contains(r) for r in rep.relations_hat.basis()), name
+    # spaces that miss R (when R is nonzero), or live elsewhere, are no
+    # Ore extension's R-hat
+    miss_r = [Subspace(nh * nh), Subspace(nh * nh, ore_rows), Subspace(nh * nh, r_rows[1:] + ore_rows)]
+    miss_r = [space for space in miss_r if not all(space.contains(r) for r in r_rows)]
+    miss_r.append(Subspace(nh * nh + 1, r_rows + ore_rows))
+    for space in miss_r:
+        with pytest.raises(ValueError, match=r"^R-hat must contain R$"):
+            twisted_superpotential_hat(sp, mu_b, space)
 
 
 def test_ore_request_takes_no_word_level_membership(monkeypatch):
-    from orenaka import ore
+    from orenaka import linalg, ore
 
+    assert not hasattr(ore, "expand_scaled")
     calls = []
-    monkeypatch.setattr(ore, "expand_scaled", lambda *args: calls.append(args))
+    monkeypatch.setattr(linalg, "expand_scaled", lambda *args: calls.append(args))
     for name, sig, delta in _membership_cases():
         nakayama_of_B(sig, delta)
     assert calls == []
+
+
+def test_superpotential_forms_each_block_once(monkeypatch):
+    # C_i = (S^i (x) id)(omega_i), i = 0..d, and R_i = (delta_{i,r} (x)
+    # id)(omega_i), i = 1..d: 2d + 1 blocks, each formed once per call
+    from orenaka import ore, twisted_superpotential_hat
+
+    real = ore._on_left
+    index, formed = {}, []
+
+    def spy(vec, rows, *args):
+        if id(vec) in index:
+            formed.append((index[id(vec)], id(rows)))
+        return real(vec, rows, *args)
+
+    monkeypatch.setattr(ore, "_on_left", spy)
+    for name, sig, delta in _tower_cases():
+        rep = nakayama_of_B(sig, delta)
+        sp, d = rep.sequence_pair, rep.sequence_pair.d
+        index.clear()
+        index.update({id(w): i for i, w in enumerate(sig.algebra.w_tables().omega)})
+        formed.clear()
+        assert twisted_superpotential_hat(sp, rep.mu_B, rep.relations_hat) == rep.omega_hat
+        want = [(i, id(sp.sigma_w[i])) for i in range(d + 1)] + [(i, id(sp.right_w[i])) for i in range(1, d + 1)]
+        assert len(formed) == 2 * d + 1, name
+        assert sorted(formed) == sorted(want), name
 
 
 def test_mu_b_off_r_hat_raises(monkeypatch):

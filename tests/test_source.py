@@ -1,0 +1,86 @@
+"""Source hygiene of the package, read with the stdlib ``ast`` only.
+
+Two rules keep deletions from leaving dead code behind:
+
+* a module of ``src/orenaka`` reads every name it imports (the
+  re-exports of ``__init__`` and ``from __future__`` are exempt);
+* every module-level ``_private`` function is referenced by some module
+  of ``src/orenaka``.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "orenaka"
+MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """The names a module binds by import, with their line numbers."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return out
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """The names a module reads: loaded names, attribute names, and the
+    names inside string annotations."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            out.add(node.value)
+    return out
+
+
+def test_modules_read_every_import():
+    unread = [
+        f"{name}:{line} imports {imported} and never reads it"
+        for name, tree in MODULES.items()
+        if name != "__init__.py"
+        for imported, line in _imported(tree).items()
+        if imported not in _read(tree)
+    ]
+    assert unread == []
+
+
+def test_private_functions_are_referenced():
+    referenced = set()
+    for tree in MODULES.values():
+        referenced |= _read(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    unused = [
+        f"{name}:{node.lineno} defines {node.name}, which no module references"
+        for name, tree in MODULES.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in referenced
+    ]
+    assert unused == []
+
+
+def test_rules_catch_dead_code():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from math import gcd, lcm\n"
+        "def _dead():\n"
+        "    return lcm(2, 3)\n"
+        "def f(x: 'Path') -> int:\n"
+        "    return os.sep\n"
+    )
+    assert {n for n in _imported(tree) if n not in _read(tree)} == {"gcd"}
+    assert "_dead" not in _read(tree)
+    assert "Path" in _read(tree)
