@@ -44,7 +44,7 @@ from .morphisms import (
     nakayama_of_A,
     twist_solve,
 )
-from .ore import derivation_quotient_relations, nakayama_of_B
+from .ore import OreReport, derivation_quotient_relations, nakayama_of_B
 from .quadratic import KoszulCertificate, QuadraticAlgebra
 
 
@@ -244,12 +244,21 @@ def cmd_nakayama(spec: ProblemSpec, bound, check_level) -> dict:
     return report
 
 
-def _ore_body(spec, alg, sigma, delta, check_level) -> dict:
+def _checked_report(sigma, delta, check_level) -> OreReport:
+    """``nakayama_of_B`` plus, at the paranoid level, the checks its
+    construction already guarantees: the tower recursions and the two
+    forms of omega-hat (``SequencePair.verify``), and mu_B against
+    ``twist_solve(omega_hat)``."""
     rep = nakayama_of_B(sigma, delta)
     if check_level == "paranoid":
         rep.sequence_pair.verify()
         if twist_solve(rep.omega_hat) != rep.mu_B:
             raise EngineInvariantError("omega-hat twist solve disagrees with mu_B")
+    return rep
+
+
+def _ore_body(spec, alg, sigma, delta, check_level) -> dict:
+    rep = _checked_report(sigma, delta, check_level)
     names = spec.generators + ["z"]
     return {
         "hdet": scalar_str(rep.hdet),
@@ -275,7 +284,7 @@ def cmd_ore(spec: ProblemSpec, bound, check_level) -> dict:
 def cmd_superpotential(spec: ProblemSpec, bound, check_level) -> dict:
     alg, cert = _certify_algebra(spec, bound)
     sigma, delta = _sigma_delta(spec, alg)
-    rep = nakayama_of_B(sigma, delta)
+    rep = _checked_report(sigma, delta, check_level)
     report = _base_report("superpotential", spec, alg, check_level, cert)
     names = spec.generators + ["z"]
     d = alg.certificate.d

@@ -82,8 +82,9 @@ class AutomorphismCheckFailedError(EngineInvariantError):
 
 
 class FormMismatchError(EngineInvariantError):
-    """The two closed forms of the twisted superpotential disagree;
-    ``degree`` is the degree d + 1 of omega-hat."""
+    """The two closed forms of the twisted superpotential's tower part
+    disagree (``SequencePair.verify``, the paranoid level); ``degree``
+    is the degree d + 1 of omega-hat."""
 
     def __init__(self, message, degree=None):
         super().__init__(message)
@@ -102,8 +103,9 @@ class NotInHatWError(EngineInvariantError):
 
 
 class TwistFailureError(EngineInvariantError):
-    """The twisted superpotential fails its twist condition; ``degree``
-    is the degree d + 1 of omega-hat."""
+    """The twisted superpotential fails its twist condition; the
+    message names the words, by the position of z, where it fails, and
+    ``degree`` is the degree d + 1 of omega-hat."""
 
     def __init__(self, message, degree=None):
         super().__init__(message)

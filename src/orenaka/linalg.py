@@ -20,7 +20,7 @@ All values are immutable after construction and every operation is a
 pure function, so values may be shared freely between threads.
 
 Sandwiches.  Every Koszul-side object is a sandwich V^a (x) S (x) V^b
-of a subspace S of V^(x)k.  ``shift`` builds it and ``expand_through``
+of a subspace S of V^(x)k.  ``shift`` builds it and ``expand_scaled``
 reads coordinates off it (``sandwich_map`` maps S through them), both
 resting on one invariant: shifting an RREF basis of S by the unit words
 of V^a and V^b gives an RREF basis of the sandwich.  Each shifted row
@@ -72,8 +72,8 @@ in canonical form: no zero numerator and gcd(den, *nums) = 1, so den is
 the lcm of the reduced denominators of its entries and equal tensors
 compare equal structurally.  A subspace holds the primitive integer
 RREF rows of ``echelon``.  ``Tensor.entries`` is a read-only view of
-a Fraction dict built on the first read; ``expand_through`` and
-``Subspace.basis()`` build their Fractions on each call.  The kernels
+a Fraction dict built on the first read; ``Subspace.basis()`` builds
+its Fractions on each call.  The kernels
 (``Tensor.apply_matrix_slots``, ``apply_images_at``, ``combine``,
 ``tensor``, ``scale``, ``tau``, ``shift``,
 ``Subspace.reduce``, ``escaping_row``, ``expand_scaled`` and
@@ -878,12 +878,19 @@ class Tensor:
 def expand_scaled(
     t: Tensor, left: int, space: Subspace, space_degree: int, right: int
 ) -> tuple[dict[tuple[tuple, int, tuple], int], int] | None:
-    """``expand_through`` on the stored integers: the coefficients as
-    int numerators over ``t.den``, or None.
+    """Coefficients of t in V^(x)left (x) S (x) V^(x)right as int
+    numerators over ``t.den``, or None.
 
-    The residual is taken in integers as L*den*(t - sum c*row), with L
-    the lcm of the pivot entries of the space's primitive rows, each row
-    over its own pivot entry.
+    ``space`` is S inside V^(x)space_degree.  The coefficient on
+    (J_left, basis row l in pivot order, J_right) is t's entry at the
+    shifted pivot word of row l; subtracting the expansion back out of
+    t must leave zero, otherwise t lies outside the sandwich and the
+    result is None, so ``expand_scaled(...) is not None`` is a
+    membership test.  A tensor of another degree, or a space over
+    another alphabet, raises ValueError.  The residual is taken in
+    integers as L*den*(t - sum c*row), with L the lcm of the pivot
+    entries of the space's primitive rows, each row over its own pivot
+    entry.
     """
     nv = t.nv
     if t.degree != left + space_degree + right or space.ambient != nv**space_degree:
@@ -912,24 +919,6 @@ def expand_scaled(
                 key = jl + bw + jr
                 rest[key] = get(key, 0) - f * bn
     return None if any(rest.values()) else (coeffs, t.den)
-
-
-def expand_through(
-    t: Tensor, left: int, space: Subspace, space_degree: int, right: int
-) -> dict[tuple[tuple, int, tuple], Fraction] | None:
-    """Coefficients of t in V^(x)left (x) S (x) V^(x)right, or None.
-
-    ``space`` is S inside V^(x)space_degree.  The coefficient on
-    (J_left, basis row l in pivot order, J_right) is t's entry at the
-    shifted pivot word of row l; subtracting the expansion back out of
-    t must leave zero, otherwise t lies outside the sandwich and the
-    result is None.  ``expand_through(...) is not None`` is therefore a
-    membership test.  A tensor of another degree, or a space over
-    another alphabet, raises ValueError.  The coefficients are those of
-    ``expand_scaled`` as Fractions.
-    """
-    got = expand_scaled(t, left, space, space_degree, right)
-    return None if got is None else _unscaled(*got)
 
 
 def sandwich_map(

@@ -14,13 +14,19 @@ quotient algebra, each made once per request; hdet(sigma) is S^d
 (below).  mu_B is checked to preserve R-hat on its integer rows
 (``linalg.escaping_row``).  omega-hat is certified by one membership,
 in V-hat^(d-1) (x) R-hat, and the twist condition, which carries that
-membership to every other slot (proof in ``twisted_superpotential_hat``).
+membership to every other slot (proofs in ``twisted_superpotential_hat``).
 The membership is read on W-blocks: every term of omega-hat lies in
 some W_i (x) V-hat (x) W_{d-i}, the blocks with d - i >= 2 lie in
 V-hat^(d-1) (x) R already, and the two others are checked on their
 dim W_{d-1} * (n+1)^2 coordinates in W_{d-1} (x) V-hat (x) V-hat.  So
 R-hat must contain R, as the R-hat of every Ore extension of A does;
-another raises ``ValueError``.
+another raises ``ValueError``.  The twist condition is split by the
+position of z: the words with z at position p < d are compared on the
+blocks W_p (x) W_{d-p-1} (x) V, those with z last or with two z's on
+entries of mu_B, and only the z-free words on words.  omega-hat's tower
+part has two closed forms, and the alternating recursion makes them
+equal, so one form is built; ``SequencePair.verify`` compares both at
+the paranoid level.
 
 W-coordinates.  The towers are held in the bases of the W_i (the
 tables of ``QuadraticAlgebra.w_tables`` and its ``split``), never in
@@ -180,16 +186,34 @@ class SequencePair:
         return out
 
     def verify(self) -> None:
-        """Re-check both tower conditions on the tensors, in V^(x)k.
+        """Re-check, on tensors in V^(x)k, the two closed forms of
+        omega-hat's tower part and the tower conditions they rest on.
 
-        Construction already guarantees these; the method exists for the
-        paranoid check level and the test suite.  The images lie in W_i
-        (x) V and V (x) W_i by construction: the tensors are built from
-        their coordinates there.
+        Construction already guarantees all of these (the form equality
+        is proved in ``twisted_superpotential_hat``); the method exists
+        for the paranoid check level and the test suite.  The forms come
+        first: sum_i (-1)^i (delta_{i,r} (x) id^(d-i))(omega) against
+        sum_i (-1)^(i+d+1) (sigma^(x)(d-i) (x) delta_{i,l})(omega), i =
+        1..d, and a difference raises ``FormMismatchError`` with the
+        degree d + 1.  Then, stage by stage, the right tower condition
+        and the alternating recursion; a failure raises
+        ``EngineInvariantError``.  The images lie in W_i (x) V and V (x)
+        W_i by construction: the tensors are built from their
+        coordinates there.
         """
         alg = self.algebra
-        nv = alg.nv
-        for i in range(2, self.d + 1):
+        nv, d = alg.nv, self.d
+        omega = alg.omega
+        stages = range(1, d + 1)
+        right_form = Tensor.combine(nv, d + 1, [(_sign(i), self.apply_right(i, omega, d - i)) for i in stages])
+        left_form = Tensor.combine(
+            nv, d + 1, [(_sign(i + d + 1), self.apply_left(i, omega, d - i)) for i in stages]
+        )
+        if right_form != left_form:
+            raise FormMismatchError(
+                f"superpotential forms disagree; residual {right_form - left_form!r}", degree=d + 1
+            )
+        for i in range(2, d + 1):
             wi = alg.koszul_space(i)
             for k, b in enumerate(wi.basis()):
                 w = Tensor.from_vec(b, nv, i)
@@ -499,22 +523,39 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     does (``ore_relations``); any other subspace raises ``ValueError``
     before a block is formed.
 
-    omega-hat = cyclic part + tower part, where the tower part is taken
-    by both closed forms, sum_i (-1)^i (delta_{i,r} (x) id^(d-i))(omega)
-    and sum_i (-1)^(i+d+1) (sigma^(x)(d-i) (x) delta_{i,l})(omega), i =
-    1..d, which must agree; the cyclic part is common to both, so the
-    tower parts are compared directly (tensors are canonical).  Cyclic
-    term i is (-1)^i (sigma^(x)i (x) id)(omega) with z put after factor
-    i.  All three are taken on omega's coordinates omega_i in W_i (x)
-    W_{d-i}, through its blocks, each formed once: C_i = (S^i (x)
-    id)(omega_i) for i = 0..d and R_i = (delta_{i,r} (x) id)(omega_i) for
-    i = 1..d.  Cyclic term i is C_i, right-form term i is R_i, and
-    left-form term i is (id (x) delta_{i,l}) of C_{d-i}; each form is
-    turned into words once.  omega-hat is then certified to lie in the
-    top Koszul space W-hat_(d+1) = cap_s V-hat^s (x) R-hat (x)
-    V-hat^(d-1-s) of B, s = 0..d-1, and to satisfy the twist condition
-    omega-hat = (-1)^d tau_d (mu_B (x) id^d)(omega-hat), where tau_d
-    moves factor 1 to the end.
+    omega-hat = cyclic part + tower part.  Cyclic term i is (-1)^i
+    (sigma^(x)i (x) id)(omega) with z put after factor i, i = 0..d.  The
+    tower part has two closed forms, the right form sum_i (-1)^i
+    (delta_{i,r} (x) id^(d-i))(omega) and the left form sum_i
+    (-1)^(i+d+1) (sigma^(x)(d-i) (x) delta_{i,l})(omega), i = 1..d, which
+    are equal (below), so only the right form is built.  Both parts are
+    taken on omega's coordinates omega_i in W_i (x) W_{d-i}, through its
+    blocks, each formed once: C_i = (S^i (x) id)(omega_i) for i = 0..d
+    and R_i = (delta_{i,r} (x) id)(omega_i) for i = 1..d.  Cyclic term i
+    is C_i and right-form term i is R_i; omega-hat is turned into words
+    once.  It is then certified to lie in the top Koszul space
+    W-hat_(d+1) = cap_s V-hat^s (x) R-hat (x) V-hat^(d-1-s) of B, s =
+    0..d-1, and to satisfy the twist condition omega-hat = (-1)^d tau_d
+    (mu_B (x) id^d)(omega-hat), where tau_d moves factor 1 to the end.
+
+    The two forms are equal.  Write F_{j,i} = sigma^(x)j (x) delta_{i,r}
+    (x) id and G_{j,i} = sigma^(x)j (x) delta_{i,l} (x) id on V^(x)d,
+    with delta_{i,*} on factors j+1..j+i, and F_{j,0} = G_{j,0} = 0.
+    omega lies in V^j (x) W_i (x) V^(d-i-j) for all j, i, so each is
+    defined on it.  Padded by sigma^(x)j and id, the alternating
+    recursion delta_{i,r} + (-1)^i delta_{i,l} = (sigma (x)
+    delta_{i-1,r}) + (-1)^i (delta_{i-1,l} (x) id) on W_i gives, on
+    omega, F_{j,i} - F_{j+1,i-1} = (-1)^i (G_{j,i-1} - G_{j,i}); at i = 1
+    it reads delta - delta = 0.  Telescoping along j + i = const from
+    F_{i,0} = 0 gives F_{0,i} = sum_{t<i} (-1)^(i-t) (G_{t,i-t-1} -
+    G_{t,i-t}), so the right form is sum_i (-1)^i F_{0,i} = sum_t (-1)^t
+    sum_{m=1..d-t} (G_{t,m-1} - G_{t,m}) = -sum_t (-1)^t G_{t,d-t}, which
+    with t = d - i is the left form.  The recursion holds exactly on
+    the stored stages: ``build_sequence_pair`` makes delta_{i,l}(w_k)
+    the read-back of the recursion's right-hand side and raises unless
+    that read-back is exact, and S^j is sigma^(x)j on W_j by its own
+    checked read-back (``_sigma_on_w``).  ``SequencePair.verify``
+    compares the two forms on tensors at the paranoid level.
 
     One membership suffices.  Suppose omega-hat lies in V-hat^s (x)
     R-hat (x) V-hat^(d-1-s) for some s >= 1.  mu_B (x) id^d acts on
@@ -547,6 +588,43 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
       R-hat iff every C_l, a vector in (n+1)^2 coordinates, lies in R-hat.
     Hence omega-hat lies in V-hat^(d-1) (x) R-hat iff every C_l does;
     each C_l is reduced by ``linalg._residual`` on R-hat's rows.
+
+    The twist is checked by the position of z (``_twist_failure``).
+    Write omega-hat = sum_p Z_p + RF, where Z_p = (-1)^p C_p with z put
+    after factor p holds the words with z at position p (0-based) and
+    RF, the right form, the z-free words.  Let T = (-1)^d tau_d (mu_B
+    (x) id^d), N the V-block of mu_B, v the V-part of its z-row and m its
+    z-column on V.  T drops the first letter a of a word and appends
+    mu_B(x_a).  A word of Z_p with p >= 1 starts with a letter of V, so
+    T sends it to words with z at p - 1 (through N) and with two z's,
+    at p - 1 and d (through m); T sends Z_0 = z (x) omega to (-1)^d
+    omega (x) v plus (-1)^d mu_B[z][z] omega (x) z, and RF to z-free
+    words (through N) and words with z last (through m).  Words with a
+    different number or position of z never meet, so omega-hat = T
+    (omega-hat) splits into four independent conditions.
+    - Two z's: the words z (x) w_b (x) z all come from Z_1, with
+      coefficient (-1)^(d+1) sum_a m_a C_1[a, b]; they vanish for every
+      p when m = 0.  Conversely C_1 = (S^1 (x) id)(omega_1) is
+      invertible: W_i is dual to the i-th piece of the Koszul dual A^!
+      and the inclusion W_d <= V (x) W_{d-1} is dual to the product A^!_1
+      (x) A^!_{d-1} -> A^!_d, so omega_1 is the matrix of that pairing,
+      which is perfect because A^! is Frobenius for a Koszul AS-regular
+      A (S. P. Smith 1996, Prop. 5.10), and S^1 = sigma is invertible.
+      So these words vanish iff m = 0.  The lemma is needed only for a
+      rejection to agree with the word-level condition; an accepted
+      m = 0 kills the words outright, and the theorem's mu_B has m = 0.
+    - z last: with m = 0, only Z_d = (-1)^d S^d omega (x) z and the image
+      of Z_0 carry such words, and omega is nonzero, so the condition
+      is mu_B[z][z] = S^d.
+    - z at p < d: only Z_p and the image of Z_{p+1} carry such words.
+      Read C_p through ``split(d-p)`` and C_{p+1} through ``split(p+1,
+      left=True)``, send the first letter of the latter through N to
+      the end, and compare (-1)^p C_p with (-1)^(d+p+1) times the moved
+      C_{p+1} on the basis w_a (x) w_b (x) x_v of W_p (x) W_{d-p-1} (x)
+      V, whose vectors, with z put after factor p, are linearly
+      independent words.
+    - z-free: RF = (-1)^d [tau_d (N (x) id)(RF) + omega (x) v], the one
+      condition checked on words.
     """
     alg = sp.algebra
     nv = alg.nv
@@ -562,48 +640,90 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     # j) * dim W_{d-i} + b on w_l (x) x_j (x) w_b; R_0 = 0
     cs = [_sum(_on_left(tab.omega[i], sp.sigma_w[i], tab.dims[d - i])) for i in range(d + 1)]
     rs = [({}, 1)] + [_sum(_on_left(tab.omega[i], sp.right_w[i], tab.dims[d - i])) for i in range(1, d + 1)]
-    cyclic_terms, right_terms, left_terms = [], [], []
+    terms = []
     for i in range(d + 1):
         # z put between the two factors of C_i
         rows, big = tab.words[d - i]
         z_tail = ([[((nv,) + w, n) for w, n in r] for r in rows], big)
-        cyclic_terms.append((_sign(i), *_expand(cs[i], tab.words[i], z_tail)))
+        terms.append((_sign(i), *_expand(cs[i], tab.words[i], z_tail)))
         if i:
-            right_terms.append((_sign(i), *_expand(rs[i], tab.words_v[i], tab.words[d - i])))
-            # w_b (x) w_a (b in W_{d-i}) goes to S^(d-i)(w_b) (x) delta_{i,l}(w_a)
-            q = tab.dims[i]
-            part = _sum(_on_right(cs[d - i], sp.left_w[i], q, nv * q))
-            left_terms.append((_sign(i + d + 1), *_expand(part, tab.words_v[d - i], tab.words[i])))
-    cyclic, right_part, left_part = (
-        Tensor._trusted(nh, d + 1, *_combine(terms)) for terms in (cyclic_terms, right_terms, left_terms)
-    )
-    if right_part != left_part:
-        raise FormMismatchError(
-            f"superpotential forms disagree; residual {right_part - left_part!r}", degree=d + 1
-        )
-    omega_hat = cyclic + right_part
+            terms.append((_sign(i), *_expand(rs[i], tab.words_v[i], tab.words[d - i])))
+    omega_hat = Tensor._trusted(nh, d + 1, *_combine(terms))
     if not _in_last_slot(alg, cs, rs, r_hat):
         raise NotInHatWError(
             f"omega-hat escapes V-hat^{d - 1} (x) R-hat (x) V-hat^0", slot=d - 1
         )
-    # (-1)^d tau_d (mu_B (x) id^d)(omega-hat) in one pass: the image of
-    # each word's first letter goes to its end
+    failed = _twist_failure(sp, cs, omega_hat, mu_b)
+    if failed is not None:
+        raise TwistFailureError(f"twist condition fails on the {failed}", degree=d + 1)
+    return omega_hat
+
+
+def _twist_failure(sp: SequencePair, cs: list, omega_hat: Tensor, mu_b: Matrix) -> str | None:
+    """The words of omega-hat, named by the position of z, on which the
+    twist condition fails, or None when it holds; C_i = ``cs[i]`` (proof
+    in ``twisted_superpotential_hat``)."""
+    alg = sp.algebra
+    nv, d = alg.nv, alg.d
+    tab = alg.w_tables()
+    if any(r[nv] for r in mu_b.rows[:nv]):
+        return "words with two z's"
+    ((snums, sden),) = sp.sigma_w[d]
+    zz = mu_b.rows[nv][nv]
+    if zz.numerator * sden != snums[0] * zz.denominator:
+        return "words ending in z"
     rows, mden = _matrix_images(mu_b)
+    n_rows = [({j: n for (j,), n in r}, mden) for r in rows[:nv]]
+    sgn = _sign(d + 1)
+    for p in range(d):
+        # C_p - (-1)^(d+1) (C_{p+1} with its first letter through N and
+        # moved to the end), keyed (a * q + b) * nv + v on w_a (x) w_b (x)
+        # x_v in W_p (x) W_{d-p-1} (x) V, q = dim W_{d-p-1}; C_{p+1} is read
+        # in V (x) W_p (x) W_{d-p-1} first
+        q = tab.dims[d - p - 1]
+        lifted = _int_sum(_on_left(cs[p + 1], alg.split(p + 1, left=True), q))
+        residual, _ = _int_sum(
+            _on_right(cs[p], alg.split(d - p), tab.dims[d - p], q * nv)
+            + _first_to_end(lifted, n_rows, tab.dims[p] * q, nv, -sgn)
+        )
+        if any(residual.values()):
+            return f"words with z at position {p}"
+    # the z-free words RF - (-1)^d [tau_d (N (x) id)(RF) + omega (x) v],
+    # over omega-hat's den * mden * omega's den
+    omega = alg.omega
     sgn = _sign(d)
-    moved: dict = {}
-    get = moved.get
+    scale, f, g = mden * omega.den, -sgn * omega.den, -sgn * omega_hat.den
+    out: dict = {}
+    get = out.get
     for w, c in omega_hat.nums.items():
+        if nv in w:
+            continue
+        out[w] = get(w, 0) + c * scale
         tail = w[1:]
-        c *= sgn
+        c *= f
         for j, n in rows[w[0]]:
             key = tail + j
-            moved[key] = get(key, 0) + c * n
-    twisted = Tensor._from_scaled(nh, d + 1, moved, omega_hat.den * mden)
-    if twisted != omega_hat:
-        raise TwistFailureError(
-            f"twist condition fails; residual {twisted - omega_hat!r}", degree=d + 1
-        )
-    return omega_hat
+            out[key] = get(key, 0) + c * n
+    v = [(j, n) for j, n in rows[nv] if j[0] < nv]
+    for w, c in omega.nums.items():
+        c *= g
+        for j, n in v:
+            key = w + j
+            out[key] = get(key, 0) + c * n
+    if any(out.values()):
+        return "z-free words"
+    return None
+
+
+def _first_to_end(vec: tuple[dict, int], rows, size: int, nv: int, sign: int) -> list[tuple]:
+    """The ``_sum`` terms of sign * (the first factor sent through f and
+    moved to the end)(vec) for vec keyed u * size + r, with f(x_u) =
+    rows[u] keyed j < nv: keyed r * nv + j."""
+    nums, den = vec
+    return [
+        (sign * c, (rows[key // size][0], rows[key // size][1] * den), 1, key % size * nv)
+        for key, c in nums.items()
+    ]
 
 
 def _in_last_slot(alg: QuadraticAlgebra, cs: list, rs: list, r_hat: Subspace) -> bool:

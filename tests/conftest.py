@@ -24,7 +24,7 @@ from orenaka import (
     scalar,
     subspace_intersect,
 )
-from orenaka.linalg import ZERO, solve_columns
+from orenaka.linalg import ZERO, _unscaled, expand_scaled, solve_columns
 
 
 def frac(a, b=1) -> Fraction:
@@ -117,6 +117,21 @@ def koszul_differential(alg: QuadraticAlgebra, i: int, j: int) -> Matrix:
     if not rows:
         return Matrix.zero(0, ncols)
     return Matrix([[row.get(k, ZERO) for k in range(ncols)] for row in rows])
+
+
+def expand_through(t: Tensor, left: int, space: Subspace, space_degree: int, right: int):
+    """The coefficients of ``linalg.expand_scaled`` as Fractions, or None
+    when t lies outside V^(x)left (x) S (x) V^(x)right: the sandwich
+    reader of the oracles and of the membership tests."""
+    got = expand_scaled(t, left, space, space_degree, right)
+    return None if got is None else _unscaled(*got)
+
+
+def word_twist_holds(omega_hat: Tensor, mu: Matrix, d: int) -> bool:
+    """Oracle: the twist condition omega-hat = (-1)^d tau_d (mu (x)
+    id^d)(omega-hat) on every word, with mu acting on the first factor
+    and tau_d moving it to the end."""
+    return omega_hat.apply_matrix_at(1, mu).tau(d).scale((-1) ** d) == omega_hat
 
 
 def first_escape_by_tensors(space: Subspace, m: Matrix, nv: int):

@@ -167,6 +167,38 @@ def test_superpotential_command_checks(tmp_path, capsys):
     assert rep["mu_B"] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
+def test_paranoid_level_runs_the_same_checks_for_ore_and_superpotential(capsys, monkeypatch):
+    # both commands reach the paranoid checks through one helper: the
+    # towers and the two omega-hat forms (SequencePair.verify), then mu_B
+    # against twist_solve; superpotential also reports twist_solve at
+    # every level.  Stdout differs from the fast level only in its
+    # check_level line.
+    from orenaka import ore
+
+    calls = []
+    verify, twist = ore.SequencePair.verify, cli.twist_solve
+    monkeypatch.setattr(ore.SequencePair, "verify", lambda sp: calls.append("verify") or verify(sp))
+    monkeypatch.setattr(cli, "twist_solve", lambda t: calls.append("twist_solve") or twist(t))
+    path = str(GOLDEN / "poly3.json")
+    want = {
+        ("ore", "fast"): [],
+        ("ore", "paranoid"): ["verify", "twist_solve"],
+        ("superpotential", "fast"): ["twist_solve"],
+        ("superpotential", "paranoid"): ["verify", "twist_solve", "twist_solve"],
+    }
+    outs = {}
+    for (command, level), expected in want.items():
+        calls.clear()
+        code, out, err = run(capsys, command, "--input", path, "--check-level", level)
+        assert code == 0, err
+        assert calls == expected, (command, level)
+        outs[command, level] = out
+    for command in ("ore", "superpotential"):
+        fast = outs[command, "fast"]
+        assert "check_level: fast\n" in fast
+        assert outs[command, "paranoid"] == fast.replace("check_level: fast\n", "check_level: paranoid\n")
+
+
 def test_catalog_command_cy_example(capsys):
     code, out, _ = run(
         capsys, "catalog", "--family", "quantum-plane", "--case", "qneq-1-a",

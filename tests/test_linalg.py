@@ -25,7 +25,6 @@ from orenaka.linalg import (
     _scaled,
     combination,
     echelon,
-    expand_through,
     fraction_rows,
     rank,
     sandwich_map,
@@ -37,6 +36,7 @@ from orenaka.linalg import (
 from conftest import (
     catalog_algebras,
     compose_rows,
+    expand_through,
     first_escape_by_tensors,
     fraction_apply_images_at,
     fraction_apply_matrix_at,

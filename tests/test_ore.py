@@ -30,9 +30,9 @@ from orenaka import (
     twist_solve,
 )
 
-from orenaka.linalg import expand_scaled, expand_through, sandwich_map, solve_columns
+from orenaka.linalg import expand_scaled, sandwich_map, solve_columns
 
-from conftest import first_escape_by_tensors, rand_frac
+from conftest import expand_through, first_escape_by_tensors, minor_det, rand_frac, word_twist_holds
 
 
 def _simple_delta(a, images):
@@ -701,14 +701,18 @@ def test_superpotential_failures_name_degree_and_slot():
     rep = nakayama_of_B(sig, delta)
     sp, mu_b, r_hat = rep.sequence_pair, rep.mu_B, rep.relations_hat
     d = a.certificate.d
-    # a right tower that no longer matches the left one
+    # a right tower that no longer matches the left one: the paranoid
+    # level compares the two forms and names the degree; the fast path
+    # builds one form only, and the bent omega-hat fails its certificate
     right_w = [list(stage) for stage in sp.right_w]
     nums, den = right_w[d][0]
     right_w[d][0] = ({**nums, 0: nums.get(0, 0) + den}, den)
     bent = SequencePair(sig, delta, right_w, sp.left_w)
     with pytest.raises(FormMismatchError) as err:
-        twisted_superpotential_hat(bent, mu_b, r_hat)
+        bent.verify()
     assert err.value.degree == d + 1
+    with pytest.raises(EngineInvariantError):
+        twisted_superpotential_hat(bent, mu_b, r_hat)
     # R-hat without one Ore row still contains R, but omega-hat's
     # last-two-slot slices span all of R-hat; only the last slot is read,
     # and the twist check carries it to the others
@@ -975,3 +979,87 @@ def test_ore_request_makes_each_quantity_once(monkeypatch):
     assert calls["__mul__"] <= 1
     assert calls["hdet"] == 0
     assert rep.hdet == hdet(sig)
+
+
+# -- the twist by the position of z, and the two forms ---------------------
+
+
+def _twist_cases():
+    """(name, sigma, delta): the tower cases, k[x] (d = 1) and every
+    dim-2 catalog case."""
+    from orenaka import CASES, enumerate_solution, random_case_params
+
+    rng = random.Random(91)
+    a = make_polynomial(1)
+    sig = random_admissible_automorphism(a, rng)
+    cases = _tower_cases() + [("poly1", sig, random_admissible_derivation(a, sig, rng))]
+    for case in CASES:
+        inst = enumerate_solution(case, random_case_params(case, rng))
+        cases.append((case, inst.sigma, inst.delta))
+    return cases
+
+
+@pytest.mark.parametrize("name, sig, delta", _twist_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_z_split_twist_matches_word_oracle(name, sig, delta):
+    from orenaka import TwistFailureError, twisted_superpotential_hat
+
+    a = sig.algebra
+    nv, d = a.nv, a.d
+    # the two-z lemma: omega_1, omega's coordinates in V (x) W_{d-1}, is
+    # an invertible n x n matrix
+    tab = a.w_tables()
+    nums, den = tab.omega[1]
+    q = tab.dims[d - 1]
+    assert q == nv
+    assert minor_det([[Fraction(nums.get(u * q + b, 0), den) for b in range(q)] for u in range(nv)])
+    rep = nakayama_of_B(sig, delta)
+    sp, oh, mu = rep.sequence_pair, rep.omega_hat, rep.mu_B
+    assert word_twist_holds(oh, mu, d)
+    # every single entry moved by one: each kind of entry (V-block,
+    # z-column on V, z-row on V, z-z) is caught by its own part
+    part = {
+        (True, True): "z at position",
+        (True, False): "two z's",
+        (False, True): "z-free words",
+        (False, False): "ending in z",
+    }
+    for i, j in itertools.product(range(nv + 1), repeat=2):
+        rows = [list(r) for r in mu.rows]
+        rows[i][j] += 1
+        bent = Matrix(rows)
+        try:
+            got = twisted_superpotential_hat(sp, bent, rep.relations_hat)
+        except TwistFailureError as err:
+            assert err.degree == d + 1
+            assert part[(i < nv, j < nv)] in str(err), (name, i, j)
+            accepted = False
+        else:
+            assert got == oh
+            accepted = True
+        assert accepted == word_twist_holds(oh, bent, d), (name, i, j)
+
+
+def _forms(sp, omega, d):
+    """The right form sum_i (-1)^i (delta_{i,r} (x) id)(omega) and the
+    left form sum_i (-1)^(i+d+1) (sigma^(x)(d-i) (x) delta_{i,l})(omega),
+    i = 1..d, on tensors."""
+    stages = range(1, d + 1)
+    return (
+        Tensor.combine(omega.nv, d + 1, [((-1) ** i, sp.apply_right(i, omega, d - i)) for i in stages]),
+        Tensor.combine(omega.nv, d + 1, [((-1) ** (i + d + 1), sp.apply_left(i, omega, d - i)) for i in stages]),
+    )
+
+
+@pytest.mark.parametrize("name, sig, delta", _twist_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_word_level_forms_agree(name, sig, delta):
+    # the alternating recursion makes the two forms equal, for the
+    # canonical pair and a noisy one; omega-hat's z-free words are the
+    # right form
+    a = sig.algebra
+    nv, d = a.nv, a.d
+    right, left = _forms(build_sequence_pair(sig, delta), a.omega, d)
+    assert right == left, name
+    noisy_right, noisy_left = _forms(build_sequence_pair(sig, delta, rng=random.Random(5)), a.omega, d)
+    assert noisy_right == noisy_left, name
+    oh = nakayama_of_B(sig, delta).omega_hat
+    assert Tensor(nv, d + 1, {w: c for w, c in oh.entries.items() if nv not in w}) == right
