@@ -24,6 +24,7 @@ from .errors import (
     NonUniqueTwistError,
     OrenakaError,
     TwistFailureError,
+    UnknownParameterError,
 )
 from .linalg import (
     Matrix,

@@ -28,7 +28,7 @@ from fractions import Fraction
 import random
 from typing import Callable, Mapping, Sequence
 
-from .errors import CasePreconditionError, NotAdmissibleError
+from .errors import CasePreconditionError, NotAdmissibleError, UnknownParameterError
 from .linalg import ONE, ZERO, Matrix, Tensor, rank, scalar, scalar_str
 from .morphisms import (
     DerivationLift,
@@ -276,6 +276,16 @@ def case_param_names(case: str) -> tuple[str, ...]:
     """Every parameter name a case accepts: its matrix entries (and q),
     then its free gammas."""
     return CASE_PARAMS[CASE_ALIASES.get(case, case)]
+
+
+def check_param_names(case: str, params: Mapping, accepted: Sequence[str]) -> None:
+    """Raise UnknownParameterError, listing the accepted names, for the
+    first name of ``params`` outside ``accepted``."""
+    for name in params:
+        if name not in accepted:
+            raise UnknownParameterError(
+                f"unknown parameter {name!r} for case {case!r}; accepted: {', '.join(accepted)}"
+            )
 
 
 def _need(params: Mapping, name: str) -> Fraction:
@@ -537,18 +547,13 @@ def enumerate_solution(case: str, params: Mapping) -> SolutionInstance:
     rationals; constrained gammas are filled per the case table and the
     instance is re-verified through the generic admissibility checks.
     A name outside ``case_param_names(case)`` raises
-    CasePreconditionError.  The comm-e cases are the comm-b..d cases
+    UnknownParameterError.  The comm-e cases are the comm-b..d cases
     under ``_swap_mirror``.
     """
     case = CASE_ALIASES.get(case, case)
     if case not in CASES:
         raise CasePreconditionError(f"unknown case {case!r}")
-    accepted = case_param_names(case)
-    for name in params:
-        if name not in accepted:
-            raise CasePreconditionError(
-                f"unknown parameter {name!r} for case {case!r}; accepted: {', '.join(accepted)}"
-            )
+    check_param_names(case, params, case_param_names(case))
     family = case.split("-")[0]
     q, alg = FAMILIES[family].base(params)
     mirrored = case.startswith("comm-e-")

@@ -62,6 +62,11 @@ class CasePreconditionError(OrenakaError):
     preconditions."""
 
 
+class UnknownParameterError(CasePreconditionError):
+    """A catalog case was given a parameter name it does not accept;
+    the CLI reports it as malformed input (exit 1)."""
+
+
 class EngineInvariantError(OrenakaError):
     """A condition guaranteed by the certified hypotheses failed."""
 

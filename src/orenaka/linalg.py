@@ -36,9 +36,9 @@ column and returns an echelon basis; ``rank`` counts its rows, over Q
 or, given a prime, over F_p.  ``echelon`` runs over Q only: forward,
 and with ``reduced=True`` one back pass makes it the canonical RREF;
 ``solve_columns`` and ``Matrix.inverse`` read their results off that
-through ``fraction_rows``, while ``Subspace`` and the normal-form
-reducer of ``quadratic`` keep the integer rows.  The kernel picks its
-own row order (sparsest first).  The order is free because nothing
+through ``fraction_rows``, while ``Subspace``, ``FactoredColumns`` and
+the normal-form reducer of ``quadratic`` keep the integer rows.  The
+kernel picks its own row order (sparsest first).  The order is free because nothing
 read off the kernel depends on it: the rank does not, the RREF of a
 span is unique, and so is the particular solution with every free
 unknown zero.  Modular ranks use one word-size prime, ``P``
@@ -522,9 +522,11 @@ def solve_columns(
     """Solve sum_j x_j * cols[j] = rhs for all rhs at once, by one
     reduced ``echelon`` of the augmented rows.
 
-    ``cols`` are sparse dicts over arbitrary hashable row keys; sharing
-    one elimination across many right-hand sides is what keeps the
-    sequence-pair stage solves cheap.
+    ``cols`` are sparse dicts over arbitrary hashable row keys.  It
+    serves systems solved once (``morphisms``, ``subspace_intersect``);
+    a system met again with new right-hand sides is factored once
+    instead (``FactoredColumns``), and this is the test oracle of that
+    read.
 
     Returns ``(particulars, kernel)`` where ``particulars[t]`` is the
     canonical solution of ``rhs_list[t]`` with every free unknown set to
@@ -566,6 +568,80 @@ def solve_columns(
             x[p] = r.get(u + t, ZERO)
         particulars.append(x)
     return particulars, kernel
+
+
+class FactoredColumns:
+    """The system sum_j x_j * cols[j] = b over the equations 0..neq-1,
+    factored once so that each right-hand side b is a read.
+
+    One reduced ``echelon`` of the rows of [C | I], C the matrix with
+    columns ``cols`` (int or Fraction entries) and I the identity on the
+    equations, unknown j at column j and equation e at u + e.  [C | I]
+    has full row rank, so its RREF is [T C | T] for the invertible T
+    that the identity block records, and T C is RREF(C) followed by
+    zero rows: its rows leading at an unknown span the row space of C
+    and are reduced.  T [C | b] = [RREF(C) | T b] has the solutions of
+    [C | b], so:
+
+    * the row of T leading at the pivot unknown p reads x_p = (T b)_p,
+      the canonical particular solution (every free unknown zero);
+    * the rows of T whose C-part is zero are a basis of the left kernel
+      of C, and b is consistent iff each of them vanishes on b;
+    * ``kernel`` holds, per free unknown f in order, x_f = 1 and x_p =
+      -RREF(C) at (p, f), as (int numerators, den).
+
+    These are the pivot unknowns, the particular solution, the kernel
+    basis and its order, and the consistency test of ``solve_columns(cols,
+    [b])``, which reduces [C | b] itself: both read RREF(C) and the one
+    solution set of C x = b.
+
+    T is kept by equation for the read: ``columns[e]`` lists (slot, n),
+    n the entry at e of the row in that slot.  Slot s < len(``pivots``)
+    holds the row of ``pivots[s]`` over the common denominator ``den``,
+    and each later slot one consistency row.
+    """
+
+    __slots__ = ("den", "pivots", "columns", "kernel", "_size")
+
+    def __init__(self, cols: Sequence[Mapping], neq: int):
+        u = len(cols)
+        rows = [{u + e: 1} for e in range(neq)]
+        for j, col in enumerate(cols):
+            for e, v in col.items():
+                if v:
+                    rows[e][j] = v
+        rref = echelon(rows, reduced=True)
+        self.pivots = sorted(p for p in rref if p < u)
+        den = self.den = lcm(*[rref[p][p] for p in self.pivots])
+        order = self.pivots + sorted(p for p in rref if p >= u)
+        self._size = len(order)
+        self.columns: dict[int, list[tuple[int, int]]] = {}
+        for slot, p in enumerate(order):
+            f = den // rref[p][p] if p < u else 1
+            for k, n in rref[p].items():
+                if k >= u:
+                    self.columns.setdefault(k - u, []).append((slot, n * f))
+        self.kernel = [
+            _canonical({f: den, **{
+                p: -rref[p][f] * (den // rref[p][p]) for p in self.pivots if f in rref[p]
+            }}, den)
+            for f in range(u)
+            if f not in rref
+        ]
+
+    def solve(self, b: Mapping[int, int]) -> dict[int, int] | None:
+        """The canonical particular solution for the int right-hand side
+        b, keyed by equation, as int numerators over ``den`` (zeros
+        dropped); None when b is inconsistent."""
+        acc = [0] * self._size
+        get = self.columns.get
+        for e, c in b.items():
+            if c:
+                for slot, n in get(e, ()):
+                    acc[slot] += c * n
+        if any(acc[len(self.pivots):]):
+            return None
+        return {p: c for p, c in zip(self.pivots, acc) if c}
 
 
 # ---------------------------------------------------------------------------

@@ -43,27 +43,38 @@ Right towers are built stage by stage: delta_{i,r}(w_k) is any u in W_i
 + delta_{i-1,r} (x) id)(w_k)), both sides multiplied into W_{i-1} (x)
 A_2.  The columns, the images of the w_l (x) x_j, are the rows of the
 Koszul differential d_i on W_i (x) A_1; the right-hand side comes from
-the split of w_k in W_{i-1} (x) V, S^(i-1), the normal forms of
+the split of w_k in W_{i-1} (x) V, S^(i-1) (through the blocks (S^(i-1)
+(x) id)(w_k) that ``_sigma_on_w`` forms anyway), the normal forms of
 delta(x_v) and of the letter pairs, and stage i-1.  Solving in W_{i-1}
 (x) A_2 instead of V^(x)(i-1) (x) A_2 changes nothing: the inclusion of
 the one in the other is injective, so the two systems have the same
 solutions and the same dependencies among their columns, hence the
 same pivot unknowns, the same canonical particular solution (free
-unknowns zero) and the same kernel basis.  The solver takes that
-canonical solution so runs are reproducible, and optionally adds
-random kernel vectors when exercising the choice-independence of the
-divergence.  Left towers follow from the alternating recursion, in V
-(x) W_{i-1} (x) V coordinates, and are read back into V (x) W_i; they
-need no solve.  That read-back, checked, is the one S^i takes from
-W_{i-1} (x) V into W_i (``_read_back``).  ``SequencePair.verify``,
-``apply_right`` and ``apply_left`` work on tensors in V^(x)k, a route
-independent of these coordinates.
+unknowns zero) and the same kernel basis.  The matrix C_i of these
+columns depends on A alone, so it is factored once per algebra
+(``WTables.stage``, a ``linalg.FactoredColumns``): one reduced
+elimination of [C_i | I] records an invertible T with T [C_i | b] =
+[RREF(C_i) | T b], and each right-hand side b is a read of T b.  Its
+pivot unknowns, canonical particular solution, kernel basis (in order)
+and consistency test are those of eliminating [C_i | b] itself (proof
+in ``FactoredColumns``), so the stages are the same.  A right-hand
+side outside the image raises ``NoSolutionError`` with the stage and
+the W_i basis vector.  The tower takes the canonical solution so runs
+are reproducible, and optionally adds random kernel vectors when
+exercising the choice-independence of the divergence.  Left towers
+follow from the alternating recursion, in V (x) W_{i-1} (x) V
+coordinates, and are read back into V (x) W_i; they need no solve.
+That read-back, checked, is the one S^i takes from W_{i-1} (x) V into
+W_i (``_read_back``).  ``SequencePair.verify``, ``apply_right`` and
+``apply_left`` work on tensors in V^(x)k, a route independent of these
+coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 import random
 
 from .errors import (
@@ -88,7 +99,6 @@ from .linalg import (
     _scaled,
     escaping_row,
     sandwich_map,
-    solve_columns,
     word_flat,
 )
 from .morphisms import (
@@ -126,7 +136,7 @@ class SequencePair:
     sigma^(x)i on W_i, row m the image of w_m keyed by the W_i basis.
     """
 
-    __slots__ = ("algebra", "sigma", "delta", "right_w", "left_w", "sigma_w", "_right", "_left")
+    __slots__ = ("algebra", "sigma", "delta", "right_w", "left_w", "sigma_w", "_lifts", "_right", "_left")
 
     def __init__(self, sigma, delta, right_w, left_w):
         self.algebra = sigma.algebra
@@ -134,7 +144,7 @@ class SequencePair:
         self.delta = delta
         self.right_w = right_w
         self.left_w = left_w
-        self.sigma_w = _sigma_on_w(self.algebra, sigma.matrix)
+        self.sigma_w, self._lifts = _sigma_on_w(self.algebra, sigma.matrix)
         self._right = None
         self._left = None
 
@@ -281,24 +291,29 @@ def _read_back(
             if c:
                 coef[u * q + l] = c
     image = (coef, den * scale)
-    if _sum([(1, t, 1, 0)] + _on_right(image, alg.split(i), q, block, -1))[0]:
+    residual, _ = _int_sum([(1, t, 1, 0)] + _on_right(image, alg.split(i), q, block, -1))
+    if any(residual.values()):
         return None
     return _canonical(*image)
 
 
-def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> list:
+def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> tuple[list, list]:
     """S^i = sigma^(x)i on W_i for i = 0..d: (S^(i-1) (x) M)(w_l) in
     W_{i-1} (x) V through the split of w_l, read back into W_i.  Each
     read-back is checked, so by induction each S^i is sigma^(x)i on W_i,
     and S^d = hdet(sigma) must be nonzero.  An unchecked sigma that
-    moves some W_i fails here."""
+    moves some W_i fails here.  Also returns the blocks (S^(i-1) (x)
+    id)(w_l) in W_{i-1} (x) V, at [i][l] for i >= 2, which the
+    right-hand sides of tower stage i read too."""
     nv, d = alg.nv, alg.d
     mrows = [_scaled({j: a for j, a in enumerate(r) if a}) for r in m.rows]
     out = [[({0: 1}, 1)], mrows]
+    lifts: list = [None, None]
     for i in range(2, d + 1):
         stage = []
-        for split in alg.split(i):
-            moved = _sum(_on_right(_sum(_on_left(split, out[-1], nv)), mrows, nv, nv))
+        lifts.append([_sum(_on_left(split, out[-1], nv)) for split in alg.split(i)])
+        for lifted in lifts[i]:
+            moved = _sum(_on_right(lifted, mrows, nv, nv))
             image = _read_back(alg, i, moved, 0)
             if image is None:
                 raise EngineInvariantError(
@@ -308,7 +323,7 @@ def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> list:
         out.append(stage)
     if not out[d][0][0]:
         raise EngineInvariantError("sigma^(x)d is zero on W_d; certification is broken")
-    return out[: d + 1]
+    return out[: d + 1], lifts
 
 
 def build_sequence_pair(
@@ -339,37 +354,28 @@ def build_sequence_pair(
     for i in range(2, alg.d + 1):
         p = tab.dims[i - 1]
         splits, lsplits = alg.split(i), alg.split(i, left=True)
-        # the right-hand sides in W_{i-1} (x) A_2, keyed m * dim A_2 + k:
-        # (sigma^(i-1) (x) id)(w_k) then delta(x_v) multiplied into A_2,
-        # plus (delta_{i-1,r} (x) id)(w_k) then x_j x_v multiplied in
-        rhs = [
-            _int_sum(
-                _on_right(_sum(_on_left(split, sp.sigma_w[i - 1], nv)), nf_delta, nv, dim_a2)
+        system = tab.stage[i]
+        stage = []
+        for k, (lifted, split) in enumerate(zip(sp._lifts[i], splits)):
+            # the right-hand side in W_{i-1} (x) A_2, keyed m * dim A_2 +
+            # a: (sigma^(i-1) (x) id)(w_k) then delta(x_v) multiplied into
+            # A_2, plus (delta_{i-1,r} (x) id)(w_k) then x_j x_v multiplied in
+            b, bden = _int_sum(
+                _on_right(lifted, nf_delta, nv, dim_a2)
                 + _on_right(_sum(_on_left(split, right[i - 1], nv)), tab.pairs, nv * nv, dim_a2)
             )
-            for split in splits
-        ]
-        # the solver sees numerators: with every column over one D, the
-        # kernel is unchanged and x = y * D / (the right-hand side's den)
-        cols, cden = tab.stage[i]
-        particulars, kernel = solve_columns(cols, [r for r, _ in rhs])
-        stage = []
-        for k, (y, (_, rden)) in enumerate(zip(particulars, rhs)):
+            y = system.solve(b)
             if y is None:
                 raise NoSolutionError(
                     f"no delta_{i},r image for W_{i} basis vector {k}; "
                     "Koszulity hypotheses are violated",
                     stage=i, index=k,
                 )
-            nums, den = _scaled({u: c for u, c in enumerate(y) if c})
-            x = ({u: n * cden for u, n in nums.items()}, den * rden)
+            x = (y, system.den * bden)
             if rng is not None:
-                noise: dict = {}
-                for kv in kernel:
-                    c = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                    for u, v in kv.items():
-                        noise[u] = noise.get(u, ZERO) + c * v
-                x = _combine([(1, *x), (1, *_scaled(noise))])
+                x = _combine([(1, *x)] + [
+                    (Fraction(rng.randint(-3, 3), rng.randint(1, 2)), *kv) for kv in system.kernel
+                ])
             stage.append(_canonical(*x))
         right.append(stage)
         # left tower by the alternating recursion, in V (x) W_{i-1} (x) V
@@ -440,17 +446,17 @@ def ore_relations(sigma: GradedAutomorphism, delta: DerivationLift) -> Subspace:
     alg = sigma.algebra
     nv = alg.nv
     nh = nv + 1
-    rows = []
-    for b in alg.R.basis():
-        rows.append(
-            {(p // nv) * nh + (p % nv): c for p, c in b.items()}
-        )
-    # the words of delta avoid z, so no two entries of a row share a key
-    for i in range(nv):
+    rows = [{k // nv * nh + k % nv: n for k, n in r.items()} for r in alg.R.int_rows()]
+    # each row over the lcm of sigma's and delta(x_i)'s denominators; the
+    # words of delta avoid z, so no two entries of a row share a key
+    images, mden = _matrix_images(sigma.matrix)
+    for i, t in enumerate(delta.images):
+        big = lcm(mden, t.den)
+        f, g = big // mden, big // t.den
         rows.append({
-            nv * nh + i: ONE,
-            **{j * nh + nv: -c for j, c in enumerate(sigma.matrix.rows[i]) if c},
-            **{a * nh + b: -c for (a, b), c in delta.images[i].entries.items()},
+            nv * nh + i: big,
+            **{j * nh + nv: -n * f for (j,), n in images[i]},
+            **{a * nh + b: -n * g for (a, b), n in t.nums.items()},
         })
     out = Subspace(nh * nh, rows)
     if out.dim != alg.R.dim + nv:

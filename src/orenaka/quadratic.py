@@ -68,8 +68,9 @@ integer arithmetic is exact.
 
 W-coordinate tables.  ``w_tables`` holds what the sequence-pair towers
 of ``ore`` read in the bases of the W_i (``WTables``): the pivot-word
-reads back into W_i, the rows of d_i on W_i (x) A_1, the normal forms
-of the letter pairs and omega in each W_j (x) W_{d-j}.  They are built
+reads back into W_i, the systems of d_i on W_i (x) A_1, each factored
+once so that every tower reads its stage solutions off it, the normal
+forms of the letter pairs and omega in each W_j (x) W_{d-j}.  They are built
 on the first Ore request, never during certification.  The towers also
 read the splits of W_i in W_{i-1} (x) V and V (x) W_{i-1} (``split``),
 which the algebra keeps, so the differentials of the rank route and
@@ -86,6 +87,7 @@ from typing import Iterable, Sequence
 from .errors import CertificationError, EngineInvariantError, NotASRegularError
 from .linalg import (
     ONE,
+    FactoredColumns,
     P,
     Subspace,
     Tensor,
@@ -598,10 +600,13 @@ class WTables:
       / L over the (key, n) pairs of rows[l] on w^i_l.  That is X's entry
       at the pivot word h + (v,) of w^i_l: key = m * nv + v and n / L the
       entry of w^(i-1)_m at h.
-    * ``stage[i]`` = (rows, D) (i >= 2): the rows of ``_differential(i,
-      1)``, the Koszul differential W_i (x) A_1 -> W_{i-1} (x) A_2, as
-      int numerators over one denominator D, with the row of w^i_l (x)
-      x_j at l * nv + j (letters by index, not by ``order``).
+    * ``stage[i]`` (i >= 2): the system whose columns are the rows of
+      ``differential_rows(i, 1)``, the Koszul differential W_i (x) A_1
+      -> W_{i-1} (x) A_2, with the unknown of w^i_l (x) x_j at l * nv +
+      j (letters by index, not by ``order``), factored once as a
+      ``linalg.FactoredColumns``.  Every right tower of A reads its
+      stage-i images off it; its docstring proves that the reads are
+      those of eliminating each system with its right-hand sides.
     * ``pairs[a * nv + b]``: the normal form of x_a x_b in A_2.
     * ``omega[j]``: omega in W_j (x) W_{d-j}, keyed a * dims[d - j] + b on
       w^j_a (x) w^(d-j)_b: omega's entry at the joined pivot words.
@@ -638,12 +643,9 @@ class WTables:
         ]
         self.stage = [None, None]
         for i in range(2, d + 1):
-            diff = alg._differential(i, 1)
-            diff = [diff[l * nv + alg._pos[j]] for l in range(self.dims[i]) for j in range(nv)]
-            big = lcm(*[den for _, den in diff])
-            self.stage.append(
-                ([{k: n * (big // den) for k, n in nums.items() if n} for nums, den in diff], big)
-            )
+            diff = alg.differential_rows(i, 1)
+            cols = [diff[l * nv + alg._pos[j]] for l in range(self.dims[i]) for j in range(nv)]
+            self.stage.append(FactoredColumns(cols, self.dims[i - 1] * alg.dim_A(2)))
         self.pairs = [alg._nf((a, b)) for a in range(nv) for b in range(nv)]
         omega = alg.omega
         self.omega = []

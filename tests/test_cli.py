@@ -170,9 +170,9 @@ def test_superpotential_command_checks(tmp_path, capsys):
 def test_paranoid_level_runs_the_same_checks_for_ore_and_superpotential(capsys, monkeypatch):
     # both commands reach the paranoid checks through one helper: the
     # towers and the two omega-hat forms (SequencePair.verify), then mu_B
-    # against twist_solve; superpotential also reports twist_solve at
-    # every level.  Stdout differs from the fast level only in its
-    # check_level line.
+    # against twist_solve; superpotential reports that comparison at
+    # every level and solves the twist once.  Stdout differs from the
+    # fast level only in its check_level line.
     from orenaka import ore
 
     calls = []
@@ -184,7 +184,7 @@ def test_paranoid_level_runs_the_same_checks_for_ore_and_superpotential(capsys, 
         ("ore", "fast"): [],
         ("ore", "paranoid"): ["verify", "twist_solve"],
         ("superpotential", "fast"): ["twist_solve"],
-        ("superpotential", "paranoid"): ["verify", "twist_solve", "twist_solve"],
+        ("superpotential", "paranoid"): ["verify", "twist_solve"],
     }
     outs = {}
     for (command, level), expected in want.items():
@@ -197,6 +197,20 @@ def test_paranoid_level_runs_the_same_checks_for_ore_and_superpotential(capsys, 
         fast = outs[command, "fast"]
         assert "check_level: fast\n" in fast
         assert outs[command, "paranoid"] == fast.replace("check_level: fast\n", "check_level: paranoid\n")
+
+
+def test_twist_disagreeing_with_mu_b_exits_4(capsys, monkeypatch):
+    # a twist solve that is not mu_B fails the superpotential at both
+    # levels; the paranoid level stops at its own comparison
+    from orenaka import Matrix
+
+    monkeypatch.setattr(cli, "twist_solve", lambda t: Matrix.zero(4, 4))
+    path = str(GOLDEN / "poly3.json")
+    for level, message in [("paranoid", "omega-hat twist solve disagrees with mu_B"),
+                           ("fast", "superpotential checks failed")]:
+        code, out, err = run(capsys, "superpotential", "--input", path, "--check-level", level)
+        assert (code, out) == (4, ""), level
+        assert message in err, level
 
 
 def test_catalog_command_cy_example(capsys):

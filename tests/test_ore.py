@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from orenaka import (
+    CASES,
     EngineInvariantError,
     Matrix,
     QuadraticAlgebra,
@@ -14,6 +16,7 @@ from orenaka import (
     check_automorphism,
     derivation_quotient_relations,
     divergence,
+    enumerate_solution,
     extend_derivation,
     gamma_images,
     identity_automorphism,
@@ -26,11 +29,12 @@ from orenaka import (
     polynomial_divergence_oracle,
     random_admissible_automorphism,
     random_admissible_derivation,
+    random_case_params,
     r_basis_tensor,
     twist_solve,
 )
 
-from orenaka.linalg import expand_scaled, sandwich_map, solve_columns
+from orenaka.linalg import FactoredColumns, _unscaled, expand_scaled, sandwich_map, solve_columns
 
 from conftest import expand_through, first_escape_by_tensors, minor_det, rand_frac, word_twist_holds
 
@@ -629,6 +633,58 @@ def test_w_coordinate_towers_equal_tensor_towers(name, sig, delta):
     assert nakayama_of_B(sig, delta).hdet == hdet(sig)
 
 
+def _stage_cases():
+    """(name, sigma, delta): the tower cases and all 25 dim-2 catalog
+    cases."""
+    rng = random.Random(68)
+    cases = _tower_cases()
+    for case in CASES:
+        inst = enumerate_solution(case, random_case_params(case, rng))
+        cases.append((case, inst.sigma, inst.delta))
+    return cases
+
+
+@pytest.mark.parametrize("name, sig, delta", _stage_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_factored_stage_reads_equal_solve_columns(name, sig, delta, monkeypatch):
+    # every stage system of WTables, read off its factorisation, against
+    # solve_columns on the same columns: the real right-hand sides of a
+    # tower, random consistent ones and random ones, mostly inconsistent
+    a = sig.algebra
+    nv = a.nv
+    real = FactoredColumns.solve
+    seen = {}
+    monkeypatch.setattr(FactoredColumns, "solve", lambda s, b: seen.setdefault(id(s), []).append(b) or real(s, b))
+    build_sequence_pair(sig, delta)
+    monkeypatch.undo()
+    rng = random.Random(69)
+    tab = a.w_tables()
+    for i in range(2, a.certificate.d + 1):
+        system = tab.stage[i]
+        diff = a.differential_rows(i, 1)
+        cols = [diff[l * nv + a._pos[j]] for l in range(tab.dims[i]) for j in range(nv)]
+        neq = tab.dims[i - 1] * a.dim_A(2)
+        rhs = list(seen[id(system)])
+        assert len(rhs) == tab.dims[i]
+        for _ in range(4):
+            x = [rng.randint(-3, 3) for _ in cols]
+            b = {}
+            for xj, col in zip(x, cols):
+                for e, v in col.items():
+                    b[e] = b.get(e, 0) + xj * v
+            den = math.lcm(*[Fraction(v).denominator for v in b.values()])
+            rhs.append({e: int(v * den) for e, v in b.items()})
+            rhs.append({e: rng.randint(-2, 2) for e in rng.sample(range(neq), min(neq, 3))})
+        particulars, kernel = solve_columns(cols, rhs)
+        got = [system.solve(b) for b in rhs]
+        assert [
+            None if y is None else [Fraction(y.get(u, 0), system.den) for u in range(len(cols))]
+            for y in got
+        ] == particulars, (name, i)
+        assert [_unscaled(*kv) for kv in system.kernel] == kernel, (name, i)
+        assert all(y is not None for y in got[: tab.dims[i]])
+        assert any(y is None for y in got), (name, i)
+
+
 def test_sigma_on_w_is_sigma_on_tensors():
     # S^i read back to tensors is sigma^(x)i applied to each W_i basis vector
     rng = random.Random(62)
@@ -665,20 +721,24 @@ def test_no_solution_names_stage_and_vector():
 def test_left_escape_names_stage_and_vector(monkeypatch):
     # a wrong right image for w_0 (one unit added) sends its left image
     # out of V (x) W_2, as W_3 = 0 on the plane
-    from orenaka import LeftImageEscapeError, ore
+    from orenaka import LeftImageEscapeError
 
     a = make_quantum_plane(3)
     rng = random.Random(63)
     sig = random_admissible_automorphism(a, rng)
     delta = random_admissible_derivation(a, sig, rng)
-    real = ore.solve_columns
+    real = FactoredColumns.solve
+    calls = []
 
-    def off_by_one(cols, rhs):
-        particulars, kernel = real(cols, rhs)
-        particulars[0] = [particulars[0][0] + 1] + particulars[0][1:]
-        return particulars, kernel
+    def off_by_one(system, b):
+        # the first read is w_0 at stage 2; unknown 0 gets one unit more
+        y = real(system, b)
+        if not calls:
+            y[0] = y.get(0, 0) + system.den
+        calls.append(b)
+        return y
 
-    monkeypatch.setattr(ore, "solve_columns", off_by_one)
+    monkeypatch.setattr(FactoredColumns, "solve", off_by_one)
     with pytest.raises(LeftImageEscapeError) as err:
         build_sequence_pair(sig, delta)
     assert (err.value.stage, err.value.index) == (2, 0)
@@ -940,10 +1000,10 @@ def test_mu_b_off_r_hat_raises(monkeypatch):
 
     def hdet_plus_one(alg, m):
         # S^d is hdet(sigma), the z-entry of mu_B
-        out = real(alg, m)
+        out, lifts = real(alg, m)
         ((nums, den),) = out[-1]
         out[-1] = [({0: nums[0] + den}, den)]
-        return out
+        return out, lifts
 
     monkeypatch.setattr(ore, "_sigma_on_w", hdet_plus_one)
     with pytest.raises(AutomorphismCheckFailedError) as err:
