@@ -758,7 +758,7 @@ def random_admissible_automorphism(
     nv = alg.nv
     r = alg.R
     if nv == 2 and r.dim == 1:
-        rel = Tensor.from_vec(r.basis()[0], 2, 2)
+        rel = r.basis_tensors(2, 2)[0]
         jordan = rel.entries.get((1, 1), ZERO) != 0
         q = -rel.entries.get((1, 0), ZERO)
         if jordan:

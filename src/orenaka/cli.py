@@ -163,7 +163,7 @@ def _base_report(command, spec: ProblemSpec, alg, check_level, cert) -> dict:
         "koszul_bound": cert.bound,
         "generators": list(names),
         "relations": [
-            _terms_out(Tensor.from_vec(b, alg.nv, 2), names) for b in alg.R.basis()
+            _terms_out(t, names) for t in alg.R.basis_tensors(alg.nv, 2)
         ],
         "certificate": _certificate_out(alg, cert),
         "omega": _terms_out(alg.certificate.omega, names),
@@ -339,6 +339,11 @@ def cmd_catalog(family, case, params, bound, check_level, input_path=None) -> di
     return report
 
 
+# poly(7) runs in about 2 s; poly(8) takes a minute, and poly(10) does
+# not fit in 3 GB
+_POLY_MAX_N = 7
+
+
 def _catalog_poly(case, params, bound, check_level, input_path) -> dict:
     """Polynomial family: sigma = id, derivation from the input document,
     oracle = the formal divergence sum of partial derivatives."""
@@ -346,8 +351,8 @@ def _catalog_poly(case, params, bound, check_level, input_path) -> dict:
         raise InputError("family 'poly' has the single case 'divergence'")
     check_param_names(case, params, ("n",))
     n = params.get("n")
-    if n is None or n != int(n) or int(n) < 1:
-        raise InputError("family 'poly' needs --param n=<positive integer>")
+    if n is None or n != int(n) or not 1 <= int(n) <= _POLY_MAX_N:
+        raise InputError(f"family 'poly' needs --param n=<integer in 1..{_POLY_MAX_N}>")
     alg = make_polynomial(int(n))
     data = _load_input(input_path)
     data.setdefault("generators", list(alg.names))

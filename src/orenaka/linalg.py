@@ -65,40 +65,44 @@ pass; they carry no denominators, and one clearing step holds the
 product of two stored rows until the gcd pass, linear in the row
 length, divides the content out.
 
-Scaled integers.  ``Tensor`` and ``Subspace`` store integers, and
-Fractions exist only at the public edge.  A tensor holds its int
-numerators by word (``nums``) over one positive denominator (``den``),
-in canonical form: no zero numerator and gcd(den, *nums) = 1, so den is
-the lcm of the reduced denominators of its entries and equal tensors
-compare equal structurally.  A subspace holds the primitive integer
-RREF rows of ``echelon``.  ``Tensor.entries`` is a read-only view of
-a Fraction dict built on the first read; ``Subspace.basis()`` builds
-its Fractions on each call.  The kernels
-(``Tensor.apply_matrix_slots``, ``apply_images_at``, ``combine``,
-``tensor``, ``scale``, ``tau``, ``shift``,
-``Subspace.reduce``, ``escaping_row``, ``expand_scaled`` and
-``sandwich_map``) read the stored numerators,
-multiply and add plain ints over the product or lcm of the operands'
-denominators, and restore the canonical form once, dropping zeros and
-dividing out gcd(den, *nums).  Sums run on two kernels.  ``_combine``
-adds keyed vectors: ``Tensor.combine``, the binary ``+`` and ``-``,
-``_residual`` (``Subspace.reduce`` and ``escaping_row``) and
-``combination`` (the same sum on Fraction maps with any hashable keys)
-are calls to it, and so are the sums in ``ore`` that assemble
-omega-hat's words, its membership coefficients and a noisy tower
-choice.  ``quadratic._int_sum`` adds vectors placed at a stride and an
-offset: it serves the sums over A_m columns in ``quadratic`` and the
-W-coordinate sums in ``ore`` (tower stages, S^i, the read-backs and
-omega-hat's blocks).  The results are the Fraction results exactly: a
-rational vector has one canonical scaled form, and the kernels compute
-the same rationals in integers.  The cost
-is bounded by the shared denominators: a kernel's denominator is at
-most the product of its operands' (the lcm, for sums), and the
-canonical form divides the common factors out after each kernel.  The
-operands that reach these kernels carry small denominators.  The large
-coefficients of the normal forms (150 bits in degree 5 on the Sklyanin
-extension of the benchmark) are integers too, but they meet only
-``echelon`` and the integer sums of ``quadratic``.
+Scaled integers.  ``Tensor`` and ``Subspace`` store integers: a tensor
+its int numerators by word (``nums``) over one positive denominator
+(``den``), a subspace the primitive integer RREF rows of ``echelon``.
+One rule governs every scaled vector of the package.
+
+* Sums are raw.  ``_combine`` adds keyed vectors and ``_int_sum``
+  vectors placed at a stride and an offset; each returns int numerators
+  over the lcm of its operands' denominators, with no gcd pass and the
+  cancelled entries kept as zeros, so a zero test reads
+  ``any(nums.values())``.  ``_residual`` (``Subspace.reduce``,
+  ``escaping_row`` and the membership tests of ``morphisms`` and
+  ``ore``) is one ``_combine``, and every sum between kernels is one of
+  the two: the A_m column sums of ``quadratic``, and the tower stages,
+  S^i, the read-backs and omega-hat's blocks in ``ore``.
+* Canonical form is taken where a sum's result is stored: no zero
+  numerator and gcd(den, *nums) = 1 (``_canonical``), so den is the lcm
+  of the reduced denominators of the entries and equal values compare
+  equal structurally.  ``Tensor._from_scaled`` takes it for every tensor
+  a kernel returns (``apply_matrix_slots``, ``apply_images_at``,
+  ``combine``, ``scale``, ``tensor``, ``sandwich_map``,
+  ``DerivationLift.extend`` and omega-hat; ``tau`` and negation keep
+  it), ``ore`` for each stored tower stage and S^i, and ``quadratic``
+  for each cached normal form.
+* Fractions exist only at the public edge, for callers outside the
+  package: ``Tensor.entries`` is a read-only view built on the first
+  read, and ``Subspace.basis()`` builds its Fractions on each call.
+  Inside, a subspace becomes tensors straight from its primitive rows
+  (``basis_tensors``).
+
+The results are the Fraction results exactly: a rational vector has one
+canonical scaled form, and the kernels compute the same rationals in
+integers.  The cost is bounded by the shared denominators: a kernel's
+denominator is at most the product of its operands' (the lcm, for
+sums), and the canonical form divides the common factors out where a
+result is stored.  The operands that reach these kernels carry small
+denominators.  The large coefficients of the normal forms (150 bits in
+degree 5 on the Sklyanin extension of the benchmark) are integers too,
+but they meet only ``echelon`` and the integer sums of ``quadratic``.
 """
 
 from __future__ import annotations
@@ -200,20 +204,8 @@ class Matrix:
         body = "; ".join(" ".join(scalar_str(e) for e in row) for row in self.rows)
         return f"Matrix[{body}]"
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)])
-
     def __neg__(self) -> "Matrix":
         return Matrix([[-a for a in r] for r in self.rows])
-
-    def _shape_check(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -450,6 +442,20 @@ class Subspace:
         rows = self._rows
         return [dict(rows[p]) for p in sorted(rows)]
 
+    def basis_tensors(self, nv: int, degree: int) -> list["Tensor"]:
+        """The ``basis()`` rows as tensors in V^(x)degree over nv letters,
+        read off the primitive integer rows: a row over its positive pivot
+        entry is already canonical, as the row's content is 1."""
+        if self.ambient != nv**degree:
+            raise ValueError(f"the space does not lie in V^(x){degree} over {nv} letters")
+        rows = self._rows
+        return [
+            Tensor._trusted(
+                nv, degree, {flat_word(k, degree, nv): n for k, n in rows[p].items()}, rows[p][p]
+            )
+            for p in sorted(rows)
+        ]
+
     def reduce(self, vec: Mapping) -> dict:
         """Canonical remainder of vec modulo this subspace, zeros dropped.
 
@@ -508,7 +514,8 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
         return Subspace(s1.ambient)
     cols = b1 + [{k: -v for k, v in r.items()} for r in b2]
     _, kernel = solve_columns(cols, [])
-    rows = [combination((c, b1[j]) for j, c in kv.items() if j < len(b1)) for kv in kernel]
+    # the numerators alone: one common scale leaves a span unchanged
+    rows = [_combine((c, b1[j], 1) for j, c in kv.items() if j < len(b1))[0] for kv in kernel]
     return Subspace(s1.ambient, rows)
 
 
@@ -673,8 +680,9 @@ def _canonical(nums: Mapping, den: int) -> tuple[dict, int]:
 
 def _combine(terms: Iterable[tuple]) -> tuple[dict, int]:
     """The sum of c * nums / den over (c, nums, den) triples, c an int
-    or a Fraction, in canonical form; keys may be any hashables.  It
-    runs on int numerators over the lcm of the c.denominator * den."""
+    or a Fraction; keys may be any hashables.  A raw sum: int numerators
+    over the lcm of the c.denominator * den, cancelled entries kept as
+    zeros."""
     parts = [(c.numerator, c.denominator * den, nums) for c, nums, den in terms if c and nums]
     big = lcm(*[d for _, d, _ in parts])
     out: dict = {}
@@ -683,29 +691,36 @@ def _combine(terms: Iterable[tuple]) -> tuple[dict, int]:
         f = cn * (big // d)
         for k, n in nums.items():
             out[k] = get(k, 0) + f * n
-    return _canonical(out, big)
+    return out, big
+
+
+def _int_sum(terms: Iterable[tuple]) -> tuple[dict[int, int], int]:
+    """The sum of c * nums / den over terms (c, (nums, den), stride,
+    offset), entry k of nums placed at column k * stride + offset; c may
+    be an int or a Fraction.  A raw sum, like ``_combine``: int
+    numerators over the lcm of the c.denominator * den, cancelled
+    entries kept as zeros."""
+    terms = [(c.numerator, c.denominator * d, nums, st, off) for c, (nums, d), st, off in terms]
+    big = lcm(*[d for _, d, _, _, _ in terms])
+    out: dict[int, int] = {}
+    get = out.get
+    for cn, d, nums, st, off in terms:
+        f = cn * (big // d)
+        for k, n in nums.items():
+            key = k * st + off
+            out[key] = get(key, 0) + f * n
+    return out, big
 
 
 def _residual(nums: Mapping, den: int, rows: Mapping) -> tuple[dict, int]:
-    """The canonical remainder of the vector nums / den modulo the span of
-    the primitive RREF ``rows`` ({pivot: row}), zero exactly when the
-    vector lies in it.  A row carries no pivot column but its own, so the
-    pivots hit by the vector are all the subtractions there are, and they
-    are one ``_combine``."""
+    """The remainder of the vector nums / den modulo the span of the
+    primitive RREF ``rows`` ({pivot: row}), a raw ``_combine``: its
+    numerators are all zero exactly when the vector lies in the span.  A
+    row carries no pivot column but its own, so the pivots hit by the
+    vector are all the subtractions there are."""
     return _combine(
         [(1, nums, den)] + [(-nums[k], rows[k], den * rows[k][k]) for k in nums if k in rows]
     )
-
-
-def combination(terms: Iterable[tuple]) -> dict:
-    """The linear combination of (coefficient, sparse map) pairs, as a
-    sparse map of Fractions with the zeros dropped.
-
-    Keys may be any hashables, and coefficients and entries ints or
-    Fractions.  Each map is scaled to int numerators once and the sum
-    is ``_combine``.
-    """
-    return _unscaled(*_combine((scalar(c), *_scaled(vec)) for c, vec in terms))
 
 
 def _scaled_images(images: Sequence["Tensor"]) -> tuple[list[list[tuple]], int]:
@@ -750,7 +765,7 @@ def escaping_row(space: Subspace, m: Matrix) -> int | None:
                 for (j,), y in tail:
                     key = base + j
                     out[key] = get(key, 0) + f * y
-        if _residual(out, 1, rows)[0]:
+        if any(_residual(out, 1, rows)[0].values()):
             return pos
     return None
 
@@ -885,7 +900,7 @@ class Tensor:
         terms = list(terms)
         if any(t.nv != nv or t.degree != degree for _, t in terms):
             raise ValueError("tensor shape mismatch")
-        return Tensor._trusted(nv, degree, *_combine((scalar(c), t.nums, t.den) for c, t in terms))
+        return Tensor._from_scaled(nv, degree, *_combine((scalar(c), t.nums, t.den) for c, t in terms))
 
     def apply_matrix_slots(self, slots: Iterable[int], m: Matrix) -> "Tensor":
         """Apply an nv x nv matrix (rows are images) at each listed factor.

@@ -34,7 +34,6 @@ from .linalg import (
     _scaled_images,
     _substitute_at,
     escaping_row,
-    flat_word,
     solve_columns,
     word_flat,
 )
@@ -101,7 +100,7 @@ def check_automorphism(m: Matrix, alg: QuadraticAlgebra) -> GradedAutomorphism:
     sigma._inverse = GradedAutomorphism(m.inverse(), alg)  # raises NotInvertibleError on singular input
     k = escaping_row(alg.R, m)
     if k is not None:
-        t = Tensor.from_vec(alg.R.basis()[k], alg.nv, 2)
+        t = alg.R.basis_tensors(alg.nv, 2)[k]
         raise NotAdmissibleError(
             f"automorphism does not preserve R: image of {t!r} escapes"
         )
@@ -150,7 +149,7 @@ class DerivationLift:
             if k:
                 twisted, den = _substitute_at(twisted, k - 1, rows), den * mden
             terms.append((1, _substitute_at(twisted, k, images), den * iden))
-        return Tensor._trusted(self.algebra.nv, t.degree + 1, *_combine(terms))
+        return Tensor._from_scaled(self.algebra.nv, t.degree + 1, *_combine(terms))
 
     def is_zero(self) -> bool:
         return all(im.is_zero() for im in self.images)
@@ -184,11 +183,8 @@ def extend_derivation(
         if im.degree != 2 or im.nv != alg.nv:
             raise ValueError("derivation images must be degree-2 tensors over V")
     delta = DerivationLift(images, sigma)
-    nv = alg.nv
     sandwich = alg.sandwich_space()
-    for r in alg.R.int_rows():
-        # the basis() row: the primitive row over its pivot entry
-        t = Tensor._from_scaled(nv, 2, {flat_word(k, 2, nv): n for k, n in r.items()}, r[min(r)])
+    for t in alg.R.basis_tensors(alg.nv, 2):
         if _outside(sandwich, delta.extend(t)):
             raise NotAdmissibleError(
                 f"delta(R) leaves R(x)V + V(x)R on relation {t!r}"
@@ -200,7 +196,8 @@ def _outside(space: Subspace, t: Tensor) -> bool:
     """Whether t leaves ``space``, read on its int numerators keyed by
     flat word; no Fraction is built."""
     nv = t.nv
-    return bool(_residual({word_flat(w, nv): n for w, n in t.nums.items()}, t.den, space._rows)[0])
+    nums, _ = _residual({word_flat(w, nv): n for w, n in t.nums.items()}, t.den, space._rows)
+    return any(nums.values())
 
 
 def hdet(sigma: GradedAutomorphism) -> Fraction:
@@ -282,8 +279,7 @@ def admissible_lift_space(
     # hits[r][i]: (slot, other letter, coefficient) for each word of the
     # relation's slot term carrying letter i at that slot
     hits = []
-    for b in alg.R.basis():
-        rt = Tensor.from_vec(b, nv, 2)
+    for rt in alg.R.basis_tensors(nv, 2):
         by_letter: list[list] = [[] for _ in range(nv)]
         for w, c in rt.entries.items():
             by_letter[w[0]].append((1, w[1], c))

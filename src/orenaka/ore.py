@@ -33,10 +33,12 @@ tables of ``QuadraticAlgebra.w_tables`` and its ``split``), never in
 V^(x)(i+1): the image of w_k under delta_{i,r} is its coordinates on
 the w_l (x) x_j of W_i (x) V, under delta_{i,l} on the x_u (x) w_l of V
 (x) W_i, and sigma^(x)i on W_i is the square matrix S^i.  Each is a
-vector of int numerators over one denominator.  Tensors are built only
-where one is the output: the ``right`` and ``left`` stages on first
-read, and omega-hat, made in one pass over the blocks (S^i (x) id) and
-(delta_{i,r} (x) id) of omega's coordinates in W_i (x) W_{d-i}.
+vector of int numerators over one denominator; the sums between them
+are raw, and each stored stage and S^i is made canonical (the rule of
+the ``linalg`` docstring).  Tensors are built only where one is the
+output: the ``right`` and ``left`` stages on first read, and omega-hat,
+made in one pass over the blocks (S^i (x) id) and (delta_{i,r} (x) id)
+of omega's coordinates in W_i (x) W_{d-i}.
 
 Right towers are built stage by stage: delta_{i,r}(w_k) is any u in W_i
 (x) V with (id^(i-1) (x) m)(u) = (id^(i-1) (x) m)((sigma^(i-1) (x) delta
@@ -94,6 +96,7 @@ from .linalg import (
     Tensor,
     _canonical,
     _combine,
+    _int_sum,
     _matrix_images,
     _residual,
     _scaled,
@@ -106,17 +109,11 @@ from .morphisms import (
     GradedAutomorphism,
     nakayama_of_A,
 )
-from .quadratic import QuadraticAlgebra, _expand, _int_sum
+from .quadratic import QuadraticAlgebra, _expand
 
 
 def _sign(i: int) -> int:
     return 1 if i % 2 == 0 else -1
-
-
-def _sum(terms) -> tuple[dict[int, int], int]:
-    """``quadratic._int_sum`` of (c, (nums, den), stride, offset) terms
-    in canonical form."""
-    return _canonical(*_int_sum(terms))
 
 
 _UNIT = ([[((), 1)]], 1)  # the scalar line, as a ``_expand`` factor
@@ -225,8 +222,7 @@ class SequencePair:
             )
         for i in range(2, d + 1):
             wi = alg.koszul_space(i)
-            for k, b in enumerate(wi.basis()):
-                w = Tensor.from_vec(b, nv, i)
+            for k, w in enumerate(wi.basis_tensors(nv, i)):
                 lhs = alg.nf_tensor(self.right[i][k], i - 1)
                 rhs = alg.nf_tensor(
                     _sigma_power_delta(self.sigma, self.delta, w, i)
@@ -252,7 +248,7 @@ def _sigma_power_delta(sigma, delta, w: Tensor, i: int) -> Tensor:
 
 
 def _on_left(vec: tuple[dict, int], rows, size: int, sign: int = 1) -> list[tuple]:
-    """The ``_sum`` terms of sign * (f (x) id)(vec) for vec keyed m * size
+    """The ``_int_sum`` terms of sign * (f (x) id)(vec) for vec keyed m * size
     + v, with f(w_m) = rows[m] keyed g: keyed g * size + v."""
     nums, den = vec
     return [
@@ -262,7 +258,7 @@ def _on_left(vec: tuple[dict, int], rows, size: int, sign: int = 1) -> list[tupl
 
 
 def _on_right(vec: tuple[dict, int], rows, size: int, width: int, sign: int = 1) -> list[tuple]:
-    """The ``_sum`` terms of sign * (id (x) f)(vec) for vec keyed m * size
+    """The ``_int_sum`` terms of sign * (id (x) f)(vec) for vec keyed m * size
     + v, with f(v) = rows[v] keyed g < width: keyed m * width + g."""
     nums, den = vec
     return [
@@ -311,9 +307,9 @@ def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> tuple[list, list]:
     lifts: list = [None, None]
     for i in range(2, d + 1):
         stage = []
-        lifts.append([_sum(_on_left(split, out[-1], nv)) for split in alg.split(i)])
+        lifts.append([_int_sum(_on_left(split, out[-1], nv)) for split in alg.split(i)])
         for lifted in lifts[i]:
-            moved = _sum(_on_right(lifted, mrows, nv, nv))
+            moved = _int_sum(_on_right(lifted, mrows, nv, nv))
             image = _read_back(alg, i, moved, 0)
             if image is None:
                 raise EngineInvariantError(
@@ -362,7 +358,7 @@ def build_sequence_pair(
             # A_2, plus (delta_{i-1,r} (x) id)(w_k) then x_j x_v multiplied in
             b, bden = _int_sum(
                 _on_right(lifted, nf_delta, nv, dim_a2)
-                + _on_right(_sum(_on_left(split, right[i - 1], nv)), tab.pairs, nv * nv, dim_a2)
+                + _on_right(_int_sum(_on_left(split, right[i - 1], nv)), tab.pairs, nv * nv, dim_a2)
             )
             y = system.solve(b)
             if y is None:
@@ -384,9 +380,9 @@ def build_sequence_pair(
         sgn = _sign(i)
         lstage = []
         for k, (lsplit, rsplit) in enumerate(zip(lsplits, splits)):
-            t = _sum(
+            t = _int_sum(
                 # sgn (sigma (x) delta_{i-1,r})(w_k), sigma first
-                _on_right(_sum(_on_left(lsplit, mrows, p)), right[i - 1], p, p * nv, sgn)
+                _on_right(_int_sum(_on_left(lsplit, mrows, p)), right[i - 1], p, p * nv, sgn)
                 # -sgn delta_{i,r}(w_k), through the left split of each w_l
                 + _on_left(stage[k], lsplits, nv, -sgn)
                 # (delta_{i-1,l} (x) id)(w_k)
@@ -644,8 +640,8 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     tab = alg.w_tables()
     # C_i keyed a * dim W_{d-i} + b on w_a (x) w_b, R_i keyed (l * nv +
     # j) * dim W_{d-i} + b on w_l (x) x_j (x) w_b; R_0 = 0
-    cs = [_sum(_on_left(tab.omega[i], sp.sigma_w[i], tab.dims[d - i])) for i in range(d + 1)]
-    rs = [({}, 1)] + [_sum(_on_left(tab.omega[i], sp.right_w[i], tab.dims[d - i])) for i in range(1, d + 1)]
+    cs = [_int_sum(_on_left(tab.omega[i], sp.sigma_w[i], tab.dims[d - i])) for i in range(d + 1)]
+    rs = [({}, 1)] + [_int_sum(_on_left(tab.omega[i], sp.right_w[i], tab.dims[d - i])) for i in range(1, d + 1)]
     terms = []
     for i in range(d + 1):
         # z put between the two factors of C_i
@@ -654,7 +650,7 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
         terms.append((_sign(i), *_expand(cs[i], tab.words[i], z_tail)))
         if i:
             terms.append((_sign(i), *_expand(rs[i], tab.words_v[i], tab.words[d - i])))
-    omega_hat = Tensor._trusted(nh, d + 1, *_combine(terms))
+    omega_hat = Tensor._from_scaled(nh, d + 1, *_combine(terms))
     if not _in_last_slot(alg, cs, rs, r_hat):
         raise NotInHatWError(
             f"omega-hat escapes V-hat^{d - 1} (x) R-hat (x) V-hat^0", slot=d - 1
@@ -722,7 +718,7 @@ def _twist_failure(sp: SequencePair, cs: list, omega_hat: Tensor, mu_b: Matrix) 
 
 
 def _first_to_end(vec: tuple[dict, int], rows, size: int, nv: int, sign: int) -> list[tuple]:
-    """The ``_sum`` terms of sign * (the first factor sent through f and
+    """The ``_int_sum`` terms of sign * (the first factor sent through f and
     moved to the end)(vec) for vec keyed u * size + r, with f(x_u) =
     rows[u] keyed j < nv: keyed r * nv + j."""
     nums, den = vec
@@ -750,7 +746,7 @@ def _in_last_slot(alg: QuadraticAlgebra, cs: list, rs: list, r_hat: Subspace) ->
     ]
     # block d, of the opposite sign, is w^d_0 (x) u with u = C_d z + R_d,
     # and w^d_0 splits in W_{d-1} (x) V
-    unums, uden = _sum([(1, cs[d], 1, nv), (1, rs[d], 1, 0)])
+    unums, uden = _int_sum([(1, cs[d], 1, nv), (1, rs[d], 1, 0)])
     ((snums, sden),) = alg.split(d)
     terms.append((-1, {
         (k // nv, k % nv * nh + p): s * n for k, s in snums.items() for p, n in unums.items()
@@ -760,7 +756,7 @@ def _in_last_slot(alg: QuadraticAlgebra, cs: list, rs: list, r_hat: Subspace) ->
     for (l, key), c in nums.items():
         coefficients.setdefault(l, {})[key] = c
     rows = r_hat._rows
-    return not any(_residual(vec, den, rows)[0] for vec in coefficients.values())
+    return not any(any(_residual(vec, den, rows)[0].values()) for vec in coefficients.values())
 
 
 def derivation_quotient_relations(omega: Tensor, order: int) -> Subspace:
@@ -778,6 +774,7 @@ def derivation_quotient_relations(omega: Tensor, order: int) -> Subspace:
     keep = omega.degree - order
     # a word is its (head, tail) pair, so no entry lands twice
     slices: dict[tuple, dict] = {}
-    for w, c in omega.entries.items():
+    # the numerators alone: one common scale leaves a span unchanged
+    for w, c in omega.nums.items():
         slices.setdefault(w[keep:], {})[word_flat(w[:keep], nv)] = c
     return Subspace(nv**keep if keep else 1, list(slices.values()))

@@ -58,13 +58,14 @@ RREF rows of ``linalg.echelon``: the pivot entry of a row is the
 denominator, and a primitive row gives a content-reduced form.  ``_nf``
 caches the form of each word, and the products and sums of
 ``_build_piece``, ``differential_rows`` and ``nf_tensor`` run on
-numerators over a common denominator (``_int_sum``), and ``nf_tensor``
-reads the tensor's own numerators.  Fractions are built only at the
-public edge, one per entry of ``nf_word``, ``nf_tensor`` and each
-differential row; the rank route of ``certify_koszul`` ranks the
-numerators and builds none.  Each is the exact rational that
-elimination in Fractions gives: the RREF of the reducer is unique, and
-integer arithmetic is exact.
+numerators over a common denominator (``linalg._int_sum``, a raw sum
+by the rule of the ``linalg`` docstring, made canonical only where
+``_nf`` caches a form), and ``nf_tensor`` reads the tensor's own
+numerators.  Fractions are built only at the public edge, one per
+entry of ``nf_word``, ``nf_tensor`` and each differential row; the
+rank route of ``certify_koszul`` ranks the numerators and builds none.
+Each is the exact rational that elimination in Fractions gives: the
+RREF of the reducer is unique, and integer arithmetic is exact.
 
 W-coordinate tables.  ``w_tables`` holds what the sequence-pair towers
 of ``ore`` read in the bases of the W_i (``WTables``): the pivot-word
@@ -81,7 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import CertificationError, EngineInvariantError, NotASRegularError
@@ -91,6 +92,8 @@ from .linalg import (
     P,
     Subspace,
     Tensor,
+    _canonical,
+    _int_sum,
     echelon,
     expand_scaled,
     flat_word,
@@ -166,7 +169,8 @@ class QuadraticAlgebra:
             for t in relations:
                 if t.degree != 2 or t.nv != self.nv:
                     raise ValueError("relations must be degree-2 tensors over V")
-                rows.append(t.to_vec())
+                # the numerators alone: one common scale leaves a span unchanged
+                rows.append({word_flat(w, self.nv): n for w, n in t.nums.items()})
             self.R = Subspace(self.nv**2, rows)
         self._order = _ore_order(self.R, self.nv)
         self._pos = {v: k for k, v in enumerate(self._order)}
@@ -260,9 +264,7 @@ class QuadraticAlgebra:
         pairs = self._piece(m).pairs
         last = self._pos[word[-1]]
         nums, den = _int_sum((c, pairs[b * self.nv + last], 1, 0) for b, c in prefix.items())
-        den *= pden
-        g = gcd(den, *nums.values())
-        out = ({k: n // g for k, n in nums.items() if n}, den // g)
+        out = _canonical(nums, den * pden)
         self._nf_cache[word] = out
         return out
 
@@ -367,8 +369,8 @@ class QuadraticAlgebra:
         nv = self.nv
         wprev = self.koszul_space(i - 1)
         out = []
-        for b in self.koszul_space(i).basis():
-            got = expand_scaled(Tensor.from_vec(b, nv, i), int(left), wprev, i - 1, int(not left))
+        for t in self.koszul_space(i).basis_tensors(nv, i):
+            got = expand_scaled(t, int(left), wprev, i - 1, int(not left))
             if got is None:
                 side = f"V (x) W_{i - 1}" if left else f"W_{i - 1} (x) V"
                 raise EngineInvariantError(f"W_{i} escapes {side}")
@@ -559,7 +561,7 @@ class QuadraticAlgebra:
         wd = self.koszul_space(d)
         if wd.dim != dims[d]:
             raise EngineInvariantError(f"dim W_{d} = {wd.dim}, but {dims[d]} words count it")
-        omega = Tensor.from_vec(wd.basis()[0], self.nv, d)
+        omega = wd.basis_tensors(self.nv, d)[0]
         self.certificate = replace(self.certify_koszul(d + 3), d=d, omega=omega)
         return d, omega
 
@@ -712,23 +714,6 @@ def _peel(rels: list[dict], v: int, letters: list[int], nv: int) -> list[dict] |
     if len(rels) - len(rest) != len(letters) - 1 or any(b == v for rel in rest for _, b in rel):
         return None
     return rest
-
-
-def _int_sum(terms: Iterable[tuple]) -> tuple[dict[int, int], int]:
-    """The sum of c * nums / den over terms (c, (nums, den), stride,
-    offset), entry k of nums placed at column k * stride + offset, as
-    int numerators over the lcm of the c.denominator * den; c may be an
-    int or a Fraction.  Cancelled entries stay as zeros."""
-    terms = [(c.numerator, c.denominator * d, nums, st, off) for c, (nums, d), st, off in terms]
-    big = lcm(*[d for _, d, _, _, _ in terms])
-    out: dict[int, int] = {}
-    get = out.get
-    for cn, d, nums, st, off in terms:
-        f = cn * (big // d)
-        for k, n in nums.items():
-            key = k * st + off
-            out[key] = get(key, 0) + f * n
-    return out, big
 
 
 def _expand(vec: tuple[dict, int], head, tail) -> tuple[dict, int]:

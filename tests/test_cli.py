@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -344,6 +345,19 @@ def test_exit_code_unknown_param(capsys):
     code, _, err = run(capsys, "catalog", "--family", "poly", "--case", "divergence",
                        "--param", "n=2", "--param", "q=2", "--input", str(GOLDEN / "comm.json"))
     assert code == 1 and "'q'" in err and "accepted: n" in err
+
+
+def test_poly_n_above_the_bound_exits_1_at_once(monkeypatch, capsys):
+    # poly(8) would run for a minute: it is refused before any algebra is built
+    built = []
+    monkeypatch.setattr(cli, "make_polynomial", lambda n: built.append(n))
+    for n in ("8", "0"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "catalog", "--family", "poly", "--case", "divergence",
+                             "--param", f"n={n}", "--input", str(GOLDEN / "comm.json"))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "") and "n=<integer in 1..7>" in err
+    assert built == []
 
 
 def test_python_dash_m_entry_point():

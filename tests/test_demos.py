@@ -1,7 +1,9 @@
 """Smoke test: every demo script runs to completion in a fresh process.
 
 The demos import the package's public names; running them here keeps a
-removed or renamed export from breaking a demo unnoticed.
+removed or renamed export from breaking a demo unnoticed.  Each runs
+under ``-X dev -W error``, as the test suite does in CI, so a warning
+inside a demo fails it too.
 """
 
 import os
@@ -25,6 +27,7 @@ def test_demo_runs(demo):
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -22,15 +22,14 @@ from orenaka.linalg import (
     P,
     _clear,
     _integer_row,
+    _combine,
     _scaled,
-    combination,
     echelon,
     fraction_rows,
     rank,
     sandwich_map,
     shift,
     solve_columns,
-    word_flat,
 )
 
 from conftest import (
@@ -469,12 +468,18 @@ def _matrix_and_tensor(draw):
     return Matrix(rows), t
 
 
-def _assert_canonical(t: Tensor):
+def _assert_canonical_scaled(nums: dict, den: int):
     """The stored form: int numerators, none zero, over a positive int
-    denominator with gcd(den, *nums) = 1; ``entries`` is their view."""
-    assert type(t.den) is int and t.den > 0
-    assert all(type(n) is int and n for n in t.nums.values()), "a zero numerator is stored"
-    assert gcd(t.den, *t.nums.values()) == 1, "the stored form is not reduced"
+    denominator with gcd(den, *nums) = 1."""
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n for n in nums.values()), "a zero numerator is stored"
+    assert gcd(den, *nums.values()) == 1, "the stored form is not reduced"
+
+
+def _assert_canonical(t: Tensor):
+    """A tensor's stored form (``_assert_canonical_scaled``); ``entries``
+    is its view."""
+    _assert_canonical_scaled(t.nums, t.den)
     assert len(t.entries) == len(t.nums)
     assert dict(t.entries.items()) == {w: Fraction(n, t.den) for w, n in t.nums.items()}
 
@@ -534,16 +539,15 @@ def test_combine_matches_fraction_sum_and_scaling_is_lcm(data):
             expected[w] = expected.get(w, 0) + c * v
     expected = {w: v for w, v in expected.items() if v}
     _assert_same_entries(Tensor.combine(nv, degree, terms), expected)
-    # the same sum on int keys and on tuple keys, with int coefficients
-    # and entries mixed in
-    flat = [(c, {word_flat(w, nv): v for w, v in t.entries.items()}) for c, t in terms]
-    flat.append((2, {0: 3, 1: -3}))
-    flat.append((-3, {0: 2, 1: -2}))
-    assert combination(flat) == {word_flat(w, nv): v for w, v in expected.items()}
-    keyed = [(c, {(w, "x"): v for w, v in t.entries.items()}) for c, t in terms]
-    got = combination(keyed)
-    assert got == {(w, "x"): v for w, v in expected.items()}
-    assert all(type(v) is Fraction and v for v in got.values())
+    # the raw sum on tuple keys, with int coefficients and entries mixed
+    # in, keeps its cancelled entries as zeros
+    keyed = [(c, *_scaled({(w, "x"): v for w, v in t.entries.items()})) for c, t in terms]
+    keyed += [(2, {(0, "y"): 3}, 1), (-3, {(0, "y"): 2}, 1)]
+    nums, den = _combine(keyed)
+    assert nums[(0, "y")] == 0
+    assert {k: Fraction(n, den) for k, n in nums.items() if n} == {
+        (w, "x"): v for w, v in expected.items()
+    }
     for _, t in terms:
         nums, den = _scaled(t.entries)
         assert den == lcm(*(c.denominator for c in t.entries.values()))

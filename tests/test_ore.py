@@ -633,6 +633,32 @@ def test_w_coordinate_towers_equal_tensor_towers(name, sig, delta):
     assert nakayama_of_B(sig, delta).hdet == hdet(sig)
 
 
+@pytest.mark.parametrize("name, sig, delta", _tower_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_stored_values_are_canonical(name, sig, delta):
+    # the sums between kernels are raw; every stored stage, S^i and
+    # returned tensor is canonical
+    from test_linalg import _assert_canonical, _assert_canonical_scaled
+
+    a = sig.algebra
+    nv, d = a.nv, a.d
+    half = Fraction(1, 2)
+    for rng in (None, random.Random(5)):
+        sp = build_sequence_pair(sig, delta, rng=rng)
+        for tower in (sp.right_w, sp.left_w, sp.sigma_w):
+            for stage in tower:
+                for nums, den in stage:
+                    _assert_canonical_scaled(nums, den)
+        for i in range(1, d + 1):
+            for k, w in enumerate(a.koszul_space(i).basis_tensors(nv, i)):
+                _assert_canonical(delta.extend(w))
+                t = Tensor.combine(
+                    nv, i + 1, [(half, sp.right[i][k]), (2, sp.left[i][k]), (-half, sp.right[i][k])]
+                )
+                _assert_canonical(t)
+                assert t == sp.left[i][k].scale(2)
+    _assert_canonical(nakayama_of_B(sig, delta).omega_hat)
+
+
 def _stage_cases():
     """(name, sigma, delta): the tower cases and all 25 dim-2 catalog
     cases."""

@@ -407,6 +407,30 @@ def _sklyanin_extension() -> QuadraticAlgebra:
     return QuadraticAlgebra(("x", "y", "z", "w"), ore_relations(sigma, delta))
 
 
+def test_basis_tensors_are_the_fraction_basis():
+    # the integer read of a subspace's basis against its Fraction rows,
+    # on R and every W_i up to the first zero one
+    from test_linalg import _assert_canonical
+
+    algs = catalog_algebras() + [
+        ("sklyanin123", _sklyanin()),
+        ("poly5", make_polynomial(5)),
+        ("swell-B", _sklyanin_extension()),
+    ]
+    for name, a in algs:
+        spaces = [(a.R, 2), (a.koszul_space(0), 0)]
+        while spaces[-1][0].dim:
+            i = spaces[-1][1] + 1
+            spaces.append((a.koszul_space(i), i))
+        for space, degree in spaces:
+            got = space.basis_tensors(a.nv, degree)
+            assert got == [Tensor.from_vec(b, a.nv, degree) for b in space.basis()], (name, degree)
+            for t in got:
+                _assert_canonical(t)
+    with pytest.raises(ValueError):
+        make_polynomial(2).R.basis_tensors(2, 3)
+
+
 def _forced_ranks(bound: int, n: int = 4) -> dict:
     """The ranks of the Koszul differentials that exactness forces from
     dim W_i = C(n, i) and dim A_m = C(m + n - 1, n - 1), those of poly(n)

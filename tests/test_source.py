@@ -6,6 +6,11 @@ Two rules keep deletions from leaving dead code behind:
   re-exports of ``__init__`` and ``from __future__`` are exempt);
 * every module-level ``_private`` function is referenced by some module
   of ``src/orenaka``.
+
+A third keeps Fractions at the public edge: no module of
+``src/orenaka`` calls ``.basis()`` or ``Tensor.from_vec``, whose
+Fraction rows are for callers outside the package; inside it a
+subspace becomes tensors through ``basis_tensors``.
 """
 
 import ast
@@ -41,6 +46,18 @@ def _read(tree: ast.Module) -> set[str]:
     return out
 
 
+def _fraction_edge_calls(tree: ast.Module) -> list[int]:
+    """The lines that call ``.basis()`` or ``Tensor.from_vec``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr, owner = node.func.attr, node.func.value
+            tensor = isinstance(owner, ast.Name) and owner.id == "Tensor"
+            if attr == "basis" or (attr == "from_vec" and tensor):
+                out.append(node.lineno)
+    return sorted(out)
+
+
 def test_modules_read_every_import():
     unread = [
         f"{name}:{line} imports {imported} and never reads it"
@@ -71,6 +88,15 @@ def test_private_functions_are_referenced():
     assert unused == []
 
 
+def test_no_module_calls_the_fraction_basis():
+    calls = [
+        f"{name}:{line} calls .basis() or Tensor.from_vec"
+        for name, tree in MODULES.items()
+        for line in _fraction_edge_calls(tree)
+    ]
+    assert calls == []
+
+
 def test_rules_catch_dead_code():
     tree = ast.parse(
         "from __future__ import annotations\n"
@@ -84,3 +110,15 @@ def test_rules_catch_dead_code():
     assert {n for n in _imported(tree) if n not in _read(tree)} == {"gcd"}
     assert "_dead" not in _read(tree)
     assert "Path" in _read(tree)
+
+
+def test_rule_catches_fraction_basis_calls():
+    tree = ast.parse(
+        "def basis(self):\n"
+        "    return []\n"
+        "rows = space.basis()\n"
+        "t = Tensor.from_vec(rows[0], 2, 2)\n"
+        "ts = space.basis_tensors(2, 2)\n"
+        "basis = space.basis\n"
+    )
+    assert _fraction_edge_calls(tree) == [3, 4]
