@@ -34,7 +34,6 @@ from .linalg import (
     scalar,
     scalar_str,
     subspace_intersect,
-    subspace_sum,
 )
 from .quadratic import KoszulCertificate, QuadraticAlgebra
 from .morphisms import (

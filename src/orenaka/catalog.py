@@ -36,6 +36,7 @@ from .morphisms import (
     admissible_lift_space,
     check_automorphism,
     extend_derivation,
+    nakayama_of_A,
     nakayama_of_A_dim2_closed_form,
 )
 from .quadratic import QuadraticAlgebra
@@ -754,17 +755,26 @@ def _rand_avoid(rng: random.Random, avoid) -> Fraction:
 def random_admissible_automorphism(
     alg: QuadraticAlgebra, rng: random.Random
 ) -> GradedAutomorphism:
-    """Random automorphism from the known shape of each catalog family."""
+    """Random automorphism from the known shape of each catalog family.
+
+    A dim-2 catalog plane (relation x1 x2 - q x2 x1 with q != 1, or x1
+    x2 - x2 x1 - x2^2) draws from its family's shape, and an algebra
+    whose relations are the commutators (poly(n), the commutative
+    plane) any invertible matrix.  Any other algebra draws c * mu_A^k,
+    a nonzero rational c and k in 0..2: mu_A preserves R on every
+    AS-regular algebra (``nakayama_of_A`` checks it), so its powers do,
+    and (c m (x) c m)(R) = c^2 (m (x) m)(R).
+    """
     nv = alg.nv
     r = alg.R
     if nv == 2 and r.dim == 1:
         rel = r.basis_tensors(2, 2)[0]
-        jordan = rel.entries.get((1, 1), ZERO) != 0
+        quantum = set(rel.nums) == {(0, 1), (1, 0)}
         q = -rel.entries.get((1, 0), ZERO)
-        if jordan:
+        if rel.nums == {(0, 1): 1, (1, 0): -1, (1, 1): -1}:  # the Jordan plane
             a = random_rational(rng, nonzero=True)
             return check_automorphism(Matrix([[a, random_rational(rng)], [0, a]]), alg)
-        if q == -1 and rng.random() < ONE / 3:
+        if quantum and q == -1 and rng.random() < ONE / 3:
             return check_automorphism(
                 Matrix(
                     [
@@ -774,7 +784,7 @@ def random_admissible_automorphism(
                 ),
                 alg,
             )
-        if q != 1:
+        if quantum and q != 1:
             return check_automorphism(
                 Matrix(
                     [
@@ -784,6 +794,14 @@ def random_admissible_automorphism(
                 ),
                 alg,
             )
+    # the RREF rows of the commutator span, in pivot order
+    commutators = [{a * nv + b: 1, b * nv + a: -1} for a in range(nv) for b in range(a + 1, nv)]
+    if r.int_rows() != commutators:
+        c = random_rational(rng, nonzero=True)
+        m = Matrix.identity(nv)
+        for _ in range(rng.randint(0, 2)):
+            m = m * nakayama_of_A(alg).matrix
+        return check_automorphism(m * c, alg)
     # polynomial-type: any invertible matrix preserves the relations
     while True:
         m = Matrix([[random_rational(rng) for _ in range(nv)] for _ in range(nv)])

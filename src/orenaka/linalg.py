@@ -480,12 +480,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of k^{self.ambient})"
 
 
-def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    if s1.ambient != s2.ambient:
-        raise ValueError("ambient dimension mismatch")
-    return Subspace(s1.ambient, [*s1._rows.values(), *s2._rows.values()])
-
-
 def shift(s: Subspace, nv: int, left: int, right: int) -> Subspace:
     """V^(x)left (x) S (x) V^(x)right inside V^(x)(left + deg S + right).
 

@@ -119,6 +119,9 @@ class DerivationLift:
     Leibniz rule delta(u (x) v) = sigma_T(u) (x) delta(v) + delta(u)
     (x) v; admissibility means delta(R) <= R (x) V + V (x) R, which is
     exactly the condition for the induced map on A to be well defined.
+    It is read as delta(r) = 0 in A_3 for every relation r: A_3 is
+    V^(x)3 / (R (x) V + V (x) R) by definition, so a degree-3 tensor
+    lies in R (x) V + V (x) R iff its normal form in A_3 is zero.
     """
 
     __slots__ = ("images", "sigma", "algebra", "_tables")
@@ -140,6 +143,11 @@ class DerivationLift:
         ``_substitute_at`` pass per slot on tables made on the first call."""
         if t.nv != self.algebra.nv:
             raise ValueError("tensor alphabet mismatch")
+        return Tensor._from_scaled(self.algebra.nv, t.degree + 1, *self._extend(t))
+
+    def _extend(self, t: Tensor) -> tuple[dict, int]:
+        """``extend`` as a raw sum: int numerators by word over one
+        denominator, cancelled entries kept as zeros."""
         if self._tables is None:
             self._tables = (_matrix_images(self.sigma.matrix), _scaled_images(self.images))
         (rows, mden), (images, iden) = self._tables
@@ -149,7 +157,7 @@ class DerivationLift:
             if k:
                 twisted, den = _substitute_at(twisted, k - 1, rows), den * mden
             terms.append((1, _substitute_at(twisted, k, images), den * iden))
-        return Tensor._from_scaled(self.algebra.nv, t.degree + 1, *_combine(terms))
+        return _combine(terms)
 
     def is_zero(self) -> bool:
         return all(im.is_zero() for im in self.images)
@@ -174,7 +182,16 @@ class DerivationLift:
 def extend_derivation(
     images: Sequence[Tensor], sigma: GradedAutomorphism, alg: QuadraticAlgebra
 ) -> DerivationLift:
-    """Build an admissible derivation lift, or raise NotAdmissibleError."""
+    """Build an admissible derivation lift, or raise NotAdmissibleError
+    naming the first basis relation r of R (pivot order) with delta(r)
+    outside R (x) V + V (x) R.
+
+    delta(r) is tested as delta(r) = 0 in A_3 (``DerivationLift``): its
+    int numerators meet the length-3 normal forms of the algebra
+    (``QuadraticAlgebra._nf3``) and must sum to zero.  The common
+    denominator is dropped, as scaling a tensor does not move it in or
+    out of the subspace; no Fraction is built.
+    """
     if sigma.algebra is not alg:
         raise ValueError("sigma belongs to a different algebra")
     if len(images) != alg.nv:
@@ -183,9 +200,15 @@ def extend_derivation(
         if im.degree != 2 or im.nv != alg.nv:
             raise ValueError("derivation images must be degree-2 tensors over V")
     delta = DerivationLift(images, sigma)
-    sandwich = alg.sandwich_space()
-    for t in alg.R.basis_tensors(alg.nv, 2):
-        if _outside(sandwich, delta.extend(t)):
+    table, _ = alg._nf3()
+    nv = alg.nv
+    for t in alg.R.basis_tensors(nv, 2):
+        nf: dict = {}
+        get = nf.get
+        for (a, b, c), n in delta._extend(t)[0].items():
+            for k, v in table[(a * nv + b) * nv + c].items():
+                nf[k] = get(k, 0) + n * v
+        if any(nf.values()):
             raise NotAdmissibleError(
                 f"delta(R) leaves R(x)V + V(x)R on relation {t!r}"
             )
@@ -265,41 +288,62 @@ def admissible_lift_space(
     fixed sigma.
 
     Admissibility is linear in the lift coefficients, so the space is
-    the kernel of the map sending a lift to the reductions of delta(R)
-    modulo R(x)V + V(x)R.  On a relation r, delta(r) = (delta (x) id)(r)
-    + (sigma (x) delta)(r), so the unit lift x_i -> x_s (x) x_t only
-    relabels the words of r (slot 1) and of (sigma (x) id)(r) (slot 2)
-    whose letter at that slot is i; those words are grouped by letter
-    once per call.
+    the kernel of the map sending a lift to the normal forms in A_3 of
+    delta(r), one block per relation r of the basis of R: delta(r) lies
+    in R(x)V + V(x)R iff delta(r) = 0 in A_3 (``DerivationLift``).  On
+    a relation, delta(r) = (delta (x) id)(r) + (sigma (x) delta)(r), so
+    the unit lift x_i -> x_s (x) x_t only relabels the words of r (slot
+    1) and of (sigma (x) id)(r) (slot 2) whose letter at that slot is i;
+    those words are grouped by letter once per call, and the column of
+    the unit lift sums the rows of the length-3 normal-form table
+    (``QuadraticAlgebra._nf3``) at the relabelled words.
+
+    The columns are all ints: the primitive int rows of R, the integer
+    rows of sigma over their common denominator and the table's
+    numerators over its own.  The basis is nonetheless the one that
+    reducing each delta(r) modulo R(x)V + V(x)R in Fractions gives.  The
+    normal form and that remainder are both linear maps on V^(x)3 whose
+    kernel is exactly R(x)V + V(x)R, so both are injective on the
+    classes modulo it: a combination of columns vanishes for one iff it
+    vanishes for the other.  Scaling every column, or the block of one
+    relation, by a nonzero number keeps that too.  So the two systems
+    have the same kernel, hence the same row space (its annihilator),
+    the same RREF, the same pivot unknowns and the same canonical kernel
+    vectors, which are what ``solve_columns`` returns.
     """
     if sigma.algebra is not alg:
         raise ValueError("sigma belongs to a different algebra")
     nv = alg.nv
-    sandwich = alg.sandwich_space()
-    # hits[r][i]: (slot, other letter, coefficient) for each word of the
-    # relation's slot term carrying letter i at that slot
+    table, _ = alg._nf3()
+    rows, mden = _matrix_images(sigma.matrix)
+    # hits[r][i]: (stride, offset, c) per word of the relation's slot term
+    # carrying letter i at that slot; under the unit lift to x_s (x) x_t
+    # the word becomes the table row (s * nv + t) * stride + offset, with
+    # coefficient c (the common denominator mden dropped)
     hits = []
-    for rt in alg.R.basis_tensors(nv, 2):
+    for row in alg.R.int_rows():
         by_letter: list[list] = [[] for _ in range(nv)]
-        for w, c in rt.entries.items():
-            by_letter[w[0]].append((1, w[1], c))
-        for w, c in rt.apply_matrix_slots((1,), sigma.matrix).entries.items():
-            by_letter[w[1]].append((2, w[0], c))
+        slot2: dict = {}  # (sigma (x) id)(r) by (letter b, first letter j)
+        for key, n in row.items():
+            a, b = divmod(key, nv)
+            by_letter[a].append((nv, b, n * mden))
+            for (j,), x in rows[a]:
+                slot2[(b, j)] = slot2.get((b, j), 0) + n * x
+        for (b, j), c in slot2.items():
+            if c:
+                by_letter[b].append((1, j * nv * nv, c))
         hits.append(by_letter)
     cols = []
     for i in range(nv):
-        for s in range(nv):
-            for t in range(nv):
-                col: dict = {}
-                for ridx, by_letter in enumerate(hits):
-                    vec: dict = {}
-                    for slot, other, c in by_letter[i]:
-                        w = (s, t, other) if slot == 1 else (other, s, t)
-                        key = word_flat(w, nv)
-                        vec[key] = vec.get(key, ZERO) + c
-                    for k, v in sandwich.reduce(vec).items():
-                        col[(ridx, k)] = v
-                cols.append(col)
+        for st in range(nv * nv):
+            col: dict = {}
+            get = col.get
+            for ridx, by_letter in enumerate(hits):
+                for stride, offset, c in by_letter[i]:
+                    for k, v in table[st * stride + offset].items():
+                        key = (ridx, k)
+                        col[key] = get(key, 0) + c * v
+            cols.append(col)
     _, kernel = solve_columns(cols, [])
     basis = []
     for kv in kernel:

@@ -66,6 +66,8 @@ entry of ``nf_word``, ``nf_tensor`` and each differential row; the
 rank route of ``certify_koszul`` ranks the numerators and builds none.
 Each is the exact rational that elimination in Fractions gives: the
 RREF of the reducer is unique, and integer arithmetic is exact.
+``_nf3`` keeps the forms of all nv^3 words of length 3 over one
+denominator, the A_3 read of the admissibility checks of ``morphisms``.
 
 W-coordinate tables.  ``w_tables`` holds what the sequence-pair towers
 of ``ore`` read in the bases of the W_i (``WTables``): the pivot-word
@@ -100,7 +102,6 @@ from .linalg import (
     rank,
     shift,
     subspace_intersect,
-    subspace_sum,
     word_flat,
 )
 
@@ -178,7 +179,7 @@ class QuadraticAlgebra:
         self._W: list[Subspace] = []
         self._nf_cache: dict[tuple, dict] = {}
         self._splits: dict[tuple, list] = {}  # split(i, left), by (i, left)
-        self._sandwich = None          # R(x)V + V(x)R, for derivation admissibility
+        self._nf3_table = None         # every length-3 word's normal form, by _nf3
         self._pbw = None               # normal-pair matrix, or False: the PBW test, run once
         self._exact: list[tuple[int, ...]] = []  # Q ranks of degrees 1, 2, ... proved exact
         self.certificate: KoszulCertificate | None = None  # set once, by certify_as_regular
@@ -268,6 +269,22 @@ class QuadraticAlgebra:
         self._nf_cache[word] = out
         return out
 
+    def _nf3(self) -> tuple[list[dict[int, int]], int]:
+        """The normal forms of all nv^3 words of length 3, read off
+        ``_nf`` on the first call and kept: entry word_flat(w) holds
+        ``nf_word(w)`` as int numerators over one denominator L, the lcm
+        of the words' own.  A_3 = V^(x)3 / (R (x) V + V (x) R), so a
+        degree-3 tensor lies in R (x) V + V (x) R exactly when the sum
+        of its coefficients times these rows is zero, whatever their
+        common scale (the admissibility test of ``morphisms``)."""
+        if self._nf3_table is None:
+            forms = [self._nf(flat_word(f, 3, self.nv)) for f in range(self.nv**3)]
+            big = lcm(*[den for _, den in forms])
+            self._nf3_table = (
+                [{k: n * (big // den) for k, n in nums.items()} for nums, den in forms], big
+            )
+        return self._nf3_table
+
     def nf_tensor(self, t: Tensor, keep: int = 0) -> dict[int, Fraction]:
         """(id^(x)keep (x) nf)(t) for a homogeneous tensor t: the factors
         after the first ``keep`` are multiplied into A.  Column
@@ -316,12 +333,6 @@ class QuadraticAlgebra:
                     subspace_intersect(shift(prev, self.nv, 0, 1), shift(prev, self.nv, 1, 0))
                 )
         return self._W[i]
-
-    def sandwich_space(self) -> Subspace:
-        """R (x) V + V (x) R inside V^(x)3."""
-        if self._sandwich is None:
-            self._sandwich = subspace_sum(shift(self.R, self.nv, 0, 1), shift(self.R, self.nv, 1, 0))
-        return self._sandwich
 
     # -- Koszul complex -----------------------------------------------------
 

@@ -165,6 +165,22 @@ def shifted_relation_space(r: Subspace, nv: int, left: int, right: int) -> Subsp
     return Subspace(r.ambient * nv ** (left + right), rows)
 
 
+def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
+    """The sum of two subspaces of one ambient space: one elimination of
+    both bases."""
+    if s1.ambient != s2.ambient:
+        raise ValueError("ambient dimension mismatch")
+    return Subspace(s1.ambient, [*s1.basis(), *s2.basis()])
+
+
+def sandwich_space(alg: QuadraticAlgebra) -> Subspace:
+    """R (x) V + V (x) R inside V^(x)3, from the longhand shifted
+    relation spaces: the admissibility oracle for delta(R)."""
+    return subspace_sum(
+        shifted_relation_space(alg.R, alg.nv, 0, 1), shifted_relation_space(alg.R, alg.nv, 1, 0)
+    )
+
+
 def ideal_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     """Degree-m piece of the two-sided ideal (R): the sum of all shifted
     copies of R inside V^(x)m, so dim A_m = n^m - its dimension."""

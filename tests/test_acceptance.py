@@ -42,11 +42,10 @@ from orenaka import (
     random_admissible_derivation,
     random_case_params,
     subspace_intersect,
-    subspace_sum,
 )
 from orenaka.quadratic import QuadraticAlgebra
 
-from conftest import CATALOG_QS, compose_rows, minor_det, rand_frac, rand_invertible
+from conftest import CATALOG_QS, compose_rows, minor_det, rand_frac, rand_invertible, subspace_sum
 
 
 def _pass(n, msg, t0):

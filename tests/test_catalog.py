@@ -418,3 +418,34 @@ def test_delta_rl_closed_form_rejects_an_unknown_family():
     # the closed forms are keyed by case prefix, not by the CLI family name
     with pytest.raises(ValueError, match=r"^unknown family 'quantum-plane'$"):
         dim2_delta_rl_closed_form("quantum-plane", Matrix.identity(2), ((1, 0, 0), (0, 1, 0)))
+
+
+def test_sampler_draws_scaled_nakayama_powers_off_the_catalog():
+    # relations that are neither a dim-2 plane nor the commutators: sigma
+    # is c * mu_A^k, and the whole pipeline runs on what it draws.  mu_A
+    # is the identity on Sklyanin(1, 2, 3) and on swell's B, not on the
+    # Jordan plane relabelled so that its x1 x1 term sits at (0, 0)
+    from orenaka import QuadraticAlgebra, nakayama_of_A, random_admissible_automorphism, twist_solve
+    from test_quadratic import _sklyanin, _sklyanin_extension
+
+    relabelled = QuadraticAlgebra(["x1", "x2"], [Tensor(2, 2, {(0, 1): 1, (1, 0): -1, (0, 0): -1})])
+    rng = random.Random(68)
+    for name, a in (
+        ("sklyanin123", _sklyanin()),
+        ("swell-B", _sklyanin_extension()),
+        ("jordan-relabelled", relabelled),
+    ):
+        mu = nakayama_of_A(a).matrix
+        powers = [Matrix.identity(a.nv), mu, mu * mu]
+        for _ in range(3):
+            m = random_admissible_automorphism(a, rng).matrix
+            # each candidate c * p with c read at the first nonzero entry of p
+            scaled = []
+            for p in powers:
+                i, j = min((i, j) for i in range(a.nv) for j in range(a.nv) if p[i, j])
+                scaled.append(p * (m[i, j] / p[i, j]))
+            assert m in scaled, name
+            sig = check_automorphism(m, a)
+            rep = nakayama_of_B(sig, random_admissible_derivation(a, sig, rng))
+            assert twist_solve(rep.omega_hat) == rep.mu_B, name
+    assert nakayama_of_A(relabelled).matrix != Matrix.identity(2)

@@ -288,6 +288,17 @@ def test_exit_code_inadmissible(tmp_path, capsys):
     assert code == 3
 
 
+def test_exit_code_inadmissible_derivation(capsys):
+    # x1 -> x1 x1 on the q = 2 plane: delta(x1 x2 - 2 x2 x1) = x1 x1 x2 -
+    # 2 x2 x1 x1 is nonzero in A_3
+    code, out, err = run(capsys, "ore", "--input", str(GOLDEN / "bad_delta.json"))
+    assert (code, out) == (3, "")
+    assert err == (
+        "inadmissible input: delta(R) leaves R(x)V + V(x)R on relation "
+        "Tensor(1*(0, 1) + -2*(1, 0))\n"
+    )
+
+
 def test_exit_code_reader_escape_is_internal(tmp_path, capsys, monkeypatch):
     # a coefficient the R-hat reader rejects inside the engine is an
     # invariant violation (exit 4), not malformed input (exit 1)

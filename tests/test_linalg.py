@@ -14,7 +14,6 @@ from orenaka import (
     make_polynomial,
     scalar,
     subspace_intersect,
-    subspace_sum,
 )
 
 from orenaka import linalg
@@ -49,6 +48,7 @@ from conftest import (
     rref,
     shifted_relation_space,
     solve_affine,
+    subspace_sum,
 )
 
 fractions_st = st.fractions(

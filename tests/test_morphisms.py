@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from orenaka import (
     Matrix,
     NotAdmissibleError,
     NotInvertibleError,
+    QuadraticAlgebra,
     Tensor,
     admissible_lift_space,
     check_automorphism,
@@ -21,11 +23,13 @@ from orenaka import (
     make_quantum_plane,
     nakayama_of_A,
     nakayama_of_A_dim2_closed_form,
+    nakayama_of_B,
     random_admissible_automorphism,
+    random_admissible_derivation,
 )
-from orenaka.linalg import solve_columns
+from orenaka.linalg import flat_word, solve_columns
 
-from conftest import catalog_algebras, minor_det, rand_frac, rand_invertible
+from conftest import catalog_algebras, minor_det, rand_frac, rand_invertible, sandwich_space
 
 
 def test_identity_always_admissible():
@@ -80,7 +84,7 @@ def test_membership_example_commutative():
     r = Tensor(2, 2, {(0, 1): 1, (1, 0): -1})
     image = delta.extend(r)
     assert image == Tensor(2, 3, {(0, 0, 1): 1, (1, 0, 0): -1})
-    assert a.sandwich_space().contains(image.to_vec())
+    assert sandwich_space(a).contains(image.to_vec())
 
 
 def test_quantum_solution_family_admissible():
@@ -266,7 +270,7 @@ def _lift_space_by_unit_extension(alg, sigma):
     """Admissible lifts from the extension of each unit lift separately:
     the per-(lift, relation) route the relabelling replaces."""
     nv = alg.nv
-    sandwich = alg.sandwich_space()
+    sandwich = sandwich_space(alg)
     rels = [Tensor.from_vec(b, nv, 2) for b in alg.R.basis()]
     cols = []
     for i in range(nv):
@@ -291,13 +295,49 @@ def _lift_space_by_unit_extension(alg, sigma):
     return basis
 
 
+@functools.lru_cache(maxsize=None)
+def _admissibility_roster():
+    """The algebras of the A_3 admissibility tests: the catalog roster,
+    Sklyanin(1, 2, 3), poly(5), the q = 2/3 plane, swell's B =
+    Sklyanin[w; id, delta] and dense poly(3)[z]."""
+    from test_quadratic import _sklyanin, _sklyanin_extension
+
+    p3 = make_polynomial(3)
+    rng = random.Random(3)
+    sig = random_admissible_automorphism(p3, rng)
+    rep = nakayama_of_B(sig, random_admissible_derivation(p3, sig, rng))
+    dense = QuadraticAlgebra(["x1", "x2", "x3", "z"], rep.relations_hat)
+    return tuple(catalog_algebras()) + (
+        ("sklyanin123", _sklyanin()),
+        ("poly5", make_polynomial(5)),
+        ("q2/3", make_quantum_plane(Fraction(2, 3))),
+        ("swell-B", _sklyanin_extension()),
+        ("dense-poly3[z]", dense),
+    )
+
+
+def test_nf3_table_is_nf_word_on_every_length_3_word():
+    for name, a in _admissibility_roster():
+        table, den = a._nf3()
+        assert len(table) == a.nv**3
+        for f, row in enumerate(table):
+            w = flat_word(f, 3, a.nv)
+            assert {k: Fraction(n, den) for k, n in row.items()} == a.nf_word(w), (name, w)
+
+
 def test_admissible_lift_space_matches_unit_extension():
+    from test_quadratic import _sklyanin
+
     rng = random.Random(23)
     p3 = make_polynomial(3)
+    sklyanin = _sklyanin()
     cases = [
         (p3, check_automorphism(rand_invertible(rng, 3), p3)),
         (make_quantum_plane(2), None),
         (make_jordan_plane(), None),
+        (make_polynomial(4), None),  # a dense sigma
+        (sklyanin, None),  # c * mu_A^k
+        (sklyanin, None),
     ]
     for alg, sig in cases:
         if sig is None:
@@ -312,36 +352,44 @@ def _admissible_by_fractions(images, sigma, alg):
     """Oracle: delta(R) <= R(x)V + V(x)R on the Fraction basis of R, and
     the first relation that leaves it, as a tensor."""
     delta = DerivationLift(images, sigma)
+    sandwich = sandwich_space(alg)
     for b in alg.R.basis():
         t = Tensor.from_vec(b, alg.nv, 2)
-        if not alg.sandwich_space().contains(delta.extend(t).to_vec()):
+        if not sandwich.contains(delta.extend(t).to_vec()):
             return t
     return None
 
 
 def test_admissibility_on_integers_matches_fraction_oracle():
-    # the q = 2/3 plane's primitive relation row is 3 x1x2 - 2 x2x1, so the
-    # message must show the basis row 1, -2/3, not the integer one
-    rng = random.Random(33)
-    algs = catalog_algebras() + [("q2/3", make_quantum_plane(Fraction(2, 3)))]
-    rejected = 0
-    for name, a in algs:
+    # per sigma: an admissible lift, the same lift with one word added to
+    # one image, and a random lift, each judged by the oracle.  The q = 2/3
+    # plane's primitive relation row is 3 x1x2 - 2 x2x1, so the message
+    # must show the basis row 1, -2/3, not the integer one
+    rng = random.Random(37)
+    verdicts = []
+    for name, a in _admissibility_roster():
         nv = a.nv
-        for _ in range(4):
+        for _ in range(2):
             sig = random_admissible_automorphism(a, rng)
-            images = [
+            good = list(random_admissible_derivation(a, sig, rng).images)
+            nudged = list(good)
+            k = rng.randrange(nv)
+            nudged[k] = nudged[k] + Tensor.word(nv, (rng.randrange(nv), rng.randrange(nv)))
+            noise = [
                 Tensor(nv, 2, {(i, j): rand_frac(rng) for i in range(nv) for j in range(nv) if rng.random() < 0.4})
                 for _ in range(nv)
             ]
-            escape = _admissible_by_fractions(images, sig, a)
-            if escape is None:
-                assert extend_derivation(images, sig, a).images == tuple(images)
-                continue
-            rejected += 1
-            with pytest.raises(NotAdmissibleError) as err:
-                extend_derivation(images, sig, a)
-            assert str(err.value) == f"delta(R) leaves R(x)V + V(x)R on relation {escape!r}", name
-    assert rejected >= 20
+            for images in (good, nudged, noise):
+                escape = _admissible_by_fractions(images, sig, a)
+                verdicts.append(escape is not None)
+                if escape is None:
+                    assert extend_derivation(images, sig, a).images == tuple(images), name
+                    continue
+                with pytest.raises(NotAdmissibleError) as err:
+                    extend_derivation(images, sig, a)
+                assert str(err.value) == f"delta(R) leaves R(x)V + V(x)R on relation {escape!r}", name
+    assert verdicts[::3] == [False] * (len(verdicts) // 3)
+    assert sum(verdicts) >= len(verdicts) // 2
     a = make_quantum_plane(Fraction(2, 3))
     with pytest.raises(NotAdmissibleError) as err:
         extend_derivation([Tensor.word(2, (0, 0)), Tensor(2, 2)], identity_automorphism(a), a)
@@ -349,12 +397,13 @@ def test_admissibility_on_integers_matches_fraction_oracle():
 
 
 def test_admissibility_and_perturb_read_no_fractions(monkeypatch):
-    from orenaka import random_admissible_derivation
+    from orenaka import morphisms
 
     rng = random.Random(34)
     a = make_quantum_plane(Fraction(2, 3))
     sig = random_admissible_automorphism(a, rng)
     delta = random_admissible_derivation(a, sig, rng)
+    basis = admissible_lift_space(a, sig)
     rel = Tensor.from_vec(a.R.basis()[0], 2, 2)
     inside = [rel.scale(Fraction(5, 7)), Tensor(2, 2)]
     outside = [rel, Tensor.word(2, (0, 0))]
@@ -362,14 +411,34 @@ def test_admissibility_and_perturb_read_no_fractions(monkeypatch):
     def forbidden(self):
         raise AssertionError("Fraction view read")
 
-    a.sandwich_space()
+    # no Fraction is made before solve_columns, whose kernel is the edge
+    edge = []
+    make_fraction = Fraction.__new__
+
+    def guarded(cls, *args, **kwargs):
+        if not edge:
+            raise AssertionError("Fraction built before the edge")
+        return make_fraction(cls, *args, **kwargs)
+
+    def solver(cols, rhs):
+        assert all(type(v) is int for col in cols for v in col.values())
+        edge.append(True)
+        return solve_columns(cols, rhs)
+
     monkeypatch.setattr(Tensor, "entries", property(forbidden))
     monkeypatch.setattr(Tensor, "to_vec", forbidden)
+    monkeypatch.setattr(morphisms.Subspace, "basis", forbidden)
+    monkeypatch.setattr(morphisms, "solve_columns", solver)
+    monkeypatch.setattr(Fraction, "__new__", guarded)
     again = extend_derivation(delta.images, sig, a)
+    lifts = admissible_lift_space(a, sig)
+    monkeypatch.setattr(Fraction, "__new__", make_fraction)
     perturbed = delta.perturb(inside)
     with pytest.raises(ValueError) as err:
         delta.perturb(outside)
     monkeypatch.undo()
+    assert edge == [True]
+    assert lifts == basis
     assert again.images == delta.images
     assert perturbed.images == tuple(x + e for x, e in zip(delta.images, inside))
     assert str(err.value) == "perturbation images must lie in R"
