@@ -36,8 +36,9 @@ column and returns an echelon basis; ``rank`` counts its rows, over Q
 or, given a prime, over F_p.  ``echelon`` runs over Q only: forward,
 and with ``reduced=True`` one back pass makes it the canonical RREF;
 ``solve_columns`` and ``Matrix.inverse`` read their results off that
-through ``fraction_rows``, while ``Subspace``, ``FactoredColumns`` and
-the normal-form reducer of ``quadratic`` keep the integer rows.  The
+through ``fraction_rows``, while ``Subspace``, ``subspace_intersect``,
+``FactoredColumns`` and the normal-form reducer of ``quadratic`` keep
+the integer rows.  The
 kernel picks its own row order (sparsest first).  The order is free because nothing
 read off the kernel depends on it: the rank does not, the RREF of a
 span is unique, and so is the particular solution with every free
@@ -500,17 +501,45 @@ def shift(s: Subspace, nv: int, left: int, right: int) -> Subspace:
 
 
 def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked-basis system."""
+    """S1 n S2, from the remainders of S2's basis modulo S1: one forward
+    elimination with a row per basis row of S2, none per coordinate.
+
+    Let b_1..b_m be the primitive rows of S2 and r_j = b_j mod S1 the
+    remainder of ``_residual``, a raw nums_j / den_j.  The remainder is
+    a linear map with kernel S1 (a reduced RREF row carries no pivot
+    column but its own, so r_j is b_j minus one multiple of each row of
+    S1 at a pivot that b_j hits, and it vanishes exactly on S1).  So for
+    t in Q^m, v = sum t_j b_j lies in S1 iff sum t_j r_j = 0, and as
+    every such v lies in S2 and the b_j are independent, t -> v maps the
+    dependencies {t : sum t_j r_j = 0} isomorphically onto S1 n S2.
+
+    The dependencies are read off one forward ``echelon`` of the rows
+    (nums_j | den_j e_j), den_j (r_j | e_j) with e_j a tag column j past
+    the ambient space N; scaling a row keeps its span.  The row space is
+    {(sum l_j r_j | l)}, and its vectors that vanish on the columns
+    below N are (0 | t) for the dependencies t.  In an echelon basis
+    those are spanned by the rows whose pivot is at least N: a
+    combination using a row with a pivot below N has its least such
+    pivot as a nonzero entry.  Those rows are (0 | t) themselves and
+    independent, so their tags are a basis of the dependencies, and
+    sum t_j b_j over them is a basis of S1 n S2; ``Subspace`` makes it
+    the canonical RREF.  Every entry is an int: no Fraction is built.
+    """
     if s1.ambient != s2.ambient:
         raise ValueError("ambient dimension mismatch")
-    b1, b2 = list(s1._rows.values()), list(s2._rows.values())
-    if not b1 or not b2:
-        return Subspace(s1.ambient)
-    cols = b1 + [{k: -v for k, v in r.items()} for r in b2]
-    _, kernel = solve_columns(cols, [])
+    n = s1.ambient
+    b2 = list(s2._rows.values())
+    if not s1._rows or not b2:
+        return Subspace(n)
+    tagged = []
+    for j, b in enumerate(b2):
+        nums, den = _residual(b, 1, s1._rows)
+        nums[n + j] = den
+        tagged.append(nums)
+    deps = [r for p, r in echelon(tagged).items() if p >= n]
     # the numerators alone: one common scale leaves a span unchanged
-    rows = [_combine((c, b1[j], 1) for j, c in kv.items() if j < len(b1))[0] for kv in kernel]
-    return Subspace(s1.ambient, rows)
+    rows = [_combine((t, b2[k - n], 1) for k, t in r.items())[0] for r in deps]
+    return Subspace(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -524,10 +553,10 @@ def solve_columns(
     reduced ``echelon`` of the augmented rows.
 
     ``cols`` are sparse dicts over arbitrary hashable row keys.  It
-    serves systems solved once (``morphisms``, ``subspace_intersect``);
-    a system met again with new right-hand sides is factored once
-    instead (``FactoredColumns``), and this is the test oracle of that
-    read.
+    serves systems solved once, the twist system and the admissible
+    lifts of ``morphisms``; a system met again with new right-hand sides
+    is factored once instead (``FactoredColumns``), and this is the test
+    oracle of that read.
 
     Returns ``(particulars, kernel)`` where ``particulars[t]`` is the
     canonical solution of ``rhs_list[t]`` with every free unknown set to

@@ -9,11 +9,13 @@ coordinates of vectors transform by the transpose.
 The Nakayama automorphism is computed from the twist condition of the
 canonical top Koszul tensor: omega is fixed by (-1)^(d-1) times the
 full rotation after applying nu to the first factor, and that linear
-condition pins nu down uniquely for a genuine AS-regular input.
+condition pins nu down uniquely for a genuine AS-regular input.  It is
+solved column by column of nu (``twist_solve``).
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 from typing import Sequence
 
@@ -23,7 +25,6 @@ from .errors import (
     NotAdmissibleError,
 )
 from .linalg import (
-    ONE,
     ZERO,
     Matrix,
     Subspace,
@@ -47,7 +48,7 @@ class GradedAutomorphism:
     preservation of the relation space are always verified.
     """
 
-    __slots__ = ("matrix", "algebra", "_inverse")
+    __slots__ = ("matrix", "algebra", "_inverse", "__weakref__")
 
     def __init__(self, matrix: Matrix, algebra: QuadraticAlgebra):
         self.matrix = matrix
@@ -244,36 +245,67 @@ def twist_solve(omega: Tensor) -> Matrix:
     Raises NonUniqueTwistError when the solution is not unique and
     NoSolution-like failure as NonUniqueTwistError with a message when
     none exists; both signal a degenerate input tensor.
+
+    The condition splits by columns of nu.  With nu(x_a) = sum_b
+    nu[a][b] x_b, (nu (x) id)(omega) = sum_w omega[w] sum_b nu[w_0][b]
+    b w_1..w_(d-1), and tau_d^(d-1) moves the first factor to the end,
+    so the equation at the word u b (u of length d - 1, b a letter) is
+
+        sum_a s * omega[a u] * nu[a][b] = omega[u b],   s = (-1)^(d-1),
+
+    in the unknowns of column b alone.  Column b therefore solves L y =
+    c_b, with L[u][a] = s * omega[a u] the same n-column matrix for
+    every b and c_b[u] = omega[u b]; scaling every equation by omega's
+    denominator keeps the solutions, so both are read on its int
+    numerators, and one ``solve_columns`` call with the n right-hand
+    sides c_b solves all n systems.  The joint system in the n^2
+    unknowns is their direct sum: it is consistent iff every c_b is,
+    and its kernel is n copies of ker L, of dimension n * dim ker L.
+    So the errors, their order and their messages are those of the
+    joint system, and the unique solution is the same matrix.
     """
     nv = omega.nv
-    d = omega.degree
-    sign = ONE if (d - 1) % 2 == 0 else -ONE
-    # the words of omega with first letter a differ in w[1:], so no
-    # entry of a column lands twice
-    cols = [
-        {w[1:] + (b,): sign * c for w, c in omega.entries.items() if w[0] == a}
-        for a in range(nv)
-        for b in range(nv)
-    ]
-    particulars, kernel = solve_columns(cols, [dict(omega.entries)])
-    if particulars[0] is None:
+    sign = 1 if omega.degree % 2 else -1
+    # the words a u with first letter a differ in u, so no entry of a
+    # column lands twice
+    cols: list[dict] = [{} for _ in range(nv)]
+    rhs_list: list[dict] = [{} for _ in range(nv)]
+    for w, n in omega.nums.items():
+        cols[w[0]][w[1:]] = sign * n
+        rhs_list[w[-1]][w[:-1]] = n
+    particulars, kernel = solve_columns(cols, rhs_list)
+    if any(x is None for x in particulars):
         raise NonUniqueTwistError("twist condition has no solution")
     if kernel:
         raise NonUniqueTwistError(
-            f"twist condition is underdetermined (kernel dim {len(kernel)})"
+            f"twist condition is underdetermined (kernel dim {nv * len(kernel)})"
         )
-    x = particulars[0]
-    return Matrix([[x[a * nv + b] for b in range(nv)] for a in range(nv)])
+    return Matrix([[particulars[b][a] for b in range(nv)] for a in range(nv)])
 
 
 def nakayama_of_A(alg: QuadraticAlgebra) -> GradedAutomorphism:
     """Nakayama automorphism of a certified AS-regular algebra, from
-    the twisted-superpotential condition on omega."""
+    the twisted-superpotential condition on omega.
+
+    The algebra keeps the checked matrix and its inverse, and only a
+    weak reference to the automorphism: an automorphism refers to its
+    algebra, so a strong one would make a reference cycle, and the
+    algebra would outlive its last caller until a cyclic collection.
+    While any caller holds the automorphism, every call returns that
+    same object (``build_sequence_pair`` relies on the identity of
+    sigma); after that, the next call wraps the kept matrices again.
+    """
     alg.ensure_as_regular()
-    if alg._nakayama is None:
-        p = twist_solve(alg.omega)
-        alg._nakayama = check_automorphism(p, alg)
-    return alg._nakayama
+    memo = alg._nakayama
+    mu = memo[0]() if memo else None
+    if mu is None:
+        if memo:
+            mu = GradedAutomorphism(memo[1], alg)
+            mu._inverse = GradedAutomorphism(memo[2], alg)
+        else:
+            mu = check_automorphism(twist_solve(alg.omega), alg)
+        alg._nakayama = (weakref.ref(mu), mu.matrix, mu._inverse.matrix)
+    return mu
 
 
 def nakayama_of_A_dim2_closed_form(q: Matrix) -> Matrix:

@@ -183,7 +183,7 @@ class QuadraticAlgebra:
         self._pbw = None               # normal-pair matrix, or False: the PBW test, run once
         self._exact: list[tuple[int, ...]] = []  # Q ranks of degrees 1, 2, ... proved exact
         self.certificate: KoszulCertificate | None = None  # set once, by certify_as_regular
-        self._nakayama = None          # filled by morphisms.nakayama_of_A
+        self._nakayama = None          # (weakref, matrix, inverse), by morphisms.nakayama_of_A
         self._w_tables = None          # filled by w_tables, on the first Ore request
 
     @property

@@ -3,10 +3,12 @@
 Oracles here deliberately avoid the library's own code paths wherever
 they exist to check one (recursive determinants for rank, monomial
 counting for dimensions, direct shifted intersections for Koszul
-spaces), so an engine bug cannot hide behind itself.
+spaces, the stacked-basis kernel for intersections, the joint system
+for the twist), so an engine bug cannot hide behind itself.
 """
 
 from fractions import Fraction
+import functools
 import itertools
 import random
 
@@ -21,10 +23,13 @@ from orenaka import (
     make_jordan_plane,
     make_polynomial,
     make_quantum_plane,
+    nakayama_of_B,
+    random_admissible_automorphism,
+    random_admissible_derivation,
     scalar,
-    subspace_intersect,
 )
-from orenaka.linalg import ZERO, _unscaled, expand_scaled, solve_columns
+from orenaka.errors import NonUniqueTwistError
+from orenaka.linalg import ONE, ZERO, _combine, _unscaled, expand_scaled, solve_columns
 
 
 def frac(a, b=1) -> Fraction:
@@ -190,13 +195,68 @@ def ideal_component(alg: QuadraticAlgebra, m: int) -> Subspace:
     return Subspace(alg.nv**m, rows)
 
 
+def intersect_by_kernel(s1: Subspace, s2: Subspace) -> Subspace:
+    """S1 n S2 from the kernel of the stacked-basis system sum_j x_j a_j
+    = sum_k y_k b_k, one equation per coordinate (oracle for
+    ``subspace_intersect``, which eliminates one row per basis vector of
+    S2)."""
+    if s1.ambient != s2.ambient:
+        raise ValueError("ambient dimension mismatch")
+    b1, b2 = s1.int_rows(), s2.int_rows()
+    if not b1 or not b2:
+        return Subspace(s1.ambient)
+    cols = b1 + [{k: -v for k, v in r.items()} for r in b2]
+    _, kernel = solve_columns(cols, [])
+    # the numerators alone: one common scale leaves a span unchanged
+    rows = [_combine((c, b1[j], 1) for j, c in kv.items() if j < len(b1))[0] for kv in kernel]
+    return Subspace(s1.ambient, rows)
+
+
 def direct_koszul(alg: QuadraticAlgebra, i: int) -> Subspace:
     """W_i from the defining intersection, via shifted copies of R."""
     acc = None
     for s in range(i - 1):
         block = shifted_relation_space(alg.R, alg.nv, s, i - s - 2)
-        acc = block if acc is None else subspace_intersect(acc, block)
+        acc = block if acc is None else intersect_by_kernel(acc, block)
     return acc
+
+
+def twist_solve_joint(omega: Tensor) -> Matrix:
+    """The twist condition omega = (-1)^(d-1) tau_d^(d-1) (nu (x)
+    id^(d-1))(omega) as one system in the n^2 entries of nu, one
+    equation per word of V^(x)d (oracle for ``twist_solve``, which
+    solves it by columns of nu), with the same errors."""
+    nv = omega.nv
+    d = omega.degree
+    sign = ONE if (d - 1) % 2 == 0 else -ONE
+    cols = [
+        {w[1:] + (b,): sign * c for w, c in omega.entries.items() if w[0] == a}
+        for a in range(nv)
+        for b in range(nv)
+    ]
+    particulars, kernel = solve_columns(cols, [dict(omega.entries)])
+    if particulars[0] is None:
+        raise NonUniqueTwistError("twist condition has no solution")
+    if kernel:
+        raise NonUniqueTwistError(
+            f"twist condition is underdetermined (kernel dim {len(kernel)})"
+        )
+    x = particulars[0]
+    return Matrix([[x[a * nv + b] for b in range(nv)] for a in range(nv)])
+
+
+@functools.lru_cache(maxsize=None)
+def dense_extension(n: int):
+    """The dense pair on poly(n) and its extension fed back as an
+    algebra: ``(B, report)``, with B = QuadraticAlgebra(x1..xn, z;
+    R-hat) and sigma, delta drawn by ``random.Random(3)`` through the
+    catalog samplers."""
+    a = make_polynomial(n)
+    rng = random.Random(3)
+    sigma = random_admissible_automorphism(a, rng)
+    rep = nakayama_of_B(sigma, random_admissible_derivation(a, sigma, rng))
+    names = [f"x{i + 1}" for i in range(n)] + ["z"]
+    return QuadraticAlgebra(names, rep.relations_hat), rep
 
 
 def compose_rows(first, second) -> list[dict]:

@@ -41,6 +41,7 @@ from conftest import (
     fraction_echelon,
     fraction_expand_through,
     fraction_sandwich_map,
+    intersect_by_kernel,
     minor_det,
     minor_rank,
     rand_frac,
@@ -163,6 +164,60 @@ def test_subspace_ambient_mismatch():
         subspace_sum(_space([], 2), _space([], 3))
     with pytest.raises(ValueError):
         subspace_intersect(_space([], 2), _space([], 3))
+
+
+def _int_space(rng, n, dim, span=4) -> Subspace:
+    """The span of ``dim`` random int rows in k^n; entries up to ``span``
+    give pivots other than 1 once the rows are made primitive."""
+    return Subspace(n, [
+        {k: v for k in range(n) if (v := rng.randint(-span, span))} for _ in range(dim)
+    ])
+
+
+def test_subspace_intersect_matches_stacked_kernel():
+    # the remainder route against the stacked-basis kernel of the
+    # oracle, on seeded pairs of every relative position
+    rng = random.Random(2507)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        s, t = _int_space(rng, n, rng.randint(1, n)), _int_space(rng, n, rng.randint(1, n))
+        both = Subspace(n, s.int_rows() + t.int_rows())
+        pairs = [
+            (s, t),                                              # generic
+            (s, both),                                           # nested
+            (both, s),
+            (s, Subspace(n, [{k: 3 * v for k, v in r.items()} for r in reversed(s.int_rows())])),
+            (Subspace(n, [{k: v for k, v in r.items() if k < n // 2} for r in s.int_rows()]),
+             Subspace(n, [{k: v for k, v in r.items() if k >= n // 2} for r in t.int_rows()])),
+            (s, Subspace(n)),                                    # empty
+            (Subspace(n), t),
+            (Subspace.full(n), t),
+        ]
+        for a, b in pairs:
+            got = subspace_intersect(a, b)
+            assert got == intersect_by_kernel(a, b) == intersect_by_kernel(b, a)
+    # a non-unit pivot in both spaces: the line 2 e0 + 3 e1
+    a = Subspace(3, [{0: 2, 1: 3}, {2: 1}])
+    b = Subspace(3, [{0: 2, 1: 3, 2: 5}])
+    assert a._rows[0][0] == b._rows[0][0] == 2
+    assert subspace_intersect(a, b) == intersect_by_kernel(a, b) == b
+    assert subspace_intersect(a, Subspace(3, [{0: 3, 1: 2}])).dim == 0
+
+
+def test_subspace_intersect_builds_no_fraction(monkeypatch):
+    rng = random.Random(2508)
+    pairs = [(_int_space(rng, 8, 5), _int_space(rng, 8, 6)) for _ in range(10)]
+    pairs.append((shift(make_polynomial(3).R, 3, 0, 1), shift(make_polynomial(3).R, 3, 1, 0)))
+    want = [intersect_by_kernel(a, b) for a, b in pairs]
+
+    def forbidden(cls, *args, **kwargs):
+        raise AssertionError("Fraction built inside subspace_intersect")
+
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    got = [subspace_intersect(a, b) for a, b in pairs]
+    monkeypatch.undo()
+    assert got == want
+    assert any(g.dim for g in got)
 
 
 def test_grassmann_dimension_formula():

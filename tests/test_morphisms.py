@@ -7,6 +7,7 @@ import pytest
 from orenaka import (
     DerivationLift,
     Matrix,
+    NonUniqueTwistError,
     NotAdmissibleError,
     NotInvertibleError,
     QuadraticAlgebra,
@@ -26,10 +27,19 @@ from orenaka import (
     nakayama_of_B,
     random_admissible_automorphism,
     random_admissible_derivation,
+    twist_solve,
 )
 from orenaka.linalg import flat_word, solve_columns
 
-from conftest import catalog_algebras, minor_det, rand_frac, rand_invertible, sandwich_space
+from conftest import (
+    catalog_algebras,
+    dense_extension,
+    minor_det,
+    rand_frac,
+    rand_invertible,
+    sandwich_space,
+    twist_solve_joint,
+)
 
 
 def test_identity_always_admissible():
@@ -242,10 +252,44 @@ def test_hdet_flags_unchecked_automorphism():
 
 
 def test_twist_solve_degenerate_tensor_rejected():
-    from orenaka import NonUniqueTwistError, twist_solve
-
     with pytest.raises(NonUniqueTwistError):
         twist_solve(Tensor(2, 2, {(0, 0): 1}))  # x2 column unconstrained
+
+
+def test_twist_solve_by_columns_matches_joint_system():
+    # the n column systems against the n^2-unknown joint system: on the
+    # catalog roster, poly(2..5), Sklyanin and omega-hats of sampled
+    # pairs (d = 3..4, with mu_B far from the identity)
+    from test_quadratic import _sklyanin
+
+    algs = catalog_algebras() + [("poly5", make_polynomial(5))]
+    algs.append(("sklyanin123", _sklyanin()))
+    tensors = [(name, a.omega) for name, a in algs]
+    rng = random.Random(251)
+    for name, a in [("q2", make_quantum_plane(2)), ("jordan", make_jordan_plane()),
+                    ("poly3", make_polynomial(3))]:
+        for _ in range(2):
+            sig = random_admissible_automorphism(a, rng)
+            rep = nakayama_of_B(sig, random_admissible_derivation(a, sig, rng))
+            tensors.append((f"{name}-hat", rep.omega_hat))
+    for name, omega in tensors:
+        assert twist_solve(omega) == twist_solve_joint(omega), name
+
+
+def test_twist_solve_errors_match_joint_system():
+    # underdetermined (kernel dim n * dim ker L = 2 * 1) and inconsistent
+    # (x1 (x) x2 alone asks for omega[x1 x2] = 0 at the word x1 x2)
+    cases = [
+        (Tensor(2, 2, {(0, 0): 1}), "twist condition is underdetermined (kernel dim 2)"),
+        (Tensor(2, 2, {(0, 1): 1}), "twist condition has no solution"),
+    ]
+    for omega, message in cases:
+        errors = []
+        for solve in (twist_solve, twist_solve_joint):
+            with pytest.raises(NonUniqueTwistError) as err:
+                solve(omega)
+            errors.append((type(err.value), str(err.value)))
+        assert errors == [(NonUniqueTwistError, message)] * 2
 
 
 def test_admissible_lift_space_dimensions():
@@ -302,17 +346,12 @@ def _admissibility_roster():
     Sklyanin[w; id, delta] and dense poly(3)[z]."""
     from test_quadratic import _sklyanin, _sklyanin_extension
 
-    p3 = make_polynomial(3)
-    rng = random.Random(3)
-    sig = random_admissible_automorphism(p3, rng)
-    rep = nakayama_of_B(sig, random_admissible_derivation(p3, sig, rng))
-    dense = QuadraticAlgebra(["x1", "x2", "x3", "z"], rep.relations_hat)
     return tuple(catalog_algebras()) + (
         ("sklyanin123", _sklyanin()),
         ("poly5", make_polynomial(5)),
         ("q2/3", make_quantum_plane(Fraction(2, 3))),
         ("swell-B", _sklyanin_extension()),
-        ("dense-poly3[z]", dense),
+        ("dense-poly3[z]", dense_extension(3)[0]),
     )
 
 
@@ -442,3 +481,41 @@ def test_admissibility_and_perturb_read_no_fractions(monkeypatch):
     assert again.images == delta.images
     assert perturbed.images == tuple(x + e for x, e in zip(delta.images, inside))
     assert str(err.value) == "perturbation images must lie in R"
+
+
+def test_certified_algebra_is_freed_without_the_cycle_collector(monkeypatch):
+    # mu_A refers to its algebra, and the algebra keeps mu_A only weakly,
+    # so dropping the last reference frees the algebra at once, on the
+    # PBW route (poly(3)) and on the rank route (Sklyanin)
+    import gc
+    import weakref
+
+    from test_quadratic import _sklyanin
+
+    def poly3():
+        rels = [Tensor(3, 2, {(i, j): 1, (j, i): -1}) for i in range(3) for j in range(i + 1, 3)]
+        a = QuadraticAlgebra(["x1", "x2", "x3"], rels)
+        a.certify_as_regular()
+        return a
+
+    gc.collect()
+    gc.disable()
+    try:
+        for build in (poly3, _sklyanin):
+            a = build()
+            mu = nakayama_of_A(a)
+            assert nakayama_of_A(a) is mu
+            inverse = mu.inverse().matrix
+            ref = weakref.ref(a)
+            del a, mu
+            assert ref() is None, build.__name__
+        # with the automorphism dropped, the kept matrices are wrapped
+        # again and nothing is solved
+        a = build()
+        want = nakayama_of_A(a).matrix
+        monkeypatch.setattr("orenaka.morphisms.twist_solve", None)
+        mu = nakayama_of_A(a)
+        assert mu.matrix == want and mu.inverse().matrix == inverse and mu.algebra is a
+        assert nakayama_of_A(a) is mu
+    finally:
+        gc.enable()

@@ -11,6 +11,7 @@ from orenaka import (
     Matrix,
     QuadraticAlgebra,
     SequencePair,
+    Subspace,
     Tensor,
     build_sequence_pair,
     check_automorphism,
@@ -36,7 +37,14 @@ from orenaka import (
 
 from orenaka.linalg import FactoredColumns, _unscaled, expand_scaled, sandwich_map, solve_columns
 
-from conftest import expand_through, first_escape_by_tensors, minor_det, rand_frac, word_twist_holds
+from conftest import (
+    dense_extension,
+    expand_through,
+    first_escape_by_tensors,
+    minor_det,
+    rand_frac,
+    word_twist_holds,
+)
 
 
 def _simple_delta(a, images):
@@ -474,6 +482,19 @@ def test_ore_extension_feeds_back_as_algebra():
     b.certify_as_regular()
     assert b.certificate.d == a.certificate.d + 1
     assert nakayama_of_A(b).matrix == rep.mu_B
+
+
+def test_mu_B_by_certifying_B_on_dense_pairs():
+    # the independent route for mu_B: B presented by R-hat certifies as
+    # AS-regular of dimension d + 1, its own mu_A is the theorem's mu_B,
+    # and its top Koszul space is the line of omega-hat (dense poly(5)[z]
+    # certifies in about 0.5 s)
+    for n in range(2, 6):
+        b, rep = dense_extension(n)
+        d, _ = b.certify_as_regular()
+        assert d == n + 1
+        assert nakayama_of_A(b).matrix == rep.mu_B, n
+        assert b.koszul_space(d) == Subspace(b.nv**d, [rep.omega_hat.to_vec()]), n
 
 
 def test_full_pipeline_on_transformed_relations():

@@ -37,6 +37,7 @@ from conftest import (
     catalog_algebras,
     commutative_monomial_count,
     compose_rows,
+    dense_extension,
     direct_koszul,
     fraction_nf_tensor,
     ideal_component,
@@ -105,6 +106,21 @@ def test_nested_equals_direct_definition():
     for name, a in catalog_algebras():
         d = a.certificate.d
         for i in range(2, min(d + 2, 5)):
+            assert a.koszul_space(i) == direct_koszul(a, i), (name, i)
+
+
+def test_koszul_space_equals_direct_definition_off_the_catalog():
+    # the remainder intersections against the stacked-kernel oracle on
+    # the rank route (Sklyanin, swell's B) and on dense relations; W_6
+    # of dense poly(4)[z] is left out, as the oracle takes ~6 s on it
+    algs = [
+        ("sklyanin123", _sklyanin(), 4),
+        ("swell-B", _sklyanin_extension(), 5),
+        ("dense-poly3[z]", dense_extension(3)[0], 5),
+        ("dense-poly4[z]", dense_extension(4)[0], 5),
+    ]
+    for name, a, top in algs:
+        for i in range(2, top + 1):
             assert a.koszul_space(i) == direct_koszul(a, i), (name, i)
 
 
