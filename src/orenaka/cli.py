@@ -258,9 +258,17 @@ def _checked_report(sigma, delta, check_level) -> OreReport:
     return rep
 
 
+def _ore_names(generators: list) -> list:
+    """The generators and a name for the Ore letter: the first of z,
+    z1, z2, ... that is not a generator, so every word reads back."""
+    taken = set(generators)
+    fresh = ("z", *(f"z{k}" for k in range(1, len(generators) + 2)))
+    return generators + [next(n for n in fresh if n not in taken)]
+
+
 def _ore_body(spec, alg, sigma, delta, check_level) -> dict:
     rep = _checked_report(sigma, delta, check_level)
-    names = spec.generators + ["z"]
+    names = _ore_names(spec.generators)
     return {
         "hdet": scalar_str(rep.hdet),
         "mu_A": _matrix_out(nakayama_of_A(alg).matrix),
@@ -287,7 +295,7 @@ def cmd_superpotential(spec: ProblemSpec, bound, check_level) -> dict:
     sigma, delta = _sigma_delta(spec, alg)
     rep = _checked_report(sigma, delta, check_level)
     report = _base_report("superpotential", spec, alg, check_level, cert)
-    names = spec.generators + ["z"]
+    names = _ore_names(spec.generators)
     d = alg.certificate.d
     report["omega_hat"] = _terms_out(rep.omega_hat, names)
     report["mu_B"] = _matrix_out(rep.mu_B)

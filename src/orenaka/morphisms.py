@@ -45,21 +45,24 @@ class GradedAutomorphism:
     """An admissible graded automorphism of a quadratic algebra.
 
     Construct through check_automorphism so that invertibility and
-    preservation of the relation space are always verified.
+    preservation of the relation space are always verified.  The
+    inverse matrix is kept once computed, and ``inverse()`` wraps it
+    afresh on each call: the inverse keeps this matrix, not this
+    automorphism, so the two never form a reference cycle that would
+    hold the algebra until a cyclic collection.
     """
 
     __slots__ = ("matrix", "algebra", "_inverse", "__weakref__")
 
-    def __init__(self, matrix: Matrix, algebra: QuadraticAlgebra):
+    def __init__(self, matrix: Matrix, algebra: QuadraticAlgebra, inverse: Matrix | None = None):
         self.matrix = matrix
         self.algebra = algebra
-        self._inverse = None
+        self._inverse = inverse
 
     def inverse(self) -> "GradedAutomorphism":
         if self._inverse is None:
-            self._inverse = GradedAutomorphism(self.matrix.inverse(), self.algebra)
-            self._inverse._inverse = self
-        return self._inverse
+            self._inverse = self.matrix.inverse()
+        return GradedAutomorphism(self._inverse, self.algebra, self.matrix)
 
     def then(self, other: "GradedAutomorphism") -> "GradedAutomorphism":
         """The automorphism 'apply self first, then other'."""
@@ -97,8 +100,7 @@ def check_automorphism(m: Matrix, alg: QuadraticAlgebra) -> GradedAutomorphism:
     """
     if not m.is_square() or m.nrows != alg.nv:
         raise ValueError(f"matrix must be {alg.nv} x {alg.nv}")
-    sigma = GradedAutomorphism(m, alg)
-    sigma._inverse = GradedAutomorphism(m.inverse(), alg)  # raises NotInvertibleError on singular input
+    sigma = GradedAutomorphism(m, alg, m.inverse())  # raises NotInvertibleError on singular input
     k = escaping_row(alg.R, m)
     if k is not None:
         t = alg.R.basis_tensors(alg.nv, 2)[k]
@@ -300,11 +302,10 @@ def nakayama_of_A(alg: QuadraticAlgebra) -> GradedAutomorphism:
     mu = memo[0]() if memo else None
     if mu is None:
         if memo:
-            mu = GradedAutomorphism(memo[1], alg)
-            mu._inverse = GradedAutomorphism(memo[2], alg)
+            mu = GradedAutomorphism(memo[1], alg, memo[2])
         else:
             mu = check_automorphism(twist_solve(alg.omega), alg)
-        alg._nakayama = (weakref.ref(mu), mu.matrix, mu._inverse.matrix)
+        alg._nakayama = (weakref.ref(mu), mu.matrix, mu._inverse)
     return mu
 
 

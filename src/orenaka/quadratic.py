@@ -18,14 +18,22 @@ bound.  The route is not a choice: the PBW test decides it.
   Ch. 4).  A PBW certificate proves Koszulity in all degrees; its ranks
   up to the bound are the ones exactness forces, read off counts of
   words, and no normal-form piece above A_3 is built.
+* "ore": A is not PBW, but its first peeled Ore letter v (below)
+  presents it as A'[v; sigma', delta'], sigma' passes
+  ``check_automorphism`` and delta' passes ``extend_derivation`` on A',
+  and A' certifies to the bound N on its own route (PBW, ore or ranks,
+  so towers recurse).  Exactness through degree N then carries over
+  from A' to A (Phan 2012; the proof is ``_ore_ranks``), and the
+  dimensions of A, hence its ranks, are read off those of A'; nothing
+  is built on A.  Otherwise the rank route runs on A itself.
 * "ranks": otherwise ``certify_koszul`` verifies exactness of the
   Koszul complex in every internal degree up to the bound N by rank
   computations, and proves nothing beyond N.
 
-AS-regularity is certified on either route by the finite necessary
+AS-regularity is certified on every route by the finite necessary
 conditions dim W_d = 1, W_{d+1} = 0 and dim W_i = dim W_{d-i}, on top of
 a Koszul certificate at bound d + 3.  On the PBW route these dimensions
-are counts of words too.
+are counts of words too, and on the ore route sums of those of A'.
 
 Homogeneous bases: A_m is presented as (A_{m-1} (x) V) / im(A_{m-2}
 (x) R), eliminated degree by degree; the surviving (monomial, letter)
@@ -87,10 +95,17 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import CertificationError, EngineInvariantError, NotASRegularError
+from .errors import (
+    CertificationError,
+    EngineInvariantError,
+    NotAdmissibleError,
+    NotASRegularError,
+    NotInvertibleError,
+)
 from .linalg import (
     ONE,
     FactoredColumns,
+    Matrix,
     P,
     Subspace,
     Tensor,
@@ -113,8 +128,9 @@ class KoszulCertificate:
     ``route`` is "pbw" (``QuadraticAlgebra.certify_koszul``).
 
     ``ranks[(m, i)]`` is the rank over Q of the i-th Koszul differential
-    in internal degree m.  ``route`` is "pbw" or "ranks", the route that
-    proved it.  ``d`` and ``omega`` are set on the algebra's AS-regular
+    in internal degree m.  ``route`` is the route that proved it: "pbw",
+    "ore" (read off the certificate of the base A' of an Ore letter) or
+    "ranks".  ``d`` and ``omega`` are set on the algebra's AS-regular
     certificate and on every certificate made after it.
     """
 
@@ -173,7 +189,7 @@ class QuadraticAlgebra:
                 # the numerators alone: one common scale leaves a span unchanged
                 rows.append({word_flat(w, self.nv): n for w, n in t.nums.items()})
             self.R = Subspace(self.nv**2, rows)
-        self._order = _ore_order(self.R, self.nv)
+        self._order, self._peeled = _ore_order(self.R, self.nv)
         self._pos = {v: k for k, v in enumerate(self._order)}
         self._pieces: list[_Piece] = []
         self._W: list[Subspace] = []
@@ -181,6 +197,7 @@ class QuadraticAlgebra:
         self._splits: dict[tuple, list] = {}  # split(i, left), by (i, left)
         self._nf3_table = None         # every length-3 word's normal form, by _nf3
         self._pbw = None               # normal-pair matrix, or False: the PBW test, run once
+        self._base = None              # (A', sigma', delta'), or False: by _ore_base, run once
         self._exact: list[tuple[int, ...]] = []  # Q ranks of degrees 1, 2, ... proved exact
         self.certificate: KoszulCertificate | None = None  # set once, by certify_as_regular
         self._nakayama = None          # (weakref, matrix, inverse), by morphisms.nakayama_of_A
@@ -445,23 +462,158 @@ class QuadraticAlgebra:
         so these are the ranks over Q of the differentials, the ones the
         rank route would find; no differential is built and no rank is
         taken.  The Euler identity D_t = r_t, which exactness implies, is
-        kept as a safety net (``EngineInvariantError``).
+        kept as a safety net (``EngineInvariantError``; ``_forced_ranks``).
 
-        Rank route (``route`` "ranks"), for every other algebra: the
-        ranks are computed degree by degree (``_prove_by_ranks``), and
-        the certificate says nothing beyond the bound; that is the
-        strongest finite statement available without the PBW test.
+        Ore route (``route`` "ore"), when the PBW test fails but A =
+        A'[v; sigma', delta'] for the first peeled Ore letter v
+        (``_ore_base``): A' is certified to ``bound`` on its own route,
+        and A's dimensions, hence the ranks exactness forces, are read
+        off A''s certificate (``_ore_ranks``, which holds the proof).  No
+        piece, Koszul space or differential of A is built.
+
+        Rank route (``route`` "ranks"), for every other algebra, and
+        whenever the ore route rejects sigma' or delta' or A' fails to
+        certify: the ranks are computed degree by degree
+        (``_prove_by_ranks``), and the certificate says nothing beyond
+        the bound; that is the strongest finite statement available
+        without the PBW test.
         """
         if bound < 2:
             raise ValueError("certification bound must be at least 2")
         normal = self._normal_pairs()
-        if normal is None:
-            proved, route = self._prove_by_ranks(bound), "ranks"
+        if normal is not None:
+            counts = _walk_counts(normal, bound), _walk_counts(_complement(normal), bound)
+            proved, route = _forced_ranks(*counts, bound), "pbw"
         else:
-            proved, route = _pbw_ranks(normal, bound), "pbw"
+            proved, route = self._ore_ranks(bound), "ore"
+            if proved is None:
+                proved, route = self._prove_by_ranks(bound), "ranks"
         if self.certificate is None:
             return KoszulCertificate(bound, proved, route)
-        return replace(self.certificate, bound=bound, ranks=proved)
+        return replace(self.certificate, bound=bound, ranks=proved, route=route)
+
+    def _ore_base(self):
+        """(A', sigma', delta') when the first Ore letter v that
+        ``_ore_order`` peeled presents A as A'[v; sigma', delta'], with A'
+        = T(V')/(R') on the other letters (in index order); None when no
+        letter was peeled or a check rejects sigma' or delta'.  Read
+        once; A' refers to nothing of A.
+
+        The peel keeps an echelon basis of R, fully reduced, for an order
+        of the pairs with v (x) V' first.  Its rows with no entry in v (x)
+        V' span R'.  Each of the |V'| others has its pivot in v (x) V', so
+        those pivots fill v (x) V', and as every pivot column is cleared
+        from the other rows, such a row has exactly one entry c there, at
+        v (x) u.  Divided by c it reads v (x) u - sigma'(u) (x) v -
+        delta'(u): sigma'(u) is read off its V' (x) v entries and
+        delta'(u) off its V' (x) V' entries.  A is then A'[v; sigma',
+        delta'] (z u = sigma(u) z + delta(u), the convention of
+        ``ore.ore_relations``) iff sigma' is an automorphism of A' and
+        delta' an admissible sigma'-derivation: the exact checks of
+        ``check_automorphism`` (sigma' invertible, (sigma' (x)
+        sigma')(R') = R') and ``extend_derivation`` (delta'(R') = 0 in
+        A'_3).
+        """
+        if self._base is None:
+            self._base = False
+            if self._peeled is not None:
+                # morphisms is built on this module
+                from .morphisms import check_automorphism, extend_derivation
+
+                v, ore_rows, rest = self._peeled
+                letters = [u for u in range(self.nv) if u != v]
+                at = {u: k for k, u in enumerate(letters)}
+                n = len(letters)
+                rows = [{at[a] * n + at[b]: c for (a, b), c in r.items()} for r in rest]
+                base = QuadraticAlgebra([self.names[u] for u in letters], Subspace(n * n, rows))
+                sigma: list = [None] * n
+                images: list = [None] * n
+                for row in ore_rows:
+                    u, c = next((b, c) for (a, b), c in row.items() if a == v)
+                    sigma[at[u]] = [Fraction(-row.get((a, v), 0), c) for a in letters]
+                    delta = {(at[a], at[b]): Fraction(-x, c) for (a, b), x in row.items() if v not in (a, b)}
+                    images[at[u]] = Tensor(n, 2, delta)
+                try:
+                    s = check_automorphism(Matrix(sigma), base)
+                    self._base = (base, s, extend_derivation(images, s, base))
+                except (NotAdmissibleError, NotInvertibleError):
+                    pass
+        return self._base or None
+
+    def _ore_ranks(self, bound: int) -> dict | None:
+        """The ore route of ``certify_koszul``: the ranks {(m, i): r_i}
+        through ``bound``, proved from the certificate of the base A' of
+        ``_ore_base`` at ``bound``; None when there is no such base or A'
+        fails to certify (``CertificationError``).
+
+        Claim.  Let B = A'[z; sigma, delta] be a graded Ore extension of
+        the quadratic algebra A' by a letter z of degree 1.  If the Koszul
+        complex of A' is exact in every internal degree <= N, so is that
+        of B, and dim W_i(B) = dim W_i(A') + dim W_{i-1}(A') for i <= N.
+
+        Proof.  Write T^C_{i,j} for Tor^C_i(k, k) in internal degree j.
+        For a quadratic algebra C, T^C_{i,j} = 0 for j < i and T^C_{i,i}
+        is the dual of W_i(C); and the Koszul complex of C is exact in
+        every internal degree <= N iff T^C_{i,j} = 0 for all i < j <= N
+        (Polishchuk-Positselski, *Quadratic Algebras*, AMS 2005, Ch. 2:
+        the Koszul complex is the diagonal part of the minimal
+        resolution of k, and they agree through degree N exactly when
+        the resolution has no generator off the diagonal there).
+
+        B is free over A' on the powers of z, on either side, as sigma is
+        invertible.  Let M = B (x)_A' k, a left B-module with basis the
+        classes of 1, z, z^2, ...  Right multiplication by z is well
+        defined on M: for a in A'_+, a z = z sigma^-1(a) - delta(sigma^-1
+        (a)) lies in B A'_+.  It is injective with cokernel B / B_+ = k,
+        which gives the exact sequence of graded left B-modules
+
+            0 -> M(-1) -> M -> k -> 0.
+
+        A free resolution P of k over A' gives the free resolution B
+        (x)_A' P of M (B is flat over A'), and k (x)_B (B (x)_A' P) = k
+        (x)_A' P, so Tor^B_i(k, M) = Tor^A'_i(k, k) degree by degree.  The
+        long exact sequence of Tor^B(k, -) in internal degree j reads
+
+            T^A'_{i,j-1} -> T^A'_{i,j} -> T^B_{i,j} -> T^A'_{i-1,j-1} -> T^A'_{i-1,j}.
+
+        For i < j <= N both T^A'_{i,j} and T^A'_{i-1,j-1} vanish, so
+        T^B_{i,j} = 0: B's Koszul complex is exact through degree N.  For
+        j = i <= N the outer terms vanish (i > i - 1, and i - 1 < i <= N),
+        which leaves 0 -> T^A'_{i,i} -> T^B_{i,i} -> T^A'_{i-1,i-1} -> 0
+        and the W formula.  With dim B_m = sum_{j <= m} dim A'_j (the free
+        basis), every D_i of B through degree N is known, and exactness
+        forces the ranks (``_forced_ranks``, Euler identity included).
+
+        A''s certificate at N carries its own dimensions (``_ore_dims``),
+        on whichever route it took, so nothing is built on B, and on A'
+        only what its own route builds.
+        """
+        base = self._ore_base()
+        if base is None:
+            return None
+        try:
+            ranks = base[0].certify_koszul(bound).ranks
+        except CertificationError:
+            return None
+        return _forced_ranks(*_ore_dims(ranks, bound), bound)
+
+    def _ore_w_dims(self) -> list[int] | None:
+        """dim W_0(B), ..., dim W_{d+4}(B) for B on the ore route: the
+        base A' is certified AS-regular of some dimension d, then to
+        bound d + 4, which proves the W formula of ``_ore_ranks`` through
+        d + 4.  That covers W_{d+2}(B) = 0, the first zero, and B's own
+        certificate at d + 4.  None when the route does not apply or A'
+        fails either certification; then B's own W_i are read."""
+        base = self._ore_base()
+        if base is None:
+            return None
+        a = base[0]
+        try:
+            top = a.certify_as_regular()[0] + 4
+            ranks = a.certify_koszul(top).ranks
+        except (CertificationError, NotASRegularError):
+            return None
+        return _ore_dims(ranks, top)[1]
 
     def _prove_by_ranks(self, bound: int) -> dict:
         """The rank route of ``certify_koszul``: prove exactness in
@@ -547,13 +699,18 @@ class QuadraticAlgebra:
         sets ``certificate`` once, at bound d + 3; later calls read it.
         On the PBW route the dims of the W_i are counts of words
         (``certify_koszul``), so an infinite A^!, whose leading pairs
-        close a cycle, is refuted with no W_i built.  Raises
+        close a cycle, is refuted with no W_i built; on the ore route
+        they are sums of those of the base (``_ore_w_dims``).  Either
+        way W_d is built for omega, and its dim must match.  Raises
         NotASRegularError if any check fails.
         """
         if self.certificate is not None:
             return self.certificate.d, self.certificate.omega
         normal = self._normal_pairs()
-        counts = None if normal is None else _walk_counts(_complement(normal), _MAX_D + 1)
+        if normal is None:
+            counts = self._ore_w_dims()
+        else:
+            counts = _walk_counts(_complement(normal), _MAX_D + 1)
         dims = []
         for i in range(_MAX_D + 2):
             dims.append(self.koszul_space(i).dim if counts is None else counts[i])
@@ -571,7 +728,7 @@ class QuadraticAlgebra:
                 )
         wd = self.koszul_space(d)
         if wd.dim != dims[d]:
-            raise EngineInvariantError(f"dim W_{d} = {wd.dim}, but {dims[d]} words count it")
+            raise EngineInvariantError(f"dim W_{d} = {wd.dim}, but its route reads {dims[d]}")
         omega = wd.basis_tensors(self.nv, d)[0]
         self.certificate = replace(self.certify_koszul(d + 3), d=d, omega=omega)
         return d, omega
@@ -678,53 +835,58 @@ class WTables:
             self.omega.append((nums, omega.den))
 
 
-def _ore_order(R: Subspace, nv: int) -> tuple[int, ...]:
+def _ore_order(R: Subspace, nv: int) -> tuple[tuple[int, ...], tuple | None]:
     """The letter order of T(V)/(R): Ore letters peeled smallest index
-    first, then the rest in index order (module docstring)."""
-    # relation rows keyed by pairs (a, b), an echelon basis for the
-    # index order of the pairs; R's own RREF is one
+    first, then the rest in index order (module docstring); and the
+    first peel as (v, its Ore rows, the rows of R'), by ``_peel``, or
+    None when no letter peels."""
+    # relation rows keyed by pairs (a, b), a fully reduced echelon basis
+    # for the index order of the pairs; R's own RREF is one
     rels = [{divmod(k, nv): c for k, c in row.items()} for row in R.int_rows()]
     letters = list(range(nv))
     order = []
+    first = None
     while len(letters) > 1:
         for v in letters:
-            rest = _peel(rels, v, letters, nv)
-            if rest is not None:
+            split = _peel(rels, v, letters, nv)
+            if split is not None:
                 break
         else:
             break
+        first = first or (v, *split)
         order.append(v)
         letters.remove(v)
-        rels = rest
-    return tuple(order + letters)
+        rels = split[1]
+    return tuple(order + letters), first
 
 
-def _peel(rels: list[dict], v: int, letters: list[int], nv: int) -> list[dict] | None:
-    """R' as an echelon basis for the index order when v is an Ore
-    letter of the span of ``rels`` over the other ``letters`` V', else
-    None.
+def _peel(rels: list[dict], v: int, letters: list[int], nv: int) -> tuple[list, list] | None:
+    """(the rows that meet v (x) V', the rest) of a fully reduced
+    echelon basis of the span of ``rels`` for an order of the pairs
+    with v (x) V' first, when v is an Ore letter of that span over the
+    other ``letters`` V', else None.  The rest span R'.
 
-    Take an echelon basis for an order of the pairs with v (x) V' first.
     Its rows that meet v (x) V' have their pivots there, and the others
     span the relations with no part in v (x) V'.  So v is an Ore letter
     when no row meets v (x) v, |V'| rows meet v (x) V', and none of the
-    others meets V' (x) v; those others span R'.  With v the smallest
-    letter left the index order puts v (x) V' first, so ``rels`` is such
-    a basis already; for another v one echelon pass reorders the pairs.
-    Either way the rest keeps the index order on V' (x) V'.
+    others meets V' (x) v.  With v the smallest letter left the index
+    order puts v (x) V' first, so ``rels`` is such a basis already; for
+    another v one reduced echelon pass reorders the pairs.  Either way
+    the rest keeps the index order on V' (x) V'.
     """
     if any((v, v) in rel for rel in rels):
         return None
     if v != letters[0]:
         n2 = nv * nv
         pivots = echelon(
-            {(0 if a == v else n2) + a * nv + b: c for (a, b), c in rel.items()} for rel in rels
+            ({(0 if a == v else n2) + a * nv + b: c for (a, b), c in rel.items()} for rel in rels),
+            reduced=True,
         )
         rels = [{divmod(k % n2, nv): c for k, c in row.items()} for row in pivots.values()]
     rest = [rel for rel in rels if all(a != v for a, _ in rel)]
     if len(rels) - len(rest) != len(letters) - 1 or any(b == v for rel in rest for _, b in rel):
         return None
-    return rest
+    return [rel for rel in rels if any(a == v for a, _ in rel)], rest
 
 
 def _expand(vec: tuple[dict, int], head, tail) -> tuple[dict, int]:
@@ -768,23 +930,38 @@ def _complement(adj: list[list[int]]) -> list[list[int]]:
     return [[1 - x for x in row] for row in adj]
 
 
-def _pbw_ranks(normal: list[list[int]], bound: int) -> dict:
+def _forced_ranks(a_dims: Sequence[int], w_dims: Sequence[int], bound: int) -> dict:
     """The ranks {(m, i): r_i} that exactness forces in degrees
-    1..``bound`` of a PBW algebra with normal-pair matrix ``normal``:
-    r_1 = D_0 and r_{i+1} = D_i - r_i (``certify_koszul``)."""
-    a_dims = _walk_counts(normal, bound)
-    w_dims = _walk_counts(_complement(normal), bound)
+    1..``bound`` of an algebra with dim A_m = a_dims[m] and dim W_i =
+    w_dims[i]: r_1 = D_0 and r_{i+1} = D_i - r_i (``certify_koszul``),
+    with the Euler identity D_t = r_t as a safety net."""
     ranks = {}
     for m in range(1, bound + 1):
-        # D_0..D_t: a zero count of W stays zero in every higher degree
+        # D_0..D_t: a zero W stays zero in every higher degree
         dims = [w * a_dims[m - i] for i, w in enumerate(w_dims[: m + 1]) if w]
         r = 0
         for i in range(len(dims) - 1):
             r = dims[i] - r
             ranks[(m, i + 1)] = r
         if dims[-1] != r:
-            raise EngineInvariantError(f"PBW counts break the Euler identity in degree {m}")
+            raise EngineInvariantError(f"forced ranks break the Euler identity in degree {m}")
     return ranks
+
+
+def _ore_dims(ranks: dict, bound: int) -> tuple[list[int], list[int]]:
+    """dim B_m and dim W_m(B) for m = 0..``bound`` of an Ore extension B
+    = A'[z; sigma, delta], read off the ranks of A''s certificate at
+    ``bound`` (``QuadraticAlgebra._ore_ranks``).  Exactness at A'_m gives
+    dim A'_m = r_1 in degree m, and at W_m (x) A'_0, the last term of
+    degree m, dim W_m(A') = r_m (a zero W_m has no rank there).  Then
+    B_m is the sum of the A'_j z^(m-j), and dim W_m(B) = dim W_m(A') +
+    dim W_(m-1)(A')."""
+    a_dims = [1] + [ranks[(m, 1)] for m in range(1, bound + 1)]
+    w_dims = [1] + [ranks.get((m, m), 0) for m in range(1, bound + 1)]
+    return (
+        [sum(a_dims[: m + 1]) for m in range(bound + 1)],
+        [w + (w_dims[m - 1] if m else 0) for m, w in enumerate(w_dims)],
+    )
 
 
 def _inexact_at(dims: Sequence[int], ranks: Sequence[int]) -> int | None:

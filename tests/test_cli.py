@@ -425,6 +425,28 @@ def test_json_round_trip_lossless(tmp_path, capsys):
     assert json.dumps(rebuilt, indent=2) == json.dumps(rep, indent=2) == out.strip()
 
 
+def test_ore_letter_gets_a_fresh_name(tmp_path, capsys):
+    # Sklyanin(1,2,3) on x, y, z: the Ore letter is printed as z1, and
+    # omega-hat's words parse back to the tensor the library computes
+    rename = {"x1": "x", "x2": "y", "x3": "z"}
+    text = (GOLDEN / "sklyanin123.json").read_text()
+    for old, new in rename.items():
+        text = text.replace(f'"{old}"', f'"{new}"')
+    spec = parse_problem(json.loads(text))
+    path = write(tmp_path, json.loads(text))
+    alg, _ = cli._certify_algebra(spec, None)
+    want = orenaka.nakayama_of_B(*cli._sigma_delta(spec, alg)).omega_hat
+    names = ["x", "y", "z", "z1"]
+    for command in ("ore", "superpotential"):
+        code, out, err = run(capsys, command, "--input", path, "--format", "json")
+        assert code == 0, err
+        terms = json.loads(out)["omega_hat"]
+        assert {w for t in terms for w in t["word"]} == set(names), command
+        assert cli._parse_terms(terms, names, want.degree, "omega_hat") == want, command
+    assert cli._ore_names(["x1", "x2"]) == ["x1", "x2", "z"]
+    assert cli._ore_names(["z", "z2", "z1"]) == ["z", "z2", "z1", "z3"]
+
+
 def test_parse_problem_validation():
     with pytest.raises(Exception):
         parse_problem({"generators": []})

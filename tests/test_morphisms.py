@@ -486,11 +486,13 @@ def test_admissibility_and_perturb_read_no_fractions(monkeypatch):
 def test_certified_algebra_is_freed_without_the_cycle_collector(monkeypatch):
     # mu_A refers to its algebra, and the algebra keeps mu_A only weakly,
     # so dropping the last reference frees the algebra at once, on the
-    # PBW route (poly(3)) and on the rank route (Sklyanin)
+    # PBW route (poly(3)) and on the rank route (Sklyanin); an inverse
+    # keeps its source's matrix, not its source, so an Ore request frees
+    # its base too; and B on the ore route frees itself and its base A'
     import gc
     import weakref
 
-    from test_quadratic import _sklyanin
+    from test_quadratic import _sklyanin, _sklyanin_extension
 
     def poly3():
         rels = [Tensor(3, 2, {(i, j): 1, (j, i): -1}) for i in range(3) for j in range(i + 1, 3)]
@@ -509,6 +511,20 @@ def test_certified_algebra_is_freed_without_the_cycle_collector(monkeypatch):
             ref = weakref.ref(a)
             del a, mu
             assert ref() is None, build.__name__
+        for build in (poly3, _sklyanin):
+            a = build()
+            sigma = identity_automorphism(a)
+            assert sigma.inverse().inverse().matrix == sigma.matrix
+            rep = nakayama_of_B(sigma, random_admissible_derivation(a, sigma, random.Random(2)))
+            ref = weakref.ref(a)
+            del a, sigma, rep
+            assert ref() is None, build.__name__
+        b = _sklyanin_extension()
+        b.certify_as_regular()
+        assert b.certificate.route == "ore" and nakayama_of_A(b).inverse().algebra is b
+        refs = weakref.ref(b), weakref.ref(b._ore_base()[0])
+        del b
+        assert [r() for r in refs] == [None, None]
         # with the automorphism dropped, the kept matrices are wrapped
         # again and nothing is solved
         a = build()

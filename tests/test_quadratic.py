@@ -412,11 +412,12 @@ _SKLYANIN_LIFTS = (
 )
 
 
-def _sklyanin_extension() -> QuadraticAlgebra:
+def _sklyanin_extension(klass=(1, 2, 3)) -> QuadraticAlgebra:
+    """B = S[w; id, delta] for delta the combination ``klass`` of the lifts."""
     s = _sklyanin()
     sigma = identity_automorphism(s)
     images = [
-        Tensor.combine(3, 2, ((c, Tensor(3, 2, lift[i])) for c, lift in zip((1, 2, 3), _SKLYANIN_LIFTS)))
+        Tensor.combine(3, 2, ((c, Tensor(3, 2, lift[i])) for c, lift in zip(klass, _SKLYANIN_LIFTS)))
         for i in range(3)
     ]
     delta = extend_derivation(images, sigma, s)
@@ -533,8 +534,9 @@ def test_letter_order_identity_on_standard_presentations():
     algs += [
         (case, enumerate_solution(case, random_case_params(case, rng)).algebra) for case in CASES
     ]
+    # sklyanin123_ore.json lists its Ore letter w last (the ore route's golden)
     for path in sorted(GOLDEN.glob("*.json")):
-        if path.name != "commands.json":
+        if path.name not in ("commands.json", "sklyanin123_ore.json"):
             spec = parse_problem(json.loads(path.read_text()))
             algs.append((path.name, QuadraticAlgebra(spec.generators, spec.relations)))
     assert {name for name, _ in algs} >= {
@@ -565,9 +567,10 @@ def test_letter_order_puts_ore_letters_first():
 
 
 def test_sklyanin_extension_certifies_by_capped_modular_ranks(monkeypatch):
+    # B's own rank route, which certify_koszul leaves for the ore route
     b = _sklyanin_extension()
     calls = _spy_rank(monkeypatch)
-    cert = b.certify_koszul(6)
+    ranks = b._prove_by_ranks(6)
     # every degree was certified by its capped ranks mod P: none fell back
     assert calls and None not in calls
     # against forward-only elimination over Q, which neither caps nor
@@ -577,7 +580,7 @@ def test_sklyanin_extension_certifies_by_capped_modular_ranks(monkeypatch):
         for m in range(1, 6)
         for i in range(1, min(m, 4) + 1)
     }
-    assert {k: r for k, r in cert.ranks.items() if k[0] <= 5} == want
+    assert {k: r for k, r in ranks.items() if k[0] <= 5} == want
 
 
 def test_certificates_are_values_independent_of_call_history():
@@ -705,15 +708,105 @@ def test_pbw_route_agrees_with_rank_route():
 def test_non_pbw_inputs_take_the_rank_route(monkeypatch):
     s = _sklyanin()
     assert s._normal_pairs() is None and s.certificate.route == "ranks"
+    # swell's B is not PBW either, but its Ore letter w takes the ore route
     b = _sklyanin_extension()
     assert b._normal_pairs() is None
-    assert b.certify_koszul(4).route == "ranks"
+    cert = b.certify_koszul(4)
+    assert cert.route == "ore" and cert.ranks == _by_rank_route(b, 4)[2]
     a = _non_koszul_algebra()
     assert a._normal_pairs() is None
     calls = _spy_rank(monkeypatch)
     with pytest.raises(CertificationError):
         a.certify_koszul(5)
     assert calls
+
+
+# -- ore route ----------------------------------------------------------------
+
+
+def _twisted_poly3_extension() -> QuadraticAlgebra:
+    """B = A[z; sigma, delta] over the left Zhang twist A = poly(3)^tau,
+    relations (tau^-1 (x) id)(R), with tau, sigma and delta the
+    sampler's draws off random.Random(3) and random.Random(4)."""
+    p = make_polynomial(3)
+    tau = random_admissible_automorphism(p, random.Random(3))
+    twist = tau.inverse().matrix
+    a = QuadraticAlgebra(p.names, [t.apply_matrix_slots((1,), twist) for t in p.R.basis_tensors(3, 2)])
+    rng = random.Random(4)
+    sigma = random_admissible_automorphism(a, rng)
+    delta = random_admissible_derivation(a, sigma, rng)
+    return QuadraticAlgebra(p.names + ("z",), ore_relations(sigma, delta))
+
+
+def _sklyanin_tower() -> QuadraticAlgebra:
+    """C = B[u; id, delta'] over swell's B, a two-step tower over Sklyanin."""
+    b = _sklyanin_extension()
+    sigma = identity_automorphism(b)
+    delta = random_admissible_derivation(b, sigma, random.Random(7))
+    return QuadraticAlgebra(("x", "y", "z", "w", "u"), ore_relations(sigma, delta))
+
+
+def test_ore_route_agrees_with_rank_route():
+    # the rank route on a fresh copy is the oracle for d, omega and the
+    # ranks; the tower recurses through B to Sklyanin, and its oracle
+    # stops at bound 5 (d + 3 = 8 is out of its reach)
+    algs = [
+        ("swell-B", _sklyanin_extension(), 7),
+        ("swell-B(3, 0, -1)", _sklyanin_extension((3, 0, -1)), 7),
+        ("poly3^tau[z]", _twisted_poly3_extension(), 7),
+        ("C over swell-B", _sklyanin_tower(), 5),
+    ]
+    for name, a, bound in algs:
+        assert a._normal_pairs() is None and a.order[0] == a.nv - 1, name
+        d, omega = a.certify_as_regular()
+        assert (a.certificate.route, a.certificate.bound) == ("ore", d + 3), name
+        cert = a.certify_koszul(bound)
+        assert (cert.route, cert.bound, cert.d) == ("ore", bound, d), name
+        assert (d, omega, cert.ranks) == _by_rank_route(a, bound), name
+    assert algs[-1][1]._ore_base()[0].certificate.route == "ore"
+    # the golden input of the ore route is swell's B, listed by hand
+    spec = parse_problem(json.loads((GOLDEN / "sklyanin123_ore.json").read_text()))
+    golden = QuadraticAlgebra(spec.generators, spec.relations)
+    assert golden.R == algs[0][1].R and golden.certify_koszul(4).route == "ore"
+
+
+def _outcome(prove):
+    """``prove()``, or the fields of the CertificationError it raises."""
+    try:
+        return prove()
+    except CertificationError as e:
+        return str(e), e.degree, e.position, e.dims, e.ranks
+
+
+def test_ore_route_falls_back_to_the_rank_route():
+    # R has the shape of an Ore extension by w, but sigma' does not
+    # preserve R', or delta' is not admissible, or the base A' is not
+    # Koszul: B's own rank route decides, as on a fresh copy.  Below
+    # degree 4 the third base is exact, so its B certifies on the ore route
+    w = 3
+    sklyanin = [Tensor(4, 2, t.entries) for t in _sklyanin().R.basis_tensors(3, 2)]
+    cases = {
+        "sigma' = diag(1, 2, 3)": sklyanin + [
+            Tensor(4, 2, {(w, u): 1, (u, w): -(u + 1)}) for u in range(3)
+        ],
+        "delta'(x) = x^2": sklyanin + [
+            Tensor(4, 2, {(w, u): 1, (u, w): -1, **({(0, 0): -1} if u == 0 else {})})
+            for u in range(3)
+        ],
+        "A' not Koszul": [Tensor(4, 2, t.entries) for t in _non_koszul_algebra().R.basis_tensors(3, 2)]
+        + [Tensor(4, 2, {(w, u): 1, (u, w): -1}) for u in range(3)],
+    }
+    for name, rels in cases.items():
+        b = QuadraticAlgebra(("x", "y", "z", "w"), rels)
+        assert b._normal_pairs() is None and b._peeled[0] == w, name
+        assert (b._ore_base() is None) == (name != "A' not Koszul"), name
+        fresh = QuadraticAlgebra(b.names, b.R)
+        low = b.certify_koszul(3)
+        assert low.ranks == fresh._prove_by_ranks(3), name
+        assert low.route == ("ore" if b._ore_base() else "ranks"), name
+        got = _outcome(lambda: b.certify_koszul(5).ranks)
+        assert got == _outcome(lambda: fresh._prove_by_ranks(5)), name
+        assert got[1] == 4, name  # each fails in degree 4
 
 
 def test_each_split_is_expanded_once(monkeypatch):
