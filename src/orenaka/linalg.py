@@ -86,9 +86,10 @@ One rule governs every scaled vector of the package.
   equal structurally.  ``Tensor._from_scaled`` takes it for every tensor
   a kernel returns (``apply_matrix_slots``, ``apply_images_at``,
   ``combine``, ``scale``, ``tensor``, ``sandwich_map``,
-  ``DerivationLift.extend`` and omega-hat; ``tau`` and negation keep
-  it), ``ore`` for each stored tower stage and S^i, and ``quadratic``
-  for each cached normal form.
+  ``DerivationLift.extend``; ``tau`` and negation keep it),
+  ``_DeferredTensor`` on the first read of its words (omega-hat), ``ore``
+  for each stored tower stage and S^i, and ``quadratic`` for each cached
+  normal form.
 * Fractions exist only at the public edge, for callers outside the
   package: ``Tensor.entries`` is a read-only view built on the first
   read, and ``Subspace.basis()`` builds its Fractions on each call.
@@ -111,7 +112,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import NotInvertibleError
 
@@ -380,6 +381,15 @@ def rank(rows: Iterable[Mapping], p: int | None = None, cap: int | None = None) 
     ``cap`` pivots, and the result is min(cap, rank).
     """
     return len(_forward((_integer_row(row, p) for row in sorted(rows, key=len)), p, cap))
+
+
+def row_rank(rows: Sequence[Mapping]) -> int:
+    """The rank over Q of a few rows, mod ``P`` first: rank mod p <= rank
+    over Q <= len(rows) (``rank``), so a full rank mod p is the rank over
+    Q, and only a shortfall is counted again over Q."""
+    n = len(rows)
+    r = rank(rows, P, n)
+    return r if r == n else rank(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -987,6 +997,32 @@ class Tensor:
 
     def terms(self) -> list[tuple[tuple, Fraction]]:
         return sorted(self.entries.items())
+
+
+class _DeferredTensor(Tensor):
+    """A ``Tensor`` whose ``nums`` and ``den`` are made on their first
+    read: ``build()`` returns raw int numerators over a positive den,
+    made canonical as by ``_from_scaled``, and is dropped once it has
+    run.  Afterwards the tensor reads like any other."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, nv: int, degree: int, build: Callable[[], tuple[dict, int]]):
+        self.nv = nv
+        self.degree = degree
+        self._entries = None
+        self._build = build
+
+    def __getattr__(self, name):
+        # reached only for an unset slot: nums and den before the build.
+        # Two threads may both build; they store the same values.
+        if name not in ("nums", "den"):
+            raise AttributeError(name)
+        build = self._build
+        if build is not None:
+            self.nums, self.den = _canonical(*build())
+            self._build = None
+        return getattr(self, name)
 
 
 def expand_scaled(

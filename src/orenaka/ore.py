@@ -23,7 +23,8 @@ R-hat must contain R, as the R-hat of every Ore extension of A does;
 another raises ``ValueError``.  The twist condition is split by the
 position of z: the words with z at position p < d are compared on the
 blocks W_p (x) W_{d-p-1} (x) V, those with z last or with two z's on
-entries of mu_B, and only the z-free words on words.  omega-hat's tower
+entries of mu_B, and the z-free words by one vector identity in V, that
+mu_B's z-row is the divergence; no word is checked.  omega-hat's tower
 part has two closed forms, and the alternating recursion makes them
 equal, so one form is built; ``SequencePair.verify`` compares both at
 the paranoid level.
@@ -36,9 +37,10 @@ the w_l (x) x_j of W_i (x) V, under delta_{i,l} on the x_u (x) w_l of V
 vector of int numerators over one denominator; the sums between them
 are raw, and each stored stage and S^i is made canonical (the rule of
 the ``linalg`` docstring).  Tensors are built only where one is the
-output: the ``right`` and ``left`` stages on first read, and omega-hat,
-made in one pass over the blocks (S^i (x) id) and (delta_{i,r} (x) id)
-of omega's coordinates in W_i (x) W_{d-i}.
+output, and only on first read: the ``right`` and ``left`` stages, and
+omega-hat's words, made in one pass over the blocks (S^i (x) id) and
+(delta_{i,r} (x) id) of omega's coordinates in W_i (x) W_{d-i}.  A
+request that never reads omega-hat never builds its words.
 
 Right towers are built stage by stage: delta_{i,r}(w_k) is any u in W_i
 (x) V with (id^(i-1) (x) m)(u) = (id^(i-1) (x) m)((sigma^(i-1) (x) delta
@@ -76,6 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 import random
 
@@ -95,6 +98,7 @@ from .linalg import (
     Subspace,
     Tensor,
     _canonical,
+    _DeferredTensor,
     _combine,
     _int_sum,
     _matrix_images,
@@ -534,11 +538,13 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     taken on omega's coordinates omega_i in W_i (x) W_{d-i}, through its
     blocks, each formed once: C_i = (S^i (x) id)(omega_i) for i = 0..d
     and R_i = (delta_{i,r} (x) id)(omega_i) for i = 1..d.  Cyclic term i
-    is C_i and right-form term i is R_i; omega-hat is turned into words
-    once.  It is then certified to lie in the top Koszul space
-    W-hat_(d+1) = cap_s V-hat^s (x) R-hat (x) V-hat^(d-1-s) of B, s =
-    0..d-1, and to satisfy the twist condition omega-hat = (-1)^d tau_d
-    (mu_B (x) id^d)(omega-hat), where tau_d moves factor 1 to the end.
+    is C_i and right-form term i is R_i.  omega-hat is certified on these
+    blocks to lie in the top Koszul space W-hat_(d+1) = cap_s V-hat^s (x)
+    R-hat (x) V-hat^(d-1-s) of B, s = 0..d-1, and to satisfy the twist
+    condition omega-hat = (-1)^d tau_d (mu_B (x) id^d)(omega-hat), where
+    tau_d moves factor 1 to the end.  No check reads a word, so the
+    returned tensor turns the blocks into words on the first read of
+    ``nums``, ``den`` or ``entries`` (``linalg._DeferredTensor``), once.
 
     The two forms are equal.  Write F_{j,i} = sigma^(x)j (x) delta_{i,r}
     (x) id and G_{j,i} = sigma^(x)j (x) delta_{i,l} (x) id on V^(x)d,
@@ -607,14 +613,13 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     - Two z's: the words z (x) w_b (x) z all come from Z_1, with
       coefficient (-1)^(d+1) sum_a m_a C_1[a, b]; they vanish for every
       p when m = 0.  Conversely C_1 = (S^1 (x) id)(omega_1) is
-      invertible: W_i is dual to the i-th piece of the Koszul dual A^!
-      and the inclusion W_d <= V (x) W_{d-1} is dual to the product A^!_1
-      (x) A^!_{d-1} -> A^!_d, so omega_1 is the matrix of that pairing,
-      which is perfect because A^! is Frobenius for a Koszul AS-regular
-      A (S. P. Smith 1996, Prop. 5.10), and S^1 = sigma is invertible.
-      So these words vanish iff m = 0.  The lemma is needed only for a
-      rejection to agree with the word-level condition; an accepted
-      m = 0 kills the words outright, and the theorem's mu_B has m = 0.
+      invertible: omega_1 is the n x n matrix of omega's first-letter
+      flattening on the W_{d-1} basis, whose rank n
+      ``certify_as_regular`` checks (the AS-Gorenstein test at i = 1),
+      and S^1 = sigma is invertible.  So these words vanish iff m = 0.
+      The lemma is needed only for a rejection to agree with the
+      word-level condition; an accepted m = 0 kills the words outright,
+      and the theorem's mu_B has m = 0.
     - z last: with m = 0, only Z_d = (-1)^d S^d omega (x) z and the image
       of Z_0 carry such words, and omega is nonzero, so the condition
       is mu_B[z][z] = S^d.
@@ -625,8 +630,48 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
       C_{p+1} on the basis w_a (x) w_b (x) x_v of W_p (x) W_{d-p-1} (x)
       V, whose vectors, with z put after factor p, are linearly
       independent words.
-    - z-free: RF = (-1)^d [tau_d (N (x) id)(RF) + omega (x) v], the one
-      condition checked on words.
+    - z-free: RF = (-1)^d [tau_d (N (x) id)(RF) + omega (x) v].  Once
+      the three conditions above hold, this one holds iff v = delta_r +
+      N delta_l, one identity in V, where delta_{d,r}(omega) = omega (x)
+      delta_r and delta_{d,l}(omega) = delta_l (x) omega (dim W_d = 1)
+      are read off ``right_w[d][0]`` and ``left_w[d][0]``: mu_B's z-row
+      must be the sigma-divergence of the pair with mu_B's own V-block.
+
+    The z-free identity.  At p = 0 the compared words are z (x) omega
+    from Z_0 and z (x) tau_(d-1) (N sigma (x) id)(omega) from the image
+    of Z_1 = -(sigma (x) id)(omega) with z after factor 1, so that check
+    reads tau_(d-1) (N sigma (x) id)(omega) = (-1)^(d-1) omega.  (omega's
+    own twist by mu_A reads the same with mu_A, so N sigma - mu_A kills
+    the first-letter flattening of omega, whose rank n
+    ``certify_as_regular`` checks: position 0 forces N = mu_A
+    sigma^(-1).  The identity below uses only the checked equation.)
+    Take RF in its left form, -sum_{t=0..d-1} (-1)^t G_{t,d-t}(omega).
+    For t >= 1, factor 1 of G_{t,d-t}(omega) carries sigma and nothing
+    else, so sending it through N and to the end commutes with the
+    maps on the other factors:
+
+        tau_d (N (x) id) G_{t,d-t}(omega)
+          = (sigma^(x)(t-1) (x) delta_{d-t,l} (x) id)(tau_(d-1) (N sigma (x) id)(omega))
+          = (-1)^(d-1) G_{t-1,d-t}(omega).
+
+    For t = 0, G_{0,d}(omega) = delta_l (x) omega, and tau_d (N (x)
+    id)(delta_l (x) omega) = omega (x) N delta_l.  So, with s = t - 1 and
+    G_{d-1,0} = 0,
+
+        tau_d (N (x) id)(RF) = (-1)^(d+1) sum_{s<d} (-1)^s G_{s,d-1-s}(omega)
+                               - omega (x) N delta_l.
+
+    The telescoped recursion above at i = d, F_{0,d} = sum_{t<d}
+    (-1)^(d-t) (G_{t,d-t-1} - G_{t,d-t}), reads sum_s (-1)^s
+    G_{s,d-1-s}(omega) = (-1)^d F_{0,d}(omega) - RF, and F_{0,d}(omega)
+    = delta_{d,r}(omega) = omega (x) delta_r.  Hence tau_d (N (x)
+    id)(RF) = (-1)^d RF - omega (x) (delta_r + N delta_l), and the z-free
+    condition reads RF = RF + (-1)^d omega (x) (v - delta_r - N delta_l).
+    omega is nonzero, so it holds iff v = delta_r + N delta_l.  The proof
+    rests on the recursion holding exactly on the stored stages, as the
+    form equality does.  ``tests/conftest.word_twist_holds`` checks the
+    whole twist on words, and the paranoid level solves it
+    (``twist_solve(omega_hat)``), both independent of this identity.
     """
     alg = sp.algebra
     nv = alg.nv
@@ -642,26 +687,39 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     # j) * dim W_{d-i} + b on w_l (x) x_j (x) w_b; R_0 = 0
     cs = [_int_sum(_on_left(tab.omega[i], sp.sigma_w[i], tab.dims[d - i])) for i in range(d + 1)]
     rs = [({}, 1)] + [_int_sum(_on_left(tab.omega[i], sp.right_w[i], tab.dims[d - i])) for i in range(1, d + 1)]
-    terms = []
-    for i in range(d + 1):
-        # z put between the two factors of C_i
-        rows, big = tab.words[d - i]
-        z_tail = ([[((nv,) + w, n) for w, n in r] for r in rows], big)
-        terms.append((_sign(i), *_expand(cs[i], tab.words[i], z_tail)))
-        if i:
-            terms.append((_sign(i), *_expand(rs[i], tab.words_v[i], tab.words[d - i])))
-    omega_hat = Tensor._from_scaled(nh, d + 1, *_combine(terms))
     if not _in_last_slot(alg, cs, rs, r_hat):
         raise NotInHatWError(
             f"omega-hat escapes V-hat^{d - 1} (x) R-hat (x) V-hat^0", slot=d - 1
         )
-    failed = _twist_failure(sp, cs, omega_hat, mu_b)
+    failed = _twist_failure(sp, cs, mu_b)
     if failed is not None:
         raise TwistFailureError(f"twist condition fails on the {failed}", degree=d + 1)
-    return omega_hat
+    return _DeferredTensor(nh, d + 1, partial(_words, alg, cs, rs))
 
 
-def _twist_failure(sp: SequencePair, cs: list, omega_hat: Tensor, mu_b: Matrix) -> str | None:
+def _words(alg: QuadraticAlgebra, cs: list, rs: list) -> tuple[dict, int]:
+    """omega-hat as raw int numerators by word over one den, from its
+    blocks C_i = ``cs[i]`` and R_i = ``rs[i]``: sum_i (-1)^i (C_i with z
+    put between its two factors, plus R_i), each block expanded straight
+    into one sum over the lcm of the blocks' denominators."""
+    nv, d = alg.nv, alg.d
+    tab = alg.w_tables()
+    blocks = []
+    for i in range(d + 1):
+        rows, den = tab.words[d - i]
+        z_tail = ([[((nv,) + w, n) for w, n in r] for r in rows], den)
+        blocks.append((_sign(i), cs[i], tab.words[i], z_tail))
+        if i:
+            blocks.append((_sign(i), rs[i], tab.words_v[i], tab.words[d - i]))
+    dens = [vec[1] * head[1] * tail[1] for _, vec, head, tail in blocks]
+    big = lcm(*dens)
+    out: dict = {}
+    for (sign, vec, head, tail), den in zip(blocks, dens):
+        _expand(vec, head, tail, out, sign * (big // den))
+    return out, big
+
+
+def _twist_failure(sp: SequencePair, cs: list, mu_b: Matrix) -> str | None:
     """The words of omega-hat, named by the position of z, on which the
     twist condition fails, or None when it holds; C_i = ``cs[i]`` (proof
     in ``twisted_superpotential_hat``)."""
@@ -690,29 +748,13 @@ def _twist_failure(sp: SequencePair, cs: list, omega_hat: Tensor, mu_b: Matrix) 
         )
         if any(residual.values()):
             return f"words with z at position {p}"
-    # the z-free words RF - (-1)^d [tau_d (N (x) id)(RF) + omega (x) v],
-    # over omega-hat's den * mden * omega's den
-    omega = alg.omega
-    sgn = _sign(d)
-    scale, f, g = mden * omega.den, -sgn * omega.den, -sgn * omega_hat.den
-    out: dict = {}
-    get = out.get
-    for w, c in omega_hat.nums.items():
-        if nv in w:
-            continue
-        out[w] = get(w, 0) + c * scale
-        tail = w[1:]
-        c *= f
-        for j, n in rows[w[0]]:
-            key = tail + j
-            out[key] = get(key, 0) + c * n
-    v = [(j, n) for j, n in rows[nv] if j[0] < nv]
-    for w, c in omega.nums.items():
-        c *= g
-        for j, n in v:
-            key = w + j
-            out[key] = get(key, 0) + c * n
-    if any(out.values()):
+    # the z-free words: v = delta_r + N delta_l, with v the z-row of mu_B
+    # on V, delta_r keyed j on w^d_0 (x) x_j and delta_l on x_j (x) w^d_0
+    v = ({j: n for (j,), n in rows[nv] if j < nv}, mden)
+    residual, _ = _int_sum(
+        [(1, v, 1, 0), (-1, sp.right_w[d][0], 1, 0)] + _on_left(sp.left_w[d][0], n_rows, 1, -1)
+    )
+    if any(residual.values()):
         return "z-free words"
     return None
 

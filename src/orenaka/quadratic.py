@@ -115,6 +115,7 @@ from .linalg import (
     expand_scaled,
     flat_word,
     rank,
+    row_rank,
     shift,
     subspace_intersect,
     word_flat,
@@ -701,8 +702,20 @@ class QuadraticAlgebra:
         (``certify_koszul``), so an infinite A^!, whose leading pairs
         close a cycle, is refuted with no W_i built; on the ore route
         they are sums of those of the base (``_ore_w_dims``).  Either
-        way W_d is built for omega, and its dim must match.  Raises
-        NotASRegularError if any check fails.
+        way W_d is built for omega, and its dim must match.
+
+        AS-Gorenstein at the outer cuts.  For a Koszul A, A is
+        AS-Gorenstein of dimension d iff A^! is Frobenius (S. P. Smith
+        1996, Prop. 5.10), that is, iff the product A^!_i (x) A^!_{d-i}
+        -> A^!_d is a perfect pairing for every i.  W_i is dual to A^!_i,
+        and omega's coordinates in W_i (x) W_{d-i} are the matrix of that
+        pairing.  At i = 1 and d - 1 they are omega's first-letter and
+        last-letter flattenings, n x n^(d-1) and n^(d-1) x n matrices
+        whose ranks equal those of the coordinate matrices, as the W_{d-1}
+        basis is independent; each must have rank n (``linalg.row_rank``,
+        mod p first).  The middle cuts, 2 <= i <= d - 2, are not read.
+
+        Raises NotASRegularError if any check fails.
         """
         if self.certificate is not None:
             return self.certificate.d, self.certificate.omega
@@ -730,6 +743,12 @@ class QuadraticAlgebra:
         if wd.dim != dims[d]:
             raise EngineInvariantError(f"dim W_{d} = {wd.dim}, but its route reads {dims[d]}")
         omega = wd.basis_tensors(self.nv, d)[0]
+        for side, rows in (("first", _flattening(omega, 0)), ("last", _flattening(omega, -1))):
+            r = row_rank(rows)
+            if r != self.nv:
+                raise NotASRegularError(
+                    f"omega's {side}-letter flattening has rank {r} < {self.nv}: A^! is not Frobenius"
+                )
         self.certificate = replace(self.certify_koszul(d + 3), d=d, omega=omega)
         return d, omega
 
@@ -889,27 +908,42 @@ def _peel(rels: list[dict], v: int, letters: list[int], nv: int) -> tuple[list, 
     return [rel for rel in rels if any(a == v for a, _ in rel)], rest
 
 
-def _expand(vec: tuple[dict, int], head, tail) -> tuple[dict, int]:
+def _expand(vec: tuple[dict, int], head, tail, out: dict | None = None, scale: int = 1) -> tuple[dict, int]:
     """A coordinate vector on a tensor product of two spaces as a
     tensor: int numerators by word over one denominator.  ``head`` and
     ``tail`` are ``WTables.words`` or ``words_v`` entries (rows, L), and
     key k * len(tail rows) + m holds the coordinate on head row k (x)
-    tail row m.  Cancelled entries stay as zeros."""
+    tail row m.  Cancelled entries stay as zeros.  Given ``out``, the
+    numerators times ``scale`` are added into it, a raw sum, and it is
+    returned."""
     nums, den = vec
     hrows, hden = head
     trows, tden = tail
     size = len(trows)
-    out: dict = {}
+    if out is None:
+        out = {}
     get = out.get
     for key, c in nums.items():
         h, t = divmod(key, size)
         tail_row = trows[t]
+        c *= scale
         for hw, hn in hrows[h]:
             f = c * hn
             for tw, tn in tail_row:
                 w = hw + tw
                 out[w] = get(w, 0) + f * tn
     return out, den * hden * tden
+
+
+def _flattening(omega: Tensor, pos: int) -> list[dict]:
+    """omega's flattening by the letter at ``pos`` (0 or -1): row a holds
+    the numerators of the words with letter a there, keyed by the flat
+    index of the rest of the word."""
+    rows: list[dict] = [{} for _ in range(omega.nv)]
+    for w, n in omega.nums.items():
+        rest = w[1:] if pos == 0 else w[:-1]
+        rows[w[pos]][word_flat(rest, omega.nv)] = n
+    return rows
 
 
 def _walk_counts(adj: list[list[int]], top: int) -> list[int]:

@@ -273,6 +273,17 @@ def test_exit_code_not_as_regular(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_code_not_gorenstein(capsys):
+    # k<x, y>/(xy): dim W_i = 1, 2, 1, 0 is symmetric, but omega = x y has
+    # a first-letter flattening of rank 1, so A^! is not Frobenius; both
+    # commands stop at certification
+    path = str(GOLDEN / "not_gorenstein.json")
+    for command in ("certify", "nakayama"):
+        code, out, err = run(capsys, command, "--input", path)
+        assert (code, out) == (2, ""), command
+        assert "omega's first-letter flattening has rank 1 < 2" in err, command
+
+
 def test_exit_code_inadmissible(tmp_path, capsys):
     doc = {
         "generators": ["x1", "x2"],

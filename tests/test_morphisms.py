@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -488,7 +489,8 @@ def test_certified_algebra_is_freed_without_the_cycle_collector(monkeypatch):
     # so dropping the last reference frees the algebra at once, on the
     # PBW route (poly(3)) and on the rank route (Sklyanin); an inverse
     # keeps its source's matrix, not its source, so an Ore request frees
-    # its base too; and B on the ore route frees itself and its base A'
+    # its base too, with omega-hat read or not; and B on the ore route
+    # frees itself and its base A'
     import gc
     import weakref
 
@@ -511,14 +513,19 @@ def test_certified_algebra_is_freed_without_the_cycle_collector(monkeypatch):
             ref = weakref.ref(a)
             del a, mu
             assert ref() is None, build.__name__
-        for build in (poly3, _sklyanin):
+        # omega-hat's words are built on first read: a report frees its
+        # base whether or not they were read
+        for build, read in itertools.product((poly3, _sklyanin), (False, True)):
             a = build()
             sigma = identity_automorphism(a)
             assert sigma.inverse().inverse().matrix == sigma.matrix
             rep = nakayama_of_B(sigma, random_admissible_derivation(a, sigma, random.Random(2)))
+            if read:
+                assert rep.omega_hat.entries
+            assert (rep.omega_hat._build is None) == read
             ref = weakref.ref(a)
             del a, sigma, rep
-            assert ref() is None, build.__name__
+            assert ref() is None, (build.__name__, read)
         b = _sklyanin_extension()
         b.certify_as_regular()
         assert b.certificate.route == "ore" and nakayama_of_A(b).inverse().algebra is b

@@ -1092,14 +1092,19 @@ def test_ore_request_makes_each_quantity_once(monkeypatch):
 
 
 def _twist_cases():
-    """(name, sigma, delta): the tower cases, k[x] (d = 1) and every
-    dim-2 catalog case."""
+    """(name, sigma, delta): the tower cases, k[x] (d = 1), the left
+    Zhang twist poly(3)^tau with sigma = tau (d = 3, mu_A dense and not
+    the identity) and every dim-2 catalog case."""
     from orenaka import CASES, enumerate_solution, random_case_params
+    from test_quadratic import _twisted_poly3
 
     rng = random.Random(91)
     a = make_polynomial(1)
     sig = random_admissible_automorphism(a, rng)
     cases = _tower_cases() + [("poly1", sig, random_admissible_derivation(a, sig, rng))]
+    a, tau = _twisted_poly3()
+    sig = check_automorphism(tau.matrix, a)
+    cases.append(("poly3^tau", sig, random_admissible_derivation(a, sig, rng)))
     for case in CASES:
         inst = enumerate_solution(case, random_case_params(case, rng))
         cases.append((case, inst.sigma, inst.delta))
@@ -1144,6 +1149,44 @@ def test_z_split_twist_matches_word_oracle(name, sig, delta):
             assert got == oh
             accepted = True
         assert accepted == word_twist_holds(oh, bent, d), (name, i, j)
+
+
+def test_twist_cases_cover_a_dense_mu_a():
+    # the Zhang twist's mu_A is dense and not the identity, so the
+    # z-free identity meets a nontrivial N = mu_A sigma^(-1)
+    (sig,) = [sig for name, sig, _ in _twist_cases() if name == "poly3^tau"]
+    mu = nakayama_of_A(sig.algebra).matrix
+    assert sig.algebra.d == 3 and mu != Matrix.identity(3)
+    assert all(mu[i, j] for i in range(3) for j in range(3))
+
+
+@pytest.mark.parametrize("name, sig, delta", _tower_cases(), ids=lambda v: v if isinstance(v, str) else "")
+def test_omega_hat_words_are_built_on_first_read(name, sig, delta, monkeypatch):
+    # a request turns no block into words; the first read of omega-hat
+    # does, once, and gives the words of the tensor-level build: the
+    # cyclic terms (-1)^i (sigma^(x)i (x) id)(omega) with z put after
+    # factor i, plus the right form
+    from orenaka import ore
+
+    real, calls = ore._expand, []
+    monkeypatch.setattr(ore, "_expand", lambda *args: calls.append(args) or real(*args))
+    rep = nakayama_of_B(sig, delta)
+    assert calls == [] and rep.omega_hat._build is not None, name
+    a = sig.algebra
+    nv, d = a.nv, a.d
+    nh = nv + 1
+    terms = []
+    for i in range(d + 1):
+        t = a.omega.apply_matrix_slots(range(1, i + 1), sig.matrix)
+        terms.append(((-1) ** i, Tensor(nh, d + 1, {w[:i] + (nv,) + w[i:]: c for w, c in t.entries.items()})))
+    right, _ = _forms(rep.sequence_pair, a.omega, d)
+    terms.append((1, Tensor(nh, d + 1, right.entries)))
+    eager = Tensor.combine(nh, d + 1, terms)
+    oh = rep.omega_hat
+    assert (oh.nums, oh.den) == (eager.nums, eager.den), name
+    built = len(calls)
+    assert built and oh._build is None
+    assert oh.entries == eager.entries and oh == eager and len(calls) == built, name
 
 
 def _forms(sp, omega, d):

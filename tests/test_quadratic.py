@@ -388,6 +388,25 @@ def test_euler_identity():
             assert total == (1 if m == 0 else 0), (name, m)
 
 
+def test_non_frobenius_dual_rejected():
+    # k<x, y>/(xy) and k<x, y>/(yx): symmetric W dims 1, 2, 1, 0, but the
+    # pairing V (x) V -> W_2 that omega spans is degenerate
+    for word in ((0, 1), (1, 0)):
+        a = QuadraticAlgebra(["x", "y"], [Tensor(2, 2, {word: 1})])
+        with pytest.raises(NotASRegularError, match=r"^omega's first-letter flattening has rank 1 < 2"):
+            a.certify_as_regular()
+        assert a.certificate is None
+
+
+def test_row_rank_counts_over_q_after_a_short_rank_mod_p():
+    # rows that are dependent mod P only: the modular rank falls short
+    # and the Q rank decides
+    rows = [{0: 1, 1: 0}, {0: 1, 1: P}]
+    assert linalg.rank(rows, P) == 1
+    assert linalg.row_rank(rows) == 2
+    assert linalg.row_rank([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
+
+
 def test_full_relation_space_rejected():
     a = QuadraticAlgebra(["x1"], [Tensor(1, 2, {(0, 0): 1})])
     with pytest.raises(NotASRegularError):
@@ -724,18 +743,24 @@ def test_non_pbw_inputs_take_the_rank_route(monkeypatch):
 # -- ore route ----------------------------------------------------------------
 
 
-def _twisted_poly3_extension() -> QuadraticAlgebra:
-    """B = A[z; sigma, delta] over the left Zhang twist A = poly(3)^tau,
-    relations (tau^-1 (x) id)(R), with tau, sigma and delta the
-    sampler's draws off random.Random(3) and random.Random(4)."""
+def _twisted_poly3():
+    """(A, tau): the left Zhang twist A = poly(3)^tau, relations (tau^-1
+    (x) id)(R), with tau the sampler's draw off random.Random(3)."""
     p = make_polynomial(3)
     tau = random_admissible_automorphism(p, random.Random(3))
     twist = tau.inverse().matrix
-    a = QuadraticAlgebra(p.names, [t.apply_matrix_slots((1,), twist) for t in p.R.basis_tensors(3, 2)])
+    return QuadraticAlgebra(p.names, [t.apply_matrix_slots((1,), twist) for t in p.R.basis_tensors(3, 2)]), tau
+
+
+def _twisted_poly3_extension() -> QuadraticAlgebra:
+    """B = A[z; sigma, delta] over the left Zhang twist A = poly(3)^tau
+    (``_twisted_poly3``), with sigma and delta the sampler's draws off
+    random.Random(4)."""
+    a, _ = _twisted_poly3()
     rng = random.Random(4)
     sigma = random_admissible_automorphism(a, rng)
     delta = random_admissible_derivation(a, sigma, rng)
-    return QuadraticAlgebra(p.names + ("z",), ore_relations(sigma, delta))
+    return QuadraticAlgebra(a.names + ("z",), ore_relations(sigma, delta))
 
 
 def _sklyanin_tower() -> QuadraticAlgebra:
