@@ -38,7 +38,8 @@ and with ``reduced=True`` one back pass makes it the canonical RREF;
 ``solve_columns`` and ``Matrix.inverse`` read their results off that
 through ``fraction_rows``, while ``Subspace``, ``subspace_intersect``,
 ``FactoredColumns`` and the normal-form reducer of ``quadratic`` keep
-the integer rows.  The
+the integer rows.  That reducer is eliminated forward when its piece is
+built, and ``_back`` completes it on the first read of its normal forms.  The
 kernel picks its own row order (sparsest first).  The order is free because nothing
 read off the kernel depends on it: the rank does not, the RREF of a
 span is unique, and so is the particular solution with every free

@@ -28,7 +28,8 @@ bound.  The route is not a choice: the PBW test decides it.
   is built on A.  Otherwise the rank route runs on A itself.
 * "ranks": otherwise ``certify_koszul`` verifies exactness of the
   Koszul complex in every internal degree up to the bound N by rank
-  computations, and proves nothing beyond N.
+  computations, and proves nothing beyond N.  d_1 is onto A_m, so only
+  d_2..d_t are ranked (``_prove_by_ranks``).
 
 AS-regularity is certified on every route by the finite necessary
 conditions dim W_d = 1, W_{d+1} = 0 and dim W_i = dim W_{d-i}, on top of
@@ -60,10 +61,15 @@ keeps the identity order.
 Normal forms are held in integers.  A normal form is a pair (nums,
 den): int numerators by basis position over one positive denominator,
 content-reduced (gcd(den, *nums) = 1), so den is the lcm of the reduced
-denominators of its coefficients.  Each piece stores one such pair for
+denominators of its coefficients.  Each piece holds one such pair for
 every (A_{m-1} monomial, letter) column, read off the primitive integer
-RREF rows of ``linalg.echelon``: the pivot entry of a row is the
-denominator, and a primitive row gives a content-reduced form.  ``_nf``
+RREF rows of its reducer: the pivot entry of a row is the denominator,
+and a primitive row gives a content-reduced form.  The pair table is
+made on first read (``_Piece``): a piece keeps the forward echelon of
+its reducer, whose pivots fix its words and dim A_m, and completes it by
+the back pass (``linalg._back``) when its pairs are first read.  So A_3
+in the PBW test and A_bound on the rank route, read only for their
+dimension, pay a forward elimination alone.  ``_nf``
 caches the form of each word, and the products and sums of
 ``_build_piece``, ``differential_rows`` and ``nf_tensor`` run on
 numerators over a common denominator (``linalg._int_sum``, a raw sum
@@ -109,6 +115,7 @@ from .linalg import (
     P,
     Subspace,
     Tensor,
+    _back,
     _canonical,
     _int_sum,
     echelon,
@@ -150,16 +157,44 @@ class KoszulCertificate:
 class _Piece:
     """Degree-m homogeneous data: the chosen basis words and, for every
     pair column b * nv + v of A_{m-1} (x) V, its normal form in A_m as
-    (int numerators by basis position, denominator)."""
+    (int numerators by basis position, denominator).
 
-    __slots__ = ("words", "pairs")
+    A piece is made from the forward echelon of its reducer
+    (``_build_piece``), whose pivot columns, those of the RREF, already
+    fix the words.  The back pass and the pair table are made on the
+    first read of ``pairs``, so a piece read only for its dimension never
+    pays them."""
 
-    def __init__(self, words, pairs=()):
+    __slots__ = ("words", "_reducer", "_pairs")
+
+    def __init__(self, words, reducer):
         self.words = words
-        self.pairs = pairs
+        self._reducer = reducer
+        self._pairs = None
+
+    @property
+    def pairs(self) -> list[tuple[dict[int, int], int]]:
+        reducer = self._reducer
+        if reducer is not None:
+            # on copies of the rows, which _back clears in place: two
+            # threads may both build, and they store the same table
+            rref = _back({p: dict(r) for p, r in reducer.items()})
+            npairs = len(rref) + len(self.words)  # a pair column is a pivot or a word
+            col = {p: k for k, p in enumerate(p for p in range(npairs) if p not in rref)}
+            pairs = []
+            for p in range(npairs):
+                row = rref.get(p)
+                if row is None:
+                    pairs.append(({col[p]: 1}, 1))
+                else:
+                    # a primitive RREF row reads e_p = -sum_k (row[k] / row[p]) e_k
+                    pairs.append(({col[k]: -v for k, v in row.items() if k != p}, row[p]))
+            self._pairs = pairs
+            self._reducer = None
+        return self._pairs
 
 
-_NO_PIECE = _Piece([])  # A_m = 0 for m < 0
+_NO_PIECE = _Piece([], {})  # A_m = 0 for m < 0
 _MAX_D = 12  # the largest global dimension certify_as_regular looks for
 
 
@@ -218,9 +253,9 @@ class QuadraticAlgebra:
         while len(self._pieces) <= m:
             k = len(self._pieces)
             if k == 0:
-                self._pieces.append(_Piece([()]))
+                self._pieces.append(_Piece([()], {}))
             elif k == 1:
-                self._pieces.append(_Piece([(v,) for v in self._order]))
+                self._pieces.append(_Piece([(v,) for v in self._order], {}))
             else:
                 self._pieces.append(self._build_piece(k))
         return self._pieces[m]
@@ -239,20 +274,14 @@ class QuadraticAlgebra:
             for rel in rels:
                 # the numerators alone: scaling a row keeps its span
                 rows.append(_int_sum((c, self._nf(aw + (u,)), nv, k) for u, k, c in rel)[0])
-        # a primitive RREF row p reads e_p = -sum_k (row[k] / row[p]) e_k in A_m
-        reducer = echelon(rows, reduced=True)
+        # the forward echelon has the pivot columns of the RREF, which fix
+        # the basis words; the back pass waits for the first read of pairs
+        reducer = echelon(rows)
         npairs = len(lower.words) * nv
-        pair_cols = [p for p in range(npairs) if p not in reducer]
-        col = {p: k for k, p in enumerate(pair_cols)}
-        pairs = []
-        for p in range(npairs):
-            row = reducer.get(p)
-            if row is None:
-                pairs.append(({col[p]: 1}, 1))
-            else:
-                pairs.append(({col[k]: -v for k, v in row.items() if k != p}, row[p]))
-        words = [lower.words[p // nv] + (self._order[p % nv],) for p in pair_cols]
-        return _Piece(words, pairs)
+        words = [
+            lower.words[p // nv] + (self._order[p % nv],) for p in range(npairs) if p not in reducer
+        ]
+        return _Piece(words, reducer)
 
     def dim_A(self, m: int) -> int:
         return len(self._piece(m).words)
@@ -439,8 +468,11 @@ class QuadraticAlgebra:
         A_{m-1} -> A_m -> 0 with t = min(m, top nonzero W).  Write
         D_i = dim W_i (x) A_{m-i} (so D_0 = dim A_m) and r_i for the
         rank over Q of d_i: W_i (x) A_{m-i} -> W_{i-1} (x) A_{m-i+1},
-        with r_{t+1} = 0.  Exactness is r_1 = D_0 and r_i + r_{i+1} = D_i
-        for i = 1..t.
+        with r_{t+1} = 0.  d_1: V (x) A_{m-1} -> A_m is multiplication,
+        onto because A is generated in degree 1 (Polishchuk-Positselski,
+        *Quadratic Algebras*, AMS 2005, Ch. 2), so r_1 = D_0 in every
+        degree, on every route, with no rank taken.  Exactness is then
+        r_i + r_{i+1} = D_i for i = 1..t.
 
         PBW route (``route`` "pbw").  Order the words of one length
         lexicographically by ``order``.  The smallest words of the
@@ -459,7 +491,7 @@ class QuadraticAlgebra:
         leading pairs of A as its normal pairs, so dim W_i = dim A^!_i is
         the number of words of length i whose pairs are all leading.
         Both counts are powers of a 0/1 transfer matrix (``_walk_counts``).
-        An exact complex has the ranks r_1 = D_0 and r_{i+1} = D_i - r_i,
+        With r_1 = D_0, an exact complex has the ranks r_{i+1} = D_i - r_i,
         so these are the ranks over Q of the differentials, the ones the
         rank route would find; no differential is built and no rank is
         taken.  The Euler identity D_t = r_t, which exactness implies, is
@@ -623,35 +655,37 @@ class QuadraticAlgebra:
         proved once per algebra (its Q ranks are kept), so a higher bound
         proves only the degrees above the highest one proved.
 
-        The ranks are taken on the integer numerators of the rows, each
-        row scaled by its denominator, which keeps the rank over Q.  They
-        are first taken mod the word-size prime p = ``linalg.P`` = 2^30 -
-        35 (``linalg.rank``), giving s_i, and those stand for the r_i when
-        they meet every equality.  That is sound over Q, for any prime,
-        because
+        r_1 = D_0 is known: d_1 is onto A_m (``certify_koszul``).  So
+        only d_2..d_t are built and ranked, and A_m is read for its
+        dimension alone.  The ranks are taken on the integer numerators
+        of the rows, each row scaled by its denominator, which keeps the
+        rank over Q.  They are first taken mod the word-size prime p =
+        ``linalg.P`` = 2^30 - 35 (``linalg.rank``), giving s_i for i >= 2,
+        and those stand for the r_i when they meet every equality.  That
+        is sound over Q, for any prime, because
           * s_i <= r_i (scaling the rows keeps the rank over Q, and
             reduction mod p of integer rows cannot raise it);
           * d_i d_{i+1} = 0 over Q (the last two factors of W_{i+1}
-            lie in R), so im d_{i+1} <= ker d_i and r_i + r_{i+1} <= D_i;
-          * r_1 <= D_0, the dimension of its codomain.
-        Then D_0 = s_1 <= r_1 <= D_0 pins r_1, and each D_i = s_i +
-        s_{i+1} <= r_i + r_{i+1} <= D_i with s <= r termwise pins r_i and
-        r_{i+1}: every Q rank equals its mod-p rank.
+            lie in R), so im d_{i+1} <= ker d_i and r_i + r_{i+1} <= D_i.
+        With s_1 = r_1 = D_0, each D_i = s_i + s_{i+1} <= r_i + r_{i+1} <=
+        D_i with s <= r termwise pins r_{i+1}, from i = 1 up: every Q rank
+        equals its mod-p rank.
 
-        Each modular rank stops early at a cap: D_0 for d_1 and D_i - s_i
-        for d_{i+1}.  The cap never cuts a rank short, because by the
-        same three facts
-          s_1 <= r_1 <= D_0, and
-          s_{i+1} <= r_{i+1} <= D_i - r_i <= D_i - s_i,
-        so the capped rank min(cap, s) is s itself.  In an exact degree
-        the cap equals the rank, and the rows left once it is reached,
-        which would only have cleared to zero, are never eliminated.
+        Each modular rank stops early at a cap: D_{i-1} - s_{i-1} for d_i,
+        so D_1 - D_0 for d_2.  The cap never cuts a rank short, because by
+        the same facts s_i <= r_i <= D_{i-1} - r_{i-1} <= D_{i-1} -
+        s_{i-1}, so the capped rank min(cap, s) is s itself.  In an exact
+        degree the cap equals the rank, and the rows left once it is
+        reached, which would only have cleared to zero, are never
+        eliminated.
 
-        When an equality falls short, that degree's ranks are recomputed
-        over Q without a cap, and only those exact ranks can raise.
+        When an equality falls short, that degree's ranks of d_2..d_t are
+        recomputed over Q without a cap, and only those exact ranks can
+        raise.
 
-        Raises CertificationError at the first failing position, carrying
-        the degree's ``dims`` (D_0..D_t) and its Q ``ranks`` ({i: r_i}).
+        Raises CertificationError at the first failing position, a W_i (x)
+        A_{m-i} with i >= 1, carrying the degree's ``dims`` (D_0..D_t) and
+        its Q ``ranks`` ({i: r_i}, r_1 = D_0 included).
         """
         # W spaces vanish for good once one is zero (W_i <= W_{i-1} (x) V).
         top = 0
@@ -659,26 +693,20 @@ class QuadraticAlgebra:
             while top < m and self.koszul_space(top + 1).dim > 0:
                 top += 1
             dims = tuple(self.koszul_space(i).dim * self.dim_A(m - i) for i in range(top + 1))
-            # the numerators alone: scaling a row keeps its rank
-            diffs = [[nums for nums, _ in self._differential(i, m - i)] for i in range(1, top + 1)]
-            # the cap of d_{i+1} is D_i - s_i (see the docstring)
-            ranks = []
-            cap = dims[0]
-            for i, rows in enumerate(diffs, 1):
-                ranks.append(rank(rows, P, cap))
-                cap = dims[i] - ranks[-1]
+            # r_1 = D_0, so only d_2..d_t are built; the numerators alone:
+            # scaling a row keeps its rank
+            diffs = [[nums for nums, _ in self._differential(i, m - i)] for i in range(2, top + 1)]
+            ranks = [dims[0]]
+            for i, rows in enumerate(diffs, 2):
+                # the cap of d_i is D_{i-1} - r_{i-1} (see the docstring)
+                ranks.append(rank(rows, P, dims[i - 1] - ranks[-1]))
             if _inexact_at(dims, ranks) is not None:
-                ranks = [rank(rows) for rows in diffs]
+                ranks = [dims[0]] + [rank(rows) for rows in diffs]
                 pos = _inexact_at(dims, ranks)
                 if pos is not None:
-                    if pos == 0:
-                        got = ranks[0] if ranks else 0
-                        msg = f"complex not exact at A_{m}: rank {got} != dim {dims[0]}"
-                    else:
-                        msg = f"complex not exact at W_{pos} (x) A_{m - pos}"
                     raise CertificationError(
-                        msg, degree=m, position=pos, dims=dims,
-                        ranks=dict(enumerate(ranks, 1)),
+                        f"complex not exact at W_{pos} (x) A_{m - pos}", degree=m, position=pos,
+                        dims=dims, ranks=dict(enumerate(ranks, 1)),
                     )
             # implied by exactness; kept as an independent safety net
             if sum((-1) ** i * d for i, d in enumerate(dims)):
@@ -967,8 +995,9 @@ def _complement(adj: list[list[int]]) -> list[list[int]]:
 def _forced_ranks(a_dims: Sequence[int], w_dims: Sequence[int], bound: int) -> dict:
     """The ranks {(m, i): r_i} that exactness forces in degrees
     1..``bound`` of an algebra with dim A_m = a_dims[m] and dim W_i =
-    w_dims[i]: r_1 = D_0 and r_{i+1} = D_i - r_i (``certify_koszul``),
-    with the Euler identity D_t = r_t as a safety net."""
+    w_dims[i]: r_1 = D_0 by surjectivity and r_{i+1} = D_i - r_i by
+    exactness (``certify_koszul``), with the Euler identity D_t = r_t as
+    a safety net."""
     ranks = {}
     for m in range(1, bound + 1):
         # D_0..D_t: a zero W stays zero in every higher degree
@@ -985,9 +1014,10 @@ def _forced_ranks(a_dims: Sequence[int], w_dims: Sequence[int], bound: int) -> d
 def _ore_dims(ranks: dict, bound: int) -> tuple[list[int], list[int]]:
     """dim B_m and dim W_m(B) for m = 0..``bound`` of an Ore extension B
     = A'[z; sigma, delta], read off the ranks of A''s certificate at
-    ``bound`` (``QuadraticAlgebra._ore_ranks``).  Exactness at A'_m gives
-    dim A'_m = r_1 in degree m, and at W_m (x) A'_0, the last term of
-    degree m, dim W_m(A') = r_m (a zero W_m has no rank there).  Then
+    ``bound`` (``QuadraticAlgebra._ore_ranks``).  d_1 is onto A'_m, as A'
+    is generated in degree 1, so dim A'_m = r_1 in degree m; exactness at
+    W_m (x) A'_0, the last term of degree m, gives dim W_m(A') = r_m (a
+    zero W_m has no rank there).  Then
     B_m is the sum of the A'_j z^(m-j), and dim W_m(B) = dim W_m(A') +
     dim W_(m-1)(A')."""
     a_dims = [1] + [ranks[(m, 1)] for m in range(1, bound + 1)]
@@ -999,11 +1029,10 @@ def _ore_dims(ranks: dict, bound: int) -> tuple[list[int], list[int]]:
 
 
 def _inexact_at(dims: Sequence[int], ranks: Sequence[int]) -> int | None:
-    """First position where the degree's complex fails to be exact, with
-    ``dims[i]`` = dim W_i (x) A_{m-i} and ``ranks[i - 1]`` = rank d_i:
-    0 for A_m (im d_1 != A_m), i for W_i (x) A_{m-i}; None if exact."""
-    if not ranks or ranks[0] != dims[0]:
-        return 0
+    """First position i >= 1 where the degree's complex fails to be exact
+    at W_i (x) A_{m-i}, with ``dims[i]`` = dim W_i (x) A_{m-i} and
+    ``ranks[i - 1]`` = rank d_i; None if exact.  At A_m it is exact in
+    every degree: d_1 is onto (``certify_koszul``)."""
     for i in range(1, len(dims)):
         nxt = ranks[i] if i < len(ranks) else 0
         if ranks[i - 1] + nxt != dims[i]:

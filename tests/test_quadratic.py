@@ -296,8 +296,9 @@ def test_certification_error_carries_sizes(monkeypatch):
     q = _q_ranks(a, 4)
     assert e.ranks == {i: q[(4, i)] for i in range(1, 5)}
     assert e.ranks[2] + e.ranks[3] != e.dims[2]
-    # the failing degree was recomputed over Q before raising
-    assert calls[-4:] == [None] * 4
+    # the failing degree's d_2..d_4 were recomputed over Q before raising;
+    # r_1 = D_0 is known and d_1 is never ranked
+    assert calls[-3:] == [None] * 3 and calls[-4] == P
 
 
 def _sklyanin() -> QuadraticAlgebra:
@@ -314,10 +315,19 @@ def _sklyanin() -> QuadraticAlgebra:
 
 
 def test_certified_ranks_equal_exact_elimination():
-    algs = catalog_algebras() + [("sklyanin123", _sklyanin()), ("poly5", make_polynomial(5))]
-    for name, a in algs:
+    # Sklyanin(1,2,3) and poly(3)^tau take the rank route to bound 6, which
+    # takes r_1 = D_0 from surjectivity; _q_ranks ranks d_1 too
+    twist = _twisted_poly3()[0]
+    twist.certify_as_regular()
+    rank_route = [("sklyanin123", _sklyanin()), ("poly3^tau", twist)]
+    for name, a in rank_route:
+        assert (a.certificate.route, a.certificate.bound) == ("ranks", 6), name
+    for name, a in catalog_algebras() + rank_route + [("poly5", make_polynomial(5))]:
         cert = a.certificate
         assert cert.ranks == _q_ranks(a, cert.bound), name
+    # the golden input of the second rank-route algebra is poly(3)^tau
+    spec = parse_problem(json.loads((GOLDEN / "poly3_twist.json").read_text()))
+    assert QuadraticAlgebra(spec.generators, spec.relations).R == twist.R
 
 
 def test_prime_in_denominator_certifies_over_q(monkeypatch):
@@ -342,7 +352,9 @@ def test_modular_undercount_falls_back_to_q(monkeypatch):
         [Tensor(3, 2, {(i, j): 1, (j, i): -1}) for i in range(3) for j in range(i + 1, 3)],
     )
     ranks = a._prove_by_ranks(6)
-    assert calls.count(None) == calls.count(P) == len(want)
+    # one modular and one Q rank per d_i with i >= 2; r_1 = D_0 is checked
+    # against the full RREF of d_1 in want
+    assert calls.count(None) == calls.count(P) == len([k for k in want if k[1] >= 2])
     assert ranks == want
 
 
@@ -647,8 +659,9 @@ def test_raising_the_bound_proves_only_the_new_degrees(monkeypatch):
     a._prove_by_ranks(6)
     assert calls == []
     ranks = a._prove_by_ranks(10)
-    # W_1..W_3 are nonzero: three modular ranks in each of degrees 9, 10
-    assert calls == [P] * 6
+    # W_1..W_3 are nonzero, and d_1 is never ranked: two modular ranks in
+    # each of degrees 9, 10
+    assert calls == [P] * 4
     assert sorted(ranks) == [(m, i) for m in range(1, 11) for i in range(1, 4) if i <= m]
     assert ranks == _q_ranks(a, 10)
 
@@ -835,15 +848,16 @@ def test_ore_route_falls_back_to_the_rank_route():
 
 
 def test_each_split_is_expanded_once(monkeypatch):
-    # the rank route reads split(i) in every internal degree and the
-    # W-tables read it again; each basis vector of each W_i is expanded
-    # once
+    # the rank route reads split(i), i >= 2, in every internal degree and
+    # the W-tables read it again; only d_1 read split(1), so it is read
+    # here.  Each basis vector of each W_i is expanded once
     sides = []
     real = quadratic.expand_scaled
     monkeypatch.setattr(quadratic, "expand_scaled", lambda *a: sides.append(a[1]) or real(*a))
     s = _sklyanin()
     s.w_tables()
     assert s.certificate.route == "ranks"
+    s.split(1)
     n = sum(s.koszul_space(i).dim for i in range(1, s.d + 1))
     assert sides == [0] * n
     # an escape raises and keeps nothing
@@ -855,13 +869,54 @@ def test_each_split_is_expanded_once(monkeypatch):
     assert fresh.split(2) == s.split(2)
 
 
+def _spy_back(monkeypatch, a: QuadraticAlgebra) -> list[int]:
+    """Route quadratic._back through a recorder of the degree m of the
+    piece of ``a`` whose reducer it completes into a pair table (None for
+    a piece of another algebra)."""
+    real = quadratic._back
+    completed = []
+
+    def spy(pivots):
+        completed.append(next((m for m, p in enumerate(a._pieces) if p._reducer == pivots), None))
+        return real(pivots)
+
+    monkeypatch.setattr(quadratic, "_back", spy)
+    return completed
+
+
+@pytest.mark.parametrize("name", ["sklyanin123", "poly3^tau"])
+def test_pair_tables_are_built_on_first_read(monkeypatch, name):
+    rels = _sklyanin().R if name == "sklyanin123" else _twisted_poly3()[0].R
+    a = QuadraticAlgebra(("x", "y", "z"), rels)
+    completed = _spy_back(monkeypatch, a)
+    a.certify_as_regular()
+    # the rank route to bound 6 reads A_6 for its dimension alone: no d_1
+    # is built, and d_2 in degree 6 reads the normal forms of A_5
+    assert (a.certificate.route, a.certificate.bound) == ("ranks", 6)
+    assert completed == [2, 3, 4, 5] and a._pieces[6]._pairs is None
+    # a later read of a degree-6 word completes A_6's table, once
+    words = [(0, 1, 2, 2, 1, 0), (2, 2, 2, 0, 0, 1)]
+    later = [a.nf_word(w) for w in words]
+    assert completed == [2, 3, 4, 5, 6]
+    # the same forms, and the same certificate, as on a copy that reads
+    # them before certifying
+    fresh = QuadraticAlgebra(a.names, a.R)
+    assert [fresh.nf_word(w) for w in words] == later
+    assert fresh.certify_as_regular() == (a.d, a.omega)
+    assert fresh.certificate == a.certificate
+
+
 def test_pbw_certificate_builds_no_piece_above_degree_3(monkeypatch):
     a = _poly(5)
     calls = _spy_rank(monkeypatch)
+    completed = _spy_back(monkeypatch, a)
     d, _ = a.certify_as_regular()
     assert (d, a.certificate.route, a.certificate.bound) == (5, "pbw", 8)
     assert a.certify_koszul(12).ranks == _forced_ranks(12, 5)
     assert calls == [] and len(a._pieces) == 4
+    # the PBW test reads A_3 for its dimension alone: building it reads
+    # the pair table of A_2, and A_3's is never made
+    assert completed == [2]
 
 
 @pytest.mark.parametrize("nv, rels", [
