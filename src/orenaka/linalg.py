@@ -72,15 +72,25 @@ its int numerators by word (``nums``) over one positive denominator
 (``den``), a subspace the primitive integer RREF rows of ``echelon``.
 One rule governs every scaled vector of the package.
 
-* Sums are raw.  ``_combine`` adds keyed vectors and ``_int_sum``
-  vectors placed at a stride and an offset; each returns int numerators
-  over the lcm of its operands' denominators, with no gcd pass and the
-  cancelled entries kept as zeros, so a zero test reads
-  ``any(nums.values())``.  ``_residual`` (``Subspace.reduce``,
-  ``escaping_row`` and the membership tests of ``morphisms`` and
-  ``ore``) is one ``_combine``, and every sum between kernels is one of
-  the two: the A_m column sums of ``quadratic``, and the tower stages,
-  S^i, the read-backs and omega-hat's blocks in ``ore``.
+* Sums are raw.  ``_combine`` adds keyed vectors, and ``_block_sum``
+  sums blocks on int keys; each returns int numerators over the lcm of
+  its operands' denominators, with no gcd pass and the cancelled entries
+  kept as zeros, so a zero test reads ``any(nums.values())``.
+  ``_residual`` (``Subspace.reduce``, ``escaping_row`` and the
+  membership tests of ``morphisms`` and ``ore``) is one ``_combine``,
+  and every other sum between kernels is one ``_block_sum``: the A_m
+  column sums of ``quadratic``, delta(R) in A_3 in ``morphisms``, the
+  matrix product, and the tower stages, S^i, the read-backs and
+  omega-hat's blocks in ``ore``.
+* Linear maps are applied as operators.  An operator is a map's rows
+  as int numerators over one common denominator, (rows, den)
+  (``_operator``, ``_matrix_operator``), made once: the splits of the
+  W_i and the pair table per algebra (``quadratic.WTables``), sigma,
+  nf(delta(x_v)), S^i and each finished tower stage per Ore request.  A
+  block of ``_block_sum`` is c (f (x) id)(vec), c (id (x) f)(vec) or c
+  vec placed at a stride and an offset, with vec a scaled vector, so
+  the lcm is taken over the blocks, a handful, not over the entries,
+  and no term is built per entry: each entry of vec meets one row of f.
 * Canonical form is taken where a sum's result is stored: no zero
   numerator and gcd(den, *nums) = 1 (``_canonical``), so den is the lcm
   of the reduced denominators of the entries and equal values compare
@@ -214,10 +224,16 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("shape mismatch in product")
-            cols = list(zip(*other.rows)) if other.rows else []
-            return Matrix(
-                [[sum((a * b for a, b in zip(row, col)), ZERO) for col in cols] for row in self.rows]
-            )
+            # integer rows times the operator of other (``_block_sum``),
+            # over the product of the two denominators
+            rows, aden = _matrix_operator(self)
+            f = _matrix_operator(other)
+            den = aden * f[1]
+            out = []
+            for r in rows:
+                nums, _ = _block_sum([(1, (r, 1), f, 1, None)])
+                out.append([Fraction(nums[j], den) if nums.get(j) else ZERO for j in range(other.ncols)])
+            return Matrix(out)
         return Matrix([[a * scalar(other) for a in r] for r in self.rows])
 
     __rmul__ = __mul__
@@ -728,21 +744,66 @@ def _combine(terms: Iterable[tuple]) -> tuple[dict, int]:
     return out, big
 
 
-def _int_sum(terms: Iterable[tuple]) -> tuple[dict[int, int], int]:
-    """The sum of c * nums / den over terms (c, (nums, den), stride,
-    offset), entry k of nums placed at column k * stride + offset; c may
-    be an int or a Fraction.  A raw sum, like ``_combine``: int
-    numerators over the lcm of the c.denominator * den, cancelled
-    entries kept as zeros."""
-    terms = [(c.numerator, c.denominator * d, nums, st, off) for c, (nums, d), st, off in terms]
-    big = lcm(*[d for _, d, _, _, _ in terms])
+def _operator(vectors: Sequence[tuple[Mapping, int]]) -> tuple[list[dict[int, int]], int]:
+    """The linear map with row m = ``vectors[m]`` (int numerators, den)
+    as an operator: its rows as int numerators, zeros dropped, over the
+    lcm of the vectors' denominators."""
+    big = lcm(*[den for _, den in vectors])
+    return [{k: n * (big // den) for k, n in nums.items() if n} for nums, den in vectors], big
+
+
+def _matrix_operator(m: "Matrix") -> tuple[list[dict[int, int]], int]:
+    """The rows of m as an operator: row i keyed j holds m[i][j] times
+    the lcm of m's denominators."""
+    den = lcm(*[a.denominator for r in m.rows for a in r])
+    return [
+        {j: a.numerator * (den // a.denominator) for j, a in enumerate(r) if a} for r in m.rows
+    ], den
+
+
+def _block_sum(blocks: Iterable[tuple]) -> tuple[dict[int, int], int]:
+    """The raw sum of blocks (c, vec, f, size, width), c an int, vec =
+    (int numerators, den) and f None or an operator (rows, den):
+
+    * f None: c * vec placed at stride ``size`` and offset ``width``,
+      entry k at k * size + width;
+    * width None: c * (f (x) id)(vec) for vec keyed m * size + v, with
+      f(w_m) = row m keyed g: keyed g * size + v;
+    * otherwise: c * (id (x) f)(vec) for vec keyed m * size + v, with
+      f(v) = row v keyed g < width: keyed m * width + g.
+
+    Like ``_combine``, int numerators over the lcm of the blocks'
+    denominators (vec's times f's), cancelled entries kept as zeros."""
+    blocks = [(c, vec, f, size, width, vec[1] if f is None else vec[1] * f[1])
+              for c, vec, f, size, width in blocks]
+    big = lcm(*[b[5] for b in blocks])
     out: dict[int, int] = {}
     get = out.get
-    for cn, d, nums, st, off in terms:
-        f = cn * (big // d)
-        for k, n in nums.items():
-            key = k * st + off
-            out[key] = get(key, 0) + f * n
+    for c, (nums, _), f, size, width, den in blocks:
+        s = c * (big // den)
+        if f is None:
+            for k, n in nums.items():
+                key = k * size + width
+                out[key] = get(key, 0) + s * n
+            continue
+        rows = f[0]
+        if width is None:
+            for k, n in nums.items():
+                if n:
+                    m, v = divmod(k, size)
+                    sn = s * n
+                    for g, x in rows[m].items():
+                        key = g * size + v
+                        out[key] = get(key, 0) + sn * x
+        else:
+            for k, n in nums.items():
+                if n:
+                    m, v = divmod(k, size)
+                    sn = s * n
+                    base = m * width
+                    for g, x in rows[v].items():
+                        key = base + g
+                        out[key] = get(key, 0) + sn * x
     return out, big
 
 
@@ -767,39 +828,40 @@ def _scaled_images(images: Sequence["Tensor"]) -> tuple[list[list[tuple]], int]:
 def _matrix_images(m: Matrix) -> tuple[list[list[tuple]], int]:
     """The rows of m as scaled images of the letters: row i sends the
     one-letter word (i,) to sum_j m[i][j] (j,)."""
-    den = lcm(*[a.denominator for r in m.rows for a in r])
-    return [
-        [((j,), a.numerator * (den // a.denominator)) for j, a in enumerate(r) if a]
-        for r in m.rows
-    ], den
+    rows, den = _matrix_operator(m)
+    return [[((j,), n) for j, n in r.items()] for r in rows], den
 
 
-def escaping_row(space: Subspace, m: Matrix) -> int | None:
-    """The pivot-order position of the first basis row of S inside V (x)
-    V whose image under m (x) m leaves S, or None when (m (x) m)(S) <= S.
+def escaping_row(space: Subspace, m: Matrix, rows: Sequence[Mapping] | None = None) -> int | None:
+    """The position of the first of ``rows``, int vectors in V (x) V
+    (by default the basis rows of S in pivot order), whose image under
+    m (x) m leaves S, or None when every image lies in S; by default
+    None means (m (x) m)(S) <= S.
 
-    Each primitive int row is mapped on the flat indices a * nv + b by
-    the scaled rows of m (``_matrix_images``) and reduced by
-    ``_residual``.  Scaling a vector does not move it in or out of S, so
-    the common denominator is dropped."""
+    Each row is mapped on the flat indices a * nv + b by the operator
+    of m (``_matrix_operator``) and reduced by ``_residual``.  Scaling a
+    vector does not move it in or out of S, so the common denominator
+    is dropped."""
     nv = m.nrows
     if m.ncols != nv or space.ambient != nv * nv:
         raise ValueError("matrix size must match the alphabet of the space")
-    images, _ = _matrix_images(m)
-    rows = space._rows
-    for pos, p in enumerate(sorted(rows)):
+    images, _ = _matrix_operator(m)
+    basis = space._rows
+    if rows is None:
+        rows = [basis[p] for p in sorted(basis)]
+    for pos, row in enumerate(rows):
         out: dict = {}
         get = out.get
-        for k, c in rows[p].items():
+        for k, c in row.items():
             a, b = divmod(k, nv)
             tail = images[b]
-            for (i,), x in images[a]:
+            for i, x in images[a].items():
                 f = c * x
                 base = i * nv
-                for (j,), y in tail:
+                for j, y in tail.items():
                     key = base + j
                     out[key] = get(key, 0) + f * y
-        if any(_residual(out, 1, rows)[0].values()):
+        if any(_residual(out, 1, basis)[0].values()):
             return pos
     return None
 

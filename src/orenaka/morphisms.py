@@ -29,8 +29,11 @@ from .linalg import (
     Matrix,
     Subspace,
     Tensor,
+    _block_sum,
     _combine,
     _matrix_images,
+    _matrix_operator,
+    _operator,
     _residual,
     _scaled_images,
     _substitute_at,
@@ -189,11 +192,16 @@ def extend_derivation(
     naming the first basis relation r of R (pivot order) with delta(r)
     outside R (x) V + V (x) R.
 
-    delta(r) is tested as delta(r) = 0 in A_3 (``DerivationLift``): its
-    int numerators meet the length-3 normal forms of the algebra
-    (``QuadraticAlgebra._nf3``) and must sum to zero.  The common
-    denominator is dropped, as scaling a tensor does not move it in or
-    out of the subspace; no Fraction is built.
+    delta(r) is tested as delta(r) = 0 in A_3 (``DerivationLift``), on
+    the int rows r of R (``Subspace.int_rows``) keyed a * nv + b by flat
+    index: delta(r) = (sigma (x) delta)(r) + (delta (x) id)(r), keyed by
+    the flat index of its degree-3 words, is two blocks of
+    ``linalg._block_sum`` on the operators of sigma and of delta (row a
+    keyed by the flat index of the words of delta(x_a)), and its normal
+    form one more, on the length-3 normal forms of the algebra
+    (``QuadraticAlgebra._nf3``) as an operator; it must be zero.  The
+    common denominator is dropped, as scaling a tensor does not move it
+    in or out of the subspace; no Fraction, tensor or word is built.
     """
     if sigma.algebra is not alg:
         raise ValueError("sigma belongs to a different algebra")
@@ -203,17 +211,18 @@ def extend_derivation(
         if im.degree != 2 or im.nv != alg.nv:
             raise ValueError("derivation images must be degree-2 tensors over V")
     delta = DerivationLift(images, sigma)
-    table, _ = alg._nf3()
     nv = alg.nv
-    for t in alg.R.basis_tensors(nv, 2):
-        nf: dict = {}
-        get = nf.get
-        for (a, b, c), n in delta._extend(t)[0].items():
-            for k, v in table[(a * nv + b) * nv + c].items():
-                nf[k] = get(k, 0) + n * v
+    nf3 = alg._nf3()
+    s_op = _matrix_operator(sigma.matrix)
+    d_op = _operator([({a * nv + b: n for (a, b), n in t.nums.items()}, t.den) for t in images])
+    for pos, r in enumerate(alg.R.int_rows()):
+        vec = (r, 1)
+        moved = _block_sum([(1, vec, s_op, nv, None)])
+        image = _block_sum([(1, moved, d_op, nv, nv * nv), (1, vec, d_op, nv, None)])
+        nf, _ = _block_sum([(1, image, nf3, 1, None)])
         if any(nf.values()):
             raise NotAdmissibleError(
-                f"delta(R) leaves R(x)V + V(x)R on relation {t!r}"
+                f"delta(R) leaves R(x)V + V(x)R on relation {alg.R.basis_tensors(nv, 2)[pos]!r}"
             )
     return delta
 

@@ -36,11 +36,19 @@ the w_l (x) x_j of W_i (x) V, under delta_{i,l} on the x_u (x) w_l of V
 (x) W_i, and sigma^(x)i on W_i is the square matrix S^i.  Each is a
 vector of int numerators over one denominator; the sums between them
 are raw, and each stored stage and S^i is made canonical (the rule of
-the ``linalg`` docstring).  Tensors are built only where one is the
-output, and only on first read: the ``right`` and ``left`` stages, and
-omega-hat's words, made in one pass over the blocks (S^i (x) id) and
-(delta_{i,r} (x) id) of omega's coordinates in W_i (x) W_{d-i}.  A
-request that never reads omega-hat never builds its words.
+the ``linalg`` docstring).  Each linear map a request applies is also
+held once as an operator, its rows over one common denominator
+(``linalg._operator``): the splits of the W_i and the pair table per
+algebra (``WTables``), and sigma, nf(delta(x_v)), S^i and each finished
+stage per request.  Every sum of the tower right-hand sides, the left
+recursion, the read-backs, S^i, omega-hat's blocks and the twist check
+is a ``linalg._block_sum`` of at most three blocks, each an operator on
+one factor of a vector or a vector placed at an offset.  Tensors are
+built only where one is the output, and only on first read: the
+``right`` and ``left`` stages, and omega-hat's words, made in one pass
+over the blocks (S^i (x) id) and (delta_{i,r} (x) id) of omega's
+coordinates in W_i (x) W_{d-i}.  A request that never reads omega-hat
+never builds its words.
 
 Right towers are built stage by stage: delta_{i,r}(w_k) is any u in W_i
 (x) V with (id^(i-1) (x) m)(u) = (id^(i-1) (x) m)((sigma^(i-1) (x) delta
@@ -97,11 +105,12 @@ from .linalg import (
     Matrix,
     Subspace,
     Tensor,
+    _block_sum,
     _canonical,
     _DeferredTensor,
     _combine,
-    _int_sum,
-    _matrix_images,
+    _matrix_operator,
+    _operator,
     _residual,
     _scaled,
     escaping_row,
@@ -135,9 +144,14 @@ class SequencePair:
     tensors in V^(x)(i+1), built on first read, so the defining
     recursions can be read literally off them; ``sigma_w[i]`` is S^i =
     sigma^(x)i on W_i, row m the image of w_m keyed by the W_i basis.
+    ``_sigma_ops[i]`` and ``_right_ops[i]`` hold S^i and delta_{i,r} as
+    operators (``linalg._operator``), each made once.
     """
 
-    __slots__ = ("algebra", "sigma", "delta", "right_w", "left_w", "sigma_w", "_lifts", "_right", "_left")
+    __slots__ = (
+        "algebra", "sigma", "delta", "right_w", "left_w", "sigma_w",
+        "_sigma_ops", "_right_ops", "_lifts", "_right", "_left",
+    )
 
     def __init__(self, sigma, delta, right_w, left_w):
         self.algebra = sigma.algebra
@@ -145,7 +159,10 @@ class SequencePair:
         self.delta = delta
         self.right_w = right_w
         self.left_w = left_w
-        self.sigma_w, self._lifts = _sigma_on_w(self.algebra, sigma.matrix)
+        self.sigma_w, self._sigma_ops, self._lifts = _sigma_on_w(self.algebra, sigma.matrix)
+        # the operators of the stages given; ``build_sequence_pair``
+        # appends one per stage it finishes
+        self._right_ops = [_operator(stage) for stage in right_w]
         self._right = None
         self._left = None
 
@@ -251,26 +268,6 @@ def _sigma_power_delta(sigma, delta, w: Tensor, i: int) -> Tensor:
     return w.apply_matrix_slots(range(1, i), sigma.matrix).apply_images_at(i, delta.images)
 
 
-def _on_left(vec: tuple[dict, int], rows, size: int, sign: int = 1) -> list[tuple]:
-    """The ``_int_sum`` terms of sign * (f (x) id)(vec) for vec keyed m * size
-    + v, with f(w_m) = rows[m] keyed g: keyed g * size + v."""
-    nums, den = vec
-    return [
-        (sign * c, (rows[key // size][0], rows[key // size][1] * den), size, key % size)
-        for key, c in nums.items()
-    ]
-
-
-def _on_right(vec: tuple[dict, int], rows, size: int, width: int, sign: int = 1) -> list[tuple]:
-    """The ``_int_sum`` terms of sign * (id (x) f)(vec) for vec keyed m * size
-    + v, with f(v) = rows[v] keyed g < width: keyed m * width + g."""
-    nums, den = vec
-    return [
-        (sign * c, (rows[key % size][0], rows[key % size][1] * den), 1, key // size * width)
-        for key, c in nums.items()
-    ]
-
-
 def _read_back(
     alg: QuadraticAlgebra, i: int, t: tuple[dict, int], pad: int
 ) -> tuple[dict, int] | None:
@@ -291,39 +288,40 @@ def _read_back(
             if c:
                 coef[u * q + l] = c
     image = (coef, den * scale)
-    residual, _ = _int_sum([(1, t, 1, 0)] + _on_right(image, alg.split(i), q, block, -1))
+    residual, _ = _block_sum([(1, t, None, 1, 0), (-1, image, tab.split[i], q, block)])
     if any(residual.values()):
         return None
     return _canonical(*image)
 
 
-def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> tuple[list, list]:
+def _sigma_on_w(alg: QuadraticAlgebra, m: Matrix) -> tuple[list, list, list]:
     """S^i = sigma^(x)i on W_i for i = 0..d: (S^(i-1) (x) M)(w_l) in
     W_{i-1} (x) V through the split of w_l, read back into W_i.  Each
     read-back is checked, so by induction each S^i is sigma^(x)i on W_i,
     and S^d = hdet(sigma) must be nonzero.  An unchecked sigma that
-    moves some W_i fails here.  Also returns the blocks (S^(i-1) (x)
+    moves some W_i fails here.  Returns the stages, the same as
+    operators (``linalg._operator``), and the blocks (S^(i-1) (x)
     id)(w_l) in W_{i-1} (x) V, at [i][l] for i >= 2, which the
     right-hand sides of tower stage i read too."""
     nv, d = alg.nv, alg.d
-    mrows = [_scaled({j: a for j, a in enumerate(r) if a}) for r in m.rows]
-    out = [[({0: 1}, 1)], mrows]
+    out = [[({0: 1}, 1)], [_scaled({j: a for j, a in enumerate(r) if a}) for r in m.rows]]
+    ops = [_operator(stage) for stage in out]
     lifts: list = [None, None]
     for i in range(2, d + 1):
         stage = []
-        lifts.append([_int_sum(_on_left(split, out[-1], nv)) for split in alg.split(i)])
+        lifts.append([_block_sum([(1, split, ops[-1], nv, None)]) for split in alg.split(i)])
         for lifted in lifts[i]:
-            moved = _int_sum(_on_right(lifted, mrows, nv, nv))
-            image = _read_back(alg, i, moved, 0)
+            image = _read_back(alg, i, _block_sum([(1, lifted, ops[1], nv, nv)]), 0)
             if image is None:
                 raise EngineInvariantError(
                     f"sigma^(x){i} does not preserve W_{i}; certification is broken"
                 )
             stage.append(image)
         out.append(stage)
+        ops.append(_operator(stage))
     if not out[d][0][0]:
         raise EngineInvariantError("sigma^(x)d is zero on W_d; certification is broken")
-    return out[: d + 1], lifts
+    return out[: d + 1], ops[: d + 1], lifts
 
 
 def build_sequence_pair(
@@ -348,11 +346,13 @@ def build_sequence_pair(
     right: list[list[tuple]] = [[({}, 1)], lift]
     left: list[list[tuple]] = [[({}, 1)], lift]
     sp = SequencePair(sigma, delta, right, left)
-    mrows = sp.sigma_w[1]
+    mop = sp._sigma_ops[1]
     dim_a2 = alg.dim_A(2)
-    nf_delta = [alg._nf_scaled(t) for t in delta.images]
+    nf_delta = _operator([alg._nf_scaled(t) for t in delta.images])
+    lop = sp._right_ops[1]  # the operator of left[1] = lift
     for i in range(2, alg.d + 1):
         p = tab.dims[i - 1]
+        rop = sp._right_ops[i - 1]
         splits, lsplits = alg.split(i), alg.split(i, left=True)
         system = tab.stage[i]
         stage = []
@@ -360,10 +360,10 @@ def build_sequence_pair(
             # the right-hand side in W_{i-1} (x) A_2, keyed m * dim A_2 +
             # a: (sigma^(i-1) (x) id)(w_k) then delta(x_v) multiplied into
             # A_2, plus (delta_{i-1,r} (x) id)(w_k) then x_j x_v multiplied in
-            b, bden = _int_sum(
-                _on_right(lifted, nf_delta, nv, dim_a2)
-                + _on_right(_int_sum(_on_left(split, right[i - 1], nv)), tab.pairs, nv * nv, dim_a2)
-            )
+            b, bden = _block_sum([
+                (1, lifted, nf_delta, nv, dim_a2),
+                (1, _block_sum([(1, split, rop, nv, None)]), tab.pairs, nv * nv, dim_a2),
+            ])
             y = system.solve(b)
             if y is None:
                 raise NoSolutionError(
@@ -378,20 +378,21 @@ def build_sequence_pair(
                 ])
             stage.append(_canonical(*x))
         right.append(stage)
+        sp._right_ops.append(_operator(stage))
         # left tower by the alternating recursion, in V (x) W_{i-1} (x) V
         # keyed (u * p + m) * nv + v, then read back into V (x) W_i; no
         # choice remains
         sgn = _sign(i)
         lstage = []
         for k, (lsplit, rsplit) in enumerate(zip(lsplits, splits)):
-            t = _int_sum(
+            t = _block_sum([
                 # sgn (sigma (x) delta_{i-1,r})(w_k), sigma first
-                _on_right(_int_sum(_on_left(lsplit, mrows, p)), right[i - 1], p, p * nv, sgn)
+                (sgn, _block_sum([(1, lsplit, mop, p, None)]), rop, p, p * nv),
                 # -sgn delta_{i,r}(w_k), through the left split of each w_l
-                + _on_left(stage[k], lsplits, nv, -sgn)
+                (-sgn, stage[k], tab.left_split[i], nv, None),
                 # (delta_{i-1,l} (x) id)(w_k)
-                + _on_left(rsplit, left[i - 1], nv)
-            )
+                (1, rsplit, lop, nv, None),
+            ])
             image = _read_back(alg, i, t, 1)
             if image is None:
                 raise LeftImageEscapeError(
@@ -399,6 +400,7 @@ def build_sequence_pair(
                 )
             lstage.append(image)
         left.append(lstage)
+        lop = _operator(lstage)
     return sp
 
 
@@ -443,22 +445,37 @@ def ore_relations(sigma: GradedAutomorphism, delta: DerivationLift) -> Subspace:
     A subspace of V-hat (x) V-hat with V-hat = V + k z; z is the last
     letter of the extended alphabet.
     """
+    return _relations_hat(sigma.algebra, _ore_rows(sigma, delta))
+
+
+def _ore_rows(sigma: GradedAutomorphism, delta: DerivationLift) -> list[dict[int, int]]:
+    """The rows z (x) x_i - sigma(x_i) (x) z - delta(x_i) of R-hat, i =
+    0..n-1, as int vectors in V-hat (x) V-hat, each over the lcm of
+    sigma's and delta(x_i)'s denominators; the words of delta avoid z,
+    so no two entries of a row share a key."""
     alg = sigma.algebra
     nv = alg.nv
     nh = nv + 1
-    rows = [{k // nv * nh + k % nv: n for k, n in r.items()} for r in alg.R.int_rows()]
-    # each row over the lcm of sigma's and delta(x_i)'s denominators; the
-    # words of delta avoid z, so no two entries of a row share a key
-    images, mden = _matrix_images(sigma.matrix)
+    images, mden = _matrix_operator(sigma.matrix)
+    rows = []
     for i, t in enumerate(delta.images):
         big = lcm(mden, t.den)
         f, g = big // mden, big // t.den
         rows.append({
             nv * nh + i: big,
-            **{j * nh + nv: -n * f for (j,), n in images[i]},
+            **{j * nh + nv: -n * f for j, n in images[i].items()},
             **{a * nh + b: -n * g for (a, b), n in t.nums.items()},
         })
-    out = Subspace(nh * nh, rows)
+    return rows
+
+
+def _relations_hat(alg: QuadraticAlgebra, ore_rows: list[dict[int, int]]) -> Subspace:
+    """R-hat from the rows of R, embedded in V-hat (x) V-hat, and the Ore
+    rows (``_ore_rows``)."""
+    nv = alg.nv
+    nh = nv + 1
+    rows = [{k // nv * nh + k % nv: n for k, n in r.items()} for r in alg.R.int_rows()]
+    out = Subspace(nh * nh, rows + ore_rows)
     if out.dim != alg.R.dim + nv:
         raise EngineInvariantError("dim R-hat != dim R + n")
     return out
@@ -493,6 +510,15 @@ def nakayama_of_B(sigma: GradedAutomorphism, delta: DerivationLift) -> OreReport
     sequence pair and N, hdet(sigma) read off S^d); the assembled matrix
     is verified to preserve R-hat, omega-hat is certified against it,
     and the Calabi-Yau flag is sigma = mu_A with vanishing divergence.
+
+    R-hat is checked on a spanning set: the rows of R and the n Ore rows
+    z (x) x_i - sigma(x_i) (x) z - delta(x_i).  mu_B's rows on V have a
+    zero z-entry, so (mu_B (x) mu_B)(r) = (N (x) N)(r) lies in V (x) V
+    for r in R; and R-hat n V (x) V = R, as each Ore row has its own
+    entry at z (x) x_i and no other row of the spanning set meets z (x)
+    V.  So mu_B preserves R-hat iff N preserves R
+    (``escaping_row(alg.R, N)``) and the image of each Ore row lies in
+    R-hat, the same predicate as mapping every basis row of R-hat.
     """
     alg = sigma.algebra.ensure_as_regular()
     sp = build_sequence_pair(sigma, delta)
@@ -504,8 +530,9 @@ def nakayama_of_B(sigma: GradedAutomorphism, delta: DerivationLift) -> OreReport
     rows = [list(r) + [ZERO] for r in n_map.rows]
     rows.append([div.divergence.entries.get((j,), ZERO) for j in range(alg.nv)] + [h])
     mu_b = Matrix(rows)
-    r_hat = ore_relations(sigma, delta)
-    if escaping_row(r_hat, mu_b) is not None:
+    ore_rows = _ore_rows(sigma, delta)
+    r_hat = _relations_hat(alg, ore_rows)
+    if escaping_row(alg.R, n_map) is not None or escaping_row(r_hat, mu_b, ore_rows) is not None:
         raise AutomorphismCheckFailedError("mu_B does not preserve R-hat")
     return OreReport(
         algebra=alg,
@@ -685,8 +712,10 @@ def twisted_superpotential_hat(sp: SequencePair, mu_b: Matrix, r_hat: Subspace) 
     tab = alg.w_tables()
     # C_i keyed a * dim W_{d-i} + b on w_a (x) w_b, R_i keyed (l * nv +
     # j) * dim W_{d-i} + b on w_l (x) x_j (x) w_b; R_0 = 0
-    cs = [_int_sum(_on_left(tab.omega[i], sp.sigma_w[i], tab.dims[d - i])) for i in range(d + 1)]
-    rs = [({}, 1)] + [_int_sum(_on_left(tab.omega[i], sp.right_w[i], tab.dims[d - i])) for i in range(1, d + 1)]
+    cs = [_block_sum([(1, tab.omega[i], sp._sigma_ops[i], tab.dims[d - i], None)]) for i in range(d + 1)]
+    rs = [({}, 1)] + [
+        _block_sum([(1, tab.omega[i], sp._right_ops[i], tab.dims[d - i], None)]) for i in range(1, d + 1)
+    ]
     if not _in_last_slot(alg, cs, rs, r_hat):
         raise NotInHatWError(
             f"omega-hat escapes V-hat^{d - 1} (x) R-hat (x) V-hat^0", slot=d - 1
@@ -732,42 +761,35 @@ def _twist_failure(sp: SequencePair, cs: list, mu_b: Matrix) -> str | None:
     zz = mu_b.rows[nv][nv]
     if zz.numerator * sden != snums[0] * zz.denominator:
         return "words ending in z"
-    rows, mden = _matrix_images(mu_b)
-    n_rows = [({j: n for (j,), n in r}, mden) for r in rows[:nv]]
+    rows, mden = _matrix_operator(mu_b)
+    # N, mu_B's V-block: its rows on V have no z-entry (checked above)
+    n_op = (rows[:nv], mden)
     sgn = _sign(d + 1)
     for p in range(d):
         # C_p - (-1)^(d+1) (C_{p+1} with its first letter through N and
-        # moved to the end), keyed (a * q + b) * nv + v on w_a (x) w_b (x)
-        # x_v in W_p (x) W_{d-p-1} (x) V, q = dim W_{d-p-1}; C_{p+1} is read
-        # in V (x) W_p (x) W_{d-p-1} first
+        # moved to the end), keyed (a * nv + v) * q + b on the words w_a
+        # (x) z (x) w_b (x) x_v, w_a in W_p and w_b in W_{d-p-1} of dim q:
+        # C_p through the split of its W_{d-p} factor, C_{p+1} through
+        # the operator that sends w_m in W_{p+1} to sum w_a (x) N(x_u) over
+        # its left split x_u (x) w_a
         q = tab.dims[d - p - 1]
-        lifted = _int_sum(_on_left(cs[p + 1], alg.split(p + 1, left=True), q))
-        residual, _ = _int_sum(
-            _on_right(cs[p], alg.split(d - p), tab.dims[d - p], q * nv)
-            + _first_to_end(lifted, n_rows, tab.dims[p] * q, nv, -sgn)
-        )
+        swap_rows, swap_den = tab.left_swap[p + 1]
+        moved = _operator([_block_sum([(1, (r, swap_den), n_op, nv, nv)]) for r in swap_rows])
+        residual, _ = _block_sum([
+            (1, cs[p], tab.split_swap[d - p], tab.dims[d - p], nv * q),
+            (-sgn, cs[p + 1], moved, q, None),
+        ])
         if any(residual.values()):
             return f"words with z at position {p}"
     # the z-free words: v = delta_r + N delta_l, with v the z-row of mu_B
     # on V, delta_r keyed j on w^d_0 (x) x_j and delta_l on x_j (x) w^d_0
-    v = ({j: n for (j,), n in rows[nv] if j < nv}, mden)
-    residual, _ = _int_sum(
-        [(1, v, 1, 0), (-1, sp.right_w[d][0], 1, 0)] + _on_left(sp.left_w[d][0], n_rows, 1, -1)
-    )
+    v = ({j: n for j, n in rows[nv].items() if j < nv}, mden)
+    residual, _ = _block_sum([
+        (1, v, None, 1, 0), (-1, sp.right_w[d][0], None, 1, 0), (-1, sp.left_w[d][0], n_op, 1, None),
+    ])
     if any(residual.values()):
         return "z-free words"
     return None
-
-
-def _first_to_end(vec: tuple[dict, int], rows, size: int, nv: int, sign: int) -> list[tuple]:
-    """The ``_int_sum`` terms of sign * (the first factor sent through f and
-    moved to the end)(vec) for vec keyed u * size + r, with f(x_u) =
-    rows[u] keyed j < nv: keyed r * nv + j."""
-    nums, den = vec
-    return [
-        (sign * c, (rows[key // size][0], rows[key // size][1] * den), 1, key % size * nv)
-        for key, c in nums.items()
-    ]
 
 
 def _in_last_slot(alg: QuadraticAlgebra, cs: list, rs: list, r_hat: Subspace) -> bool:
@@ -788,7 +810,7 @@ def _in_last_slot(alg: QuadraticAlgebra, cs: list, rs: list, r_hat: Subspace) ->
     ]
     # block d, of the opposite sign, is w^d_0 (x) u with u = C_d z + R_d,
     # and w^d_0 splits in W_{d-1} (x) V
-    unums, uden = _int_sum([(1, cs[d], 1, nv), (1, rs[d], 1, 0)])
+    unums, uden = _block_sum([(1, cs[d], None, 1, nv), (1, rs[d], None, 1, 0)])
     ((snums, sden),) = alg.split(d)
     terms.append((-1, {
         (k // nv, k % nv * nh + p): s * n for k, s in snums.items() for p, n in unums.items()

@@ -72,7 +72,7 @@ in the PBW test and A_bound on the rank route, read only for their
 dimension, pay a forward elimination alone.  ``_nf``
 caches the form of each word, and the products and sums of
 ``_build_piece``, ``differential_rows`` and ``nf_tensor`` run on
-numerators over a common denominator (``linalg._int_sum``, a raw sum
+numerators over a common denominator (``linalg._block_sum``, a raw sum
 by the rule of the ``linalg`` docstring, made canonical only where
 ``_nf`` caches a form), and ``nf_tensor`` reads the tensor's own
 numerators.  Fractions are built only at the public edge, one per
@@ -117,7 +117,8 @@ from .linalg import (
     Tensor,
     _back,
     _canonical,
-    _int_sum,
+    _block_sum,
+    _operator,
     echelon,
     expand_scaled,
     flat_word,
@@ -273,7 +274,7 @@ class QuadraticAlgebra:
         for aw in lower2.words:
             for rel in rels:
                 # the numerators alone: scaling a row keeps its span
-                rows.append(_int_sum((c, self._nf(aw + (u,)), nv, k) for u, k, c in rel)[0])
+                rows.append(_block_sum((c, self._nf(aw + (u,)), None, nv, k) for u, k, c in rel)[0])
         # the forward echelon has the pivot columns of the RREF, which fix
         # the basis words; the back pass waits for the first read of pairs
         reducer = echelon(rows)
@@ -311,7 +312,7 @@ class QuadraticAlgebra:
         prefix, pden = self._nf(word[:-1])
         pairs = self._piece(m).pairs
         last = self._pos[word[-1]]
-        nums, den = _int_sum((c, pairs[b * self.nv + last], 1, 0) for b, c in prefix.items())
+        nums, den = _block_sum((c, pairs[b * self.nv + last], None, 1, 0) for b, c in prefix.items())
         out = _canonical(nums, den * pden)
         self._nf_cache[word] = out
         return out
@@ -345,8 +346,8 @@ class QuadraticAlgebra:
         """``nf_tensor`` as int numerators over one denominator; the
         numerators may hold zeros."""
         stride = self.dim_A(t.degree - keep)
-        nums, den = _int_sum(
-            (n, self._nf(w[keep:]), 1, word_flat(w[:keep], self.nv) * stride)
+        nums, den = _block_sum(
+            (n, self._nf(w[keep:]), None, 1, word_flat(w[:keep], self.nv) * stride)
             for w, n in t.nums.items()
         )
         return nums, den * t.den
@@ -409,8 +410,8 @@ class QuadraticAlgebra:
         for exp, wden in self.split(i):
             terms = [(c, key % nv, key // nv * dim_anext) for key, c in exp.items()]
             for aw in aj_words:
-                nums, den = _int_sum(
-                    (c, self._nf((v,) + aw), 1, base) for c, v, base in terms
+                nums, den = _block_sum(
+                    (c, self._nf((v,) + aw), None, 1, base) for c, v, base in terms
                 )
                 rows.append((nums, den * wden))
         return rows
@@ -824,12 +825,22 @@ class WTables:
       ``linalg.FactoredColumns``.  Every right tower of A reads its
       stage-i images off it; its docstring proves that the reads are
       those of eliminating each system with its right-hand sides.
-    * ``pairs[a * nv + b]``: the normal form of x_a x_b in A_2.
+    * ``pairs``: the operator (``linalg._operator``) whose row a * nv + b
+      is the normal form of x_a x_b in A_2.
+    * ``split[i]`` and ``left_split[i]`` (i >= 1): ``alg.split(i)`` and
+      ``alg.split(i, left=True)`` as operators, W_i -> W_{i-1} (x) V and
+      W_i -> V (x) W_{i-1}.  ``split_swap[i]`` holds the rows of
+      ``split[i]`` keyed v * dims[i - 1] + m on w_m (x) x_v, and
+      ``left_swap[i]`` those of ``left_split[i]`` keyed m * nv + v on x_v
+      (x) w_m: the same vectors with the two keys swapped.
     * ``omega[j]``: omega in W_j (x) W_{d-j}, keyed a * dims[d - j] + b on
       w^j_a (x) w^(d-j)_b: omega's entry at the joined pivot words.
     """
 
-    __slots__ = ("dims", "words", "words_v", "read", "stage", "pairs", "omega")
+    __slots__ = (
+        "dims", "words", "words_v", "read", "stage", "pairs", "split", "left_split",
+        "split_swap", "left_swap", "omega",
+    )
 
     def __init__(self, alg: "QuadraticAlgebra"):
         nv = alg.nv
@@ -863,7 +874,14 @@ class WTables:
             diff = alg.differential_rows(i, 1)
             cols = [diff[l * nv + alg._pos[j]] for l in range(self.dims[i]) for j in range(nv)]
             self.stage.append(FactoredColumns(cols, self.dims[i - 1] * alg.dim_A(2)))
-        self.pairs = [alg._nf((a, b)) for a in range(nv) for b in range(nv)]
+        self.pairs = _operator([alg._nf((a, b)) for a in range(nv) for b in range(nv)])
+        self.split, self.left_split, self.split_swap, self.left_swap = [None], [None], [None], [None]
+        for i in range(1, d + 1):
+            p = self.dims[i - 1]
+            self.split.append(_operator(alg.split(i)))
+            self.left_split.append(_operator(alg.split(i, left=True)))
+            self.split_swap.append(_swapped(self.split[i], nv, p))
+            self.left_swap.append(_swapped(self.left_split[i], p, nv))
         omega = alg.omega
         self.omega = []
         for j in range(d + 1):
@@ -934,6 +952,13 @@ def _peel(rels: list[dict], v: int, letters: list[int], nv: int) -> tuple[list, 
     if len(rels) - len(rest) != len(letters) - 1 or any(b == v for rel in rest for _, b in rel):
         return None
     return [rel for rel in rels if any(a == v for a, _ in rel)], rest
+
+
+def _swapped(op: tuple[list[dict], int], inner: int, outer: int) -> tuple[list[dict], int]:
+    """An operator into a product of two spaces, its rows keyed m * inner
+    + v, with each key v * outer + m instead."""
+    rows, den = op
+    return [{k % inner * outer + k // inner: n for k, n in r.items()} for r in rows], den
 
 
 def _expand(vec: tuple[dict, int], head, tail, out: dict | None = None, scale: int = 1) -> tuple[dict, int]:

@@ -19,9 +19,11 @@ from orenaka import (
 from orenaka import linalg
 from orenaka.linalg import (
     P,
+    _block_sum,
     _clear,
     _integer_row,
     _combine,
+    _operator,
     _scaled,
     echelon,
     fraction_rows,
@@ -607,6 +609,83 @@ def test_combine_matches_fraction_sum_and_scaling_is_lcm(data):
         nums, den = _scaled(t.entries)
         assert den == lcm(*(c.denominator for c in t.entries.values()))
         assert {w: Fraction(n, den) for w, n in nums.items()} == t.entries
+
+
+def _fraction_blocks(blocks) -> dict:
+    """Oracle for ``_block_sum``: the definition of each block, read in
+    Fractions off the int numerators, zeros dropped."""
+    out: dict = {}
+    for c, (nums, den), f, size, width in blocks:
+        for k, n in nums.items():
+            x = c * Fraction(n, den)
+            if f is None:
+                terms = [(k * size + width, x)]
+            else:
+                m, v = divmod(k, size)
+                row = f[0][m if width is None else v]
+                terms = [
+                    (g * size + v if width is None else m * width + g, x * Fraction(y, f[1]))
+                    for g, y in row.items()
+                ]
+            for key, y in terms:
+                out[key] = out.get(key, 0) + y
+    return {k: v for k, v in out.items() if v}
+
+
+@st.composite
+def _blocks(draw):
+    """1..4 blocks of ``_block_sum``: (f (x) id) and (id (x) f) on random
+    operators whose rows carry their own denominators before
+    ``_operator`` takes their lcm, and vectors placed at a stride and an
+    offset; signs, int coefficients and an empty vector among them."""
+    def vec(keys):
+        return _scaled(draw(st.dictionaries(st.integers(0, keys - 1), _rationals, max_size=6)))
+
+    def op(nrows, width):
+        rows = [draw(st.dictionaries(st.integers(0, width - 1), _rationals, max_size=3)) for _ in range(nrows)]
+        return _operator([_scaled(r) for r in rows])
+
+    blocks = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["left", "right", "placed", "empty"]))
+        size, width = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+        if kind == "placed":
+            blocks.append((draw(st.integers(-3, 3)), vec(5), None, size, width))
+        else:
+            c = draw(st.sampled_from([1, -1]))
+            nrows = draw(st.integers(1, 3))
+            if kind == "left":
+                blocks.append((c, vec(nrows * size), op(nrows, width), size, None))
+            elif kind == "right":
+                blocks.append((c, vec(nrows * size), op(size, width), size, width))
+            else:
+                blocks.append((c, ({}, draw(st.integers(1, 6))), op(size, width), size, width))
+    return blocks
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blocks())
+def test_block_sum_matches_fraction_oracle(blocks):
+    nums, den = _block_sum(blocks)
+    dens = [vec[1] * (1 if f is None else f[1]) for _, vec, f, _, _ in blocks]
+    assert den == lcm(*dens)
+    assert all(type(n) is int for n in nums.values())
+    assert {k: Fraction(n, den) for k, n in nums.items() if n} == _fraction_blocks(blocks)
+    # a block and its negation cancel: every key stays, as a zero
+    c, vec, f, size, width = blocks[0]
+    nums, _ = _block_sum([blocks[0], (-c, vec, f, size, width)])
+    assert not any(nums.values())
+    assert not _fraction_blocks([blocks[0], (-c, vec, f, size, width)])
+
+
+def test_operator_takes_the_lcm_of_its_rows():
+    rows, den = _operator([({0: 1, 2: 0}, 2), ({1: 5}, 3), ({}, 1)])
+    assert (rows, den) == ([{0: 3}, {1: 10}, {}], 6)
+    # a left and a right block on it, by hand: key 3 = 1 * 2 + 1 reads
+    # row 1 at 1 * 2 + 1, and key 4 = 1 * 3 + 1 reads row 1 at 1 * 3 + 1
+    nums, d = _block_sum([(1, ({3: 4}, 1), (rows, den), 2, None), (-1, ({4: 1}, 5), (rows, den), 3, 3)])
+    assert d == 30
+    assert {k: Fraction(n, d) for k, n in nums.items()} == {3: Fraction(20, 3), 4: Fraction(-1, 3)}
 
 
 @st.composite

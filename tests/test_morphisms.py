@@ -356,6 +356,22 @@ def _admissibility_roster():
     )
 
 
+def test_hdet_of_the_nakayama_automorphism_is_one():
+    # the homological identity hdet(mu_A) = 1 (Reyes-Rogalski-Zhang,
+    # "Skew Calabi-Yau algebras and homological identities"), on the
+    # catalog planes and poly(n), Sklyanin(1, 2, 3) and the Zhang twist
+    # poly(3)^tau, whose mu_A is dense; mu_B is checked on dense poly(n)[z]
+    # in test_ore
+    from test_quadratic import _sklyanin, _twisted_poly3
+
+    twisted, _ = _twisted_poly3()
+    twisted.certify_as_regular()
+    roster = catalog_algebras() + [("sklyanin123", _sklyanin()), ("poly3^tau", twisted)]
+    for name, a in roster:
+        assert hdet(nakayama_of_A(a)) == 1, name
+    assert nakayama_of_A(twisted).matrix != Matrix.identity(3)
+
+
 def test_nf3_table_is_nf_word_on_every_length_3_word():
     for name, a in _admissibility_roster():
         table, den = a._nf3()

@@ -488,13 +488,20 @@ def test_mu_B_by_certifying_B_on_dense_pairs():
     # the independent route for mu_B: B presented by R-hat certifies as
     # AS-regular of dimension d + 1, its own mu_A is the theorem's mu_B,
     # and its top Koszul space is the line of omega-hat (dense poly(5)[z]
-    # certifies in about 0.5 s)
+    # certifies in about 0.5 s).  mu_B is an automorphism of B with
+    # hdet(mu_B) = 1, the homological identity hdet(mu) = 1 of
+    # Reyes-Rogalski-Zhang, read on omega-hat's line (n <= 4: sigma^(x)d
+    # on 6 dense letters is slow)
+    from orenaka import hdet
+
     for n in range(2, 6):
         b, rep = dense_extension(n)
         d, _ = b.certify_as_regular()
         assert d == n + 1
         assert nakayama_of_A(b).matrix == rep.mu_B, n
         assert b.koszul_space(d) == Subspace(b.nv**d, [rep.omega_hat.to_vec()]), n
+        if n <= 4:
+            assert hdet(check_automorphism(rep.mu_B, b)) == 1, n
 
 
 def test_full_pipeline_on_transformed_relations():
@@ -844,7 +851,7 @@ def test_superpotential_rejects_a_wrong_shaped_mu_b_first(monkeypatch):
     sig = random_admissible_automorphism(a, rng)
     rep = nakayama_of_B(sig, random_admissible_derivation(a, sig, rng))
     blocks = []
-    monkeypatch.setattr(ore, "_on_left", lambda *args: blocks.append(args))
+    monkeypatch.setattr(ore, "_block_sum", lambda *args: blocks.append(args))
     with pytest.raises(ValueError, match=r"^mu_B must be 4 x 4$"):
         twisted_superpotential_hat(rep.sequence_pair, Matrix.identity(3), rep.relations_hat)
     assert blocks == []
@@ -1012,18 +1019,22 @@ def test_ore_request_takes_no_word_level_membership(monkeypatch):
 
 def test_superpotential_forms_each_block_once(monkeypatch):
     # C_i = (S^i (x) id)(omega_i), i = 0..d, and R_i = (delta_{i,r} (x)
-    # id)(omega_i), i = 1..d: 2d + 1 blocks, each formed once per call
+    # id)(omega_i), i = 1..d: 2d + 1 blocks, each formed once per call,
+    # by the block kernel on the operators of S^i and delta_{i,r}
     from orenaka import ore, twisted_superpotential_hat
 
-    real = ore._on_left
+    real = ore._block_sum
     index, formed = {}, []
 
-    def spy(vec, rows, *args):
-        if id(vec) in index:
-            formed.append((index[id(vec)], id(rows)))
-        return real(vec, rows, *args)
+    def spy(blocks):
+        blocks = list(blocks)
+        for c, vec, f, size, width in blocks:
+            if id(vec) in index:
+                assert (c, width) == (1, None)
+                formed.append((index[id(vec)], id(f)))
+        return real(blocks)
 
-    monkeypatch.setattr(ore, "_on_left", spy)
+    monkeypatch.setattr(ore, "_block_sum", spy)
     for name, sig, delta in _tower_cases():
         rep = nakayama_of_B(sig, delta)
         sp, d = rep.sequence_pair, rep.sequence_pair.d
@@ -1031,9 +1042,37 @@ def test_superpotential_forms_each_block_once(monkeypatch):
         index.update({id(w): i for i, w in enumerate(sig.algebra.w_tables().omega)})
         formed.clear()
         assert twisted_superpotential_hat(sp, rep.mu_B, rep.relations_hat) == rep.omega_hat
-        want = [(i, id(sp.sigma_w[i])) for i in range(d + 1)] + [(i, id(sp.right_w[i])) for i in range(1, d + 1)]
+        want = [(i, id(sp._sigma_ops[i])) for i in range(d + 1)] + [(i, id(sp._right_ops[i])) for i in range(1, d + 1)]
         assert len(formed) == 2 * d + 1, name
         assert sorted(formed) == sorted(want), name
+
+
+def test_split_and_pair_operators_are_built_once_per_algebra(monkeypatch):
+    # the W-tables turn the splits of every W_i and the pair table into
+    # operators on an algebra's first Ore request; a second request reads
+    # the same operators, and the requests build none from them
+    from orenaka import ore, quadratic
+
+    base = make_polynomial(3)
+    a = QuadraticAlgebra(base.names, base.R)
+    real_q, real_o = quadratic._operator, ore._operator
+    tables, requests = [], []
+    monkeypatch.setattr(quadratic, "_operator", lambda vectors: tables.append(vectors) or real_q(vectors))
+    monkeypatch.setattr(ore, "_operator", lambda vectors: requests.append(vectors) or real_o(vectors))
+    rng = random.Random(12)
+    sig = random_admissible_automorphism(a, rng)
+    seen = []
+    for _ in range(2):
+        nakayama_of_B(sig, random_admissible_derivation(a, sig, rng))
+        tab = a.w_tables()
+        seen.append([id(op) for op in (tab.pairs, *tab.split[1:], *tab.left_split[1:])])
+    assert seen[0] == seen[1]
+    splits = [a.split(i, left) for left in (False, True) for i in range(1, a.d + 1)]
+    assert len(tables) == len(splits) + 1
+    assert all(sum(t is s for t in tables) == 1 for s in splits)
+    pairs = next(t for t in tables if not any(t is s for s in splits))
+    assert pairs == [a._nf((x, y)) for x in range(3) for y in range(3)]
+    assert not any(r is s for r in requests for s in splits)
 
 
 def test_mu_b_off_r_hat_raises(monkeypatch):
@@ -1047,10 +1086,10 @@ def test_mu_b_off_r_hat_raises(monkeypatch):
 
     def hdet_plus_one(alg, m):
         # S^d is hdet(sigma), the z-entry of mu_B
-        out, lifts = real(alg, m)
+        out, ops, lifts = real(alg, m)
         ((nums, den),) = out[-1]
         out[-1] = [({0: nums[0] + den}, den)]
-        return out, lifts
+        return out, ops, lifts
 
     monkeypatch.setattr(ore, "_sigma_on_w", hdet_plus_one)
     with pytest.raises(AutomorphismCheckFailedError) as err:

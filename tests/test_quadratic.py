@@ -849,8 +849,9 @@ def test_ore_route_falls_back_to_the_rank_route():
 
 def test_each_split_is_expanded_once(monkeypatch):
     # the rank route reads split(i), i >= 2, in every internal degree and
-    # the W-tables read it again; only d_1 read split(1), so it is read
-    # here.  Each basis vector of each W_i is expanded once
+    # the W-tables read it again, with split(1) and the left splits of
+    # every W_i.  Each basis vector of each W_i is expanded once on each
+    # side
     sides = []
     real = quadratic.expand_scaled
     monkeypatch.setattr(quadratic, "expand_scaled", lambda *a: sides.append(a[1]) or real(*a))
@@ -858,8 +859,9 @@ def test_each_split_is_expanded_once(monkeypatch):
     s.w_tables()
     assert s.certificate.route == "ranks"
     s.split(1)
+    s.split(s.d, left=True)
     n = sum(s.koszul_space(i).dim for i in range(1, s.d + 1))
-    assert sides == [0] * n
+    assert sorted(sides) == [0] * n + [1] * n
     # an escape raises and keeps nothing
     fresh = QuadraticAlgebra(s.names, s.R)
     monkeypatch.setattr(quadratic, "expand_scaled", lambda *a: None)
